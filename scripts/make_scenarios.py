@@ -88,6 +88,11 @@ def main() -> int:
                     for row in ([1, -1], [2, -2], [3, -3])],
     }
     write_scenario(out, charged, candidates=true_candidates)
+    # the same potentials through the physical (Dirichlet-solve) path
+    physical = jsonio.load(out / "charged4.forward.json")
+    del physical["prescriptions"]
+    physical["out"] = "charged4_physical.datum.json"
+    jsonio.dump(physical, out / "charged4_physical.forward.json")
     write_scenario(out, sc.graph())
     write_scenario(out, sc.spurious())
     write_scenario(out, sc.flat_line())

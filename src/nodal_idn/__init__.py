@@ -3,8 +3,8 @@
 from .model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve, DiskDomain,
                     NodalDomainModel, finest_zero_sum_partition,
                     is_generic_family)
-from .greens import (GreenKernel, NystromSystem, build_principal_green,
-                     disk_green, layer_potential_T, solve_dirichlet_fredholm,
+from .greens import (GreenKernel, NystromSystem, PrincipalGreen, disk_green,
+                     layer_potential_T, solve_dirichlet_fredholm,
                      trace_T_minus, trace_T_plus)
 from .dirichlet import (DNDatum, HarmonicDistribution, apply_dn,
                         build_dn_datum, compute_theta, solve_nodal_dirichlet,

@@ -12,6 +12,7 @@ residues of dU recover the charges directly.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import jsonio
 from .errors import ModelError, SolveError
 from .greens import (AnnulusHarmonicSolver, AnnulusPrincipalGreen,
-                     DiskHarmonicSolver, disk_green, disk_green_dz)
+                     DiskHarmonicSolver, GreenKernel)
 from .model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve, DiskDomain,
                     NodalDomainModel)
 from .oracles import RationalFunction
@@ -31,146 +32,60 @@ IMMERSION_FLOOR = 1e-8
 THETA_CROSSCHECK_TOL = 1e-6
 
 
-class _DiskCharges:
-    """Charge-part evaluators on a disk model (closed-form Green)."""
-
-    def __init__(self, domain: DiskDomain, points: np.ndarray, weights: np.ndarray):
-        self.domain = domain
-        self.points = points
-        self.weights = weights  # 4*pi*c per point
-
-    def value(self, z):
-        out = 0.0
-        for a, w in zip(self.points, self.weights):
-            out = out + w * disk_green(z, a, self.domain.radius, self.domain.center)
-        return out
-
-    def dz(self, z):
-        out = 0.0
-        for a, w in zip(self.points, self.weights):
-            out = out + w * disk_green_dz(z, a, self.domain.radius, self.domain.center)
-        return out
-
-    def dzbar(self, z):
-        out = 0.0
-        for a, w in zip(self.points, self.weights):
-            out = out + w * np.conj(disk_green_dz(z, a, self.domain.radius,
-                                                  self.domain.center))
-        return out
-
-
-class _FredholmCharges:
-    """Charge part via principal Green functions built by Fredholm solves."""
-
-    def __init__(self, green, points: np.ndarray, weights: np.ndarray):
-        self.green = green
-        self.points = points
-        self.weights = weights
-
-    def value(self, z):
-        out = 0.0
-        for a, w in zip(self.points, self.weights):
-            out = out + w * self.green(a, z)
-        return out
-
-    def dz(self, z):
-        out = 0.0
-        for a, w in zip(self.points, self.weights):
-            out = out + w * self.green.dz_second(a, z)
-        return out
-
-    def dzbar(self, z):
-        out = 0.0
-        for a, w in zip(self.points, self.weights):
-            out = out + w * np.conj(self.green.dz_second(a, z))
-        return out
-
-    def boundary_dz(self) -> np.ndarray:
-        out = 0.0
-        for a, w in zip(self.points, self.weights):
-            out = out + w * self.green.dz_second_on_boundary(a)
-        return out
-
-
 class HarmonicDistribution:
-    """Charged harmonic extension with value/derivative evaluators."""
+    """Charged harmonic extension U = Eu + sum_a w_a G(., a), w_a = 4*pi*c_a.
 
-    def __init__(self, model: NodalDomainModel, family: AdmissibleFamily | None,
-                 boundary_values: np.ndarray, ext_re, ext_im, charges,
-                 charge_boundary_dz):
+    ``ext_re`` and ``ext_im`` extend Re u and Im u; ``green`` evaluates
+    G(z, a) and its dz coefficient.  The dz traces on gamma of both
+    extensions and of every G(., a) are taken once, here; the boundary
+    evaluators only combine them.
+    """
+
+    def __init__(self, model: NodalDomainModel, boundary_values: np.ndarray,
+                 ext_re, ext_im, green, charge_points: np.ndarray,
+                 weights: np.ndarray):
         self.model = model
-        self.family = family
         self.boundary_values = np.asarray(boundary_values, dtype=complex)
         self._ext_re = ext_re
         self._ext_im = ext_im
-        self._charges = charges
-        self._charge_boundary_dz = charge_boundary_dz
+        self._green = green
+        self.charge_points = charge_points
+        self._weights = weights
         self.is_real = bool(np.max(np.abs(self.boundary_values.imag)) == 0.0)
+        pts = model.boundary.positions
+        self._trace_re = ext_re.dz(pts)
+        self._trace_im = ext_im.dz(pts)
+        self._charge_traces = [green.dz(pts, a) for a in charge_points]
 
     @property
     def curve(self) -> BoundaryCurve:
         return self.model.boundary
 
-    @property
-    def charge_points(self) -> np.ndarray:
-        return self._charges.points if self._charges else np.zeros(0, dtype=complex)
-
-    @property
-    def charge_values(self) -> np.ndarray:
-        if not self._charges:
-            return np.zeros(0, dtype=complex)
-        return np.asarray(self._charges.weights) / (4 * np.pi)
+    def _plus_charges(self, out, terms):
+        """out + sum_a w_a * term_a; the charge sum is formed first."""
+        if not self.charge_points.size:
+            return out
+        acc = 0.0
+        for w, term in zip(self._weights, terms):
+            acc = acc + w * term
+        return out + acc
 
     def value(self, z):
-        out = self._ext_re.value(z) + 1j * self._ext_im.value(z)
-        if self._charges:
-            out = out + self._charges.value(z)
-        return out
+        return self._plus_charges(self._ext_re.value(z) + 1j * self._ext_im.value(z),
+                                  (self._green(z, a) for a in self.charge_points))
 
     def dz(self, z):
         """Coefficient of dz of the distribution at interior points."""
-        out = self._ext_re.dz(z) + 1j * self._ext_im.dz(z)
-        if self._charges:
-            out = out + self._charges.dz(z)
-        return out
-
-    def dzbar(self, z):
-        out = np.conj(self._ext_re.dz(z)) + 1j * np.conj(self._ext_im.dz(z))
-        if self._charges:
-            out = out + self._charges.dzbar(z)
-        return out
+        return self._plus_charges(self._ext_re.dz(z) + 1j * self._ext_im.dz(z),
+                                  (self._green.dz(z, a) for a in self.charge_points))
 
     def boundary_dz(self) -> np.ndarray:
-        out = self._boundary_dz_ext()
-        if self._charges:
-            out = out + self._charge_boundary_dz
-        return out
-
-    def _boundary_dz_ext(self) -> np.ndarray:
-        re = self._ext_re.boundary_dz()
-        im = self._ext_im.boundary_dz()
-        if isinstance(re, tuple):  # annulus: (outer, inner); outer carries gamma
-            return re[0] + 1j * im[0]
-        return re + 1j * im
+        return self._plus_charges(self._trace_re + 1j * self._trace_im,
+                                  self._charge_traces)
 
     def boundary_dzbar(self) -> np.ndarray:
-        re = self._ext_re.boundary_dz()
-        im = self._ext_im.boundary_dz()
-        if isinstance(re, tuple):
-            re, im = re[0], im[0]
-        out = np.conj(re) + 1j * np.conj(im)
-        if self._charges:
-            pts = self.curve.positions
-            acc = 0.0
-            for a, w in zip(self._charges.points, self._charges.weights):
-                if isinstance(self._charges, _DiskCharges):
-                    acc = acc + w * np.conj(disk_green_dz(pts, a,
-                                                          self.model.domain.radius,
-                                                          self.model.domain.center))
-                else:
-                    acc = acc + w * np.conj(self._charges.green.dz_second_on_boundary(a))
-            out = out + acc
-        return out
+        return self._plus_charges(np.conj(self._trace_re) + 1j * np.conj(self._trace_im),
+                                  (np.conj(t) for t in self._charge_traces))
 
     def residue_at(self, point: complex, eps: float | None = None,
                    nodes: int = 64) -> complex:
@@ -190,41 +105,35 @@ class HarmonicDistribution:
         return complex(np.sum(vals) / (1j * nodes))
 
 
+@functools.lru_cache(maxsize=1)
+def _extend_and_green(domain, n: int):
+    """The harmonic extension u -> Eu of data on gamma and the principal
+    Green function of (domain, n), shared by the potentials of one datum."""
+    if isinstance(domain, DiskDomain):
+        green = GreenKernel("disk-principal", radius=domain.radius, center=domain.center)
+        return DiskHarmonicSolver(domain, n).extend, green
+    if isinstance(domain, AnnulusDomain):
+        solver = AnnulusHarmonicSolver(domain, n)
+        inner = np.zeros(n, dtype=complex)
+        return (lambda u: solver.extend(u, inner)), AnnulusPrincipalGreen(solver)
+    raise ModelError(f"unsupported domain {domain!r}")
+
+
 def solve_nodal_dirichlet(model: NodalDomainModel, family: AdmissibleFamily | None,
                           u: np.ndarray) -> HarmonicDistribution:
-    """Charged Dirichlet solve: U = Eu + sum 4*pi*c*G(., a)."""
+    """Charged Dirichlet solve: U = Eu + sum 4*pi*c*G(., a).
+
+    u samples the data on gamma = model.boundary.  On an annulus gamma is
+    the outer circle and the inner circle carries zero data.
+    """
     u = np.asarray(u, dtype=complex)
     if u.size != model.boundary.n:
         raise ModelError("boundary data length does not match the model boundary")
     points, weights = _collect_charges(model, family)
-
-    if isinstance(model.domain, DiskDomain):
-        solver = DiskHarmonicSolver(model.domain, model.boundary.n)
-        ext_re = solver.extend(u.real.astype(complex))
-        ext_im = solver.extend(u.imag.astype(complex))
-        charges = _DiskCharges(model.domain, points, weights) if points.size else None
-        charge_bdz = charges.dz(model.boundary.positions) if charges else None
-    elif isinstance(model.domain, AnnulusDomain):
-        solver = AnnulusHarmonicSolver(model.domain, model.boundary.n)
-        # boundary data on the inner component defaults to zero unless the
-        # caller passes a stacked array of length 2n
-        if u.size == 2 * solver.n:
-            uo, ui = u[:solver.n], u[solver.n:]
-        else:
-            uo, ui = u, np.zeros_like(u)
-        ext_re = solver.extend(uo.real.astype(complex), ui.real.astype(complex))
-        ext_im = solver.extend(uo.imag.astype(complex), ui.imag.astype(complex))
-        if points.size:
-            green = AnnulusPrincipalGreen(solver)
-            charges = _FredholmCharges(green, points, weights)
-            charge_bdz = charges.boundary_dz()
-        else:
-            charges = None
-            charge_bdz = None
-    else:
-        raise ModelError(f"unsupported domain {model.domain!r}")
-
-    return HarmonicDistribution(model, family, u, ext_re, ext_im, charges, charge_bdz)
+    extend, green = _extend_and_green(model.domain, model.boundary.n)
+    ext_re = extend(u.real.astype(complex))
+    ext_im = extend(u.imag.astype(complex))
+    return HarmonicDistribution(model, u, ext_re, ext_im, green, points, weights)
 
 
 def _collect_charges(model: NodalDomainModel, family: AdmissibleFamily | None):

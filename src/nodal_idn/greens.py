@@ -189,7 +189,6 @@ class NystromSystem:
     curve: BoundaryCurve
     kernel: GreenKernel
     matrix: np.ndarray = field(init=False, repr=False)
-    diagonal_fill: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pv = _pv_cauchy_matrix(self.curve)
@@ -197,26 +196,12 @@ class NystromSystem:
                                   self.curve.positions[:, None])
         corr = 1j / self.curve.n * corr * np.conj(self.curve.derivatives)[None, :]
         self.matrix = np.conj(pv) - 0.5 * np.eye(self.curve.n) + corr
-        self.diagonal_fill = self.curve.second_derivatives() / (2.0 * self.curve.derivatives)
 
     @staticmethod
     def build(curve: BoundaryCurve, kernel: GreenKernel | None = None) -> "NystromSystem":
         if kernel is None:
             kernel = enclosing_kernel(curve)
         return NystromSystem(curve, kernel)
-
-    def dump_diagnostics(self, path) -> None:
-        """Write the kernel matrix and diagonal fill as JSON (on demand;
-        gate behind the NODAL_IDN_DUMP_KERNELS environment variable when
-        wiring into pipelines)."""
-        from . import jsonio
-        jsonio.dump({
-            "schema": "nodal-idn/nystrom-dump/1",
-            "n": self.curve.n,
-            "kernel_kind": self.kernel.kind,
-            "matrix": jsonio.encode_complex_array(self.matrix),
-            "diagonal_fill": jsonio.encode_complex_array(self.diagonal_fill),
-        }, path)
 
 
 def trace_T_minus(v: np.ndarray, system: NystromSystem) -> np.ndarray:
@@ -236,85 +221,14 @@ class FredholmExtension:
     """Harmonic extension Eu represented by a layer density."""
 
     def __init__(self, system: NystromSystem, density: np.ndarray,
-                 boundary_values: np.ndarray, condition: float,
-                 log_coefficient: complex = 0.0, log_center: complex = 0.0):
+                 boundary_values: np.ndarray, condition: float):
         self.system = system
         self.density = density
         self.boundary_values = np.asarray(boundary_values, dtype=complex)
         self.condition = condition
-        self.log_coefficient = complex(log_coefficient)
-        self.log_center = complex(log_center)
-
-    @property
-    def curve(self) -> BoundaryCurve:
-        return self.system.curve
 
     def value(self, z):
-        out = layer_potential_T(self.density, z, self.system.curve, self.system.kernel)
-        if self.log_coefficient != 0.0:
-            out = out + self.log_coefficient * np.log(np.abs(np.asarray(z) - self.log_center))
-        return out
-
-    def dz(self, z):
-        """Coefficient of dz of the extension (zero chirality from the
-        conjugated Cauchy part; only the enclosing correction contributes)."""
-        z = np.asarray(z, dtype=complex)
-        kernel = self.system.kernel
-        curve = self.system.curve
-        flat = np.atleast_1d(z).ravel()[:, None]
-        if kernel.kind == "mundane-log":
-            out = np.zeros(flat.shape[0], dtype=complex)
-        else:
-            ws = curve.positions[None, :] - kernel.center
-            zs = flat - kernel.center
-            kern = kernel.radius**2 / (kernel.radius**2 - np.conj(ws) * zs) ** 2
-            integrand = self.density[None, :] * np.conj(curve.derivatives)[None, :] * kern
-            out = 1j * np.sum(integrand, axis=1) / curve.n
-        if self.log_coefficient != 0.0:
-            out = out + self.log_coefficient / (2.0 * (flat.ravel() - self.log_center))
-        return out.reshape(z.shape) if z.shape else complex(out[0])
-
-    def dzbar(self, z):
-        """Coefficient of dzbar, via the derivative of the Cauchy part."""
-        z = np.asarray(z, dtype=complex)
-        curve = self.system.curve
-        flat = np.atleast_1d(z).ravel()[:, None]
-        kern = curve.derivatives[None, :] / (curve.positions[None, :] - flat) ** 2
-        cauchy_dz = np.sum(np.conj(self.density)[None, :] * kern, axis=1) / (2j * np.pi) \
-            * (2 * np.pi / curve.n)
-        out = np.conj(cauchy_dz)
-        if self.log_coefficient != 0.0:
-            out = out + self.log_coefficient / (2.0 * np.conj(flat.ravel() - self.log_center))
-        return out.reshape(z.shape) if z.shape else complex(out[0])
-
-    def boundary_dz(self) -> np.ndarray:
-        """Trace of the dz coefficient on the curve (smooth correction only)."""
-        curve = self.system.curve
-        return self.dz_on_curve_points(curve.positions)
-
-    def dz_on_curve_points(self, pts) -> np.ndarray:
-        kernel = self.system.kernel
-        curve = self.system.curve
-        flat = np.asarray(pts, dtype=complex)[:, None]
-        if kernel.kind == "mundane-log":
-            out = np.zeros(flat.shape[0], dtype=complex)
-        else:
-            ws = curve.positions[None, :] - kernel.center
-            zs = flat - kernel.center
-            kern = kernel.radius**2 / (kernel.radius**2 - np.conj(ws) * zs) ** 2
-            integrand = self.density[None, :] * np.conj(curve.derivatives)[None, :] * kern
-            out = 1j * np.sum(integrand, axis=1) / curve.n
-        if self.log_coefficient != 0.0:
-            out = out + self.log_coefficient / (2.0 * (flat.ravel() - self.log_center))
-        return out
-
-    def boundary_dzbar(self) -> np.ndarray:
-        """Trace of the dzbar coefficient via integration by parts."""
-        curve = self.system.curve
-        w = np.conj(self.density)
-        wprime = fourier_derivative(w) / curve.derivatives
-        pv = _pv_cauchy_matrix(curve) @ wprime + 0.5 * wprime
-        return np.conj(pv)
+        return layer_potential_T(self.density, z, self.system.curve, self.system.kernel)
 
 
 def solve_dirichlet_fredholm(u: np.ndarray, system: NystromSystem) -> FredholmExtension:
@@ -356,8 +270,6 @@ class PrincipalGreen:
         self.system = system
         self._cache: dict[complex, FredholmExtension] = {}
 
-    kind = "fredholm-principal"
-
     def _extension(self, z: complex) -> FredholmExtension:
         key = complex(z)
         if key not in self._cache:
@@ -375,27 +287,10 @@ class PrincipalGreen:
         ext = self._extension(z)
         return self.mundane(self.system.curve.positions, z) - ext.boundary_values
 
-    def dz_second(self, z, zeta):
-        """Derivative in the second argument: d/dzeta G(z, zeta)."""
-        ext = self._extension(z)
-        return self.mundane.dz(zeta, z) - ext.dz(zeta)
-
-    def dz_second_on_boundary(self, z) -> np.ndarray:
-        ext = self._extension(z)
-        pts = self.system.curve.positions
-        return self.mundane.dz(pts, z) - ext.dz_on_curve_points(pts)
-
-    def dzbar_second(self, z, zeta):
-        ext = self._extension(z)
-        return np.conj(self.mundane.dz(zeta, z)) - ext.dzbar(zeta)
-
-
-def build_principal_green(mundane: GreenKernel, system: NystromSystem) -> PrincipalGreen:
-    return PrincipalGreen(mundane, system)
-
 
 class AnnulusPrincipalGreen:
-    """Principal Green function of an annulus via the two-component solve."""
+    """Principal Green function G(z, a) of an annulus via the two-component
+    solve; array z, scalar a, one solve per source point a (cached)."""
 
     def __init__(self, solver: "AnnulusHarmonicSolver",
                  mundane: GreenKernel | None = None):
@@ -403,29 +298,20 @@ class AnnulusPrincipalGreen:
         self.mundane = mundane or GreenKernel("mundane-log")
         self._cache: dict[complex, "AnnulusHarmonicExtension"] = {}
 
-    kind = "fredholm-principal"
-
-    def _extension(self, z: complex):
-        key = complex(z)
+    def _extension(self, a: complex):
+        key = complex(a)
         if key not in self._cache:
             data_o = self.mundane(self.solver.outer.positions, key).astype(complex)
             data_i = self.mundane(self.solver.inner.positions, key).astype(complex)
             self._cache[key] = self.solver.extend(data_o, data_i)
         return self._cache[key]
 
-    def __call__(self, z, zeta):
-        ext = self._extension(z)
-        return (self.mundane(zeta, z) - ext.value(zeta)).real
+    def __call__(self, z, a):
+        return (self.mundane(z, a) - self._extension(a).value(z)).real
 
-    def dz_second(self, z, zeta):
-        ext = self._extension(z)
-        return self.mundane.dz(zeta, z) - ext.dz(zeta)
-
-    def dz_second_on_boundary(self, z) -> np.ndarray:
-        """Trace on the outer component (the curve carrying the DN datum)."""
-        ext = self._extension(z)
-        outer = self.solver.outer.positions
-        return self.mundane.dz(outer, z) - ext.boundary_dz()[0]
+    def dz(self, z, a):
+        """Coefficient of dz in the z-derivative."""
+        return self.mundane.dz(z, a) - self._extension(a).dz(z)
 
 
 class DiskHarmonicSolver:
@@ -478,17 +364,6 @@ class DiskHarmonicExtension:
         out = (powers @ self._cpos) / dom.radius
         k = self.coeff.size // 2
         out = out + 0.5 * self._nyq * k * flat.ravel() ** (k - 1) / dom.radius
-        w = np.asarray(w)
-        return out.reshape(w.shape) if w.shape else complex(out[0])
-
-    def dzbar(self, z):
-        dom = self.solver.domain
-        w = self._scaled(z)
-        flat = np.atleast_1d(w).ravel()[:, None]
-        powers = np.conj(flat) ** (self._pos[None, :] - 1) * self._pos[None, :]
-        out = (powers @ self._cneg) / dom.radius
-        k = self.coeff.size // 2
-        out = out + 0.5 * self._nyq * k * np.conj(flat.ravel()) ** (k - 1) / dom.radius
         w = np.asarray(w)
         return out.reshape(w.shape) if w.shape else complex(out[0])
 
@@ -559,6 +434,9 @@ class AnnulusHarmonicExtension:
         self.density = density
         self.cauchy_density = cauchy_density
         self.log_coefficient = log_coefficient
+        # d/dzeta of the inner Cauchy density; C_inner[w]' = C_inner[w'] off
+        # the inner circle, and its from-the-annulus limit on it
+        self._wprime = fourier_derivative(cauchy_density) / solver.inner.derivatives
 
     def _parts(self):
         n = self.solver.n
@@ -581,10 +459,16 @@ class AnnulusHarmonicExtension:
     def dz(self, z):
         z = np.asarray(z, dtype=complex)
         flat = np.atleast_1d(z).ravel()[:, None]
-        out = self._dz_flat(flat)
+        inner = self.solver.inner
+        kern = inner.derivatives[None, :] / (inner.positions[None, :] - flat)
+        out = self._enclosing_dz(flat)
+        out = out + np.sum(self._wprime[None, :] * kern, axis=1) / (1j * inner.n)
+        out = out + self._log_dz(flat.ravel())
         return out.reshape(z.shape) if z.shape else complex(out[0])
 
-    def _dz_flat(self, flat):
+    def _enclosing_dz(self, flat):
+        """dz coefficient of T^+ v: only the enclosing-kernel correction has
+        one, and it is smooth up to both circles."""
         kernel = self.solver.kernel
         out = np.zeros(flat.shape[0], dtype=complex)
         for curve, dens in self._parts():
@@ -593,49 +477,19 @@ class AnnulusHarmonicExtension:
             kern = kernel.radius**2 / (kernel.radius**2 - np.conj(ws) * zs) ** 2
             out = out + 1j * np.sum(dens[None, :] * np.conj(curve.derivatives)[None, :]
                                     * kern, axis=1) / curve.n
-        inner = self.solver.inner
-        kern = inner.derivatives[None, :] / (inner.positions[None, :] - flat) ** 2
-        out = out + np.sum(self.cauchy_density[None, :] * kern, axis=1) / (1j * inner.n)
-        out = out + self.log_coefficient / (2.0 * (flat.ravel() - self.solver.domain.center))
         return out
 
-    def dzbar(self, z):
-        z = np.asarray(z, dtype=complex)
-        flat = np.atleast_1d(z).ravel()[:, None]
-        out = np.zeros(flat.shape[0], dtype=complex)
-        for curve, dens in self._parts():
-            kern = curve.derivatives[None, :] / (curve.positions[None, :] - flat) ** 2
-            cau = np.sum(np.conj(dens)[None, :] * kern, axis=1) / (1j * curve.n)
-            out = out + np.conj(cau)
-        out = out + self.log_coefficient / (2.0 * np.conj(flat.ravel()
-                                                          - self.solver.domain.center))
-        return out.reshape(z.shape) if z.shape else complex(out[0])
+    def _log_dz(self, z):
+        return self.log_coefficient / (2.0 * (z - self.solver.domain.center))
 
     def boundary_dz(self) -> tuple[np.ndarray, np.ndarray]:
         """dz traces on (outer, inner).
 
-        The T and log kernels are smooth on the boundary; the inner Cauchy
-        density needs its from-the-annulus limit via integration by parts.
+        On the outer circle this is ``dz``; on the inner one the Cauchy
+        part takes its from-the-annulus limit.
         """
-        kernel = self.solver.kernel
         inner = self.solver.inner
-        wprime = fourier_derivative(self.cauchy_density) / inner.derivatives
-        out = []
-        for target in (self.solver.outer, self.solver.inner):
-            flat = target.positions[:, None]
-            acc = np.zeros(target.n, dtype=complex)
-            for curve, dens in self._parts():
-                ws = curve.positions[None, :] - kernel.center
-                zs = flat - kernel.center
-                kern = kernel.radius**2 / (kernel.radius**2 - np.conj(ws) * zs) ** 2
-                acc = acc + 1j * np.sum(dens[None, :] * np.conj(curve.derivatives)[None, :]
-                                        * kern, axis=1) / curve.n
-            if target is inner:
-                acc = acc + _pv_cauchy_matrix(inner) @ wprime + 0.5 * wprime
-            else:
-                kern = inner.derivatives[None, :] / (inner.positions[None, :] - flat)
-                acc = acc + np.sum(wprime[None, :] * kern, axis=1) / (1j * inner.n)
-            acc = acc + self.log_coefficient / (2.0 * (target.positions
-                                                       - self.solver.domain.center))
-            out.append(acc)
-        return out[0], out[1]
+        out = self._enclosing_dz(inner.positions[:, None])
+        out = out + _pv_cauchy_matrix(inner) @ self._wprime + 0.5 * self._wprime
+        out = out + self._log_dz(inner.positions)
+        return self.dz(self.solver.outer.positions), out

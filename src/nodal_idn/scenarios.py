@@ -105,7 +105,8 @@ def flat_line(n: int = 256) -> Scenario:
     w2 = RationalFunction(poly=(0.2, 0.5))
     us = (2 * z.real, (z**2).real, (0.25 * z**2 + 0.4 * z).real)
     oracle = RationalMapOracle(w1, w2, (w0, w1, w2), DiskDomainSpec(1.0))
-    plan = WindowPlan([0.4 + 0.3j], 0.1)
+    # inside f2(gamma), the circle |w - 0.2| = 0.5, and well clear of it
+    plan = WindowPlan([0.2 + 0.1j], 0.1)
     return Scenario("flat_line", NodalDomainModel(dom, curve), None,
                     (w0, w1, w2), us, oracle, plan, (-0.05, 2.0), 0.02)
 

@@ -19,8 +19,8 @@ from nodal_idn.characterize import (characterize, exterior_probes,
                                     orientation_probe, shock_residual)
 from nodal_idn.dirichlet import solve_nodal_dirichlet
 from nodal_idn.errors import CharacterizationError
-from nodal_idn.greens import (GreenKernel, NystromSystem,
-                              build_principal_green, disk_green,
+from nodal_idn.greens import (GreenKernel, NystromSystem, PrincipalGreen,
+                              disk_green,
                               near_boundary_threshold,
                               solve_dirichlet_fredholm, trace_T_minus,
                               trace_T_plus)
@@ -107,7 +107,7 @@ def test_criterion_02_fredholm_dirichlet():
 def test_criterion_03_principal_green(rng):
     with _Budget("3 principal Green", 5.0):
         system = NystromSystem.build(BoundaryCurve.circle(1.0, 256))
-        g = build_principal_green(GreenKernel("mundane-log"), system)
+        g = PrincipalGreen(GreenKernel("mundane-log"), system)
         errors = []
         while len(errors) < 50:
             z = rng.uniform(0, 0.7) * np.exp(1j * rng.uniform(0, 2 * np.pi))

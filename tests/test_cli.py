@@ -78,6 +78,26 @@ class TestPipelines:
         report = (graph_outputs / "graph.curve.json.report.txt").read_text()
         assert "p=1" in report
 
+    def test_flat_line_pipeline(self, workdir):
+        for command in ("forward", "invert", "residues", "characterize"):
+            run_ok(workdir, command, f"flat_line.{command}.json")
+        nodes = json.loads((workdir / "flat_line.nodes.json").read_text())
+        assert nodes["nodes"] == []
+
+    def test_physical_forward_matches_synthetic(self, charged_outputs):
+        # the Dirichlet solves reproduce the prescribed forms of charged4
+        import numpy as np
+        from nodal_idn import jsonio
+        run_ok(charged_outputs, "forward", "charged4_physical.forward.json")
+        thetas = []
+        for name in ("charged4.datum.json", "charged4_physical.datum.json"):
+            doc = jsonio.load(charged_outputs / name)
+            thetas.append(np.array([jsonio.decode_complex_array(row)
+                                    for row in doc["theta"]]))
+        synthetic, physical = thetas
+        gap = np.max(np.abs(physical - synthetic)) / np.max(np.abs(synthetic))
+        assert gap <= 1e-9
+
     def test_spurious_pipeline(self, workdir):
         run_ok(workdir, "forward", "spurious.forward.json")
         run_ok(workdir, "invert", "spurious.invert.json")

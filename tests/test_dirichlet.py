@@ -259,3 +259,48 @@ class TestReversal:
         back = rev.reversed()
         assert np.allclose(back.f, charged_datum.f)
         assert np.allclose(back.curve.derivatives, charged_datum.curve.derivatives)
+
+
+def _annulus_laurent_theta(z_outer, rho, u, charges):
+    """Reference dz trace on |z| = R of U = 2 sum c ln|z - a| + H, numpy only.
+
+    U has data u on the outer circle and zero on the inner one, so the
+    harmonic H has data u - S and -S there (S the log part).  H is solved
+    mode by mode in the basis ln r, z^k, conj(z)^-k (k > 0) and conj(z)^m,
+    z^-m (m > 0); only z^k, z^-m and ln r carry a dz part.
+    """
+    n = z_outer.size
+    big = abs(z_outer[0])
+    z_inner = z_outer * (rho / big)
+
+    def log_part(z):
+        return sum(2 * c * np.log(np.abs(z - a)) for a, c in charges.items())
+
+    ho = np.fft.fft(u - log_part(z_outer)) / n
+    hi = np.fft.fft(-log_part(z_inner)) / n
+    k = np.arange(1, n // 2)
+    q = (rho / big) ** k
+    # outer/inner data of mode k: ho = A + q B, hi = q A + B, with A the
+    # z^k (or conj(z)^k) coefficient scaled to R and B the other one to rho
+    grow_pos = (ho[k] - q * hi[k]) / (1 - q ** 2)       # coefficient of (z/R)^k
+    decay_neg = (hi[-k] - q * ho[-k]) / (1 - q ** 2)    # coefficient of (rho/z)^k
+    log_coeff = (ho[0] - hi[0]) / np.log(big / rho)
+    phase = (z_outer / big)[:, None] ** k[None, :]
+    dh = (log_coeff / 2 + phase @ (k * grow_pos)
+          - (rho / z_outer)[:, None] ** k[None, :] @ (k * decay_neg)) / z_outer
+    poles = sum(c / (z_outer - a) for a, c in charges.items())
+    return poles + dh
+
+
+def test_annulus_theta_matches_laurent_oracle():
+    dom = AnnulusDomain(0.3, 1.5)
+    outer, _ = dom.boundaries(256)
+    model = NodalDomainModel(dom, outer, (np.array([1.0, -1.0]),))
+    fam = AdmissibleFamily((np.array([1.0, -1.0]),))
+    z = outer.positions
+    # real data, then complex data (both extensions carry a trace)
+    for u in ((z ** 2).real + 0.5, np.log(np.abs(z - 1.0)) + 0.3j * (z ** 3).real):
+        theta = compute_theta(solve_nodal_dirichlet(model, fam, u))
+        want = _annulus_laurent_theta(z, 0.3, u, {1.0: 1.0, -1.0: -1.0})
+        gap = np.max(np.abs(theta - want)) / np.max(np.abs(want))
+        assert gap < 1e-9

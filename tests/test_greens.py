@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nodal_idn.errors import ModelError, QuadratureError
 from nodal_idn.greens import (AnnulusHarmonicSolver, GreenKernel,
-                              NystromSystem, build_principal_green, disk_green,
+                              NystromSystem, PrincipalGreen, disk_green,
                               enclosing_kernel, layer_potential_T,
                               near_boundary_threshold,
                               solve_dirichlet_fredholm, trace_T_minus,
@@ -210,7 +210,7 @@ class TestFredholmDirichlet:
 
 class TestPrincipalGreen:
     def test_matches_disk_green(self, circle_system, rng):
-        g = build_principal_green(GreenKernel("mundane-log"), circle_system)
+        g = PrincipalGreen(GreenKernel("mundane-log"), circle_system)
         errors = []
         count = 0
         while count < 50:
@@ -223,11 +223,11 @@ class TestPrincipalGreen:
         assert max(errors) < 1e-8
 
     def test_boundary_vanishing(self, circle_system):
-        g = build_principal_green(GreenKernel("mundane-log"), circle_system)
+        g = PrincipalGreen(GreenKernel("mundane-log"), circle_system)
         assert np.max(np.abs(g.boundary_values(0.3 + 0.2j))) < 1e-7
 
     def test_symmetry_on_ellipse(self, ellipse_system):
-        g = build_principal_green(GreenKernel("mundane-log"), ellipse_system)
+        g = PrincipalGreen(GreenKernel("mundane-log"), ellipse_system)
         pairs = [(0.4 + 0.1j, -0.5 + 0.2j), (0.2 - 0.3j, -0.1 + 0.1j),
                  (0.6 + 0.0j, 0.0 + 0.4j)]
         for z, w in pairs:
@@ -236,8 +236,8 @@ class TestPrincipalGreen:
     def test_enclosing_domain_independence(self, circle256):
         sys_a = NystromSystem(circle256, enclosing_kernel(circle256, 1.25))
         sys_b = NystromSystem(circle256, enclosing_kernel(circle256, 1.5))
-        ga = build_principal_green(GreenKernel("mundane-log"), sys_a)
-        gb = build_principal_green(GreenKernel("mundane-log"), sys_b)
+        ga = PrincipalGreen(GreenKernel("mundane-log"), sys_a)
+        gb = PrincipalGreen(GreenKernel("mundane-log"), sys_b)
         pairs = [(0.3 + 0.2j, -0.4 + 0.1j), (0.5, 0.2j)]
         for z, w in pairs:
             assert abs(ga(z, w) - gb(z, w)) < 1e-6
@@ -250,21 +250,11 @@ class TestPrincipalGreen:
         for n in (128, 256):
             curve = BoundaryCurve.circle(1.0, n)
             system = NystromSystem(curve, enclosing_kernel(curve, 1.05))
-            g = build_principal_green(GreenKernel("mundane-log"), system)
+            g = PrincipalGreen(GreenKernel("mundane-log"), system)
             z = 0.88 + 0.0j
             probes = np.array([0.2 + 0.1j, -0.3 + 0.2j, 0.1 - 0.35j])
             errs[n] = max(abs(g(z, w) - disk_green(z, w, 1.0)) for w in probes)
         assert errs[128] / max(errs[256], 1e-16) > 1e3
-
-
-def test_kernel_matrix_dump(tmp_path):
-    from nodal_idn import jsonio
-    system = NystromSystem.build(BoundaryCurve.circle(1.0, 16))
-    path = tmp_path / "kernel.json"
-    system.dump_diagnostics(path)
-    doc = jsonio.load(path)
-    assert doc["n"] == 16
-    assert len(doc["matrix"]) == 256
 
 
 class TestAnnulus:
