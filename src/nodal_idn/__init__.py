@@ -9,12 +9,12 @@ from .greens import (GreenKernel, NystromSystem, PrincipalGreen, disk_green,
 from .dirichlet import (DNDatum, HarmonicDistribution, apply_dn,
                         build_dn_datum, compute_theta, solve_nodal_dirichlet,
                         verify_weak_holomorphy)
-from .moments import (FiberWindow, MomentTable, ReconstructedCurve, WindowPlan,
-                      compute_moment, eliminate_polynomial_part,
+from .moments import (FiberWindow, MomentEngine, MomentTable,
+                      ReconstructedCurve, WindowPlan, eliminate_polynomial_part,
                       estimate_sheet_count, recover_fibers,
                       recover_form_quotient, sweep_windows)
-from .nodes import (branch_residue, classify_and_partition,
-                    dirichlet_energy_growth, locate_singularities)
+from .nodes import (branch_residues, classify_and_partition,
+                    energy_growth_reports, locate_singularities)
 from .characterize import (characterize, compute_G, green_identity_residual,
                            orientation_probe, shock_residual)
 from .oracles import (RationalFunction, RationalMapOracle,

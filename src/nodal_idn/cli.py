@@ -18,7 +18,8 @@ import numpy as np
 from . import jsonio
 from .characterize import CharacterizationError, characterize
 from .dirichlet import DNDatum, build_dn_datum
-from .errors import FiberError, ModelError, MomentError, PartitionError
+from .errors import (FiberError, ModelError, MomentError, PartitionError,
+                     SolveError)
 from .model import AdmissibleFamily, BoundaryCurve, DiskDomain, NodalDomainModel
 from .moments import ReconstructedCurve, WindowPlan, sweep_windows
 from .nodes import (analyze_singular_point, classify_and_partition,
@@ -38,7 +39,6 @@ class PipelineConfig:
     command: str
     doc: dict
     out: str | None
-    jobs: int = 1
     base_dir: str = "."
 
     def path(self, key: str, default=None):
@@ -79,7 +79,7 @@ def cmd_forward(cfg: PipelineConfig) -> int:
     try:
         datum = build_dn_datum(model, families, boundary_values=boundary,
                                prescriptions=prescriptions)
-    except ModelError as exc:
+    except (ModelError, SolveError) as exc:
         print(f"forward: bad datum: {exc}", file=sys.stderr)
         return EXIT_BAD_DATUM
     jsonio.dump(datum.to_json(), cfg.out or "datum.json")
@@ -91,7 +91,7 @@ def cmd_invert(cfg: PipelineConfig) -> int:
     datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
     plan = WindowPlan.from_json(cfg.path("windows"))
     try:
-        curve = sweep_windows(datum, plan, jobs=cfg.jobs)
+        curve = sweep_windows(datum, plan)
     except (FiberError, MomentError) as exc:
         print(f"invert: {exc}", file=sys.stderr)
         return EXIT_INVERSION
@@ -227,7 +227,7 @@ def cmd_compact(cfg: PipelineConfig) -> int:
         model, us, prescriptions = _compact_potentials(doc)
         datum = build_dn_datum(model, None, boundary_values=us,
                                prescriptions=prescriptions)
-    except ModelError as exc:
+    except (ModelError, SolveError) as exc:
         print(f"compact: bad scenario: {exc}", file=sys.stderr)
         return EXIT_BAD_DATUM
     jsonio.dump(datum.to_json(), f"{prefix}.datum.json")
@@ -276,7 +276,6 @@ def main(argv=None) -> int:
         description="Forward/inverse Dirichlet-to-Neumann engine for nodal curves")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
@@ -294,7 +293,7 @@ def main(argv=None) -> int:
     if out is None and isinstance(doc.get("out"), str):
         out = doc["out"] if os.path.isabs(doc["out"]) \
             else os.path.join(base_dir, doc["out"])
-    cfg = PipelineConfig(args.command, doc, out, max(1, args.jobs), base_dir)
+    cfg = PipelineConfig(args.command, doc, out, base_dir)
     try:
         return COMMANDS[args.command](cfg)
     except (OSError, ValueError, KeyError) as exc:

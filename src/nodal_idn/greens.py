@@ -320,7 +320,6 @@ class DiskHarmonicSolver:
     def __init__(self, domain: DiskDomain, n: int):
         self.domain = domain
         self.n = n
-        self.curve = domain.boundary(n)
 
     def extend(self, u: np.ndarray) -> "DiskHarmonicExtension":
         u = np.asarray(u, dtype=complex)
@@ -366,9 +365,6 @@ class DiskHarmonicExtension:
         out = out + 0.5 * self._nyq * k * flat.ravel() ** (k - 1) / dom.radius
         w = np.asarray(w)
         return out.reshape(w.shape) if w.shape else complex(out[0])
-
-    def boundary_dz(self) -> np.ndarray:
-        return self.dz(self.solver.curve.positions)
 
 
 class AnnulusHarmonicSolver:

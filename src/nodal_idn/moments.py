@@ -60,43 +60,39 @@ class MomentEngine:
 
     def moments(self, orders, xi) -> np.ndarray:
         """M_m(xi) for every m in orders; returns shape (len(orders), len(xi))."""
-        orders = list(orders)
-        if any(m > MAX_MOMENT_ORDER for m in orders):
+        return self._kernel(self.df2[None, :], orders, xi)[0]
+
+    def theta_moments(self, ell, orders, xi) -> np.ndarray:
+        """A_m(xi) = (1/2*pi*i) int f1^m (f2-xi)^(-1) theta_ell.
+
+        Shape (len(orders), len(xi)) for one ell; a sequence of ell adds a
+        leading axis with one row per potential.
+        """
+        if self.theta is None:
+            raise MomentError("no theta rows attached to this projection")
+        weights = np.atleast_2d(self.theta[ell] * self._dgamma)
+        out = self._kernel(weights, orders, xi)
+        return out if np.ndim(ell) else out[0]
+
+    def _kernel(self, weights: np.ndarray, orders, xi) -> np.ndarray:
+        """(1/2*pi*i) int f1^m w (f2-xi)^(-1) for each weight row w, order m
+        and point xi: the powers of f1 times the Cauchy matrix, one product.
+        Returns shape (len(weights), len(orders), len(xi))."""
+        orders = np.asarray(list(orders), dtype=int)
+        if np.any(orders > MAX_MOMENT_ORDER):
             raise MomentError(f"moment order exceeds {MAX_MOMENT_ORDER}")
         xi = np.atleast_1d(np.asarray(xi, dtype=complex))
         self.check_off_curve(xi)
-        base = self.df2[None, :] / (self.f2[None, :] - xi[:, None])
-        out = np.empty((len(orders), xi.size), dtype=complex)
-        for row, m in enumerate(orders):
-            out[row] = np.sum(self.f1[None, :] ** m * base, axis=1) / (1j * self.curve.n)
-        return out
-
-    def moment(self, m: int, xi: complex) -> complex:
-        return complex(self.moments([m], [xi])[0, 0])
-
-    def theta_moments(self, ell: int, orders, xi) -> np.ndarray:
-        """A_m(xi) = (1/2*pi*i) int f1^m (f2-xi)^(-1) theta_ell."""
-        if self.theta is None:
-            raise MomentError("no theta rows attached to this projection")
-        orders = list(orders)
-        xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-        self.check_off_curve(xi)
-        pullback = self.theta[ell] * self._dgamma
-        base = pullback[None, :] / (self.f2[None, :] - xi[:, None])
-        out = np.empty((len(orders), xi.size), dtype=complex)
-        for row, m in enumerate(orders):
-            out[row] = np.sum(self.f1[None, :] ** m * base, axis=1) / (1j * self.curve.n)
-        return out
+        cauchy = 1.0 / (self.f2[:, None] - xi[None, :])
+        rows = weights[:, None, :] * self.f1[None, None, :] ** orders[None, :, None]
+        out = rows.reshape(-1, self.curve.n) @ cauchy / (1j * self.curve.n)
+        return out.reshape(len(weights), orders.size, xi.size)
 
     def far_probe_points(self, count: int) -> np.ndarray:
         center = complex(np.mean(self.f2))
         radius = 4.0 * float(np.max(np.abs(self.f2 - center)))
         ang = 2 * np.pi * (np.arange(count) + 0.37) / count
         return center + radius * np.exp(1j * ang)
-
-
-def compute_moment(datum: DNDatum, m: int, xi: complex) -> complex:
-    return MomentEngine.from_datum(datum).moment(m, xi)
 
 
 @dataclass
@@ -133,10 +129,8 @@ def window_grid(center: complex, radius: float, grid_n: int) -> tuple[np.ndarray
     return (center + gx + 1j * gy).ravel(), (grid_n, grid_n)
 
 
-def build_moment_table(datum_or_engine, center: complex, radius: float,
+def build_moment_table(engine: MomentEngine, center: complex, radius: float,
                        grid_n: int = 9, max_order: int | None = None) -> MomentTable:
-    engine = datum_or_engine if isinstance(datum_or_engine, MomentEngine) \
-        else MomentEngine.from_datum(datum_or_engine)
     grid, shape = window_grid(center, radius, grid_n)
     dist = np.min(np.abs(grid[:, None] - engine.f2[None, :]), axis=1)
     if np.any(dist < 0.05 * radius):
@@ -257,6 +251,11 @@ def newton_power_sums_to_coefficients(power_sums: np.ndarray) -> np.ndarray:
     return e[1:]
 
 
+def companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """All roots of sum_k coeffs[k] z^k, as companion-matrix eigenvalues."""
+    return np.roots(np.asarray(coeffs, dtype=complex)[::-1]).astype(complex)
+
+
 def roots_from_power_sums(power_sums: np.ndarray) -> np.ndarray:
     """Monic-polynomial roots whose power sums are the given S_1..S_p."""
     e = newton_power_sums_to_coefficients(power_sums)
@@ -266,8 +265,37 @@ def roots_from_power_sums(power_sums: np.ndarray) -> np.ndarray:
     coeffs[p] = 1.0
     for k in range(1, p + 1):
         coeffs[p - k] = (-1) ** k * e[k - 1]
-    from .oracles import polynomial_roots
-    return polynomial_roots(coeffs)
+    return companion_roots(coeffs)
+
+
+def _power_sum_defect(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
+    """(sum_j h_j^m - S_m) for m = 1..len(power_sums)."""
+    orders = np.arange(1, power_sums.size + 1)
+    return np.sum(roots[None, :] ** orders[:, None], axis=1) - power_sums
+
+
+def _refine_roots(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
+    """Two Newton steps on h -> (sum_j h_j^m)_{m<=p} against S_1..S_p.
+
+    The companion eigenvalues carry the rounding of the Newton-identity
+    coefficients; these steps fit the roots to the power sums themselves.
+    A step is kept only when it lowers the defect, so a near-singular
+    Jacobian (roots about to collide) cannot throw the roots off.
+    """
+    p = roots.size
+    orders = np.arange(1, p + 1)
+    defect = _power_sum_defect(roots, power_sums)
+    for _ in range(2):
+        jac = orders[:, None] * roots[None, :] ** (orders[:, None] - 1)
+        try:
+            trial = roots - np.linalg.solve(jac, defect)
+        except np.linalg.LinAlgError:
+            break
+        trial_defect = _power_sum_defect(trial, power_sums)
+        if np.linalg.norm(trial_defect) >= np.linalg.norm(defect):
+            break
+        roots, defect = trial, trial_defect
+    return roots
 
 
 def match_roots(previous: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -289,41 +317,38 @@ def recover_fibers(power_sums: np.ndarray, p: int,
     """Fiber roots h_1..h_p from power sums, continuation-ordered."""
     if p < 1:
         raise FiberError("sheet count must be at least 1")
-    s = np.asarray(power_sums, dtype=complex)[:p]
-    roots = roots_from_power_sums(s)
+    s = np.asarray(power_sums, dtype=complex)
+    roots = _refine_roots(roots_from_power_sums(s[:p]), s[:p])
     matched = match_roots(previous, roots)
-    for m in range(1, min(2 * p, s.size) + 1):
-        target = power_sums[m - 1]
-        got = np.sum(matched ** m)
-        if abs(got - target) > POWER_SUM_TOL * max(1.0, abs(target)):
-            raise FiberError(f"power-sum consistency failed at order {m}: "
-                             f"{abs(got - target):.3e}")
+    check = s[:2 * p]
+    defect = np.abs(_power_sum_defect(matched, check))
+    bad = np.flatnonzero(defect > POWER_SUM_TOL * np.maximum(1.0, np.abs(check)))
+    if bad.size:
+        raise FiberError(f"power-sum consistency failed at order {bad[0] + 1}: "
+                         f"{defect[bad[0]]:.3e}")
     return matched
 
 
-def recover_form_quotient(datum_or_engine, ell: int, xi: complex,
-                          roots: np.ndarray) -> np.ndarray:
-    """Values g_j = dU_ell/dF2 at the fiber points above xi.
+def recover_form_quotient(engine: MomentEngine, xi, roots) -> np.ndarray:
+    """Values g[ell, b, j] = dU_ell/dF2 at the fiber points roots[b] above xi[b].
 
-    Solves the Vandermonde system sum_j h_j^m g_j = A_m(xi), m = 0..p-1.
+    Solves the Vandermonde systems sum_j h_j^m g_j = A_m(xi), m = 0..p-1,
+    for every point and all three potentials at once; shape (3, B, p).
     """
-    engine = datum_or_engine if isinstance(datum_or_engine, MomentEngine) \
-        else MomentEngine.from_datum(datum_or_engine)
-    roots = np.asarray(roots, dtype=complex)
-    p = roots.size
+    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
+    roots = np.asarray(roots, dtype=complex).reshape(xi.size, -1)
+    p = roots.shape[1]
     if p == 0:
-        return np.zeros(0, dtype=complex)
-    seps = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(seps, np.inf)
+        return np.zeros((3, xi.size, 0), dtype=complex)
+    seps = np.abs(roots[:, :, None] - roots[:, None, :])
+    seps[:, np.arange(p), np.arange(p)] = np.inf
     if np.min(seps) < 1e-6:
         raise FiberError("near branch point: move xi")
-    a = engine.theta_moments(ell, range(p), [xi])[:, 0]
-    v = roots[None, :] ** np.arange(p)[:, None]
-    if p > 1:
-        cond = np.linalg.cond(v)
-        if cond > VANDERMONDE_CONDITION_LIMIT:
-            raise FiberError("near branch point: move xi")
-    return np.linalg.solve(v, a)
+    a = engine.theta_moments(range(3), range(p), xi)        # (3, p, B)
+    v = roots[:, None, :] ** np.arange(p)[None, :, None]     # (B, p, p)
+    if np.max(np.linalg.cond(v)) > VANDERMONDE_CONDITION_LIMIT:
+        raise FiberError("near branch point: move xi")
+    return np.linalg.solve(v, a.transpose(2, 1, 0)).transpose(2, 0, 1)
 
 
 @dataclass
@@ -381,11 +406,9 @@ class FiberWindow:
                            jsonio.decode_complex(reloc) if reloc else None)
 
 
-def analyze_window(datum_or_engine, center: complex, radius: float,
+def analyze_window(engine: MomentEngine, center: complex, radius: float,
                    grid_n: int = 9, max_order: int | None = None) -> FiberWindow:
     """Full per-window pipeline: moments, sheet count, fibers, quotients."""
-    engine = datum_or_engine if isinstance(datum_or_engine, MomentEngine) \
-        else MomentEngine.from_datum(datum_or_engine)
     table = build_moment_table(engine, center, radius, grid_n, max_order)
     p = int(np.rint(np.median(table.moments[0].real)))
     grid = table.grid
@@ -419,14 +442,8 @@ def analyze_window(datum_or_engine, center: complex, radius: float,
     seps[:, np.arange(p), np.arange(p)] = np.inf
     min_sep = float(np.min(seps)) if p > 1 else np.inf
 
-    quot = np.zeros((3, g, p), dtype=complex)
-    if engine.theta is not None:
-        amat = {ell: engine.theta_moments(ell, range(p), grid) for ell in range(3)}
-        powers = np.arange(p)
-        for idx in range(g):
-            v = roots[idx][None, :] ** powers[:, None]
-            rhs = np.stack([amat[ell][:, idx] for ell in range(3)], axis=1)
-            quot[:, idx, :] = np.linalg.solve(v, rhs).T
+    quot = recover_form_quotient(engine, grid, roots) \
+        if engine.theta is not None else np.zeros((3, g, p), dtype=complex)
     return FiberWindow(center, radius, grid, table.grid_shape, p, roots, quot,
                        min_sep, table.sheet_method)
 
@@ -496,33 +513,21 @@ class ReconstructedCurve:
         )
 
 
-def sweep_windows(datum: DNDatum, plan: WindowPlan, jobs: int = 1) -> ReconstructedCurve:
-    """Run the window pipeline over the plan, re-centering near branch points.
-
-    Window analyses are independent; with jobs > 1 the first pass runs in a
-    thread pool and results are gathered in plan order, so the output is
-    identical to a serial run.
-    """
+def sweep_windows(datum: DNDatum, plan: WindowPlan) -> ReconstructedCurve:
+    """Run the window pipeline over the plan, re-centering near branch points."""
     engine = MomentEngine.from_datum(datum)
 
-    def first_attempt(center):
+    def attempt_at(center):
         try:
             return analyze_window(engine, complex(center), plan.radius,
                                   plan.grid_n, plan.max_order)
         except (MomentError, FiberError, SolveError) as exc:
             return exc
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            first = list(pool.map(first_attempt, plan.centers))
-    else:
-        first = [first_attempt(c) for c in plan.centers]
-
     windows: list[FiberWindow] = []
     failures = []
     notes = []
-    for center, outcome in zip(plan.centers, first):
+    for center in plan.centers:
         center = complex(center)
         window = None
         attempt_center = center
@@ -530,7 +535,7 @@ def sweep_windows(datum: DNDatum, plan: WindowPlan, jobs: int = 1) -> Reconstruc
         for attempt in range(3):
             if attempt > 0:
                 attempt_center = attempt_center + plan.radius * 0.5 * (0.6 + 0.8j)
-                outcome = first_attempt(attempt_center)
+            outcome = attempt_at(attempt_center)
             if isinstance(outcome, MomentError):
                 # off the valid region entirely: re-centering will not help
                 failures.append((attempt_center, str(outcome)))

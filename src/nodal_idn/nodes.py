@@ -21,7 +21,8 @@ from .dirichlet import DNDatum
 from .errors import FiberError, MonodromyError, PartitionError
 from .model import finest_zero_sum_partition, is_generic_family
 from .moments import (FiberWindow, MomentEngine, ReconstructedCurve,
-                      continue_fibers, recover_form_quotient)
+                      companion_roots, continue_fibers, recover_form_quotient,
+                      roots_from_power_sums)
 
 NODES_SCHEMA = "nodal-idn/nodes/1"
 DEFAULT_CONTOUR_RADIUS = 0.05
@@ -44,15 +45,6 @@ class SingularPointCandidate:
         return (self.h, self.xi)
 
 
-def _fit_sheet_polynomial(window: FiberWindow, j: int, degree: int = 5):
-    """Least-squares polynomial model of sheet j over the window grid."""
-    x = (window.grid - window.center) / window.radius
-    basis = np.vander(x, degree + 1, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(basis, window.roots[:, j], rcond=None)
-    resid = float(np.max(np.abs(basis @ coeffs - window.roots[:, j])))
-    return coeffs, resid
-
-
 def _sheet_values_at(engine: MomentEngine, window: FiberWindow, xi: complex,
                      steps: int = 12) -> np.ndarray:
     """Continuation of all window sheets from the nearest grid point to xi."""
@@ -63,25 +55,6 @@ def _sheet_values_at(engine: MomentEngine, window: FiberWindow, xi: complex,
         return start.copy()
     path = start_xi + (xi - start_xi) * (np.arange(1, steps + 1) / steps)
     return continue_fibers(engine, window.p, path, start_roots=start)[-1]
-
-
-class _SheetTracker:
-    """Incremental fiber continuation with a persistent current position."""
-
-    def __init__(self, engine: MomentEngine, window: FiberWindow, xi0: complex):
-        self.engine = engine
-        self.p = window.p
-        self.xi = complex(xi0)
-        self.roots = _sheet_values_at(engine, window, self.xi)
-
-    def at(self, xi: complex) -> np.ndarray:
-        xi = complex(xi)
-        if xi != self.xi:
-            path = self.xi + (xi - self.xi) * (np.arange(1, 3) / 2.0)
-            self.roots = continue_fibers(self.engine, self.p, path,
-                                         start_roots=self.roots)[-1]
-            self.xi = xi
-        return self.roots
 
 
 def locate_singularities(curve: ReconstructedCurve, datum: DNDatum,
@@ -108,8 +81,7 @@ def locate_singularities(curve: ReconstructedCurve, datum: DNDatum,
             for k in range(j + 1, window.p):
                 diff = window.roots[:, j] - window.roots[:, k]
                 coeffs, *_ = np.linalg.lstsq(basis, diff, rcond=None)
-                from .oracles import polynomial_roots
-                for root in polynomial_roots(coeffs):
+                for root in companion_roots(coeffs):
                     if abs(root) > 3.0:
                         continue
                     seed = window.center + root * window.radius
@@ -180,8 +152,7 @@ def _circle_fit(center, rho, ang, values, j, k):
     if resid > 0.02 * scale:
         return None              # not analytic across the circle: branch point
     d = cj - ck
-    from .oracles import polynomial_roots
-    roots = polynomial_roots(d[::1])
+    roots = companion_roots(d)
     if roots.size == 0:
         root_x = 0.0 + 0.0j
     else:
@@ -271,43 +242,28 @@ def branch_passes_through(contour: BranchContour, cycle: tuple,
     extended local polynomial equals h_star.
     """
     vals = contour.roots[:-1][:, list(cycle)]
-    length = len(cycle)
-    sums = {m: np.sum(vals ** m, axis=1) for m in range(1, length + 1)}
-    from .moments import newton_power_sums_to_coefficients
-    mean_sums = np.array([np.mean(sums[m]) for m in range(1, length + 1)])
-    e = newton_power_sums_to_coefficients(mean_sums)
-    coeffs = np.zeros(length + 1, dtype=complex)
-    coeffs[length] = 1.0
-    for m in range(1, length + 1):
-        coeffs[length - m] = (-1) ** m * e[m - 1]
-    from .oracles import polynomial_roots
-    roots = polynomial_roots(coeffs)
+    mean_sums = np.array([np.mean(np.sum(vals ** m, axis=1))
+                          for m in range(1, len(cycle) + 1)])
+    roots = roots_from_power_sums(mean_sums)
     scale = max(1.0, abs(h_star))
     return bool(np.all(np.abs(roots - h_star) < tol * scale))
 
 
-def branch_residue(datum: DNDatum, contour: BranchContour, cycle: tuple,
-                   ell: int) -> complex:
-    """Residue (1/2*pi*i) * contour integral of the branch's form quotient.
+def branch_residues(engine: MomentEngine, contour: BranchContour,
+                    cycles: list) -> np.ndarray:
+    """Residues (1/2*pi*i) * contour integral of each branch's form quotient.
 
-    For a multi-sheet cycle the quotients of all its sheets are summed,
-    which is the well-defined pushforward on the irreducible local branch.
+    Shape (len(cycles), 3), one column per potential.  For a multi-sheet
+    cycle the quotients of all its sheets are summed, which is the
+    well-defined pushforward on the irreducible local branch.
     """
-    engine = MomentEngine.from_datum(datum)
-    return _cycle_residue(engine, contour, cycle, ell)
-
-
-def _cycle_residue(engine: MomentEngine, contour: BranchContour, cycle: tuple,
-                   ell: int) -> complex:
     n = contour.angles.size - 1
-    total = 0.0 + 0.0j
-    for i in range(n):
-        xi = contour.center + contour.radius * np.exp(1j * contour.angles[i])
-        roots = contour.roots[i]
-        g = recover_form_quotient(engine, ell, complex(xi), roots)
-        dxi = 1j * contour.radius * np.exp(1j * contour.angles[i])
-        total += np.sum(g[list(cycle)]) * dxi
-    return complex(total / (1j * n))
+    phase = np.exp(1j * contour.angles[:-1])
+    g = recover_form_quotient(engine, contour.center + contour.radius * phase,
+                              contour.roots[:-1])
+    dxi = 1j * contour.radius * phase
+    return np.array([[np.sum(np.sum(g[ell][:, list(cyc)], axis=1) * dxi)
+                      for ell in range(3)] for cyc in cycles]) / (1j * n)
 
 
 @dataclass
@@ -321,25 +277,17 @@ class EnergyGrowthReport:
         return self.verdict == "divergent"
 
 
-def dirichlet_energy_growth(datum: DNDatum, contour: BranchContour,
-                            cycle: tuple, ell: int, halvings: int = 4,
-                            radial_nodes: int = 4,
-                            angular_nodes: int = 64) -> EnergyGrowthReport:
-    """Energy of the recovered form on shrinking annuli around the center.
+def energy_growth_reports(engine: MomentEngine, contour: BranchContour,
+                          cycles: list, halvings: int = 4,
+                          radial_nodes: int = 4,
+                          angular_nodes: int = 64) -> list:
+    """Energy of the recovered forms on shrinking annuli around the center.
 
-    Logarithmically divergent totals (annulus contributions roughly
+    Returns an EnergyGrowthReport per (cycle, potential), from one tracking
+    pass.  Logarithmically divergent totals (annulus contributions roughly
     constant) flag a charged node branch; decaying contributions flag a
     spurious branch.
     """
-    engine = MomentEngine.from_datum(datum)
-    return _energy_reports(engine, contour, [cycle], halvings, radial_nodes,
-                           angular_nodes)[0][ell]
-
-
-def _energy_reports(engine: MomentEngine, contour: BranchContour, cycles: list,
-                    halvings: int = 4, radial_nodes: int = 4,
-                    angular_nodes: int = 64) -> list:
-    """EnergyGrowthReport per (cycle, potential) in one tracking pass."""
     p = contour.roots.shape[1]
     ang = 2 * np.pi * np.arange(angular_nodes) / angular_nodes
     ref_roots = np.zeros((angular_nodes, p), dtype=complex)
@@ -363,13 +311,10 @@ def _energy_reports(engine: MomentEngine, contour: BranchContour, cycles: list,
                                                 start_roots=outer_roots[i])[-1]
             dr = (eps / 2.0) / radial_nodes
             weight = r * dr * (2 * np.pi / angular_nodes)
-            for i in range(angular_nodes):
-                for ell in range(3):
-                    g = recover_form_quotient(engine, ell, complex(ring[i]),
-                                              ring_roots[i])
-                    for ci, cyc in enumerate(cycles):
-                        contributions[ci, ell, k] += \
-                            float(np.sum(np.abs(g[list(cyc)]) ** 2)) * weight
+            g = recover_form_quotient(engine, ring, ring_roots)
+            for ci, cyc in enumerate(cycles):
+                contributions[ci, :, k] += \
+                    np.sum(np.abs(g[:, :, list(cyc)]) ** 2, axis=(1, 2)) * weight
             outer_roots = ring_roots
             outer_radius = r
     out = []
@@ -438,12 +383,12 @@ def analyze_singular_point(datum: DNDatum, curve: ReconstructedCurve,
                                    contour_radius, start, nodes)
     incident = [cyc for cyc in contour.cycles
                 if branch_passes_through(contour, cyc, candidate.h)]
-    energy = _energy_reports(engine, contour, incident) if with_energy else None
+    energy = energy_growth_reports(engine, contour, incident) \
+        if with_energy else None
+    residues = branch_residues(engine, contour, incident) if incident else []
     branches = []
     for ci, cyc in enumerate(incident):
-        res = np.array([_cycle_residue(engine, contour, cyc, ell)
-                        for ell in range(3)])
-        report = BranchReport(cyc, res)
+        report = BranchReport(cyc, residues[ci])
         if energy is not None:
             report.energy_verdicts = [energy[ci][ell].verdict for ell in range(3)]
         branches.append(report)

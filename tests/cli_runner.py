@@ -14,13 +14,11 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(workdir, command, config, out=None, jobs=None):
+def run_cli(workdir, command, config, out=None):
     """Run one CLI command from `workdir`; stdout/stderr are captured as text."""
     args = [sys.executable, "-m", "nodal_idn.cli", command, "--config", config]
     if out:
         args += ["--out", out]
-    if jobs:
-        args += ["--jobs", str(jobs)]
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (str(SRC) + os.pathsep + inherited if inherited

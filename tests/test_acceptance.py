@@ -26,7 +26,7 @@ from nodal_idn.greens import (GreenKernel, NystromSystem, PrincipalGreen,
                               trace_T_plus)
 from nodal_idn.model import (AdmissibleFamily, BoundaryCurve, DiskDomain,
                              NodalDomainModel)
-from nodal_idn.moments import MomentEngine, compute_moment, window_grid
+from nodal_idn.moments import MomentEngine, window_grid
 from nodal_idn.nodes import (BranchReport, SingularPointReport,
                              analyze_singular_point, classify_and_partition,
                              locate_singularities)
@@ -151,9 +151,10 @@ def test_criterion_05_moment_engine(graph_datum, charged_datum,
             vals = engine.moments([m], grid)[0]
             assert np.max(np.abs(vals - grid ** (2 * m))) < 1e-10
         assert charged_datum.n == 512
+        charged = MomentEngine.from_datum(charged_datum)
         for xi in (3.1, 3.0 + 0.3j, 2.8 - 0.2j, 3.4):
             for m in range(0, 5):
-                got = compute_moment(charged_datum, m, xi)
+                got = charged.moments([m], [xi])[0, 0]
                 want = charged_scenario.oracle.moment(m, xi)
                 assert abs(got - want) < 1e-8
 

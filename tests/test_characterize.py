@@ -9,7 +9,7 @@ from nodal_idn.characterize import (GREEN_IDENTITY_CONSTANT, characterize,
 from nodal_idn.dirichlet import DNDatum
 from nodal_idn.errors import CharacterizationError
 from nodal_idn.greens import enclosing_kernel
-from nodal_idn.moments import compute_moment
+from nodal_idn.moments import MomentEngine
 from nodal_idn.oracles import polynomial_roots
 from nodal_idn.scenarios import corrupted_datum, flat_line
 
@@ -36,7 +36,7 @@ class TestComputeG:
     def test_agrees_with_moment_engine(self, charged_datum, graph_datum):
         for datum, xi in ((charged_datum, 3.1 + 0.2j), (graph_datum, 0.4j)):
             lhs = compute_G(datum, -xi, 0.0)
-            rhs = compute_moment(datum, 1, xi)
+            rhs = MomentEngine.from_datum(datum).moments([1], [xi])[0, 0]
             assert abs(lhs - rhs) < 1e-9
 
     def test_zero_first_coordinate(self, graph_datum):

@@ -1,42 +1,50 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nodal_idn.errors import FiberError, MomentError
 from nodal_idn.moments import (MomentEngine, MomentTable, ReconstructedCurve,
                                WindowPlan, analyze_window, build_moment_table,
-                               compute_moment, eliminate_polynomial_part,
+                               companion_roots, eliminate_polynomial_part,
                                estimate_sheet_count, match_roots,
                                recover_fibers, recover_form_quotient,
                                roots_from_power_sums, sweep_windows)
-from nodal_idn.oracles import argument_principle_count
+from nodal_idn.oracles import argument_principle_count, polynomial_roots
 from nodal_idn.scenarios import graph as graph_scn
+
+
+def _engine(datum):
+    return MomentEngine.from_datum(datum)
 
 
 class TestComputeMoment:
     def test_graph_first_moment(self, graph_datum):
-        assert abs(compute_moment(graph_datum, 1, 0.3) - 0.09) < 1e-12
+        got = _engine(graph_datum).moments([1], [0.3])[0, 0]
+        assert abs(got - 0.09) < 1e-12
 
     def test_graph_second_moment(self, graph_datum):
-        assert abs(compute_moment(graph_datum, 2, 0.5) - 0.0625) < 1e-12
+        got = _engine(graph_datum).moments([2], [0.5])[0, 0]
+        assert abs(got - 0.0625) < 1e-12
 
     def test_four_sheet_vs_oracle(self, charged_datum, charged_scenario):
         expected = charged_scenario.oracle.moment(1, 3.1)
-        assert abs(compute_moment(charged_datum, 1, 3.1) - expected) < 1e-8
+        got = _engine(charged_datum).moments([1], [3.1])[0, 0]
+        assert abs(got - expected) < 1e-8
         assert abs(expected - 8.0) < 1e-10  # symmetric fiber: 4 * f1-even part
 
     def test_on_curve_rejected(self, graph_datum):
         with pytest.raises(MomentError):
-            compute_moment(graph_datum, 1, 1.0 + 0.0j)
+            _engine(graph_datum).moments([1], [1.0 + 0.0j])
 
     def test_order_cap(self, graph_datum):
         with pytest.raises(MomentError):
-            compute_moment(graph_datum, 33, 0.1)
+            _engine(graph_datum).moments([33], [0.1])
 
     def test_moment_equals_fiber_sum(self, charged_datum, charged_scenario):
+        engine = _engine(charged_datum)
         for m in (0, 1, 2, 3):
             for xi in (3.1, 3.0 + 0.2j, 2.9 - 0.1j):
-                got = compute_moment(charged_datum, m, xi)
+                got = engine.moments([m], [xi])[0, 0]
                 want = charged_scenario.oracle.moment(m, xi)
                 assert abs(got - want) < 1e-8
 
@@ -51,39 +59,39 @@ class TestComputeMoment:
             datum = scn.datum()
             engine = MomentEngine(datum.curve, datum.f[0], datum.f[1],
                                   datum.theta, spacings=2.0)
-            errs[n] = abs(engine.moment(2, xi) - xi**4)
+            errs[n] = abs(engine.moments([2], [xi])[0, 0] - xi**4)
         assert errs[32] / max(errs[64], 1e-16) > 1e2
 
 
 class TestMomentTable:
     def test_grid_avoids_curve(self, graph_datum):
         with pytest.raises(MomentError):
-            build_moment_table(graph_datum, 0.95 + 0.0j, 0.2)
+            build_moment_table(_engine(graph_datum), 0.95 + 0.0j, 0.2)
 
     def test_holomorphy_residual(self, charged_datum):
-        table = build_moment_table(charged_datum, 3.0 + 0.45j, 0.1)
+        table = build_moment_table(_engine(charged_datum), 3.0 + 0.45j, 0.1)
         assert table.holomorphy_residual(1) < 1e-5
         assert table.holomorphy_residual(2) < 1e-5
 
 
 class TestSheetCount:
     def test_graph_single_sheet(self, graph_datum):
-        table = build_moment_table(graph_datum, 0.2 + 0.1j, 0.3)
+        table = build_moment_table(_engine(graph_datum), 0.2 + 0.1j, 0.3)
         est = estimate_sheet_count(table)
         assert est.p == 1 and est.method == "m0-integrality"
 
     def test_four_sheets_vs_winding_oracle(self, charged_datum):
-        table = build_moment_table(charged_datum, 3.1 + 0.0j, 0.1)
+        table = build_moment_table(_engine(charged_datum), 3.1 + 0.0j, 0.1)
         est = estimate_sheet_count(table)
         winding = argument_principle_count(charged_datum.f[1], 3.1)
         assert est.p == winding == 4
 
     def test_empty_fiber(self, graph_datum):
-        table = build_moment_table(graph_datum, 5.0 + 0.0j, 0.3)
+        table = build_moment_table(_engine(graph_datum), 5.0 + 0.0j, 0.3)
         assert estimate_sheet_count(table).p == 0
 
     def test_integrality_over_window(self, charged_datum):
-        table = build_moment_table(charged_datum, 3.1 + 0.0j, 0.1)
+        table = build_moment_table(_engine(charged_datum), 3.1 + 0.0j, 0.1)
         assert np.max(np.abs(table.moments[0] - 4)) < 1e-4
 
     def test_inconclusive_count_errors(self):
@@ -172,6 +180,7 @@ class TestRecoverFibers:
 
     @given(st.lists(st.integers(min_value=-20, max_value=20),
                     min_size=2, max_size=16, unique=True))
+    @example([0, 1, 13, 16, 18, 14, 15, 11])
     @settings(max_examples=60, deadline=None)
     def test_newton_round_trip(self, grid_points):
         # integer lattice points scaled to guarantee separation > 0.3
@@ -182,12 +191,29 @@ class TestRecoverFibers:
             assert np.min(np.abs(got - val)) < 1e-9
 
 
+class TestEngineRoots:
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                    min_size=1, max_size=10, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_random_monic(self, lattice):
+        # monic polynomials with lattice roots, spaced at least 0.25 apart
+        true = np.array([0.25 * (a + 1j * b) for a, b in lattice])
+        coeffs = np.poly(true)[::-1]
+        got = companion_roots(coeffs)
+        want = polynomial_roots(coeffs)
+        assert got.size == want.size == true.size
+        for val in want:
+            assert np.min(np.abs(got - val)) < 1e-8
+        for val in true:
+            assert np.min(np.abs(got - val)) < 1e-8
+
+
 class TestFormQuotient:
     def test_single_sheet_direct(self, graph_datum):
-        engine = MomentEngine.from_datum(graph_datum)
+        engine = _engine(graph_datum)
         xi = 0.3 + 0.1j
         roots = np.array([xi**2])
-        g = recover_form_quotient(engine, 0, xi, roots)
+        g = recover_form_quotient(engine, [xi], roots[None, :])[0, 0]
         a0 = engine.theta_moments(0, [0], [xi])[0, 0]
         assert abs(g[0] - a0) < 1e-12
 
@@ -195,11 +221,24 @@ class TestFormQuotient:
         xi = 3.1 + 0.05j
         oracle_roots = charged_scenario.oracle.fibers(xi)
         h, g_exact = charged_scenario.oracle.quotients(0, xi)
-        got = recover_form_quotient(charged_datum, 0, xi,
-                                    charged_scenario.oracle.f1(oracle_roots))
+        got = recover_form_quotient(_engine(charged_datum), [xi],
+                                    charged_scenario.oracle.f1(oracle_roots))[0, 0]
         order_a = np.argsort(h.real * 1e6 + h.imag)
         assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(g_exact))) \
             < 1e-6 or np.max(np.abs(got[order_a] - g_exact[order_a])) < 1e-6
+
+    def test_batch_matches_rational_oracle(self, charged_datum,
+                                           charged_scenario):
+        oracle = charged_scenario.oracle
+        xi = 3.1 + 0.08 * np.exp(2j * np.pi * np.arange(10) / 10)
+        roots = np.array([oracle.f1(oracle.fibers(x)) for x in xi])
+        got = recover_form_quotient(_engine(charged_datum), xi, roots)
+        assert got.shape == (3, xi.size, 4)
+        for ell in range(3):
+            for b, x in enumerate(xi):
+                h, g_exact = oracle.quotients(ell, x)
+                assert np.allclose(h, roots[b], atol=0.0)
+                assert np.max(np.abs(got[ell, b] - g_exact)) < 1e-6
 
     def test_zero_theta_gives_zero(self, charged_datum):
         datum = charged_datum
@@ -211,13 +250,13 @@ class TestFormQuotient:
         engine = MomentEngine.from_datum(modified)
         xi = 3.1 + 0.0j
         roots = recover_fibers(engine.moments(range(1, 5), [xi])[:, 0], 4)
-        g = recover_form_quotient(engine, 1, xi, roots)
+        g = recover_form_quotient(engine, [xi], roots[None, :])[1, 0]
         assert np.max(np.abs(g)) < 1e-12
 
     def test_near_collision_rejected(self, charged_datum):
         with pytest.raises(FiberError):
-            recover_form_quotient(charged_datum, 0, 3.1,
-                                  np.array([2.0, 2.0 + 1e-9, 1.0, 3.0]))
+            recover_form_quotient(_engine(charged_datum), [3.1],
+                                  np.array([[2.0, 2.0 + 1e-9, 1.0, 3.0]]))
 
 
 class TestSweep:
@@ -241,7 +280,7 @@ class TestSweep:
         assert any("monodromy" in note for note in charged_sweep.notes)
 
     def test_sheet_holomorphy(self, charged_datum):
-        window = analyze_window(charged_datum, 3.0 + 0.45j, 0.1)
+        window = analyze_window(_engine(charged_datum), 3.0 + 0.45j, 0.1)
         assert window.p == 4
         assert max(window.sheet_holomorphy_residual(j)
                    for j in range(4)) < 1e-4
@@ -281,10 +320,3 @@ class TestSweep:
         assert np.allclose(back.windows[0].roots, charged_sweep.windows[0].roots)
         assert all(np.array_equal(a, b) for a, b in
                    zip(back.permutations, charged_sweep.permutations))
-
-    def test_parallel_matches_serial(self, charged_datum, charged_scenario):
-        serial = sweep_windows(charged_datum, charged_scenario.plan)
-        parallel = sweep_windows(charged_datum, charged_scenario.plan, jobs=4)
-        for a, b in zip(serial.windows, parallel.windows):
-            assert np.array_equal(a.roots, b.roots)
-            assert np.array_equal(a.quotients, b.quotients)

@@ -6,8 +6,8 @@ from nodal_idn.errors import PartitionError
 from nodal_idn.moments import MomentEngine
 from nodal_idn.nodes import (BranchReport, SingularPointReport,
                              analyze_singular_point,
-                             branch_residue, classify_and_partition,
-                             dirichlet_energy_growth, locate_singularities,
+                             branch_residues, classify_and_partition,
+                             energy_growth_reports, locate_singularities,
                              track_branch_contour, _sheet_values_at)
 
 
@@ -114,8 +114,8 @@ class TestBranchResidues:
         window = charged_sweep.windows[c.window_index]
         start = _sheet_values_at(engine, window, c.xi + 0.05)
         contour = track_branch_contour(engine, window.p, c.xi, 0.05, start)
-        values = [branch_residue(charged_datum, contour, cyc, 0)
-                  for cyc in contour.cycles if len(cyc) == 1]
+        singles = [cyc for cyc in contour.cycles if len(cyc) == 1]
+        values = branch_residues(engine, contour, singles)[:, 0]
         assert np.allclose(sorted(v.real for v in values), [-1.0, 1.0],
                            atol=1e-4)
 
@@ -139,7 +139,7 @@ class TestEnergyGrowth:
         start = _sheet_values_at(engine, window, c.xi + 0.05)
         contour = track_branch_contour(engine, window.p, c.xi, 0.05, start)
         cyc = contour.cycles[0]
-        rep = dirichlet_energy_growth(spurious_datum, contour, cyc, 0)
+        rep = energy_growth_reports(engine, contour, [cyc])[0][0]
         assert all(r < 0.3 for r in rep.ratios)  # >= 4x shrink per halving
 
     def test_node_contributions_nearly_constant(self, charged_datum,
@@ -152,7 +152,7 @@ class TestEnergyGrowth:
         window = charged_sweep.windows[c.window_index]
         start = _sheet_values_at(engine, window, c.xi + 0.05)
         contour = track_branch_contour(engine, window.p, c.xi, 0.05, start)
-        rep = dirichlet_energy_growth(charged_datum, contour, single.cycle, 0)
+        rep = energy_growth_reports(engine, contour, [single.cycle])[0][0]
         assert all(0.8 <= r <= 1.25 for r in rep.ratios)
 
     def test_zero_form_is_convergent_zero(self, charged_datum, charged_sweep,
@@ -166,7 +166,7 @@ class TestEnergyGrowth:
         window = charged_sweep.windows[c.window_index]
         start = _sheet_values_at(engine, window, c.xi + 0.05)
         contour = track_branch_contour(engine, window.p, c.xi, 0.05, start)
-        rep = dirichlet_energy_growth(muted, contour, contour.cycles[0], 2)
+        rep = energy_growth_reports(engine, contour, [contour.cycles[0]])[0][2]
         assert rep.verdict == "convergent"
         assert rep.contributions[-1] < 1e-20
 
