@@ -282,8 +282,7 @@ def _refine_roots(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
     A step is kept only when it lowers the defect, so a near-singular
     Jacobian (roots about to collide) cannot throw the roots off.
     """
-    p = roots.size
-    orders = np.arange(1, p + 1)
+    orders = np.arange(1, roots.size + 1)
     defect = _power_sum_defect(roots, power_sums)
     for _ in range(2):
         jac = orders[:, None] * roots[None, :] ** (orders[:, None] - 1)
