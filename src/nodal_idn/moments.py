@@ -30,6 +30,7 @@ SHEET_INTEGRALITY_TOL = 1e-4
 BRANCH_SEPARATION_FLOOR = 1e-4
 VANDERMONDE_CONDITION_LIMIT = 1e10
 POWER_SUM_TOL = 1e-6
+DOUBLE_EPS = float(np.finfo(float).eps)
 
 
 class MomentEngine:
@@ -269,32 +270,47 @@ def roots_from_power_sums(power_sums: np.ndarray) -> np.ndarray:
 
 
 def _power_sum_defect(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
-    """(sum_j h_j^m - S_m) for m = 1..len(power_sums)."""
-    orders = np.arange(1, power_sums.size + 1)
-    return np.sum(roots[None, :] ** orders[:, None], axis=1) - power_sums
+    """(sum_j h_j^m - S_m) for m = 1..len(power_sums), in extended precision.
+
+    The powers are running products in ``clongdouble``, so the defect of
+    roots that fit the power sums is not lost to the rounding of h^m.
+    """
+    h = np.asarray(roots, dtype=np.clongdouble)
+    powers = np.repeat(h[None, :], power_sums.size, axis=0)
+    return np.cumprod(powers, axis=0, out=powers).sum(axis=1) - power_sums
 
 
 def _refine_roots(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
-    """Two Newton steps on h -> (sum_j h_j^m)_{m<=p} against S_1..S_p.
+    """Up to two Newton steps on h -> (sum_j h_j^m)_{m<=p} against S_1..S_p.
 
     The companion eigenvalues carry the rounding of the Newton-identity
     coefficients; these steps fit the roots to the power sums themselves.
-    A step is kept only when it lowers the defect, so a near-singular
-    Jacobian (roots about to collide) cannot throw the roots off.
+    Roots and defect are kept in extended precision and only the Jacobian
+    solve is done in double (iterative refinement), so the roots converge
+    to the exact roots of the given sums rather than stalling at the
+    double-precision rounding of the clustered high powers. The steps stop
+    once they fall below the double resolution of every root. A step is
+    kept only when it lowers the defect, so a near-singular Jacobian
+    (roots about to collide) cannot throw the roots off.
     """
     orders = np.arange(1, roots.size + 1)
+    roots = np.asarray(roots, dtype=np.clongdouble)
     defect = _power_sum_defect(roots, power_sums)
     for _ in range(2):
-        jac = orders[:, None] * roots[None, :] ** (orders[:, None] - 1)
+        h = roots.astype(complex)
+        jac = orders[:, None] * h[None, :] ** (orders[:, None] - 1)
         try:
-            trial = roots - np.linalg.solve(jac, defect)
+            step = np.linalg.solve(jac, defect.astype(complex))
         except np.linalg.LinAlgError:
             break
+        if np.all(np.abs(step) <= DOUBLE_EPS * np.abs(h)):
+            break
+        trial = roots - step
         trial_defect = _power_sum_defect(trial, power_sums)
-        if np.linalg.norm(trial_defect) >= np.linalg.norm(defect):
+        if np.max(np.abs(trial_defect)) >= np.max(np.abs(defect)):
             break
         roots, defect = trial, trial_defect
-    return roots
+    return roots.astype(complex)
 
 
 def match_roots(previous: np.ndarray, new: np.ndarray) -> np.ndarray:
