@@ -63,17 +63,13 @@ class MomentEngine:
         """M_m(xi) for every m in orders; returns shape (len(orders), len(xi))."""
         return self._kernel(self.df2[None, :], orders, xi)[0]
 
-    def theta_moments(self, ell, orders, xi) -> np.ndarray:
-        """A_m(xi) = (1/2*pi*i) int f1^m (f2-xi)^(-1) theta_ell.
-
-        Shape (len(orders), len(xi)) for one ell; a sequence of ell adds a
-        leading axis with one row per potential.
-        """
+    def theta_moments(self, ells, orders, xi) -> np.ndarray:
+        """A_m(xi) = (1/2*pi*i) int f1^m (f2-xi)^(-1) theta_ell for every ell
+        in ells; returns shape (len(ells), len(orders), len(xi))."""
         if self.theta is None:
             raise MomentError("no theta rows attached to this projection")
-        weights = np.atleast_2d(self.theta[ell] * self._dgamma)
-        out = self._kernel(weights, orders, xi)
-        return out if np.ndim(ell) else out[0]
+        weights = self.theta[list(ells)] * self._dgamma
+        return self._kernel(weights, orders, xi)
 
     def _kernel(self, weights: np.ndarray, orders, xi) -> np.ndarray:
         """(1/2*pi*i) int f1^m w (f2-xi)^(-1) for each weight row w, order m
@@ -292,6 +288,12 @@ def _refine_roots(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
     once they fall below the double resolution of every root. A step is
     kept only when it lowers the defect, so a near-singular Jacobian
     (roots about to collide) cannot throw the roots off.
+
+    This needs a long double wider than double (``np.finfo(np.longdouble)
+    .nmant > 52``): the 80-bit x87 format on x86-64, IEEE quad on aarch64
+    and ppc64le Linux. Where long double is double (MSVC builds, Apple
+    arm64) the steps are plain double steps, which can stall about 2e-7
+    from the exact roots of clustered fibers.
     """
     orders = np.arange(1, roots.size + 1)
     roots = np.asarray(roots, dtype=np.clongdouble)

@@ -178,23 +178,39 @@ class TestRecoverFibers:
         with pytest.raises(FiberError):
             match_roots(prev, new)
 
+    def test_long_double_is_extended(self):
+        # the root refinement keeps its defect in long double; where that is
+        # plain double the round-trip bounds below are out of reach
+        assert np.finfo(np.longdouble).nmant > 52
+
     @given(st.lists(st.integers(min_value=-20, max_value=20),
                     min_size=2, max_size=16, unique=True))
     @example([0, 1, 13, 16, 18, 14, 15, 11])
     @example([-7, -8, -9, -12, -11, -10, -14])
-    @example([12, 13, 14, 16, 15, 11])
     @settings(max_examples=60, deadline=None)
     def test_newton_round_trip(self, grid_points):
-        # integer lattice points scaled to guarantee separation >= 0.25; the
-        # dyadic scales make every power sum exact in double precision, so
-        # the reference roots are the exact roots of the sums handed over
-        # (with inexact sums, clustered points far from 0 have exact roots
-        # up to ~1e-9 away from the reference, whatever the solver)
+        # integer lattice points scaled to guarantee separation > 0.3
+        roots = np.array([0.3 * g + 0.18j * abs(g) for g in grid_points[:8]])
+        _assert_round_trip(roots)
+
+    @given(st.lists(st.integers(min_value=-20, max_value=20),
+                    min_size=2, max_size=16, unique=True))
+    @example([12, 13, 14, 16, 15, 11])
+    @example([-20, -19, -18, -17, -16, -15, -14, -13])
+    @settings(max_examples=60, deadline=None)
+    def test_newton_round_trip_exact_sums(self, grid_points):
+        # dyadic lattice (separation >= 0.25): every root and power sum is
+        # exact in double, so the reference roots are the exact roots of the
+        # sums handed over and the bound measures the solver alone
         roots = np.array([0.25 * g + 0.125j * abs(g) for g in grid_points[:8]])
-        sums = np.array([np.sum(roots**m) for m in range(1, roots.size + 1)])
-        got = recover_fibers(sums, roots.size)
-        for val in roots:
-            assert np.min(np.abs(got - val)) < 1e-9
+        _assert_round_trip(roots)
+
+
+def _assert_round_trip(roots):
+    sums = np.array([np.sum(roots**m) for m in range(1, roots.size + 1)])
+    got = recover_fibers(sums, roots.size)
+    for val in roots:
+        assert np.min(np.abs(got - val)) < 1e-9
 
 
 class TestEngineRoots:
@@ -220,7 +236,7 @@ class TestFormQuotient:
         xi = 0.3 + 0.1j
         roots = np.array([xi**2])
         g = recover_form_quotient(engine, [xi], roots[None, :])[0, 0]
-        a0 = engine.theta_moments(0, [0], [xi])[0, 0]
+        a0 = engine.theta_moments([0], [0], [xi])[0, 0, 0]
         assert abs(g[0] - a0) < 1e-12
 
     def test_four_sheet_rational_oracle(self, charged_datum, charged_scenario):
