@@ -4,11 +4,12 @@ A harmonic distribution on a nodal model is represented as
 
     U = Eu + sum_{a,j} 4*pi * c_{a,j} * G(. , a_j)
 
-where E is the harmonic extension of the boundary data (closed-form Poisson
-solve on the disk, Fredholm solve otherwise) and G is the principal Green
-function of the model domain.  Near an identified point U - 2c ln|z - a|
-extends harmonically and dU has a simple pole with residue c, so contour
-residues of dU recover the charges directly.
+where E is the harmonic extension of the boundary data and G is the
+principal Green function of the model domain.  Both model domains are
+circles sampled on the FFT grid, where E is closed-form per Fourier mode
+(Poisson on the disk, Fourier-Laurent on the annulus).  Near an identified
+point U - 2c ln|z - a| extends harmonically and dU has a simple pole with
+residue c, so contour residues of dU recover the charges directly.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import jsonio
 from .errors import ModelError, SolveError
 from .greens import (AnnulusHarmonicSolver, AnnulusPrincipalGreen,
-                     DiskHarmonicSolver, GreenKernel)
+                     DiskHarmonicSolver, GreenKernel, check_fft_circle)
 from .model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve, DiskDomain,
                     NodalDomainModel)
 from .oracles import RationalFunction
@@ -37,8 +38,8 @@ class HarmonicDistribution:
 
     ``ext_re`` and ``ext_im`` extend Re u and Im u; ``green`` evaluates
     G(z, a) and its dz coefficient.  The dz traces on gamma of both
-    extensions and of every G(., a) are taken once, here; the boundary
-    evaluators only combine them.
+    extensions (their ``boundary_dz``) and of every G(., a) are taken once,
+    here; the boundary evaluators only combine them.
     """
 
     def __init__(self, model: NodalDomainModel, boundary_values: np.ndarray,
@@ -53,8 +54,8 @@ class HarmonicDistribution:
         self._weights = weights
         self.is_real = bool(np.max(np.abs(self.boundary_values.imag)) == 0.0)
         pts = model.boundary.positions
-        self._trace_re = ext_re.dz(pts)
-        self._trace_im = ext_im.dz(pts)
+        self._trace_re = ext_re.boundary_dz()
+        self._trace_im = ext_im.boundary_dz()
         self._charge_traces = [green.dz(pts, a) for a in charge_points]
 
     @property
@@ -107,15 +108,15 @@ class HarmonicDistribution:
 
 @functools.lru_cache(maxsize=1)
 def _extend_and_green(domain, n: int):
-    """The harmonic extension u -> Eu of data on gamma and the principal
-    Green function of (domain, n), shared by the potentials of one datum."""
+    """The harmonic extension u -> Eu of data on gamma (zero on an inner
+    circle) and the principal Green function of (domain, n), shared by the
+    potentials of one datum."""
     if isinstance(domain, DiskDomain):
         green = GreenKernel("disk-principal", radius=domain.radius, center=domain.center)
         return DiskHarmonicSolver(domain, n).extend, green
     if isinstance(domain, AnnulusDomain):
         solver = AnnulusHarmonicSolver(domain, n)
-        inner = np.zeros(n, dtype=complex)
-        return (lambda u: solver.extend(u, inner)), AnnulusPrincipalGreen(solver)
+        return solver.extend, AnnulusPrincipalGreen(solver)
     raise ModelError(f"unsupported domain {domain!r}")
 
 
@@ -123,12 +124,14 @@ def solve_nodal_dirichlet(model: NodalDomainModel, family: AdmissibleFamily | No
                           u: np.ndarray) -> HarmonicDistribution:
     """Charged Dirichlet solve: U = Eu + sum 4*pi*c*G(., a).
 
-    u samples the data on gamma = model.boundary.  On an annulus gamma is
-    the outer circle and the inner circle carries zero data.
+    u samples the data on gamma = model.boundary, which must be the
+    domain's (outer) circle on the FFT grid.  On an annulus the inner
+    circle carries zero data.
     """
     u = np.asarray(u, dtype=complex)
     if u.size != model.boundary.n:
         raise ModelError("boundary data length does not match the model boundary")
+    check_fft_circle(model.domain, model.boundary)
     points, weights = _collect_charges(model, family)
     extend, green = _extend_and_green(model.domain, model.boundary.n)
     ext_re = extend(u.real.astype(complex))
@@ -282,18 +285,6 @@ class DNDatum:
     @property
     def n(self) -> int:
         return self.curve.n
-
-    @property
-    def f2_derivative(self) -> np.ndarray:
-        return fourier_derivative(self.f[1])
-
-    @property
-    def f1_derivative(self) -> np.ndarray:
-        return fourier_derivative(self.f[0])
-
-    def image_curve(self) -> np.ndarray:
-        """Samples of delta = f(gamma) in C^2 as rows (f1, f2)."""
-        return self.f
 
     def reversed(self) -> "DNDatum":
         idx = (-np.arange(self.n)) % self.n

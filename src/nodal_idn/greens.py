@@ -1,4 +1,4 @@
-"""Green functions and layer potentials.
+"""Green functions, layer potentials and harmonic extensions.
 
 The operator T maps a boundary density v to the field 2i * int_gamma v dbar(g_z)
 off the curve.  With the mundane log kernel this is the conjugated Cauchy
@@ -7,7 +7,13 @@ transform of conj(v); with the principal Green kernel of an enclosing disk D
 that makes the second-kind Dirichlet equation u = v + (T^- v)|_gamma solvable.
 All traces come from the splitting of the Cauchy kernel into the periodic
 cotangent singularity, handled spectrally, plus a smooth remainder whose
-diagonal is the curvature limit gamma''/(2 gamma').
+diagonal is the curvature limit gamma''/(2 gamma').  This Nystrom/Fredholm
+layer serves general curves.
+
+The model domains are circles sampled on the FFT grid, and there the
+harmonic extension is closed-form per Fourier mode: a power series on the
+disk, a Laurent series on the annulus.  Their dz traces on the circles are
+one inverse FFT each.
 
 Sign conventions are fixed by the jump identity (T^+ - T^-) v = v.
 """
@@ -20,13 +26,14 @@ import numpy as np
 
 from .errors import ModelError, QuadratureError, SolveError
 from .model import AnnulusDomain, BoundaryCurve, DiskDomain
-from .spectral import conjugation_matrix, fourier_derivative, parameter_grid
+from .spectral import conjugation_matrix, parameter_grid
 
 log = logging.getLogger("nodal_idn.greens")
 
 ENCLOSING_FACTOR = 1.25
 CONDITION_LIMIT = 1e10
 LSTSQ_RCOND = 1e-13
+GRID_TOL = 1e-12
 
 
 def disk_green(z, zeta, radius: float, center: complex = 0.0):
@@ -148,38 +155,24 @@ def layer_potential_T(v: np.ndarray, z, curve: BoundaryCurve,
     return vals.reshape(z.shape) if z.shape else complex(vals[0])
 
 
-def _smooth_cauchy_block(target: BoundaryCurve, source: BoundaryCurve,
-                         self_block: bool) -> np.ndarray:
-    """Kernel gamma'(s)/(gamma(s)-gamma(t)) minus its cotangent singularity.
-
-    Rows index targets t_k, columns index source nodes s_j.  On the diagonal
-    of a self block the curvature limit gamma''/(2 gamma') fills in.
-    """
-    gs = source.positions[None, :]
-    gt = target.positions[:, None]
-    if not self_block:
-        return source.derivatives[None, :] / (gs - gt)
-    n = source.n
-    t = parameter_grid(n)
-    diff = t[None, :] - t[:, None]
-    gap = gs - gt
-    np.fill_diagonal(gap, 1.0)
-    np.fill_diagonal(diff, np.pi)
-    kern = source.derivatives[None, :] / gap - 0.5 / np.tan(diff / 2.0)
-    second = source.second_derivatives()
-    np.fill_diagonal(kern, second / (2.0 * source.derivatives))
-    return kern
-
-
 def _pv_cauchy_matrix(curve: BoundaryCurve) -> np.ndarray:
     """Principal-value Cauchy transform on the curve as a dense matrix.
 
     pv C[w](gamma(t_k)) = (1/2pi i) pv int w(s) gamma'(s)/(gamma(s)-gamma(t_k)) ds
+
+    The kernel gamma'(s)/(gamma(s)-gamma(t)) minus its cotangent
+    singularity is smooth, with the curvature limit gamma''/(2 gamma') on
+    the diagonal; the cotangent part is the conjugate-function operator.
     """
     n = curve.n
-    smooth = _smooth_cauchy_block(curve, curve, self_block=True)
-    conj_op = conjugation_matrix(n)
-    return 0.5j * conj_op + (-1j / n) * smooth
+    t = parameter_grid(n)
+    diff = t[None, :] - t[:, None]
+    gap = curve.positions[None, :] - curve.positions[:, None]
+    np.fill_diagonal(gap, 1.0)
+    np.fill_diagonal(diff, np.pi)
+    smooth = curve.derivatives[None, :] / gap - 0.5 / np.tan(diff / 2.0)
+    np.fill_diagonal(smooth, curve.second_derivatives() / (2.0 * curve.derivatives))
+    return 0.5j * conjugation_matrix(n) + (-1j / n) * smooth
 
 
 @dataclass
@@ -289,8 +282,8 @@ class PrincipalGreen:
 
 
 class AnnulusPrincipalGreen:
-    """Principal Green function G(z, a) of an annulus via the two-component
-    solve; array z, scalar a, one solve per source point a (cached)."""
+    """Principal Green function G(z, a) of an annulus via the Laurent solve;
+    array z, scalar a, one extension per source point a (cached)."""
 
     def __init__(self, solver: "AnnulusHarmonicSolver",
                  mundane: GreenKernel | None = None):
@@ -301,9 +294,9 @@ class AnnulusPrincipalGreen:
     def _extension(self, a: complex):
         key = complex(a)
         if key not in self._cache:
-            data_o = self.mundane(self.solver.outer.positions, key).astype(complex)
-            data_i = self.mundane(self.solver.inner.positions, key).astype(complex)
-            self._cache[key] = self.solver.extend(data_o, data_i)
+            self._cache[key] = self.solver.extend(
+                self.mundane(self.solver.outer.positions, key),
+                self.mundane(self.solver.inner.positions, key))
         return self._cache[key]
 
     def __call__(self, z, a):
@@ -314,178 +307,182 @@ class AnnulusPrincipalGreen:
         return self.mundane.dz(z, a) - self._extension(a).dz(z)
 
 
+def _circle_modes(u: np.ndarray, n: int):
+    """Mean and the coefficients of e^{ikt}, e^{-ikt}, k = 1..N/2, of data
+    sampled at t_k = 2*pi*k/N; the Nyquist bin is split evenly between them."""
+    u = np.asarray(u, dtype=complex)
+    if u.size != n:
+        raise ModelError("boundary data length mismatch")
+    c = np.fft.fft(u) / n
+    k = np.arange(1, n // 2 + 1)
+    pos, neg = c[k], c[-k]
+    pos[-1] *= 0.5
+    neg[-1] *= 0.5
+    return c[0], pos, neg
+
+
+def _circle_grid(radius: float, n: int) -> np.ndarray:
+    """w = radius * exp(i t_k), relative to the circle's center."""
+    return radius * np.exp(1j * parameter_grid(n))
+
+
+def check_fft_circle(domain, curve: BoundaryCurve) -> None:
+    """Raise ModelError unless ``curve`` samples the domain's (outer) circle
+    ccw at t_k = 2*pi*k/N, to GRID_TOL times its radius: the grid that the
+    circle solvers below take their data and traces on."""
+    radius = domain.radius if isinstance(domain, DiskDomain) else domain.outer_radius
+    gap = float(np.max(np.abs(curve.positions - domain.center
+                              - _circle_grid(radius, curve.n))))
+    if not gap <= GRID_TOL * radius:
+        raise ModelError(f"boundary is not the {domain.kind}'s FFT circle "
+                         f"(t_k = 2*pi*k/N, ccw): gap {gap:.3e}")
+
+
 class DiskHarmonicSolver:
-    """Closed-form Poisson solve on a disk via Fourier coefficients."""
+    """Closed-form Poisson solve on a disk via Fourier coefficients.
+
+    The data are samples on the domain's circle at t_k = 2*pi*k/N, ccw.
+    """
 
     def __init__(self, domain: DiskDomain, n: int):
         self.domain = domain
         self.n = n
 
     def extend(self, u: np.ndarray) -> "DiskHarmonicExtension":
-        u = np.asarray(u, dtype=complex)
-        if u.size != self.n:
-            raise ModelError("boundary data length mismatch")
-        coeff = np.fft.fft(u) / self.n
-        return DiskHarmonicExtension(self, coeff, u)
+        return DiskHarmonicExtension(self, *_circle_modes(u, self.n))
 
 
 class DiskHarmonicExtension:
-    def __init__(self, solver: DiskHarmonicSolver, coeff: np.ndarray, u: np.ndarray):
+    """c_0 + sum_k c_k (w/R)^k + c_{-k} (conj(w)/R)^k, k = 1..N/2."""
+
+    def __init__(self, solver: DiskHarmonicSolver, mean, pos: np.ndarray,
+                 neg: np.ndarray):
         self.solver = solver
-        self.coeff = coeff
-        self.boundary_values = u
-        n = coeff.size
-        self._pos = np.arange(1, n // 2)
-        self._cpos = coeff[1:n // 2]
-        self._cneg = coeff[-1:-(n // 2):-1]
-        self._nyq = coeff[n // 2]
+        self.mean = mean
+        self.pos = pos
+        self.neg = neg
+        self._k = np.arange(1, pos.size + 1)
 
     def _scaled(self, z):
         dom = self.solver.domain
-        return (np.asarray(z, dtype=complex) - dom.center) / dom.radius
+        return np.atleast_1d((np.asarray(z, dtype=complex) - dom.center) / dom.radius).ravel()
 
     def value(self, z):
-        w = self._scaled(z)
-        flat = np.atleast_1d(w).ravel()[:, None]
-        powers = flat ** self._pos[None, :]
-        out = self.coeff[0] + powers @ self._cpos + np.conj(flat**self._pos) @ self._cneg
-        # split the Nyquist bin symmetrically; negligible for analytic data
-        k = self.coeff.size // 2
-        out = out + 0.5 * self._nyq * (flat.ravel()**k + np.conj(flat.ravel())**k)
-        w = np.asarray(w)
-        return out.reshape(w.shape) if w.shape else complex(out[0])
+        powers = self._scaled(z)[:, None] ** self._k
+        out = self.mean + powers @ self.pos + np.conj(powers) @ self.neg
+        return out.reshape(np.shape(z)) if np.shape(z) else complex(out[0])
 
     def dz(self, z):
-        dom = self.solver.domain
-        w = self._scaled(z)
-        flat = np.atleast_1d(w).ravel()[:, None]
-        powers = flat ** (self._pos[None, :] - 1) * self._pos[None, :]
-        out = (powers @ self._cpos) / dom.radius
-        k = self.coeff.size // 2
-        out = out + 0.5 * self._nyq * k * flat.ravel() ** (k - 1) / dom.radius
-        w = np.asarray(w)
-        return out.reshape(w.shape) if w.shape else complex(out[0])
+        powers = self._scaled(z)[:, None] ** (self._k - 1)
+        out = powers @ (self._k * self.pos) / self.solver.domain.radius
+        return out.reshape(np.shape(z)) if np.shape(z) else complex(out[0])
+
+    def boundary_dz(self) -> np.ndarray:
+        """dz trace on the domain's circle at t_k: one inverse FFT of k*c_k."""
+        n = self.solver.n
+        spec = np.zeros(n, dtype=complex)
+        spec[self._k] = self._k * self.pos
+        return n * np.fft.ifft(spec) / _circle_grid(self.solver.domain.radius, n)
 
 
 class AnnulusHarmonicSolver:
-    """Fredholm solve on an annulus.
+    """Fourier-Laurent solve on the annulus r < |z - c| < R.
 
-    The layer operator T alone misses the holomorphic principal parts and
-    the log module of annulus harmonics, so the representation is
+    With w = z - c, s = r/R and K = N/2 a harmonic function there is
 
-        Eu = T^+ v + C_inner[w] + alpha * ln|z - center|
+        a_0 + b_0 ln(|w|/R) + sum_{k=1}^{K} [ a_k (w/R)^k + b_k (r/w)^k
+                                + a'_k (conj(w)/R)^k + b'_k (r/conj(w))^k ].
 
-    with a plain Cauchy density w on the inner circle.  The resulting
-    rectangular system is solved by least squares (min-norm).
+    On the outer and inner circle, mode e^{ik phi} of the data reads
+    a_k + s^k b'_k and s^k a_k + b'_k; mode e^{-ik phi} pairs b_k with
+    a'_k alike.  Each pair is a 2x2 solve with determinant +-(1 - s^{2k}),
+    bounded away from zero.  The Nyquist bin is split evenly between
+    k = +-K, as in the disk's ``value``.  ``outer`` runs ccw and ``inner``
+    cw, both at t_k = 2*pi*k/N; inner data are reindexed onto the ccw grid.
     """
 
     def __init__(self, domain: AnnulusDomain, n: int):
         self.domain = domain
         self.n = n
         self.outer, self.inner = domain.boundaries(n)
-        self.kernel = enclosing_kernel((self.outer,))
-        self._assemble()
+        k = np.arange(1, n // 2 + 1)
+        s = (domain.inner_radius / domain.outer_radius) ** k
+        one = np.ones_like(s)
+        # the holomorphic basis (w/R)^k, (r/w)^k: its mode number on a
+        # circle, which is also its dz factor, and its size on each circle
+        self.modes = np.concatenate([k, -k])
+        self.outer_size = np.concatenate([one, s])
+        self.inner_size = np.concatenate([s, one])
+        # the cw inner sample j sits at angle -t_j, i.e. at ccw index -j
+        self._flip = (-np.arange(n)) % n
 
-    def _assemble(self):
-        n = self.n
-        blocks = []
-        for target in (self.outer, self.inner):
-            row = []
-            for source in (self.outer, self.inner):
-                if source is target:
-                    pv = _pv_cauchy_matrix(source)
-                else:
-                    pv = (-1j / n) * _smooth_cauchy_block(target, source, False)
-                corr = _correction_factor(self.kernel, source.positions[None, :],
-                                          target.positions[:, None])
-                corr = 1j / n * corr * np.conj(source.derivatives)[None, :]
-                row.append(np.conj(pv) + corr)
-            blocks.append(row)
-        tplus = np.block(blocks) + 0.5 * np.eye(2 * n)
-        # plain (unconjugated) Cauchy transform columns of the inner density
-        inner_self = _pv_cauchy_matrix(self.inner) + 0.5 * np.eye(n)
-        inner_to_outer = (-1j / n) * _smooth_cauchy_block(self.outer, self.inner, False)
-        ccol = np.vstack([inner_to_outer, inner_self])
-        qcol = np.log(np.abs(np.concatenate([self.outer.positions,
-                                             self.inner.positions])
-                             - self.domain.center))[:, None]
-        self.matrix = np.hstack([tplus, ccol, qcol])
+    def _spectrum(self, u: np.ndarray):
+        """Mean and the coefficients of e^{i m phi}, m in ``modes``."""
+        mean, pos, neg = _circle_modes(u, self.n)
+        return mean, np.concatenate([pos, neg])
 
-    def extend(self, u_outer: np.ndarray, u_inner: np.ndarray) -> "AnnulusHarmonicExtension":
-        rhs = np.concatenate([np.asarray(u_outer, dtype=complex),
-                              np.asarray(u_inner, dtype=complex)])
-        sol, _, _, sing = np.linalg.lstsq(self.matrix, rhs, rcond=LSTSQ_RCOND)
-        residual = np.max(np.abs(self.matrix @ sol - rhs))
-        if residual > 1e-6 * max(1.0, float(np.max(np.abs(rhs)))):
-            raise SolveError(f"annulus Fredholm solve failed: residual {residual:.3e}")
-        n = self.n
-        return AnnulusHarmonicExtension(self, sol[:2 * n], sol[2 * n:3 * n],
-                                        complex(sol[-1]))
+    def extend(self, u_outer: np.ndarray,
+               u_inner: np.ndarray | None = None) -> "AnnulusHarmonicExtension":
+        """Extension of data on (outer, inner); the inner data default to 0."""
+        if u_inner is None:
+            u_inner = np.zeros(self.n)
+        o0, o = self._spectrum(u_outer)
+        i0, i = self._spectrum(np.asarray(u_inner)[self._flip])
+        so, si = self.outer_size, self.inner_size
+        det = so**2 - si**2
+        # the partner of B_j in mode m_j is conj(B) of mode -m_j, half a
+        # basis away: (w/R)^k pairs with conj((r/w)^k) and vice versa
+        partner = np.roll((so * i - si * o) / det, self.n // 2)
+        dom = self.domain
+        return AnnulusHarmonicExtension(
+            self, o0, (o0 - i0) / np.log(dom.outer_radius / dom.inner_radius),
+            (so * o - si * i) / det, partner)
 
 
 class AnnulusHarmonicExtension:
-    def __init__(self, solver: AnnulusHarmonicSolver, density: np.ndarray,
-                 cauchy_density: np.ndarray, log_coefficient: complex):
-        self.solver = solver
-        self.density = density
-        self.cauchy_density = cauchy_density
-        self.log_coefficient = log_coefficient
-        # d/dzeta of the inner Cauchy density; C_inner[w]' = C_inner[w'] off
-        # the inner circle, and its from-the-annulus limit on it
-        self._wprime = fourier_derivative(cauchy_density) / solver.inner.derivatives
+    """a_0 + b_0 ln(|w|/R) + sum_j hol_j B_j + anti_j conj(B_j) with B the
+    basis (w/R)^k, (r/w)^k: ``hol`` is (a_k, b_k), ``anti`` (a'_k, b'_k)."""
 
-    def _parts(self):
-        n = self.solver.n
-        return ((self.solver.outer, self.density[:n]),
-                (self.solver.inner, self.density[n:]))
+    def __init__(self, solver: AnnulusHarmonicSolver, mean, log_coefficient,
+                 hol: np.ndarray, anti: np.ndarray):
+        self.solver = solver
+        self.mean = mean
+        self.log_coefficient = log_coefficient
+        self.hol = hol
+        self.anti = anti
+
+    def _basis(self, z):
+        """w = z - c and the basis at the points, as (points, N) arrays."""
+        dom = self.solver.domain
+        w = np.atleast_1d(np.asarray(z, dtype=complex)).ravel() - dom.center
+        k = self.solver.modes[:self.solver.n // 2]
+        return w, np.hstack([(w / dom.outer_radius)[:, None] ** k,
+                             (dom.inner_radius / w)[:, None] ** k])
 
     def value(self, z):
-        z = np.asarray(z, dtype=complex)
-        flat = np.atleast_1d(z).ravel()
-        out = np.zeros(flat.shape, dtype=complex)
-        for curve, dens in self._parts():
-            out = out + np.atleast_1d(layer_potential_T(dens, flat, curve,
-                                                        self.solver.kernel))
-        inner = self.solver.inner
-        kern = inner.derivatives[None, :] / (inner.positions[None, :] - flat[:, None])
-        out = out + np.sum(self.cauchy_density[None, :] * kern, axis=1) / (1j * inner.n)
-        out = out + self.log_coefficient * np.log(np.abs(flat - self.solver.domain.center))
-        return out.reshape(z.shape) if z.shape else complex(out[0])
+        w, basis = self._basis(z)
+        out = (self.mean + basis @ self.hol + np.conj(basis) @ self.anti
+               + self.log_coefficient * np.log(np.abs(w) / self.solver.domain.outer_radius))
+        return out.reshape(np.shape(z)) if np.shape(z) else complex(out[0])
 
     def dz(self, z):
-        z = np.asarray(z, dtype=complex)
-        flat = np.atleast_1d(z).ravel()[:, None]
-        inner = self.solver.inner
-        kern = inner.derivatives[None, :] / (inner.positions[None, :] - flat)
-        out = self._enclosing_dz(flat)
-        out = out + np.sum(self._wprime[None, :] * kern, axis=1) / (1j * inner.n)
-        out = out + self._log_dz(flat.ravel())
-        return out.reshape(z.shape) if z.shape else complex(out[0])
+        w, basis = self._basis(z)
+        out = (0.5 * self.log_coefficient + basis @ (self.solver.modes * self.hol)) / w
+        return out.reshape(np.shape(z)) if np.shape(z) else complex(out[0])
 
-    def _enclosing_dz(self, flat):
-        """dz coefficient of T^+ v: only the enclosing-kernel correction has
-        one, and it is smooth up to both circles."""
-        kernel = self.solver.kernel
-        out = np.zeros(flat.shape[0], dtype=complex)
-        for curve, dens in self._parts():
-            ws = curve.positions[None, :] - kernel.center
-            zs = flat - kernel.center
-            kern = kernel.radius**2 / (kernel.radius**2 - np.conj(ws) * zs) ** 2
-            out = out + 1j * np.sum(dens[None, :] * np.conj(curve.derivatives)[None, :]
-                                    * kern, axis=1) / curve.n
-        return out
+    def _circle_dz(self, size: np.ndarray, radius: float) -> np.ndarray:
+        """dz trace on the ccw grid of |w| = radius: one inverse FFT."""
+        n, modes = self.solver.n, self.solver.modes
+        spec = np.zeros(n, dtype=complex)
+        spec[0] = 0.5 * self.log_coefficient
+        np.add.at(spec, modes % n, modes * size * self.hol)
+        return n * np.fft.ifft(spec) / _circle_grid(radius, n)
 
-    def _log_dz(self, z):
-        return self.log_coefficient / (2.0 * (z - self.solver.domain.center))
+    def boundary_dz(self) -> np.ndarray:
+        """dz trace at the samples of ``solver.outer``."""
+        return self._circle_dz(self.solver.outer_size, self.solver.domain.outer_radius)
 
-    def boundary_dz(self) -> tuple[np.ndarray, np.ndarray]:
-        """dz traces on (outer, inner).
-
-        On the outer circle this is ``dz``; on the inner one the Cauchy
-        part takes its from-the-annulus limit.
-        """
-        inner = self.solver.inner
-        out = self._enclosing_dz(inner.positions[:, None])
-        out = out + _pv_cauchy_matrix(inner) @ self._wprime + 0.5 * self._wprime
-        out = out + self._log_dz(inner.positions)
-        return self.dz(self.solver.outer.positions), out
+    def inner_boundary_dz(self) -> np.ndarray:
+        """dz trace at the (cw) samples of ``solver.inner``."""
+        trace = self._circle_dz(self.solver.inner_size, self.solver.domain.inner_radius)
+        return trace[self.solver._flip]

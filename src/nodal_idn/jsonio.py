@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 from typing import Any
 
 import numpy as np
@@ -43,8 +44,15 @@ def _sanitize(obj: Any) -> Any:
 
 
 def dump(obj: dict, path) -> None:
-    """Write a document deterministically: sorted keys, round-trip floats."""
+    """Write a document deterministically: sorted keys, round-trip floats.
+
+    An existing regular file is unlinked first: truncating a file that was
+    just written forces a flush of its old blocks on ext4 (about 50 ms per
+    MB), while a new file costs nothing extra.
+    """
     text = json.dumps(_sanitize(obj), sort_keys=True, indent=1)
+    if os.path.isfile(path) and not os.path.islink(path):
+        os.unlink(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")

@@ -41,13 +41,3 @@ def conjugation_matrix(n: int) -> np.ndarray:
     spectrum = mult[:, None] * np.fft.fft(np.eye(n), axis=0)
     return np.fft.ifft(spectrum, axis=0).real
 
-
-def trapezoid_contour(values: np.ndarray) -> complex | np.ndarray:
-    """Periodic trapezoid rule for (1/2*pi*i) * integral over [0, 2*pi).
-
-    ``values`` already contains the full integrand including the pullback
-    factor; summation is in fixed index order for reproducibility.
-    """
-    values = np.asarray(values)
-    n = values.shape[-1]
-    return np.sum(values, axis=-1) / (1j * n)

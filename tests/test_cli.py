@@ -109,6 +109,35 @@ class TestPipelines:
         assert abs(nodes["spurious"][0][1][0]) < 1e-5
 
 
+DISK = {"kind": "disk", "radius": 1.5, "center": [0.0, 0.0]}
+ANNULUS = {"kind": "annulus", "inner_radius": 0.3, "outer_radius": 1.5,
+           "center": [0.0, 0.0]}
+
+
+def _physical_forward(tmp_path, domain, n, offset=0.0):
+    """Run the charged4 forward without prescriptions on a model whose
+    boundary samples |z| = 1.5 at t = 2*pi*(k + offset)/n."""
+    import numpy as np
+    z = 1.5 * np.exp(2j * np.pi * (np.arange(n) + offset) / n)
+    lg = np.log(np.abs(z - 1.0)) - np.log(np.abs(z + 1.0))
+    potentials = (2 * lg, 4 * lg + 2 * (z ** 2).real,
+                  6 * lg + (4.0 / 3.0 * z ** 3).real)
+
+    def pairs(a):
+        return [[complex(v).real, complex(v).imag] for v in a]
+
+    model = {"schema": "nodal-idn/model/1", "domain": domain,
+             "boundary": {"n": n, "positions": pairs(z),
+                          "derivatives": pairs(1j * z), "orientation": 1},
+             "node_groups": [pairs([1.0, -1.0])], "auxiliary_poles": []}
+    cfg = {"command": "forward", "model": "model.json", "out": "datum.json",
+           "boundary_values": [pairs(u) for u in potentials],
+           "families": [[pairs([c, -c])] for c in (1.0, 2.0, 3.0)]}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    (tmp_path / "forward.json").write_text(json.dumps(cfg))
+    return run_cli(tmp_path, "forward", "forward.json")
+
+
 class TestExitCodes:
     def test_degenerate_forward_exits_2(self, workdir):
         proc = run_cli(workdir, "forward", "degenerate.forward.json")
@@ -118,31 +147,15 @@ class TestExitCodes:
     def test_unresolved_annulus_forward_exits_2(self, tmp_path):
         # at N=64 the annulus solve misses the theta/N operator identity
         # (a SolveError), which is a bad datum, not a crash
-        import numpy as np
-        n = 64
-        z = 1.5 * np.exp(2j * np.pi * np.arange(n) / n)
-        lg = np.log(np.abs(z - 1.0)) - np.log(np.abs(z + 1.0))
-        potentials = (2 * lg, 4 * lg + 2 * (z ** 2).real,
-                      6 * lg + (4.0 / 3.0 * z ** 3).real)
-
-        def pairs(a):
-            return [[complex(v).real, complex(v).imag] for v in a]
-
-        model = {"schema": "nodal-idn/model/1",
-                 "domain": {"kind": "annulus", "inner_radius": 0.3,
-                            "outer_radius": 1.5, "center": [0.0, 0.0]},
-                 "boundary": {"n": n, "positions": pairs(z),
-                              "derivatives": pairs(1j * z), "orientation": 1},
-                 "node_groups": [pairs([1.0, -1.0])], "auxiliary_poles": []}
-        cfg = {"command": "forward", "model": "model.json",
-               "out": "datum.json",
-               "boundary_values": [pairs(u) for u in potentials],
-               "families": [[pairs([c, -c])] for c in (1.0, 2.0, 3.0)]}
-        (tmp_path / "model.json").write_text(json.dumps(model))
-        (tmp_path / "forward.json").write_text(json.dumps(cfg))
-        proc = run_cli(tmp_path, "forward", "forward.json")
+        proc = _physical_forward(tmp_path, ANNULUS, 64)
         assert proc.returncode == 2, proc.stderr
         assert "operator identity" in proc.stderr
+
+    @pytest.mark.parametrize("domain", [DISK, ANNULUS])
+    def test_boundary_off_the_fft_grid_exits_2(self, tmp_path, domain):
+        proc = _physical_forward(tmp_path, domain, 128, offset=0.5)
+        assert proc.returncode == 2, proc.stderr
+        assert "FFT circle" in proc.stderr
 
     def test_corrupted_characterize_exits_5(self, charged_outputs):
         proc = run_cli(charged_outputs, "characterize",

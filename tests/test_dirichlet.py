@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from annulus_fredholm import FredholmAnnulus
 from nodal_idn.dirichlet import (DNDatum, apply_dn, build_dn_datum,
                                  compute_theta, solve_nodal_dirichlet,
                                  verify_weak_holomorphy)
 from nodal_idn.errors import ModelError
 from nodal_idn.greens import disk_green
-from nodal_idn.model import (AdmissibleFamily, AnnulusDomain, DiskDomain,
-                             NodalDomainModel)
+from nodal_idn.model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve,
+                             DiskDomain, NodalDomainModel)
 from nodal_idn.oracles import RationalFunction
 
 
@@ -91,6 +92,15 @@ class TestNodalDirichlet:
         with pytest.raises(ModelError):
             NodalDomainModel(dom, dom.boundary(64),
                              (np.array([1.0 + 0j, -0.5 + 0j]),))
+
+    @pytest.mark.parametrize("dom", [DiskDomain(1.5), AnnulusDomain(0.3, 1.5)])
+    def test_boundary_off_the_fft_grid_rejected(self, dom):
+        # the circle solvers read data and write traces at t_k = 2*pi*k/N
+        n = 64
+        z = 1.5 * np.exp(1j * (np.arange(n) + 0.5) * 2 * np.pi / n)
+        model = NodalDomainModel(dom, BoundaryCurve(z, 1j * z))
+        with pytest.raises(ModelError, match="FFT circle"):
+            solve_nodal_dirichlet(model, None, np.ones(n))
 
     def test_annulus_charged_solve(self):
         dom = AnnulusDomain(0.4, 1.2)
@@ -304,3 +314,23 @@ def test_annulus_theta_matches_laurent_oracle():
         want = _annulus_laurent_theta(z, 0.3, u, {1.0: 1.0, -1.0: -1.0})
         gap = np.max(np.abs(theta - want)) / np.max(np.abs(want))
         assert gap < 1e-9
+
+
+def test_annulus_theta_matches_fredholm_reference():
+    # theta of U = Eu + sum 4*pi*c*G(., a) with E and G built from the
+    # layer-potential solve of tests/annulus_fredholm.py
+    n = 128
+    dom = AnnulusDomain(0.3, 1.5)
+    ref = FredholmAnnulus(dom, n)
+    charges = {1.0: 1.0, -1.0: -1.0}
+    model = NodalDomainModel(dom, ref.outer, (np.array(list(charges)),))
+    fam = AdmissibleFamily((np.array(list(charges.values())),))
+    z = ref.outer.positions
+    u = (z ** 2).real + 0.5
+    theta = compute_theta(solve_nodal_dirichlet(model, fam, u))
+    want = ref.extend(u, np.zeros(n)).dz(z)
+    for a, c in charges.items():
+        log_a = lambda w: np.log(np.abs(w - a)) / (2 * np.pi)
+        smooth = ref.extend(log_a(z), log_a(ref.inner.positions)).dz(z)
+        want = want + 4 * np.pi * c * (1 / (4 * np.pi * (z - a)) - smooth)
+    assert np.max(np.abs(theta - want)) / np.max(np.abs(want)) < 1e-9

@@ -1,17 +1,19 @@
+import itertools
 import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annulus_fredholm import FredholmAnnulus
 from nodal_idn.errors import ModelError, QuadratureError
-from nodal_idn.greens import (AnnulusHarmonicSolver, GreenKernel,
-                              NystromSystem, PrincipalGreen, disk_green,
-                              enclosing_kernel, layer_potential_T,
-                              near_boundary_threshold,
+from nodal_idn.greens import (AnnulusHarmonicSolver, AnnulusPrincipalGreen,
+                              DiskHarmonicSolver, GreenKernel, NystromSystem,
+                              PrincipalGreen, disk_green, enclosing_kernel,
+                              layer_potential_T, near_boundary_threshold,
                               solve_dirichlet_fredholm, trace_T_minus,
                               trace_T_plus)
-from nodal_idn.model import AnnulusDomain, BoundaryCurve
+from nodal_idn.model import AnnulusDomain, BoundaryCurve, DiskDomain
 from nodal_idn.oracles import fd_laplacian_check
 
 
@@ -282,7 +284,61 @@ class TestAnnulus:
 
         ext = solver.extend(harm(solver.outer.positions).astype(complex),
                             harm(solver.inner.positions).astype(complex))
-        for pts, got in zip((solver.outer.positions, solver.inner.positions),
-                            ext.boundary_dz()):
+        for pts, got in ((solver.outer.positions, ext.boundary_dz()),
+                         (solver.inner.positions, ext.inner_boundary_dz())):
             dz_exact = 0.15 / pts + 0.2 * pts - 0.075 / pts**2
             assert np.max(np.abs(got - dz_exact)) < 1e-10
+
+    def test_matches_fredholm_reference(self):
+        # the layer-potential solve of tests/annulus_fredholm.py shares no
+        # code with the Laurent solve; N = 128 keeps its O(N^3) cheap
+        dom = AnnulusDomain(0.3, 1.5)
+        solver, ref = AnnulusHarmonicSolver(dom, 128), FredholmAnnulus(dom, 128)
+        # beyond the reference's near-boundary limit from both circles
+        pts = np.array([0.7 + 0.1j, -0.6 + 0.3j, 0.7j, 0.5 - 0.5j, 0.55, -0.6j])
+        data = (lambda z: np.log(np.abs(z - 0.9 - 0.3j)),
+                lambda z: (0.4 * np.log(np.abs(z)) + (0.2 * z**2).real
+                           + 0.3j * (0.15 / z).imag))
+        for harm in data:
+            u_outer = harm(solver.outer.positions).astype(complex)
+            u_inner = harm(solver.inner.positions).astype(complex)
+            got = solver.extend(u_outer, u_inner)
+            want = ref.extend(u_outer, u_inner)
+            assert np.max(np.abs(got.value(pts) - want.value(pts))) < 1e-12
+            assert np.max(np.abs(got.dz(pts) - want.dz(pts))) < 1e-12
+            outer = want.dz(solver.outer.positions)
+            assert np.max(np.abs(got.boundary_dz() - outer)) < 1e-11
+            inner = want.inner_boundary_dz()
+            assert np.max(np.abs(got.inner_boundary_dz() - inner)) < 1e-11
+
+    def test_extension_is_harmonic(self):
+        solver = AnnulusHarmonicSolver(AnnulusDomain(0.3, 1.5), 256)
+        harm = lambda z: np.log(np.abs(z - 0.9 - 0.3j)) + 0.5j * np.abs(z) ** 2
+        ext = solver.extend(harm(solver.outer.positions),
+                            harm(solver.inner.positions))
+        pts = np.array([0.5 + 0.2j, -0.8 + 0.4j, 1.1j, -0.4 - 0.6j])
+        assert fd_laplacian_check(ext.value, pts, 1e-3) < 1e-5
+
+    def test_principal_green_symmetric_and_zero_on_circles(self, rng):
+        dom = AnnulusDomain(0.3, 1.5)
+        green = AnnulusPrincipalGreen(AnnulusHarmonicSolver(dom, 256))
+        sources = (0.9 + 0.3j, -0.5 + 0.4j, 0.2 - 1.1j, 0.45)
+        for z, a in itertools.permutations(sources, 2):
+            assert abs(green(z, a) - green(a, z)) < 1e-12
+        # off the sample grid, on both circles
+        unit = np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
+        for a in sources:
+            for radius in (dom.inner_radius, dom.outer_radius):
+                assert np.max(np.abs(green(radius * unit, a))) < 1e-10
+
+
+class TestDiskTrace:
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_fft_trace_matches_power_sums(self, n):
+        dom = DiskDomain(1.5)
+        z = dom.boundary(n).positions
+        u = np.log(np.abs(z - 1.0)) - np.log(np.abs(z + 1.0)) + (z**2).real
+        ext = DiskHarmonicSolver(dom, n).extend(u.astype(complex))
+        want = ext.dz(z)
+        gap = np.max(np.abs(ext.boundary_dz() - want)) / np.max(np.abs(want))
+        assert gap < 1e-12

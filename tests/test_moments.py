@@ -187,11 +187,16 @@ class TestRecoverFibers:
                     min_size=2, max_size=16, unique=True))
     @example([0, 1, 13, 16, 18, 14, 15, 11])
     @example([-7, -8, -9, -12, -11, -10, -14])
+    @example([9, 10, 11, 12, 13, 14, 20])
     @settings(max_examples=60, deadline=None)
     def test_newton_round_trip(self, grid_points):
-        # integer lattice points scaled to guarantee separation > 0.3
+        # integer lattice points scaled to guarantee separation > 0.3; the
+        # sums handed over are rounded, and their exact roots can sit beyond
+        # 1e-9 from the lattice (1.1e-9 for the last example), so the
+        # reference is the exact roots of the rounded sums
         roots = np.array([0.3 * g + 0.18j * abs(g) for g in grid_points[:8]])
-        _assert_round_trip(roots)
+        sums = _power_sums(roots)
+        _assert_covers(recover_fibers(sums, roots.size), _exact_roots(sums))
 
     @given(st.lists(st.integers(min_value=-20, max_value=20),
                     min_size=2, max_size=16, unique=True))
@@ -206,11 +211,33 @@ class TestRecoverFibers:
         _assert_round_trip(roots)
 
 
-def _assert_round_trip(roots):
-    sums = np.array([np.sum(roots**m) for m in range(1, roots.size + 1)])
-    got = recover_fibers(sums, roots.size)
-    for val in roots:
+def _power_sums(roots):
+    return np.array([np.sum(roots**m) for m in range(1, roots.size + 1)])
+
+
+def _exact_roots(sums):
+    """Roots of the given power sums in 60-digit arithmetic: Newton's
+    identities for the elementary symmetric functions, then mpmath's
+    polyroots.  Shares no code with the engine."""
+    import mpmath
+    with mpmath.workdps(60):
+        p = [mpmath.mpc(complex(s)) for s in sums]
+        e = [mpmath.mpc(1)]
+        for k in range(1, len(p) + 1):
+            e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1]
+                         for i in range(1, k + 1)) / k)
+        coeffs = [(-1) ** k * e[k] for k in range(len(e))]
+        found = mpmath.polyroots(coeffs, maxsteps=500, extraprec=200)
+        return np.array([complex(r) for r in found])
+
+
+def _assert_covers(got, reference):
+    for val in reference:
         assert np.min(np.abs(got - val)) < 1e-9
+
+
+def _assert_round_trip(roots):
+    _assert_covers(recover_fibers(_power_sums(roots), roots.size), roots)
 
 
 class TestEngineRoots:

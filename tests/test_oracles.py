@@ -101,13 +101,13 @@ def test_oracles_are_engine_independent():
         short = mod.split(".")[1]
         assert f"from .{short}" not in source
         assert f"import {mod}" not in source
-    # and the inverse engine must not borrow oracle code, or the oracle
-    # tests would compare the engine with itself
+    # and neither the solvers nor the inverse engine may borrow oracle code,
+    # or the oracle tests would compare the engine with itself
     oracle_import = re.compile(
         r"^\s*(from\s+(\.|nodal_idn\.)oracles\s+import"
         r"|import\s+nodal_idn\.oracles"
         r"|from\s+(\.|nodal_idn)\s+import\s+.*\boracles\b)", re.M)
-    for name in ("moments", "nodes", "characterize"):
+    for name in ("model", "greens", "moments", "nodes", "characterize"):
         engine = importlib.import_module(f"nodal_idn.{name}")
         source = open(engine.__file__).read()
         assert oracle_import.search(source) is None, name
