@@ -117,12 +117,12 @@ def shock_residual(datum: DNDatum, center: tuple, extent: float,
 
     p_ref = pencil_fibers(datum, grid[0][0], grid[0][1])
     p = p_ref.size
+    bases = [p_ref] + [pencil_fibers(datum, x0, x1, p=p) for x0, x1 in grid[1:]]
     results = {}
     for d in (delta, delta / 2):
         max_shock = 0.0
         max_flat = 0.0
-        for (x0, x1) in grid:
-            base = pencil_fibers(datum, x0, x1, p=p)
+        for (x0, x1), base in zip(grid, bases):
             if p == 0:
                 flat = (compute_G(datum, x0 + d, x1) - 2 * compute_G(datum, x0, x1)
                         + compute_G(datum, x0 - d, x1)) / d ** 2
@@ -143,11 +143,10 @@ def shock_residual(datum: DNDatum, center: tuple, extent: float,
     coarse, fine = results[delta], results[delta / 2]
     flat_band = _xi0_curvature(datum, grid, extent)
     g_values = [compute_G(datum, x0, x1) for x0, x1 in grid]
-    fibers = [pencil_fibers(datum, x0, x1, p=p) for x0, x1 in grid]
     return ShockReport(grid, p, delta, fine[0], fine[1],
                        _safe_ratio(coarse[0], fine[0]),
                        _safe_ratio(coarse[1], fine[1]), flat_band,
-                       g_values, fibers)
+                       g_values, bases)
 
 
 def _xi0_curvature(datum, grid, extent: float) -> float:

@@ -137,16 +137,24 @@ def cmd_residues(cfg: PipelineConfig) -> int:
     datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
     curve = ReconstructedCurve.from_json(jsonio.load(cfg.path("curve")))
     radius = float(cfg.path("contour_radius", 0.05))
-    candidates = locate_singularities(curve, datum)
-    reports = [analyze_singular_point(datum, curve, c, contour_radius=radius)
-               for c in candidates]
     try:
-        inventory = classify_and_partition(reports, datum)
+        inventory = _node_inventory(curve, datum, radius)
+    except (FiberError, MomentError) as exc:
+        print(f"residues: contour tracking failed: {exc}", file=sys.stderr)
+        return EXIT_INVERSION
     except PartitionError as exc:
         print(f"residues: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     jsonio.dump(inventory.to_json(), cfg.out or "nodes.json")
     return 0
+
+
+def _node_inventory(curve: ReconstructedCurve, datum: DNDatum, radius: float):
+    """Candidates, their contour reports and the classified inventory."""
+    candidates = locate_singularities(curve, datum)
+    reports = analyze_singular_point(datum, curve, candidates,
+                                     contour_radius=radius)
+    return classify_and_partition(reports, datum)
 
 
 def cmd_characterize(cfg: PipelineConfig) -> int:
@@ -238,13 +246,12 @@ def cmd_compact(cfg: PipelineConfig) -> int:
         print(f"compact: inversion failed: {exc}", file=sys.stderr)
         return EXIT_INVERSION
     jsonio.dump(curve.to_json(), f"{prefix}.curve.json")
-    candidates = locate_singularities(curve, datum)
-    reports = [analyze_singular_point(datum, curve, c,
-                                      contour_radius=float(
-                                          doc.get("contour_radius", 0.05)))
-               for c in candidates]
     try:
-        inventory = classify_and_partition(reports, datum)
+        inventory = _node_inventory(curve, datum,
+                                    float(doc.get("contour_radius", 0.05)))
+    except (FiberError, MomentError) as exc:
+        print(f"compact: contour tracking failed: {exc}", file=sys.stderr)
+        return EXIT_INVERSION
     except PartitionError as exc:
         print(f"compact: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

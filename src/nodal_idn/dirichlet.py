@@ -56,7 +56,11 @@ class HarmonicDistribution:
         pts = model.boundary.positions
         self._trace_re = ext_re.boundary_dz()
         self._trace_im = ext_im.boundary_dz()
-        self._charge_traces = [green.dz(pts, a) for a in charge_points]
+        # the annulus extension's dz builds an N x N basis at N points;
+        # its FFT trace gives the same values on gamma
+        trace = green.boundary_dz if isinstance(green, AnnulusPrincipalGreen) \
+            else green.dz
+        self._charge_traces = [trace(pts, a) for a in charge_points]
 
     @property
     def curve(self) -> BoundaryCurve:

@@ -2,7 +2,17 @@
 
 
 class NodalIdnError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors.
+
+    A batched computation that fails on some of its rows only says which:
+    ``failed`` is the boolean mask of those rows and ``partial`` the output,
+    whose other rows are valid.  Both are None for an error of the whole call.
+    """
+
+    def __init__(self, message: str = "", failed=None, partial=None):
+        super().__init__(message)
+        self.failed = failed
+        self.partial = partial
 
 
 class ModelError(NodalIdnError):

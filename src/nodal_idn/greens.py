@@ -306,6 +306,11 @@ class AnnulusPrincipalGreen:
         """Coefficient of dz in the z-derivative."""
         return self.mundane.dz(z, a) - self._extension(a).dz(z)
 
+    def boundary_dz(self, z, a):
+        """``dz`` at the samples z of the outer circle: the extension's part
+        is its FFT trace there."""
+        return self.mundane.dz(z, a) - self._extension(a).boundary_dz()
+
 
 def _circle_modes(u: np.ndarray, n: int):
     """Mean and the coefficients of e^{ikt}, e^{-ikt}, k = 1..N/2, of data

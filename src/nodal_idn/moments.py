@@ -46,6 +46,7 @@ class MomentEngine:
         self.theta = theta
         self.spacings = spacings
         self._dgamma = curve.derivatives
+        self._powers = np.empty((0, self.f1.size), dtype=complex)
 
     @staticmethod
     def from_datum(datum: DNDatum) -> "MomentEngine":
@@ -53,11 +54,14 @@ class MomentEngine:
 
     def check_off_curve(self, xi) -> None:
         """Trust plain quadrature only when the pole of (f2 - xi)^(-1) stays
-        several grid spacings away from the parameter line."""
+        several grid spacings away from the parameter line; the error's
+        ``failed`` marks the points that do not."""
         xi = np.atleast_1d(np.asarray(xi, dtype=complex))
         ratio = np.abs(xi[:, None] - self.f2[None, :]) / np.abs(self.df2)[None, :]
-        if np.any(np.min(ratio, axis=1) < self.spacings * 2 * np.pi / self.curve.n):
-            raise MomentError("on-curve evaluation: xi too close to f2(gamma)")
+        near = np.min(ratio, axis=1) < self.spacings * 2 * np.pi / self.curve.n
+        if np.any(near):
+            raise MomentError("on-curve evaluation: xi too close to f2(gamma)",
+                              failed=near)
 
     def moments(self, orders, xi) -> np.ndarray:
         """M_m(xi) for every m in orders; returns shape (len(orders), len(xi))."""
@@ -81,9 +85,19 @@ class MomentEngine:
         xi = np.atleast_1d(np.asarray(xi, dtype=complex))
         self.check_off_curve(xi)
         cauchy = 1.0 / (self.f2[:, None] - xi[None, :])
-        rows = weights[:, None, :] * self.f1[None, None, :] ** orders[None, :, None]
+        rows = weights[:, None, :] * self._f1_powers(orders)[None, :, :]
         out = rows.reshape(-1, self.curve.n) @ cauchy / (1j * self.curve.n)
         return out.reshape(len(weights), orders.size, xi.size)
+
+    def _f1_powers(self, orders: np.ndarray) -> np.ndarray:
+        """Rows f1^m for m in orders, from a table of f1^0, f1^1, ... that
+        is kept and grows by the rows up to the highest order asked."""
+        have = len(self._powers)
+        top = int(orders.max(initial=0))
+        if have <= top:
+            grown = self.f1[None, :] ** np.arange(have, top + 1)[:, None]
+            self._powers = np.concatenate([self._powers, grown])
+        return self._powers[orders]
 
     def far_probe_points(self, count: int) -> np.ndarray:
         center = complex(np.mean(self.f2))
@@ -235,17 +249,17 @@ def eliminate_polynomial_part(xi: np.ndarray, values: np.ndarray, m: int,
 
 
 def newton_power_sums_to_coefficients(power_sums: np.ndarray) -> np.ndarray:
-    """Elementary symmetric e_1..e_p from power sums S_1..S_p."""
+    """Elementary symmetric e_1..e_p from power sums S_1..S_p (last axis)."""
     s = np.asarray(power_sums, dtype=complex)
-    p = s.size
-    e = np.zeros(p + 1, dtype=complex)
-    e[0] = 1.0
-    for k in range(1, p + 1):
+    # (-1)^(i-1) S_i; moving the sign from e to S is exact
+    signed = np.moveaxis(s * (-1) ** np.arange(s.shape[-1]), -1, 0)
+    e = [np.ones(s.shape[:-1], dtype=complex)]
+    for k in range(1, len(signed) + 1):
         acc = 0.0 + 0.0j
         for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * s[i - 1]
-        e[k] = acc / k
-    return e[1:]
+            acc = acc + e[k - i] * signed[i - 1]
+        e.append(acc / k)
+    return np.stack(e[1:], axis=-1)
 
 
 def companion_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -254,40 +268,52 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 def roots_from_power_sums(power_sums: np.ndarray) -> np.ndarray:
-    """Monic-polynomial roots whose power sums are the given S_1..S_p."""
+    """Monic-polynomial roots whose power sums are the given S_1..S_p.
+
+    Batched over leading axes: one stacked eigenvalue solve on companion
+    matrices built as ``np.roots`` builds them.  A row whose constant
+    coefficient is exactly zero goes through ``np.roots``, which deflates
+    the zero roots.
+    """
     e = newton_power_sums_to_coefficients(power_sums)
-    p = e.size
-    # z^p - e1 z^(p-1) + e2 z^(p-2) - ... ; ascending coefficients
-    coeffs = np.zeros(p + 1, dtype=complex)
-    coeffs[p] = 1.0
-    for k in range(1, p + 1):
-        coeffs[p - k] = (-1) ** k * e[k - 1]
-    return companion_roots(coeffs)
+    p = e.shape[-1]
+    # z^p - e1 z^(p-1) + e2 z^(p-2) - ... ; descending coefficients after 1
+    desc = ((-1) ** np.arange(1, p + 1) * e).reshape(-1, p)
+    companion = np.zeros((len(desc), p, p), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(p - 1)
+    companion[:, 0, :] = -desc / (1.0 + 0.0j)   # over the leading coefficient
+    roots = np.linalg.eigvals(companion)
+    for row in np.flatnonzero(desc[:, -1] == 0):
+        roots[row] = companion_roots(np.r_[desc[row, ::-1], 1.0])
+    return roots.reshape(e.shape)
 
 
 def _power_sum_defect(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
-    """(sum_j h_j^m - S_m) for m = 1..len(power_sums), in extended precision.
+    """(sum_j h_j^m - S_m) for m = 1..S.shape[-1], in extended precision.
 
     The powers are running products in ``clongdouble``, so the defect of
     roots that fit the power sums is not lost to the rounding of h^m.
+    Batched over leading axes.
     """
     h = np.asarray(roots, dtype=np.clongdouble)
-    powers = np.repeat(h[None, :], power_sums.size, axis=0)
-    return np.cumprod(powers, axis=0, out=powers).sum(axis=1) - power_sums
+    powers = np.repeat(h[..., None, :], power_sums.shape[-1], axis=-2)
+    return np.cumprod(powers, axis=-2, out=powers).sum(axis=-1) - power_sums
 
 
 def _refine_roots(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
-    """Up to two Newton steps on h -> (sum_j h_j^m)_{m<=p} against S_1..S_p.
+    """Up to two Newton steps on h -> (sum_j h_j^m)_{m<=p} against S_1..S_p,
+    for each row of roots (B, p) and power sums (B, p).
 
     The companion eigenvalues carry the rounding of the Newton-identity
     coefficients; these steps fit the roots to the power sums themselves.
     Roots and defect are kept in extended precision and only the Jacobian
     solve is done in double (iterative refinement), so the roots converge
     to the exact roots of the given sums rather than stalling at the
-    double-precision rounding of the clustered high powers. The steps stop
-    once they fall below the double resolution of every root. A step is
-    kept only when it lowers the defect, so a near-singular Jacobian
-    (roots about to collide) cannot throw the roots off.
+    double-precision rounding of the clustered high powers.  A row stops
+    once its step falls below the double resolution of every root, when a
+    step would not lower its defect (a near-singular Jacobian, roots about
+    to collide, cannot throw the roots off), or when its Jacobian is
+    singular; the other rows go on.
 
     This needs a long double wider than double (``np.finfo(np.longdouble)
     .nmant > 52``): the 80-bit x87 format on x86-64, IEEE quad on aarch64
@@ -295,24 +321,53 @@ def _refine_roots(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
     arm64) the steps are plain double steps, which can stall about 2e-7
     from the exact roots of clustered fibers.
     """
-    orders = np.arange(1, roots.size + 1)
-    roots = np.asarray(roots, dtype=np.clongdouble)
+    orders = np.arange(1, roots.shape[-1] + 1)
+    roots = np.array(roots, dtype=np.clongdouble)
     defect = _power_sum_defect(roots, power_sums)
+    live = np.ones(len(roots), dtype=bool)
     for _ in range(2):
         h = roots.astype(complex)
-        jac = orders[:, None] * h[None, :] ** (orders[:, None] - 1)
-        try:
-            step = np.linalg.solve(jac, defect.astype(complex))
-        except np.linalg.LinAlgError:
-            break
-        if np.all(np.abs(step) <= DOUBLE_EPS * np.abs(h)):
+        jac = orders[:, None] * h[:, None, :] ** (orders[:, None] - 1)
+        step, solved = _solve_rows(jac, defect.astype(complex))
+        live &= solved & ~np.all(np.abs(step) <= DOUBLE_EPS * np.abs(h), axis=1)
+        if not live.any():
             break
         trial = roots - step
         trial_defect = _power_sum_defect(trial, power_sums)
-        if np.max(np.abs(trial_defect)) >= np.max(np.abs(defect)):
-            break
-        roots, defect = trial, trial_defect
+        live &= (np.max(np.abs(trial_defect), axis=1)
+                 < np.max(np.abs(defect), axis=1))
+        roots[live], defect[live] = trial[live], trial_defect[live]
     return roots.astype(complex)
+
+
+def _solve_rows(matrices: np.ndarray, rhs: np.ndarray):
+    """Solve each system of the stack (B, p, p) x = (B, p); returns the
+    solutions and the mask of the systems that are not singular (their
+    solution rows are zero)."""
+    try:
+        return (np.linalg.solve(matrices, rhs[..., None])[..., 0],
+                np.ones(rhs.shape[0], dtype=bool))
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(rhs)
+    solved = np.zeros(rhs.shape[0], dtype=bool)
+    for row in range(rhs.shape[0]):
+        try:
+            out[row] = np.linalg.solve(matrices[row], rhs[row])
+            solved[row] = True
+        except np.linalg.LinAlgError:
+            pass
+    return out, solved
+
+
+def _match_rows(previous: np.ndarray, new: np.ndarray):
+    """Order each row of ``new`` to follow the same row of ``previous`` by
+    nearest neighbor; returns the ordered rows and the mask of the rows
+    where the assignment collides (two predecessors claim one root)."""
+    choice = np.argmin(np.abs(previous[:, :, None] - new[:, None, :]), axis=2)
+    ordered = np.sort(choice, axis=1)
+    collided = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    return np.take_along_axis(new, choice, axis=1), collided
 
 
 def match_roots(previous: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -322,27 +377,49 @@ def match_roots(previous: np.ndarray, new: np.ndarray) -> np.ndarray:
     """
     if previous is None:
         return np.sort_complex(new)
-    dist = np.abs(previous[:, None] - new[None, :])
-    choice = np.argmin(dist, axis=1)
-    if np.unique(choice).size != choice.size:
+    matched, collided = _match_rows(np.atleast_2d(previous), np.atleast_2d(new))
+    if collided.any():
         raise FiberError("root matching collision: decrease grid step")
-    return new[choice]
+    return matched.reshape(np.shape(new))
 
 
 def recover_fibers(power_sums: np.ndarray, p: int,
                    previous: np.ndarray | None = None) -> np.ndarray:
-    """Fiber roots h_1..h_p from power sums, continuation-ordered."""
+    """Fiber roots h_1..h_p from power sums, continuation-ordered.
+
+    ``power_sums`` holds S_1, S_2, ... on its last axis and may carry
+    leading batch axes; the roots come from S_1..S_p and are checked
+    against S_1..S_2p.  Without ``previous`` the roots of a row are sorted,
+    with it they follow its same row.  A FiberError names the first row
+    at fault; its ``failed`` marks every such row and ``partial`` holds
+    the roots of all rows.
+    """
     if p < 1:
         raise FiberError("sheet count must be at least 1")
     s = np.asarray(power_sums, dtype=complex)
-    roots = _refine_roots(roots_from_power_sums(s[:p]), s[:p])
-    matched = match_roots(previous, roots)
-    check = s[:2 * p]
+    shape = s.shape[:-1] + (p,)
+    s = s.reshape(-1, s.shape[-1])
+    roots = _refine_roots(roots_from_power_sums(s[:, :p]), s[:, :p])
+    if previous is None:
+        matched, collided = np.sort_complex(roots), np.zeros(len(s), dtype=bool)
+    else:
+        matched, collided = _match_rows(
+            np.asarray(previous, dtype=complex).reshape(-1, p), roots)
+    check = s[:, :2 * p]
     defect = np.abs(_power_sum_defect(matched, check))
-    bad = np.flatnonzero(defect > POWER_SUM_TOL * np.maximum(1.0, np.abs(check)))
-    if bad.size:
-        raise FiberError(f"power-sum consistency failed at order {bad[0] + 1}: "
-                         f"{defect[bad[0]]:.3e}")
+    bad = defect > POWER_SUM_TOL * np.maximum(1.0, np.abs(check))
+    matched = matched.reshape(shape)
+    if collided.any() or bad.any():
+        failed = collided | np.any(bad, axis=1)
+        row = int(np.argmax(failed))
+        if collided[row]:
+            message = "root matching collision: decrease grid step"
+        else:
+            k = int(np.argmax(bad[row]))
+            message = (f"power-sum consistency failed at order {k + 1}: "
+                       f"{defect[row, k]:.3e}")
+        raise FiberError(message, failed=failed.reshape(shape[:-1]),
+                         partial=matched)
     return matched
 
 
@@ -441,13 +518,12 @@ def analyze_window(engine: MomentEngine, center: complex, radius: float,
     for m in range(1, table.max_order + 1):
         power_sums[m] = eliminate_polynomial_part(
             grid, table.moments[m], m, far_xi=far, far_values=far_rows[m]).s_values
-    snake = _snake_order(table.grid_shape)
+    sums = np.stack([power_sums[m] for m in range(1, table.max_order + 1)], axis=1)
+    unordered = recover_fibers(sums, p)
     roots = np.zeros((g, p), dtype=complex)
     prev = None
-    for idx in snake:
-        roots[idx] = recover_fibers(
-            np.array([power_sums[m][idx] for m in range(1, table.max_order + 1)]),
-            p, previous=prev)
+    for idx in _snake_order(table.grid_shape):
+        roots[idx] = match_roots(prev, unordered[idx])
         if prev is not None and p > 1:
             seps = np.abs(prev[:, None] - prev[None, :])
             np.fill_diagonal(seps, np.inf)
@@ -609,35 +685,78 @@ def _stitch_pair(a: FiberWindow, b: FiberWindow) -> np.ndarray:
     return sigma
 
 
-def continue_fibers(engine: MomentEngine, p: int, path: np.ndarray,
-                    start_roots: np.ndarray | None = None,
+def continue_fibers(engine: MomentEngine, p: int, paths: np.ndarray,
+                    start_xi: np.ndarray, start_roots: np.ndarray,
                     max_halvings: int = 6) -> np.ndarray:
-    """Track the p fiber roots along a path of xi values.
+    """Track the p fiber roots along B paths of L points each, in lockstep.
 
-    The step is recursively halved when nearest-neighbor matching collides.
+    ``paths`` is (B, L); path b starts from the point ``start_xi[b]``,
+    where its roots are ``start_roots[b]``.  Each step solves every live
+    path with one kernel call and one batched root recovery.  A path whose
+    matching collides or whose roots fail the power-sum check has its step
+    halved, recursively, alone with the other such paths.  Returns
+    (B, L, p).  If paths fail for good (or leave the quadrature's reach),
+    the error of the first one is raised, with ``failed`` marking them and
+    ``partial`` holding the tracked roots of the others.
     """
-    path = np.asarray(path, dtype=complex)
-    out = np.zeros((path.size, p), dtype=complex)
-    prev = start_roots
-    prev_xi = None
-    for i, xi in enumerate(path):
-        prev = _step_fiber(engine, p, prev_xi, prev, xi, max_halvings)
-        out[i] = prev
-        prev_xi = xi
+    paths = np.asarray(paths, dtype=complex)
+    out = np.zeros(paths.shape + (p,), dtype=complex)
+    xi = np.asarray(start_xi, dtype=complex).reshape(len(paths))
+    roots = np.array(start_roots, dtype=complex).reshape(len(paths), p)
+    errors = np.full(len(paths), None, dtype=object)
+    for i in range(paths.shape[1]):
+        live = np.flatnonzero(_succeeded(errors))
+        roots[live], errors[live] = _advance(engine, p, xi[live], paths[live, i],
+                                             roots[live], max_halvings)
+        out[:, i] = roots
+        xi = paths[:, i]
+    failed = ~_succeeded(errors)
+    if failed.any():
+        error = errors[np.argmax(failed)]
+        raise type(error)(str(error), failed=failed, partial=out)
     return out
 
 
-def _step_fiber(engine: MomentEngine, p: int, xi_from, roots_from,
-                xi_to, budget: int) -> np.ndarray:
-    s = engine.moments(range(1, 2 * p + 1), [xi_to])[:, 0]
+def _succeeded(errors: np.ndarray) -> np.ndarray:
+    return np.array([e is None for e in errors], dtype=bool)
+
+
+def _advance(engine: MomentEngine, p: int, xi_from: np.ndarray,
+             xi_to: np.ndarray, roots_from: np.ndarray, budget: int):
+    """One continuation step of each row, from (xi_from, roots_from) to
+    xi_to: the roots there and, per row, the error that stopped it (None
+    for the rows that arrived)."""
+    errors = np.full(xi_to.size, None, dtype=object)
+    if not xi_to.size:
+        return roots_from.copy(), errors
     try:
-        return recover_fibers(s, p, previous=roots_from)
-    except FiberError:
-        if budget <= 0 or xi_from is None:
+        sums = engine.moments(range(1, 2 * p + 1), xi_to)
+    except MomentError as exc:
+        if exc.failed is None:
             raise
-    mid = 0.5 * (xi_from + xi_to)
-    middle = _step_fiber(engine, p, xi_from, roots_from, mid, budget - 1)
-    return _step_fiber(engine, p, mid, middle, xi_to, budget - 1)
+        errors[exc.failed] = exc
+        ok = ~exc.failed
+        roots = roots_from.copy()
+        roots[ok], errors[ok] = _advance(engine, p, xi_from[ok], xi_to[ok],
+                                         roots_from[ok], budget)
+        return roots, errors
+    try:
+        return recover_fibers(sums.T, p, previous=roots_from), errors
+    except FiberError as exc:
+        if exc.failed is None:
+            raise
+        roots, bad = exc.partial, np.flatnonzero(exc.failed)
+        if budget <= 0:
+            errors[bad] = exc
+            return roots, errors
+    mid = 0.5 * (xi_from[bad] + xi_to[bad])
+    middle, errors[bad] = _advance(engine, p, xi_from[bad], mid, roots_from[bad],
+                                   budget - 1)
+    arrived = _succeeded(errors[bad])
+    rows = bad[arrived]
+    roots[rows], errors[rows] = _advance(engine, p, mid[arrived], xi_to[rows],
+                                         middle[arrived], budget - 1)
+    return roots, errors
 
 
 def _cr_residual(values: np.ndarray, spacing: float) -> float:

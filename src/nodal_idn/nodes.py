@@ -18,7 +18,7 @@ import numpy as np
 
 from . import jsonio
 from .dirichlet import DNDatum
-from .errors import FiberError, MonodromyError, PartitionError
+from .errors import FiberError, MomentError, MonodromyError, PartitionError
 from .model import finest_zero_sum_partition, is_generic_family
 from .moments import (FiberWindow, MomentEngine, ReconstructedCurve,
                       companion_roots, continue_fibers, recover_form_quotient,
@@ -45,16 +45,40 @@ class SingularPointCandidate:
         return (self.h, self.xi)
 
 
-def _sheet_values_at(engine: MomentEngine, window: FiberWindow, xi: complex,
+def _sheet_values_at(engine: MomentEngine, windows: list, xi,
                      steps: int = 12) -> np.ndarray:
-    """Continuation of all window sheets from the nearest grid point to xi."""
-    k = int(np.argmin(np.abs(window.grid - xi)))
-    start_xi = window.grid[k]
-    start = window.roots[k]
-    if abs(xi - start_xi) == 0.0:
-        return start.copy()
-    path = start_xi + (xi - start_xi) * (np.arange(1, steps + 1) / steps)
-    return continue_fibers(engine, window.p, path, start_roots=start)[-1]
+    """All sheets of windows[b] at xi[b], continued from the window's grid
+    point nearest to xi[b]; the walks of every b advance together (the
+    windows share one sheet count).  Returns (B, p)."""
+    xi = np.asarray(xi, dtype=complex)
+    grid_xi, grid_roots = _nearest_grid_points(windows, xi)
+    walks = _walks(grid_xi, xi, steps)
+    return continue_fibers(engine, windows[0].p, walks, grid_xi, grid_roots)[:, -1]
+
+
+def _nearest_grid_points(windows: list, xi: np.ndarray):
+    """The grid point of windows[b] nearest to xi[b] and its roots."""
+    nearest = [int(np.argmin(np.abs(w.grid - x))) for w, x in zip(windows, xi)]
+    return (np.array([w.grid[k] for w, k in zip(windows, nearest)]),
+            np.array([w.roots[k] for w, k in zip(windows, nearest)]))
+
+
+def _walks(start: np.ndarray, end: np.ndarray, steps: int) -> np.ndarray:
+    """(B, steps) straight walks from start[b] to end[b], start excluded."""
+    return start[:, None] + (end - start)[:, None] * (np.arange(1, steps + 1) / steps)
+
+
+@dataclass
+class _Crossing:
+    """A seed of the refinement of one sheet crossing, and its state."""
+
+    window_index: int
+    window: FiberWindow
+    pair: tuple
+    center: complex
+    rho: float
+    fit: dict | None = None
+    live: bool = True
 
 
 def locate_singularities(curve: ReconstructedCurve, datum: DNDatum,
@@ -69,12 +93,24 @@ def locate_singularities(curve: ReconstructedCurve, datum: DNDatum,
     discarded, as are pairs with near-equal or runaway slopes.
     """
     engine = MomentEngine.from_datum(datum)
-    candidates: list[SingularPointCandidate] = []
+    seeds = _crossing_seeds(curve, fit_degree)
+    _refine_crossings(engine, seeds)
+    candidates = []
+    for seed in seeds:
+        scale_h = max(1.0, float(np.max(np.abs(seed.window.roots))))
+        found = _accept_crossing(seed, tau_factor * seed.window.radius * scale_h)
+        if found is not None:
+            candidates.append(found)
+    return _cluster_candidates(candidates)
+
+
+def _crossing_seeds(curve: ReconstructedCurve, fit_degree: int) -> list:
+    """One crossing per root of the polynomial model of every sheet
+    difference, per window; roots far outside the window are skipped."""
+    seeds = []
     for widx, window in enumerate(curve.windows):
         if window.p < 2:
             continue
-        tau_sing = tau_factor * window.radius
-        scale_h = max(1.0, float(np.max(np.abs(window.roots))))
         x = (window.grid - window.center) / window.radius
         basis = np.vander(x, fit_degree + 1, increasing=True)
         for j in range(window.p):
@@ -84,60 +120,86 @@ def locate_singularities(curve: ReconstructedCurve, datum: DNDatum,
                 for root in companion_roots(coeffs):
                     if abs(root) > 3.0:
                         continue
-                    seed = window.center + root * window.radius
-                    refined = _refine_crossing(engine, window, j, k, seed,
-                                               tau_sing * scale_h)
-                    if refined is not None:
-                        candidates.append(SingularPointCandidate(
-                            refined[0], refined[1], widx, (j, k),
-                            (refined[2], refined[3])))
-    return _cluster_candidates(candidates)
+                    seeds.append(_Crossing(widx, window, (j, k),
+                                           window.center + root * window.radius,
+                                           0.05 * window.radius))
+    return seeds
 
 
-def _refine_crossing(engine, window, j, k, seed, tol, iterations: int = 3,
-                     circle_nodes: int = 16):
-    """Locate the zero of h_j - h_k from fits on small circles.
+def _refine_crossings(engine: MomentEngine, crossings: list,
+                      iterations: int = 3, circle_nodes: int = 16,
+                      steps: int = 12) -> None:
+    """Locate the zero of h_j - h_k of every crossing from fits on small
+    circles.
 
     Sheets cannot be tracked into the collision itself, so the difference is
     modelled by a quadratic fitted on a circle around the current estimate
-    and the model root re-centers the circle.  Branch-point collisions leave
-    a large fit residual (a square-root singularity inside the circle) and
-    are rejected, as are non-transverse slope pairs.
+    and the model root re-centers the circle.  Each round, the crossings
+    still live whose windows share a sheet count are tracked together: a
+    walk from the window grid to the circle, then around it.  A crossing
+    whose tracking fails (or comes too close to f2(gamma)) or whose fit
+    breaks down is dropped, alone.
     """
-    from .errors import MomentError
-    center = complex(seed)
-    rho = 0.05 * window.radius
     ang = 2 * np.pi * np.arange(circle_nodes) / circle_nodes
-    fit = None
-    try:
-        for _ in range(iterations):
-            start = center + rho * np.exp(1j * ang[0])
-            seed_roots = _sheet_values_at(engine, window, start)
-            circle = center + rho * np.exp(1j * ang[1:])
-            rows = continue_fibers(engine, window.p, circle,
-                                   start_roots=seed_roots)
-            values = np.vstack([seed_roots[None, :], rows])
-            fit = _circle_fit(center, rho, ang, values, j, k)
-            if fit is None:
-                return None
-            step = fit["root"] - center
-            center = fit["root"]
-            if abs(step) > 5 * rho:   # model untrustworthy that far out
-                rho = min(abs(step), window.radius)
-            elif abs(step) < 0.05 * rho:
-                break
-            rho = max(2 * abs(step), 0.2 * rho)
-    except (FiberError, MomentError):
-        return None
+    for _ in range(iterations):
+        live = [c for c in crossings if c.live]
+        for p in sorted({c.window.p for c in live}):
+            group = [c for c in live if c.window.p == p]
+            centers = np.array([c.center for c in group])
+            rho = np.array([c.rho for c in group])
+            start = centers + rho * np.exp(1j * ang[0])
+            circles = centers[:, None] + rho[:, None] * np.exp(1j * ang[1:])
+            grid_xi, grid_roots = _nearest_grid_points(
+                [c.window for c in group], start)
+            paths = np.hstack([_walks(grid_xi, start, steps), circles])
+            try:
+                tracks = continue_fibers(engine, p, paths, grid_xi, grid_roots)
+                failed = np.zeros(len(group), dtype=bool)
+            except (FiberError, MomentError) as exc:
+                if exc.failed is None:
+                    tracks, failed = None, np.ones(len(group), dtype=bool)
+                else:
+                    tracks, failed = exc.partial, exc.failed
+            for b, crossing in enumerate(group):
+                if failed[b]:
+                    crossing.fit, crossing.live = None, False
+                else:
+                    _recenter(crossing, ang, tracks[b, steps - 1:])
+
+
+def _recenter(crossing: _Crossing, ang: np.ndarray, values: np.ndarray) -> None:
+    """Fit the circle values and move the crossing's circle to the model
+    root; stops the crossing once it converges or its fit breaks down."""
+    fit = _circle_fit(crossing.center, crossing.rho, ang, values, *crossing.pair)
+    crossing.fit = fit
+    if fit is None:
+        crossing.live = False
+        return
+    step = fit["root"] - crossing.center
+    crossing.center = fit["root"]
+    if abs(step) > 5 * crossing.rho:   # model untrustworthy that far out
+        crossing.rho = min(abs(step), crossing.window.radius)
+    elif abs(step) < 0.05 * crossing.rho:
+        crossing.live = False
+        return
+    crossing.rho = max(2 * abs(step), 0.2 * crossing.rho)
+
+
+def _accept_crossing(crossing: _Crossing, tol: float):
+    """The candidate of a refined crossing, or None where the sheets do not
+    meet (gap above tol) or meet at a branch point: branch-point collisions
+    leave a large fit residual (a square-root singularity inside the
+    circle) or have runaway or coincident slopes."""
+    fit = crossing.fit
     if fit is None or fit["gap"] > tol:
         return None
     slope_j, slope_k = fit["slopes"]
-    # branch-point collisions have runaway or coincident slopes
     if max(abs(slope_j), abs(slope_k)) > SLOPE_CAP:
         return None
     if abs(slope_j - slope_k) < 1e-3 * (1.0 + max(abs(slope_j), abs(slope_k))):
         return None
-    return center, fit["h"], slope_j, slope_k
+    return SingularPointCandidate(crossing.center, fit["h"], crossing.window_index,
+                                  crossing.pair, (slope_j, slope_k))
 
 
 def _circle_fit(center, rho, ang, values, j, k):
@@ -196,23 +258,31 @@ class BranchContour:
         raise FiberError(f"sheet {sheet} not tracked on this contour")
 
 
-def track_branch_contour(engine: MomentEngine, p: int, center: complex,
-                         radius: float, seed_roots: np.ndarray,
-                         nodes: int = DEFAULT_CONTOUR_NODES) -> BranchContour:
-    """Track all fibers once around the contour and decompose the monodromy."""
+def track_branch_contour(engine: MomentEngine, p: int, centers, radius: float,
+                         seed_roots: np.ndarray,
+                         nodes: int = DEFAULT_CONTOUR_NODES) -> list:
+    """Track all fibers once around the contour of every center, together,
+    and decompose each monodromy.
+
+    ``seed_roots[b]`` are the roots at centers[b] + radius, where contour b
+    starts.  Returns one BranchContour per center.
+    """
+    centers = np.atleast_1d(np.asarray(centers, dtype=complex))
     ang = 2 * np.pi * np.arange(nodes + 1) / nodes
-    path = center + radius * np.exp(1j * ang)
-    start = continue_fibers(engine, p, np.array([path[0]]),
-                            start_roots=seed_roots)[0]
-    rows = continue_fibers(engine, p, path, start_roots=start)
-    final = rows[-1]
-    dist = np.abs(start[:, None] - final[None, :])
-    perm = np.argmin(dist, axis=0)   # sheet s ends where sheet perm[s] started
-    if np.unique(perm).size != perm.size:
-        raise MonodromyError("monodromy: sheet tracking did not close into a "
-                             "permutation; branch point too close to contour")
-    cycles = _permutation_cycles(perm)
-    return BranchContour(center, radius, ang, rows, perm, cycles)
+    paths = centers[:, None] + radius * np.exp(1j * ang)
+    tracks = continue_fibers(engine, p, paths, paths[:, 0],
+                             np.reshape(seed_roots, (centers.size, p)))
+    contours = []
+    for center, rows in zip(centers, tracks):
+        start, final = rows[0], rows[-1]
+        dist = np.abs(start[:, None] - final[None, :])
+        perm = np.argmin(dist, axis=0)   # sheet s ends where sheet perm[s] started
+        if np.unique(perm).size != perm.size:
+            raise MonodromyError("monodromy: sheet tracking did not close into a "
+                                 "permutation; branch point too close to contour")
+        contours.append(BranchContour(complex(center), radius, ang, rows, perm,
+                                      _permutation_cycles(perm)))
+    return contours
 
 
 def _permutation_cycles(perm: np.ndarray) -> list:
@@ -303,12 +373,11 @@ def energy_growth_reports(engine: MomentEngine, contour: BranchContour,
         radii = eps / 2.0 + (eps / 2.0) * (np.arange(radial_nodes) + 0.5) / radial_nodes
         for r in sorted(radii, reverse=True):
             ring = contour.center + r * np.exp(1j * ang)
-            ring_roots = np.zeros_like(outer_roots)
-            for i in range(angular_nodes):
-                path = contour.center + np.linspace(outer_radius, r, 4)[1:] \
-                    * np.exp(1j * ang[i])
-                ring_roots[i] = continue_fibers(engine, p, path,
-                                                start_roots=outer_roots[i])[-1]
+            rays = contour.center + np.linspace(outer_radius, r, 4)[None, 1:] \
+                * np.exp(1j * ang)[:, None]
+            ring_roots = continue_fibers(
+                engine, p, rays, contour.center + outer_radius * np.exp(1j * ang),
+                outer_roots)[:, -1]
             dr = (eps / 2.0) / radial_nodes
             weight = r * dr * (2 * np.pi / angular_nodes)
             g = recover_form_quotient(engine, ring, ring_roots)
@@ -370,17 +439,37 @@ class SingularPointReport:
 
 
 def analyze_singular_point(datum: DNDatum, curve: ReconstructedCurve,
-                           candidate: SingularPointCandidate,
+                           candidates: list,
                            contour_radius: float = DEFAULT_CONTOUR_RADIUS,
                            nodes: int = DEFAULT_CONTOUR_NODES,
-                           with_energy: bool = True) -> SingularPointReport:
-    """Track a contour around the candidate and measure branch residues."""
+                           with_energy: bool = True) -> list:
+    """Track a contour around each candidate and measure branch residues.
+
+    The contours of all candidates whose windows share a sheet count are
+    tracked together.  Returns one SingularPointReport per candidate.
+    """
     engine = MomentEngine.from_datum(datum)
-    window = curve.windows[candidate.window_index]
-    start = _sheet_values_at(engine, window,
-                             candidate.xi + contour_radius)
-    contour = track_branch_contour(engine, window.p, candidate.xi,
-                                   contour_radius, start, nodes)
+    by_sheets: dict[int, list] = {}
+    for i, candidate in enumerate(candidates):
+        p = curve.windows[candidate.window_index].p
+        by_sheets.setdefault(p, []).append(i)
+    contours = [None] * len(candidates)
+    for p, members in by_sheets.items():
+        windows = [curve.windows[candidates[i].window_index] for i in members]
+        centers = np.array([candidates[i].xi for i in members])
+        start = _sheet_values_at(engine, windows, centers + contour_radius)
+        tracked = track_branch_contour(engine, p, centers, contour_radius, start,
+                                       nodes)
+        for i, contour in zip(members, tracked):
+            contours[i] = contour
+    return [_point_report(engine, candidate, contour, with_energy)
+            for candidate, contour in zip(candidates, contours)]
+
+
+def _point_report(engine: MomentEngine, candidate: SingularPointCandidate,
+                  contour: BranchContour, with_energy: bool) -> SingularPointReport:
+    """Residues and energy verdicts of the branches of one tracked contour
+    that pass through the candidate."""
     incident = [cyc for cyc in contour.cycles
                 if branch_passes_through(contour, cyc, candidate.h)]
     energy = energy_growth_reports(engine, contour, incident) \
@@ -392,8 +481,7 @@ def analyze_singular_point(datum: DNDatum, curve: ReconstructedCurve,
         if energy is not None:
             report.energy_verdicts = [energy[ci][ell].verdict for ell in range(3)]
         branches.append(report)
-    return SingularPointReport(candidate.h, candidate.xi, contour_radius,
-                               branches)
+    return SingularPointReport(candidate.h, candidate.xi, contour.radius, branches)
 
 
 @dataclass

@@ -198,8 +198,8 @@ def test_criterion_08_node_classification(charged_datum, charged_sweep,
                                           spurious_datum, spurious_sweep):
     with _Budget("8 node classification", 10.0):
         candidates = locate_singularities(charged_sweep, charged_datum)
-        reports = [analyze_singular_point(charged_datum, charged_sweep, c)
-                   for c in candidates]
+        reports = analyze_singular_point(charged_datum, charged_sweep,
+                                         candidates)
         inventory = classify_and_partition(reports, charged_datum)
         assert len(inventory.nodes) == 1
         charges = inventory.nodes[0]["charges"]
@@ -210,8 +210,8 @@ def test_criterion_08_node_classification(charged_datum, charged_sweep,
         assert all(inventory.family_generic)
 
         sp_candidates = locate_singularities(spurious_sweep, spurious_datum)
-        sp_reports = [analyze_singular_point(spurious_datum, spurious_sweep, c)
-                      for c in sp_candidates]
+        sp_reports = analyze_singular_point(spurious_datum, spurious_sweep,
+                                            sp_candidates)
         sp_inventory = classify_and_partition(sp_reports, spurious_datum)
         assert sp_inventory.nodes == [] and len(sp_inventory.spurious) == 1
         for rep in sp_reports:

@@ -192,6 +192,21 @@ class TestExitCodes:
         }, str(tmp_path / "n.json"))
         assert cli.cmd_residues(cfg) == 4
 
+    def test_residues_exits_3_when_contour_tracking_fails(self, tmp_path,
+                                                           charged_outputs):
+        # a contour of radius 1.5 around the node image sweeps past branch
+        # points: the sheets collide on it
+        cfg = json.loads((charged_outputs / "charged4.residues.json").read_text())
+        cfg["contour_radius"] = 1.5
+        for key in ("datum", "curve"):
+            cfg[key] = str(charged_outputs / cfg[key])
+        cfg["out"] = str(tmp_path / "nodes.json")
+        (tmp_path / "wide.residues.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "residues", "wide.residues.json")
+        assert proc.returncode == 3, proc.stderr
+        assert "root matching collision" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_compact_rejects_interior_pole(self, workdir):
         proc = run_cli(workdir, "compact", "compact_nocharge.json")
         assert proc.returncode == 2, proc.stderr
@@ -327,3 +342,18 @@ class TestDeterminism:
                      "graph.nodes.json", "graph.caract.json",
                      "graph.curve.json.report.txt"):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+    def test_byte_identical_node_inventory(self, tmp_path):
+        # charged4 has a node, so residues tracks contours and energy rings
+        runs = []
+        for tag in ("a", "b"):
+            d = tmp_path / tag
+            d.mkdir()
+            for f in SCENARIOS.glob("charged4*.json"):
+                shutil.copy(f, d)
+            for command in ("forward", "invert", "residues"):
+                run_ok(d, command, f"charged4.{command}.json")
+            runs.append(d)
+        a, b = ((d / "charged4.nodes.json").read_bytes() for d in runs)
+        assert json.loads(a)["nodes"]
+        assert a == b

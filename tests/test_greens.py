@@ -331,6 +331,16 @@ class TestAnnulus:
             for radius in (dom.inner_radius, dom.outer_radius):
                 assert np.max(np.abs(green(radius * unit, a))) < 1e-10
 
+    @pytest.mark.parametrize("a", [1.0, -1.0, 0.9 + 0.3j, -0.5 + 0.4j])
+    def test_principal_green_fft_trace_matches_basis_dz(self, a):
+        # the charge traces of HarmonicDistribution on an annulus
+        solver = AnnulusHarmonicSolver(AnnulusDomain(0.3, 1.5), 512)
+        green = AnnulusPrincipalGreen(solver)
+        z = solver.outer.positions
+        want = green.dz(z, a)
+        gap = np.max(np.abs(green.boundary_dz(z, a) - want)) / np.max(np.abs(want))
+        assert gap <= 1e-12
+
 
 class TestDiskTrace:
     @pytest.mark.parametrize("n", [512, 2048])

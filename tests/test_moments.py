@@ -5,7 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from nodal_idn.errors import FiberError, MomentError
 from nodal_idn.moments import (MomentEngine, MomentTable, ReconstructedCurve,
                                WindowPlan, analyze_window, build_moment_table,
-                               companion_roots, eliminate_polynomial_part,
+                               companion_roots, continue_fibers,
+                               eliminate_polynomial_part,
                                estimate_sheet_count, match_roots,
                                recover_fibers, recover_form_quotient,
                                roots_from_power_sums, sweep_windows)
@@ -160,6 +161,13 @@ class TestRecoverFibers:
         roots = np.sort(roots_from_power_sums(np.array([3.0, 5.0])).real)
         assert np.allclose(roots, [1.0, 2.0], atol=1e-12)
 
+    def test_batched_rows_with_a_zero_root(self):
+        # roots (0, 1, 2) give e_3 = 0 exactly: that row is deflated as
+        # np.roots deflates it, the other goes through the stacked solve
+        got = roots_from_power_sums(np.array([[3, 5, 9], [6, 14, 36]]))
+        assert np.array_equal(np.sort_complex(got[0]), [0, 1, 2])
+        assert np.allclose(np.sort_complex(got[1]), [1, 2, 3], atol=1e-12)
+
     def test_single_sheet(self):
         assert np.allclose(recover_fibers(np.array([0.7 + 0.2j]), 1),
                            [0.7 + 0.2j])
@@ -255,6 +263,131 @@ class TestEngineRoots:
             assert np.min(np.abs(got - val)) < 1e-8
         for val in true:
             assert np.min(np.abs(got - val)) < 1e-8
+
+
+class PowerSumFamily:
+    """Stand-in for ``MomentEngine.moments``: the power sums of the roots
+    r_j(xi) = a_j + b_j xi + c_j xi^2 of a monic family.  Points with
+    |xi| > reach are refused as on-curve points are, one by one."""
+
+    def __init__(self, coeffs, reach=np.inf):
+        self.coeffs = np.asarray(coeffs, dtype=complex)     # (p, 3)
+        self.reach = reach
+
+    def roots(self, xi):
+        xi = np.atleast_1d(np.asarray(xi, dtype=complex))[:, None]
+        a, b, c = self.coeffs.T
+        return a + b * xi + c * xi ** 2
+
+    def moments(self, orders, xi):
+        xi = np.atleast_1d(xi)
+        far = np.abs(xi) > self.reach
+        if far.any():
+            raise MomentError("beyond the family's reach", failed=far)
+        # point by point, so that a value does not depend on its batch
+        h = [self.roots(x)[0] for x in xi]
+        return np.array([[np.sum(r ** m) for r in h] for m in orders])
+
+
+def _track_path(engine, p, path, xi, roots, budget=6):
+    """Reference continuation of one path, one point at a time, halving a
+    failed step recursively; raises on the first failure."""
+    out = []
+    for x in path:
+        roots = _track_step(engine, p, xi, roots, x, budget)
+        out.append(roots)
+        xi = x
+    return np.array(out)
+
+
+def _track_step(engine, p, xi_from, roots_from, xi_to, budget):
+    sums = engine.moments(range(1, 2 * p + 1), [xi_to])[:, 0]
+    try:
+        return recover_fibers(sums, p, previous=roots_from)
+    except FiberError:
+        if budget <= 0:
+            raise
+    mid = 0.5 * (xi_from + xi_to)
+    middle = _track_step(engine, p, xi_from, roots_from, mid, budget - 1)
+    return _track_step(engine, p, mid, middle, xi_to, budget - 1)
+
+
+def _lockstep(engine, p, paths, start_xi, start_roots, budget=6):
+    """continue_fibers' tracks and its mask of failed paths."""
+    try:
+        out = continue_fibers(engine, p, paths, start_xi, start_roots, budget)
+        return out, np.zeros(len(paths), dtype=bool)
+    except (FiberError, MomentError) as exc:
+        assert exc.failed is not None and exc.failed.any()
+        return exc.partial, exc.failed
+
+
+_lattice = st.integers(-6, 6)
+
+
+class TestContinuation:
+    @given(st.lists(st.tuples(_lattice, _lattice), min_size=1, max_size=4,
+                    unique=True),
+           st.lists(st.tuples(_lattice, _lattice, _lattice), min_size=4,
+                    max_size=4),
+           st.lists(st.tuples(_lattice, _lattice, _lattice, _lattice),
+                    min_size=1, max_size=6),
+           st.sampled_from([0, 1, 6]))
+    @settings(max_examples=80, deadline=None)
+    def test_lockstep_matches_per_path_loop(self, origins, slopes, walks,
+                                            budget):
+        # roots 0.25 apart at xi = 0, moving at random speeds; the walks run
+        # from |xi| <= 0.85 to |xi| <= 1.7, some past the reach 1.2, some
+        # with steps long enough to collide, to be halved or to fail
+        p = len(origins)
+        coeffs = [[0.25 * (x + 1j * y), 0.15 * (u + 1j * v), 0.05 * w]
+                  for (x, y), (u, v, w) in zip(origins, slopes)]
+        engine = PowerSumFamily(coeffs, reach=1.2)
+        start = np.array([0.1 * (a + 1j * b) for a, b, _, _ in walks])
+        end = np.array([0.2 * (c + 1j * d) for _, _, c, d in walks])
+        paths = start[:, None] + (end - start)[:, None] * (np.arange(1, 6) / 5)
+        start_roots = engine.roots(start)
+        got, failed = _lockstep(engine, p, paths, start, start_roots, budget)
+        for b in range(len(walks)):
+            try:
+                want = _track_path(engine, p, paths[b], start[b], start_roots[b],
+                                   budget)
+            except (FiberError, MomentError):
+                assert failed[b]
+                continue
+            assert not failed[b]
+            assert np.array_equal(got[b], want)
+
+    def test_first_step_halves(self):
+        # r = (0.9 xi, 1 + xi): from (0, 1) at xi = 0 both roots at xi = 1
+        # are nearest to 0.9, so the first step collides unless it is halved
+        engine = PowerSumFamily([[0.0, 0.9, 0.0], [1.0, 1.0, 0.0]])
+        start = np.array([[0.0, 1.0]], dtype=complex)
+        with pytest.raises(FiberError, match="collision"):
+            continue_fibers(engine, 2, [[1.0]], [0.0], start, max_halvings=0)
+        got = continue_fibers(engine, 2, [[1.0]], [0.0], start)
+        assert np.allclose(got[0, 0], [0.9, 2.0], atol=1e-12)
+
+    def test_rays_follow_rational_oracle(self, charged_datum, charged_scenario):
+        # eight rays out of 3.25 + 0.1j, away from the critical values 2.75
+        # and 3 of the projection, tracked together
+        oracle = charged_scenario.oracle
+        engine = _engine(charged_datum)
+        direction = np.exp(2j * np.pi * np.arange(8) / 8)
+        start = 3.25 + 0.1j + 0.02 * direction
+        rays = 3.25 + 0.1j + np.linspace(0.02, 0.12, 6)[None, 1:] * direction[:, None]
+        start_roots = np.array([oracle.f1(oracle.fibers(x)) for x in start])
+        got = continue_fibers(engine, 4, rays, start, start_roots)
+        assert got.shape == (8, 5, 4)
+        for b in range(8):
+            prev = start_roots[b]
+            for i in range(5):
+                want = oracle.f1(oracle.fibers(rays[b, i]))
+                # each sheet keeps its oracle sheet: nearest to where it was
+                nearest = want[np.argmin(np.abs(prev[:, None] - want[None, :]),
+                                         axis=1)]
+                assert np.max(np.abs(got[b, i] - nearest)) < 1e-6
+                prev = nearest
 
 
 class TestFormQuotient:

@@ -19,7 +19,7 @@ def charged_candidates(charged_sweep, charged_datum):
 @pytest.fixture(scope="module")
 def charged_report(charged_datum, charged_sweep, charged_candidates):
     return analyze_singular_point(charged_datum, charged_sweep,
-                                  charged_candidates[0])
+                                  charged_candidates[:1])[0]
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def spurious_candidates(spurious_sweep, spurious_datum):
 @pytest.fixture(scope="module")
 def spurious_report(spurious_datum, spurious_sweep, spurious_candidates):
     return analyze_singular_point(spurious_datum, spurious_sweep,
-                                  spurious_candidates[0])
+                                  spurious_candidates[:1])[0]
 
 
 class TestLocate:
@@ -50,6 +50,32 @@ class TestLocate:
 
     def test_graph_has_no_candidates(self, graph_sweep, graph_datum):
         assert locate_singularities(graph_sweep, graph_datum) == []
+
+    def test_failing_seed_leaves_others(self, charged_sweep, charged_datum,
+                                        charged_candidates, monkeypatch):
+        # a seed on f2(gamma) itself, tracked in the middle of the batch,
+        # fails its off-curve check and is dropped alone
+        from nodal_idn import nodes
+        window = charged_sweep.windows[0]
+        on_curve = complex(charged_datum.f[1][0])
+        dropped = []
+        seeds_of = nodes._crossing_seeds
+
+        def with_bad_seed(curve, fit_degree):
+            seeds = seeds_of(curve, fit_degree)
+            bad = nodes._Crossing(0, window, (0, 1), on_curve,
+                                  0.05 * window.radius)
+            dropped.append(bad)
+            half = len(seeds) // 2
+            return seeds[:half] + [bad] + seeds[half:]
+
+        monkeypatch.setattr(nodes, "_crossing_seeds", with_bad_seed)
+        got = locate_singularities(charged_sweep, charged_datum)
+        assert dropped[0].fit is None and not dropped[0].live
+        assert len(got) == len(charged_candidates)
+        for a, b in zip(got, charged_candidates):
+            assert (a.window_index, a.sheet_pair) == (b.window_index, b.sheet_pair)
+            assert abs(a.xi - b.xi) < 1e-9 and abs(a.h - b.h) < 1e-9
 
 
 class TestBranchResidues:
@@ -91,14 +117,14 @@ class TestBranchResidues:
     def test_contour_radius_stability(self, charged_datum, charged_sweep,
                                       charged_candidates):
         small = analyze_singular_point(charged_datum, charged_sweep,
-                                       charged_candidates[0],
+                                       charged_candidates[:1],
                                        contour_radius=0.025,
-                                       with_energy=False)
+                                       with_energy=False)[0]
         big_map = {b.cycle: b.residues for b in small.branches
                    if len(b.cycle) == 1}
         ref = analyze_singular_point(charged_datum, charged_sweep,
-                                     charged_candidates[0],
-                                     with_energy=False)
+                                     charged_candidates[:1],
+                                     with_energy=False)[0]
         for b in ref.branches:
             if len(b.cycle) != 1:
                 continue
@@ -112,8 +138,8 @@ class TestBranchResidues:
         c = charged_candidates[0]
         engine = MomentEngine.from_datum(charged_datum)
         window = charged_sweep.windows[c.window_index]
-        start = _sheet_values_at(engine, window, c.xi + 0.05)
-        contour = track_branch_contour(engine, window.p, c.xi, 0.05, start)
+        start = _sheet_values_at(engine, [window], [c.xi + 0.05])
+        contour, = track_branch_contour(engine, window.p, [c.xi], 0.05, start)
         singles = [cyc for cyc in contour.cycles if len(cyc) == 1]
         values = branch_residues(engine, contour, singles)[:, 0]
         assert np.allclose(sorted(v.real for v in values), [-1.0, 1.0],
@@ -136,8 +162,8 @@ class TestEnergyGrowth:
         engine = MomentEngine.from_datum(spurious_datum)
         c = spurious_candidates[0]
         window = spurious_sweep.windows[c.window_index]
-        start = _sheet_values_at(engine, window, c.xi + 0.05)
-        contour = track_branch_contour(engine, window.p, c.xi, 0.05, start)
+        start = _sheet_values_at(engine, [window], [c.xi + 0.05])
+        contour, = track_branch_contour(engine, window.p, [c.xi], 0.05, start)
         cyc = contour.cycles[0]
         rep = energy_growth_reports(engine, contour, [cyc])[0][0]
         assert all(r < 0.3 for r in rep.ratios)  # >= 4x shrink per halving
@@ -150,8 +176,8 @@ class TestEnergyGrowth:
         engine = MomentEngine.from_datum(charged_datum)
         c = charged_candidates[0]
         window = charged_sweep.windows[c.window_index]
-        start = _sheet_values_at(engine, window, c.xi + 0.05)
-        contour = track_branch_contour(engine, window.p, c.xi, 0.05, start)
+        start = _sheet_values_at(engine, [window], [c.xi + 0.05])
+        contour, = track_branch_contour(engine, window.p, [c.xi], 0.05, start)
         rep = energy_growth_reports(engine, contour, [single.cycle])[0][0]
         assert all(0.8 <= r <= 1.25 for r in rep.ratios)
 
@@ -164,8 +190,8 @@ class TestEnergyGrowth:
         engine = MomentEngine.from_datum(muted)
         c = charged_candidates[0]
         window = charged_sweep.windows[c.window_index]
-        start = _sheet_values_at(engine, window, c.xi + 0.05)
-        contour = track_branch_contour(engine, window.p, c.xi, 0.05, start)
+        start = _sheet_values_at(engine, [window], [c.xi + 0.05])
+        contour, = track_branch_contour(engine, window.p, [c.xi], 0.05, start)
         rep = energy_growth_reports(engine, contour, [contour.cycles[0]])[0][2]
         assert rep.verdict == "convergent"
         assert rep.contributions[-1] < 1e-20
