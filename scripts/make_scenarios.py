@@ -19,11 +19,11 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from nodal_idn import jsonio                       # noqa: E402
-from nodal_idn.oracles import RationalFunction     # noqa: E402
+from nodal_idn.dirichlet import Prescription       # noqa: E402
 from nodal_idn import scenarios as sc              # noqa: E402
 
 
-def encode_prescription(r: RationalFunction) -> dict:
+def encode_prescription(r: Prescription) -> dict:
     return {
         "poles": jsonio.encode_complex_array(np.array(r.poles, dtype=complex)),
         "residues": jsonio.encode_complex_array(np.array(r.residues, dtype=complex)),

@@ -6,20 +6,16 @@ from .model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve, DiskDomain,
 from .greens import (GreenKernel, NystromSystem, PrincipalGreen, disk_green,
                      layer_potential_T, solve_dirichlet_fredholm,
                      trace_T_minus, trace_T_plus)
-from .dirichlet import (DNDatum, HarmonicDistribution, apply_dn,
+from .dirichlet import (DNDatum, HarmonicDistribution, Prescription, apply_dn,
                         build_dn_datum, compute_theta, solve_nodal_dirichlet,
                         verify_weak_holomorphy)
 from .moments import (FiberWindow, MomentEngine, MomentTable,
-                      ReconstructedCurve, WindowPlan, eliminate_polynomial_part,
-                      estimate_sheet_count, recover_fibers,
-                      recover_form_quotient, sweep_windows)
+                      ReconstructedCurve, WindowPlan, estimate_sheet_count,
+                      recover_fibers, recover_form_quotient, sweep_windows)
 from .nodes import (branch_residues, classify_and_partition,
                     energy_growth_reports, locate_singularities)
 from .characterize import (characterize, compute_G, green_identity_residual,
                            orientation_probe, shock_residual)
-from .oracles import (RationalFunction, RationalMapOracle,
-                      argument_principle_count, fd_laplacian_check,
-                      fiber_oracle, polynomial_roots)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -17,14 +17,13 @@ import numpy as np
 
 from . import jsonio
 from .characterize import CharacterizationError, characterize
-from .dirichlet import DNDatum, build_dn_datum
+from .dirichlet import DNDatum, Prescription, build_dn_datum
 from .errors import (FiberError, ModelError, MomentError, PartitionError,
                      SolveError)
 from .model import AdmissibleFamily, BoundaryCurve, DiskDomain, NodalDomainModel
 from .moments import ReconstructedCurve, WindowPlan, sweep_windows
 from .nodes import (analyze_singular_point, classify_and_partition,
                     locate_singularities)
-from .oracles import RationalFunction
 
 log = logging.getLogger("nodal_idn.cli")
 
@@ -49,8 +48,8 @@ class PipelineConfig:
         return value
 
 
-def _decode_prescription(doc: dict) -> RationalFunction:
-    return RationalFunction(
+def _decode_prescription(doc: dict) -> Prescription:
+    return Prescription(
         poles=tuple(jsonio.decode_complex_array(doc.get("poles", []))),
         residues=tuple(jsonio.decode_complex_array(doc.get("residues", []))),
         poly=tuple(jsonio.decode_complex_array(doc.get("poly", [0.0]))),
@@ -79,7 +78,7 @@ def cmd_forward(cfg: PipelineConfig) -> int:
     try:
         datum = build_dn_datum(model, families, boundary_values=boundary,
                                prescriptions=prescriptions)
-    except (ModelError, SolveError) as exc:
+    except SolveError as exc:
         print(f"forward: bad datum: {exc}", file=sys.stderr)
         return EXIT_BAD_DATUM
     jsonio.dump(datum.to_json(), cfg.out or "datum.json")
@@ -222,8 +221,8 @@ def _compact_potentials(cfg_doc: dict):
             w_poles.append(p)
             w_res.append(kappa)
         us.append(u.astype(complex))
-        prescriptions.append(RationalFunction(poles=tuple(w_poles),
-                                              residues=tuple(w_res)))
+        prescriptions.append(Prescription(poles=tuple(w_poles),
+                                          residues=tuple(w_res)))
     model = NodalDomainModel(DiskDomain(rho), curve)
     return model, tuple(us), tuple(prescriptions)
 
@@ -235,7 +234,7 @@ def cmd_compact(cfg: PipelineConfig) -> int:
         model, us, prescriptions = _compact_potentials(doc)
         datum = build_dn_datum(model, None, boundary_values=us,
                                prescriptions=prescriptions)
-    except (ModelError, SolveError) as exc:
+    except SolveError as exc:
         print(f"compact: bad scenario: {exc}", file=sys.stderr)
         return EXIT_BAD_DATUM
     jsonio.dump(datum.to_json(), f"{prefix}.datum.json")
@@ -303,6 +302,10 @@ def main(argv=None) -> int:
     cfg = PipelineConfig(args.command, doc, out, base_dir)
     try:
         return COMMANDS[args.command](cfg)
+    except ModelError as exc:
+        # malformed curve, model, family or prescription, in any command
+        print(f"{args.command}: bad datum: {exc}", file=sys.stderr)
+        return EXIT_BAD_DATUM
     except (OSError, ValueError, KeyError) as exc:
         print(f"nodal-idn: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -24,13 +24,38 @@ from .greens import (AnnulusHarmonicSolver, AnnulusPrincipalGreen,
                      DiskHarmonicSolver, GreenKernel, check_fft_circle)
 from .model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve, DiskDomain,
                     NodalDomainModel)
-from .oracles import RationalFunction
 from .spectral import fourier_derivative
 
 DATUM_SCHEMA = "nodal-idn/datum/1"
 INJECTIVITY_GAP = 1e-6
 IMMERSION_FLOOR = 1e-8
 THETA_CROSSCHECK_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class Prescription:
+    """dz coefficient of a prescribed (1,0)-form on the synthetic path,
+
+        w(z) = sum_k poly[k] z^k + sum_i residues[i] / (z - poles[i]).
+    """
+
+    poles: tuple = ()
+    residues: tuple = ()
+    poly: tuple = (0.0,)
+
+    def __post_init__(self):
+        if len(self.poles) != len(self.residues):
+            raise ModelError("prescription poles and residues must pair up")
+
+    def __call__(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros_like(z)
+        # Horner from the leading coefficient, then the poles in order
+        for c in np.asarray(self.poly, dtype=complex)[::-1]:
+            out = out * z + c
+        for a, r in zip(self.poles, self.residues):
+            out = out + r / (z - a)
+        return out
 
 
 class HarmonicDistribution:
@@ -371,16 +396,19 @@ def build_dn_datum(model: NodalDomainModel,
     """Assemble a DN datum from three boundary potentials or prescribed forms.
 
     The physical path solves three nodal Dirichlet problems; the synthetic
-    path takes dz-coefficient prescriptions (rational forms) directly so
-    inverse-module tests have closed-form oracles; residue admissibility is
-    enforced against the model's node groups either way.
+    path takes the dz coefficients of the forms as ``Prescription`` objects
+    directly, so inverse-module tests have closed-form references; residue
+    admissibility is enforced against the model's node groups either way.
+    ``families``, when given, holds one family per potential.
     """
     curve = model.boundary
+    if families and len(families) != 3:
+        raise ModelError(f"expected one admissible family per potential, "
+                         f"got {len(families)} for 3 potentials")
     if prescriptions is not None:
         if boundary_values is None:
             raise ModelError("synthetic path requires boundary potential samples")
-        theta = np.vstack([np.asarray(p(curve.positions), dtype=complex)
-                           for p in prescriptions])
+        theta = np.vstack([p(curve.positions) for p in prescriptions])
         for ell, p in enumerate(prescriptions):
             _check_prescription(model, families[ell] if families else None, p)
         u = np.vstack([np.asarray(v, dtype=complex) for v in boundary_values])
@@ -401,9 +429,7 @@ def build_dn_datum(model: NodalDomainModel,
 
 
 def _check_prescription(model: NodalDomainModel, family: AdmissibleFamily | None,
-                        prescription) -> None:
-    if not isinstance(prescription, RationalFunction):
-        return
+                        prescription: Prescription) -> None:
     node_pts = model.all_points().tolist()
     aux_pts = [p for p, _ in model.auxiliary_poles]
     flat_charges = family.flat().tolist() if family is not None else []
@@ -413,6 +439,9 @@ def _check_prescription(model: NodalDomainModel, family: AdmissibleFamily | None
         dists = [abs(pole - q) for q in node_pts]
         if dists and min(dists) < 1e-9:
             k = int(np.argmin(dists))
+            if k >= len(flat_charges):
+                raise ModelError(f"prescription pole {pole} is a node point "
+                                 "but its potential has no admissible family")
             if abs(res - flat_charges[k]) > 1e-9 * max(1.0, abs(res)):
                 raise ModelError("prescription residue disagrees with the "
                                  "admissible family at a node point")

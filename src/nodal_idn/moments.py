@@ -5,8 +5,10 @@ The moment of order m at xi is the contour integral
     M_m(xi) = (1/2*pi*i) int_gamma f1^m (f2 - xi)^(-1) df2
 
 which equals the fiber power sum sum_j h_j(xi)^m plus a polynomial part;
-test curves live in the bounded regime where the polynomial part vanishes,
-which is asserted through far-field probes.  Power sums are converted to
+test curves live in the bounded regime where the polynomial part vanishes.
+``MomentEngine.check_bounded_regime`` asserts that on every window, against
+a polynomial fit to the moments at far-field probes where the fiber is
+empty (Delves & Lyness, Math. Comp. 1967).  Power sums are converted to
 roots through Newton's identities and companion-matrix eigenvalues, and the
 form quotients dU_ell / dF2 at the fiber points come from a Vandermonde
 solve against theta-weighted moments.
@@ -44,9 +46,12 @@ class MomentEngine:
         self.f2 = np.asarray(f2, dtype=complex)
         self.df2 = fourier_derivative(self.f2) if df2 is None else np.asarray(df2)
         self.theta = theta
-        self.spacings = spacings
+        # |xi - f2| below this, pointwise, puts the pole of (f2 - xi)^(-1)
+        # within ``spacings`` grid spacings of the parameter line
+        self._near = spacings * 2 * np.pi / curve.n * np.abs(self.df2)
         self._dgamma = curve.derivatives
         self._powers = np.empty((0, self.f1.size), dtype=complex)
+        self._far_fits = {}
 
     @staticmethod
     def from_datum(datum: DNDatum) -> "MomentEngine":
@@ -57,8 +62,7 @@ class MomentEngine:
         several grid spacings away from the parameter line; the error's
         ``failed`` marks the points that do not."""
         xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-        ratio = np.abs(xi[:, None] - self.f2[None, :]) / np.abs(self.df2)[None, :]
-        near = np.min(ratio, axis=1) < self.spacings * 2 * np.pi / self.curve.n
+        near = np.any(np.abs(xi[:, None] - self.f2[None, :]) < self._near, axis=1)
         if np.any(near):
             raise MomentError("on-curve evaluation: xi too close to f2(gamma)",
                               failed=near)
@@ -105,6 +109,33 @@ class MomentEngine:
         ang = 2 * np.pi * (np.arange(count) + 0.37) / count
         return center + radius * np.exp(1j * ang)
 
+    def check_bounded_regime(self, sums: np.ndarray) -> float:
+        """Assert that window moments ``sums`` (points, K), orders 1..K on
+        the last axis, are fiber power sums: the polynomial part of each
+        order must vanish against 1e-6 times the window's largest moment
+        of that order (or 1).
+
+        The polynomial part of M_m is the degree-m least-squares fit to M_m
+        on K + 3 far probes, where the fiber is empty; it is fitted once
+        per K.  Returns the far-field residual, the largest |M_m| on the
+        probes.
+        """
+        k = sums.shape[-1]
+        if k not in self._far_fits:
+            far = self.far_probe_points(k + 3)
+            rows = self.moments(range(1, k + 1), far)
+            unit = far / np.max(np.abs(far))
+            fit = [np.max(np.abs(np.linalg.lstsq(
+                       np.vander(unit, m + 1, increasing=True), rows[m - 1],
+                       rcond=None)[0])) for m in range(1, k + 1)]
+            self._far_fits[k] = np.array(fit), float(np.max(np.abs(rows)))
+        fit, residual = self._far_fits[k]
+        scale = np.maximum(1.0, np.max(np.abs(sums), axis=0))
+        if np.any(fit > 1e-6 * scale):
+            raise MomentError("polynomial part does not vanish: not in the "
+                              "bounded-curve regime")
+        return residual
+
 
 @dataclass
 class MomentTable:
@@ -116,6 +147,7 @@ class MomentTable:
     grid_shape: tuple
     moments: dict               # order -> flattened values
     max_order: int
+    p: int = 0                  # estimated sheet count
     sheet_method: str = ""
 
     def holomorphy_residual(self, m: int) -> float:
@@ -148,10 +180,8 @@ def build_moment_table(engine: MomentEngine, center: complex, radius: float,
         raise MomentError("window grid too close to the image curve f2(gamma)")
     m0 = engine.moments([0], grid)[0]
     table = MomentTable(center, radius, grid, shape, {0: m0}, 0)
-    estimate = estimate_sheet_count(table)
-    p = estimate.p
-    table.sheet_method = estimate.method
-    order = max_order if max_order is not None else max(2 * p, 1)
+    table.p, table.sheet_method = estimate_sheet_count(table)
+    order = max_order if max_order is not None else max(2 * table.p, 1)
     if order >= 1:
         rows = engine.moments(range(1, order + 1), grid)
         for m in range(1, order + 1):
@@ -185,67 +215,6 @@ def estimate_sheet_count(table: MomentTable) -> SheetCountEstimate:
             rank = int(np.sum(sv > 1e-8 * sv[0]))
             return SheetCountEstimate(rank, "hankel-rank")
     raise MomentError("sheet count ambiguous: move window")
-
-
-class EliminationResult(NamedTuple):
-    s_values: np.ndarray
-    p_coefficients: np.ndarray
-    fit_residual: float
-
-
-def eliminate_polynomial_part(xi: np.ndarray, values: np.ndarray, m: int,
-                              far_xi: np.ndarray | None = None,
-                              far_values: np.ndarray | None = None,
-                              taylor_center: complex | None = None,
-                              taylor_order: int = 8,
-                              regime: str = "bounded") -> EliminationResult:
-    """Split M_m into the fiber power sum S and the polynomial part P.
-
-    Bounded regime (default): P is identified on far-field probes where the
-    fiber is empty, asserted to vanish, and S = M.  General regime
-    (experimental): joint least squares against the basis
-    {xi^j, j<=m} + {(xi-c)^(-i), i<=k} with c = taylor_center, a decaying
-    local model of S on windows in the unbounded component.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    values = np.asarray(values, dtype=complex)
-    if xi.size < m + 2 + (taylor_order if regime == "general" else 0):
-        raise MomentError("not enough grid points to separate the polynomial part")
-    if np.unique(xi).size != xi.size:
-        raise MomentError("grid points must be mutually distinct")
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if regime == "bounded":
-        if far_values is not None:
-            far_xi = np.asarray(far_xi, dtype=complex)
-            far_values = np.asarray(far_values, dtype=complex)
-            basis = np.vander(far_xi / np.max(np.abs(far_xi)), m + 1, increasing=True)
-            coeffs, *_ = np.linalg.lstsq(basis, far_values, rcond=None)
-            resid = float(np.max(np.abs(far_values)))
-        else:
-            coeffs = np.zeros(m + 1, dtype=complex)
-            resid = 0.0
-        if np.max(np.abs(coeffs)) > 1e-6 * scale:
-            raise MomentError("polynomial part does not vanish: not in the "
-                              "bounded-curve regime")
-        return EliminationResult(values.copy(), np.zeros(m + 1, dtype=complex), resid)
-    if regime != "general":
-        raise MomentError(f"unknown regime {regime!r}")
-    if taylor_center is None:
-        raise MomentError("general regime requires a taylor_center")
-    poly_basis = np.vander(xi, m + 1, increasing=True)
-    decay = 1.0 / (xi[:, None] - taylor_center) ** np.arange(1, taylor_order + 1)[None, :]
-    basis = np.hstack([poly_basis, decay])
-    norms = np.linalg.norm(basis, axis=0)
-    scaled = basis / norms[None, :]
-    sv = np.linalg.svd(scaled, compute_uv=False)
-    if sv[-1] == 0 or sv[0] / sv[-1] > 1e10:
-        raise MomentError("ill-conditioned separation: enlarge window or raise k")
-    sol, *_ = np.linalg.lstsq(scaled, values, rcond=None)
-    sol = sol / norms
-    p_coeffs = sol[:m + 1]
-    p_vals = poly_basis @ p_coeffs
-    resid = float(np.max(np.abs(basis @ sol - values)))
-    return EliminationResult(values - p_vals, p_coeffs, resid)
 
 
 def newton_power_sums_to_coefficients(power_sums: np.ndarray) -> np.ndarray:
@@ -504,7 +473,7 @@ def analyze_window(engine: MomentEngine, center: complex, radius: float,
                    grid_n: int = 9, max_order: int | None = None) -> FiberWindow:
     """Full per-window pipeline: moments, sheet count, fibers, quotients."""
     table = build_moment_table(engine, center, radius, grid_n, max_order)
-    p = int(np.rint(np.median(table.moments[0].real)))
+    p = table.p
     grid = table.grid
     g = grid.size
     if p == 0:
@@ -512,13 +481,8 @@ def analyze_window(engine: MomentEngine, center: complex, radius: float,
                            np.zeros((g, 0), complex), np.zeros((3, g, 0), complex),
                            np.inf, table.sheet_method)
 
-    far = engine.far_probe_points(max(table.max_order, 1) + 3)
-    far_rows = engine.moments(range(0, table.max_order + 1), far)
-    power_sums = {}
-    for m in range(1, table.max_order + 1):
-        power_sums[m] = eliminate_polynomial_part(
-            grid, table.moments[m], m, far_xi=far, far_values=far_rows[m]).s_values
-    sums = np.stack([power_sums[m] for m in range(1, table.max_order + 1)], axis=1)
+    sums = np.stack([table.moments[m] for m in range(1, table.max_order + 1)], axis=1)
+    engine.check_bounded_regime(sums)
     unordered = recover_fibers(sums, p)
     roots = np.zeros((g, p), dtype=complex)
     prev = None

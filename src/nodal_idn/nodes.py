@@ -251,12 +251,6 @@ class BranchContour:
     permutation: np.ndarray     # sheet monodromy after one loop
     cycles: list                # list of tuples of sheet indices
 
-    def cycle_of(self, sheet: int) -> tuple:
-        for cyc in self.cycles:
-            if sheet in cyc:
-                return cyc
-        raise FiberError(f"sheet {sheet} not tracked on this contour")
-
 
 def track_branch_contour(engine: MomentEngine, p: int, centers, radius: float,
                          seed_roots: np.ndarray,

@@ -1,7 +1,8 @@
 """Standard scenario constructions used by tests, scripts and shipped files.
 
 Every scenario has closed-form boundary potentials and prescribed rational
-forms, so each pipeline stage has an independent oracle.
+forms, so each pipeline stage has an independent oracle.  The engine gets
+the oracle's forms as ``Prescription`` objects with the same coefficients.
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import DNDatum, build_dn_datum
+from .dirichlet import DNDatum, Prescription, build_dn_datum
 from .model import AdmissibleFamily, DiskDomain, NodalDomainModel
 from .moments import WindowPlan
 from .oracles import (DiskDomainSpec, RationalFunction, RationalMapOracle)
@@ -20,12 +21,16 @@ class Scenario:
     name: str
     model: NodalDomainModel
     families: tuple | None
-    prescriptions: tuple
     boundary_values: tuple
     oracle: RationalMapOracle
     plan: WindowPlan
     shock_center: tuple
     shock_extent: float
+
+    @property
+    def prescriptions(self) -> tuple:
+        return tuple(Prescription(w.poles, w.residues, w.poly)
+                     for w in self.oracle.forms)
 
     def datum(self) -> DNDatum:
         return build_dn_datum(self.model, self.families,
@@ -44,8 +49,8 @@ def graph(n: int = 256) -> Scenario:
     us = (2 * z.real, 2 * (z**3 / 3).real, (z**2).real)
     oracle = RationalMapOracle(w1, w2, (w0, w1, w2), DiskDomainSpec(1.0))
     plan = WindowPlan([0.0 + 0.0j, 0.3 + 0.3j, -0.35 + 0.1j], 0.3)
-    return Scenario("graph", NodalDomainModel(dom, curve), None,
-                    (w0, w1, w2), us, oracle, plan, (-0.1, 0.05), 0.02)
+    return Scenario("graph", NodalDomainModel(dom, curve), None, us, oracle,
+                    plan, (-0.1, 0.05), 0.02)
 
 
 def charged4(n: int = 512) -> Scenario:
@@ -71,8 +76,8 @@ def charged4(n: int = 512) -> Scenario:
     f2 = RationalFunction(poly=(3.0, 0.0, -1.0, 0.0, 1.0))
     oracle = RationalMapOracle(f1, f2, (w0, w1, w2), DiskDomainSpec(1.5))
     plan = WindowPlan.ring(3.0 + 0.0j, 0.16, 8, 0.09)
-    return Scenario("charged4", model, families, (w0, w1, w2), us, oracle,
-                    plan, (-3.6, 0.15), 0.02)
+    return Scenario("charged4", model, families, us, oracle, plan,
+                    (-3.6, 0.15), 0.02)
 
 
 def spurious(n: int = 512) -> Scenario:
@@ -90,8 +95,8 @@ def spurious(n: int = 512) -> Scenario:
     model = NodalDomainModel(dom, curve)
     oracle = RationalMapOracle(w1, w2, (w0, w1, w2), DiskDomainSpec(1.5))
     plan = WindowPlan.ring(0.0 + 0.0j, 0.14, 6, 0.08)
-    return Scenario("spurious", model, None, (w0, w1, w2), us, oracle, plan,
-                    (-0.05, 0.1), 0.02)
+    return Scenario("spurious", model, None, us, oracle, plan, (-0.05, 0.1),
+                    0.02)
 
 
 def flat_line(n: int = 256) -> Scenario:
@@ -107,8 +112,8 @@ def flat_line(n: int = 256) -> Scenario:
     oracle = RationalMapOracle(w1, w2, (w0, w1, w2), DiskDomainSpec(1.0))
     # inside f2(gamma), the circle |w - 0.2| = 0.5, and well clear of it
     plan = WindowPlan([0.2 + 0.1j], 0.1)
-    return Scenario("flat_line", NodalDomainModel(dom, curve), None,
-                    (w0, w1, w2), us, oracle, plan, (-0.05, 2.0), 0.02)
+    return Scenario("flat_line", NodalDomainModel(dom, curve), None, us,
+                    oracle, plan, (-0.05, 2.0), 0.02)
 
 
 def corrupted_datum(base: Scenario | None = None) -> DNDatum:

@@ -207,10 +207,75 @@ class TestExitCodes:
         assert "root matching collision" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_node_pole_without_family_exits_2(self, workdir, tmp_path):
+        # charged4's prescriptions have poles at the node points +-1
+        cfg = json.loads((workdir / "charged4.forward.json").read_text())
+        cfg["model"] = str(workdir / cfg["model"])
+        del cfg["families"]
+        (tmp_path / "nofam.forward.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "forward", "nofam.forward.json")
+        assert proc.returncode == 2, proc.stderr
+        assert "no admissible family" in proc.stderr
+
+    @pytest.mark.parametrize("config", ["charged4.forward.json",
+                                        "charged4_physical.forward.json"])
+    def test_fewer_than_three_families_exits_2(self, workdir, tmp_path,
+                                               config):
+        cfg = json.loads((workdir / config).read_text())
+        cfg["model"] = str(workdir / cfg["model"])
+        cfg["families"] = cfg["families"][:2]
+        (tmp_path / "twofam.forward.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "forward", "twofam.forward.json")
+        assert proc.returncode == 2, proc.stderr
+        assert "one admissible family per potential" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["invert", "characterize"])
+    def test_malformed_curve_exits_2(self, graph_outputs, tmp_path, command):
+        datum = json.loads((graph_outputs / "graph.datum.json").read_text())
+        positions = datum["curve"]["positions"]
+        positions[5] = positions[100]
+        (tmp_path / "graph.datum.json").write_text(json.dumps(datum))
+        cfg = json.loads((graph_outputs / f"graph.{command}.json").read_text())
+        cfg["out"] = str(tmp_path / "out.json")
+        (tmp_path / "cmd.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, command, "cmd.json")
+        assert proc.returncode == 2, proc.stderr
+        assert "not pairwise distinct" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_compact_rejects_interior_pole(self, workdir):
         proc = run_cli(workdir, "compact", "compact_nocharge.json")
         assert proc.returncode == 2, proc.stderr
         assert "not inside the measurement subdomain" in proc.stderr
+
+
+def _oracle_forms(cfg):
+    """The compact scenario's forms w_0, w_1, w_2 as oracle functions, read
+    off the config: charge c at the second pole of each pair, -c at the
+    first, and the auxiliary poles after them."""
+    from nodal_idn.oracles import RationalFunction
+    forms = []
+    for ell, (c, pair) in enumerate(zip(cfg["charges"], cfg["poles"])):
+        c = complex(*c)
+        aux = (cfg.get("aux") or [[], [], []])[ell]
+        forms.append(RationalFunction(
+            poles=(complex(*pair[1]), complex(*pair[0]))
+            + tuple(complex(*p) for p, _ in aux),
+            residues=(c, -c) + tuple(complex(*k) for _, k in aux)))
+    return forms
+
+
+def _oracle_fiber(forms, xi):
+    """h = w_1/w_0 at the points of the unit disk where w_2 = xi w_0."""
+    import numpy as np
+    from nodal_idn.oracles import RationalFunction, polynomial_roots
+    w0, w1, w2 = forms
+    comb = RationalFunction(
+        poles=w2.poles + w0.poles,
+        residues=w2.residues + tuple(-xi * r for r in w0.residues))
+    roots = polynomial_roots(comb.numerator_of_shift(0.0))
+    roots = roots[np.abs(roots) < 1.0]
+    return w1(roots) / w0(roots)
 
 
 class TestCompact:
@@ -225,27 +290,14 @@ class TestCompact:
         import numpy as np
         from nodal_idn import jsonio
         from nodal_idn.moments import ReconstructedCurve
-        from nodal_idn.oracles import RationalFunction, polynomial_roots
         curve = ReconstructedCurve.from_json(
             jsonio.load(compact_outputs / "cmp.curve.json"))
-        cfg = json.loads((compact_outputs / "compact.json").read_text())
-        charges = [complex(*c) for c in cfg["charges"]]
-        poles = [[complex(*p) for p in pair] for pair in cfg["poles"]]
-        w = [RationalFunction(poles=(pair[1], pair[0]),
-                              residues=(c, -c))
-             for pair, c in zip(poles, charges)]
+        forms = _oracle_forms(json.loads(
+            (compact_outputs / "compact.json").read_text()))
         errs = []
         for window in curve.windows:
             for idx in range(0, window.grid.size, 16):
-                xi = complex(window.grid[idx])
-                comb = RationalFunction(
-                    poles=(poles[2][1], poles[2][0], poles[0][1], poles[0][0]),
-                    residues=(charges[2], -charges[2],
-                              -xi * charges[0], xi * charges[0]))
-                roots = polynomial_roots(comb.numerator_of_shift(0.0))
-                roots = roots[np.abs(roots) < 1.0]
-                h_or = w[1](roots) / w[0](roots)
-                for val in h_or:
+                for val in _oracle_fiber(forms, complex(window.grid[idx])):
                     errs.append(np.min(np.abs(window.roots[idx] - val)))
         assert max(errs) < 1e-6
 
@@ -256,7 +308,6 @@ class TestCompact:
         from nodal_idn.cli import _compact_potentials
         from nodal_idn.dirichlet import build_dn_datum
         from nodal_idn.moments import WindowPlan, sweep_windows
-        from nodal_idn.oracles import RationalFunction, polynomial_roots
         cfg = {
             "rho": 1.0, "n": 512,
             "charges": [[1.0, 0.0], [1.3, 0.0], [0.8, 0.0]],
@@ -271,21 +322,14 @@ class TestCompact:
         datum = build_dn_datum(model, None, boundary_values=us,
                                prescriptions=prescriptions)
         assert datum.hypothesis_a.passed
-        w0, w1, w2 = prescriptions
+        forms = _oracle_forms(cfg)
         plan = WindowPlan.ring(0.5146 - 0.3672j, 0.03, 4, 0.02)
         rec = sweep_windows(datum, plan)
         assert [w.p for w in rec.windows] == [2, 2, 2, 2]
         errs = []
         for win in rec.windows:
             for idx in range(0, win.grid.size, 20):
-                xi = complex(win.grid[idx])
-                comb = RationalFunction(
-                    poles=w2.poles + w0.poles,
-                    residues=tuple(w2.residues)
-                    + tuple(-xi * r for r in w0.residues))
-                roots = polynomial_roots(comb.numerator_of_shift(0.0))
-                roots = roots[np.abs(roots) < 1.0]
-                for h in w1(roots) / w0(roots):
+                for h in _oracle_fiber(forms, complex(win.grid[idx])):
                     errs.append(float(np.min(np.abs(win.roots[idx] - h))))
         assert max(errs) < 1e-6
 

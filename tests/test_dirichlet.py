@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from annulus_fredholm import FredholmAnnulus
-from nodal_idn.dirichlet import (DNDatum, apply_dn, build_dn_datum,
-                                 compute_theta, solve_nodal_dirichlet,
-                                 verify_weak_holomorphy)
+from nodal_idn.dirichlet import (DNDatum, Prescription, apply_dn,
+                                 build_dn_datum, compute_theta,
+                                 solve_nodal_dirichlet, verify_weak_holomorphy)
 from nodal_idn.errors import ModelError
 from nodal_idn.greens import disk_green
 from nodal_idn.model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve,
                              DiskDomain, NodalDomainModel)
-from nodal_idn.oracles import RationalFunction
 
 
 @pytest.fixture(scope="module")
@@ -199,9 +198,9 @@ class TestBuildDatum:
         dom = DiskDomain(1.5)
         curve = dom.boundary(256)
         model = NodalDomainModel(dom, curve)
-        w0 = RationalFunction(poly=(1.0,))
-        w1 = RationalFunction(poly=(-1.0, 0.0, 1.0))
-        w2 = RationalFunction(poly=(0.0, -1.0, 0.0, 1.0))
+        w0 = Prescription(poly=(1.0,))
+        w1 = Prescription(poly=(-1.0, 0.0, 1.0))
+        w2 = Prescription(poly=(0.0, -1.0, 0.0, 1.0))
         z = curve.positions
         us = (2 * z.real, 2 * (z**3 / 3 - z).real,
               2 * (z**4 / 4 - z**2 / 2).real)
@@ -215,8 +214,8 @@ class TestBuildDatum:
         dom = DiskDomain(1.0)
         curve = dom.boundary(128)
         model = NodalDomainModel(dom, curve)
-        w0 = RationalFunction(poly=(1.0,))
-        w2 = RationalFunction(poly=(0.0, 1.0))
+        w0 = Prescription(poly=(1.0,))
+        w2 = Prescription(poly=(0.0, 1.0))
         z = curve.positions
         us = (2 * z.real, 2 * z.real, (z**2).real)
         with pytest.raises(ModelError):
@@ -244,8 +243,8 @@ class TestBuildDatum:
         dom = DiskDomain(1.5)
         curve = dom.boundary(128)
         model = NodalDomainModel(dom, curve)
-        stray = RationalFunction(poles=(0.4,), residues=(1.0,))
-        w0 = RationalFunction(poly=(1.0,))
+        stray = Prescription(poles=(0.4,), residues=(1.0,))
+        w0 = Prescription(poly=(1.0,))
         z = curve.positions
         us = (2 * z.real,) * 3
         with pytest.raises(ModelError):

@@ -6,10 +6,10 @@ from nodal_idn.errors import FiberError, MomentError
 from nodal_idn.moments import (MomentEngine, MomentTable, ReconstructedCurve,
                                WindowPlan, analyze_window, build_moment_table,
                                companion_roots, continue_fibers,
-                               eliminate_polynomial_part,
                                estimate_sheet_count, match_roots,
                                recover_fibers, recover_form_quotient,
-                               roots_from_power_sums, sweep_windows)
+                               roots_from_power_sums, sweep_windows,
+                               window_grid)
 from nodal_idn.oracles import argument_principle_count, polynomial_roots
 from nodal_idn.scenarios import graph as graph_scn
 
@@ -116,44 +116,40 @@ class TestSheetCount:
 
 
 class TestEliminatePolynomialPart:
+    """MomentEngine.check_bounded_regime: the polynomial part of the
+    moments must vanish before they are read as fiber power sums."""
+
     def test_bounded_regime_four_sheet(self, charged_datum):
+        # orders 1..3 put the fit on 6 far probes
         engine = MomentEngine.from_datum(charged_datum)
-        from nodal_idn.moments import window_grid
         grid, _ = window_grid(3.1 + 0.0j, 0.1, 9)
-        vals = engine.moments([2], grid)[0]
-        far = engine.far_probe_points(6)
-        far_vals = engine.moments([2], far)[0]
-        result = eliminate_polynomial_part(grid, vals, 2, far_xi=far,
-                                           far_values=far_vals)
-        assert np.allclose(result.s_values, vals)
-        assert result.fit_residual < 1e-9
+        sums = engine.moments([1, 2, 3], grid).T
+        assert engine.check_bounded_regime(sums) < 1e-9
 
-    def test_general_regime_separates_pole(self):
-        xi = np.linspace(-0.5, 0.5, 24) + 0.02j
-        values = xi + 1.0 / (xi - 5.0)
-        result = eliminate_polynomial_part(xi, values, 1,
-                                           taylor_center=5.0, taylor_order=4,
-                                           regime="general")
-        assert np.allclose(result.p_coefficients, [0.0, 1.0], atol=1e-8)
-        assert np.max(np.abs(result.s_values - 1.0 / (xi - 5.0))) < 1e-8
+    def test_far_fit_made_once_per_order_count(self, charged_datum):
+        engine = MomentEngine.from_datum(charged_datum)
+        sums = [engine.moments([1, 2], window_grid(c, 0.1, 9)[0]).T
+                for c in (3.1, 3.0 + 0.1j)]
+        probes = []
+        kernel = engine.moments
 
-    def test_zero_moments(self):
+        def counting(orders, xi):
+            probes.append(len(xi))
+            return kernel(orders, xi)
+
+        engine.moments = counting
+        first = engine.check_bounded_regime(sums[0])
+        assert engine.check_bounded_regime(sums[1]) == first
+        assert probes == [5]
+
+    def test_unbounded_data_detected(self, graph_datum):
+        # data with a polynomial part: M_1(xi) = xi on the window and on
+        # the far probes alike
+        engine = MomentEngine.from_datum(graph_datum)
+        engine.moments = lambda orders, xi: np.asarray(xi)[None, :]
         xi = np.linspace(1.0, 2.0, 12).astype(complex)
-        result = eliminate_polynomial_part(xi, np.zeros(12, dtype=complex), 1)
-        assert np.allclose(result.s_values, 0.0)
-        assert np.allclose(result.p_coefficients, 0.0)
-
-    def test_duplicate_points_rejected(self):
-        xi = np.array([1.0, 1.0, 2.0, 3.0], dtype=complex)
         with pytest.raises(MomentError):
-            eliminate_polynomial_part(xi, xi, 0)
-
-    def test_unbounded_data_detected(self):
-        xi = np.linspace(1.0, 2.0, 12).astype(complex)
-        far = np.linspace(40.0, 60.0, 5).astype(complex)
-        with pytest.raises(MomentError):
-            eliminate_polynomial_part(xi, xi.copy(), 1, far_xi=far,
-                                      far_values=far.copy())
+            engine.check_bounded_regime(xi[:, None])
 
 
 class TestRecoverFibers:

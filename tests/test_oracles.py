@@ -101,14 +101,17 @@ def test_oracles_are_engine_independent():
         short = mod.split(".")[1]
         assert f"from .{short}" not in source
         assert f"import {mod}" not in source
-    # and neither the solvers nor the inverse engine may borrow oracle code,
-    # or the oracle tests would compare the engine with itself
+    # and neither the forward side, the inverse engine, the CLI nor the
+    # package root may borrow oracle code, or the oracle tests would compare
+    # the engine with itself
     oracle_import = re.compile(
         r"^\s*(from\s+(\.|nodal_idn\.)oracles\s+import"
         r"|import\s+nodal_idn\.oracles"
         r"|from\s+(\.|nodal_idn)\s+import\s+.*\boracles\b)", re.M)
-    for name in ("model", "greens", "moments", "nodes", "characterize"):
-        engine = importlib.import_module(f"nodal_idn.{name}")
+    for name in ("model", "greens", "dirichlet", "moments", "nodes",
+                 "characterize", "cli", None):
+        engine = importlib.import_module(f"nodal_idn.{name}" if name
+                                         else "nodal_idn")
         source = open(engine.__file__).read()
         assert oracle_import.search(source) is None, name
 
