@@ -14,6 +14,10 @@ for exterior probes z.  With the principal kernel of the enclosing disk,
 counterclockwise gamma and the residue normalization Res(dU) = c, the
 constant is K = -4*pi (fixed analytically by a Stokes computation around
 the charge points and verified numerically to machine precision).
+
+Criterion (a) runs on the fiber engine alone: on the pencil line xi1 the
+moments at -xi0 of the projection (f1, xi1 f1 + f2) are the fiber power
+sums, and G(xi0, xi1) is its first moment M_1.
 """
 from __future__ import annotations
 
@@ -26,46 +30,46 @@ from .dirichlet import DNDatum
 from .errors import CharacterizationError, FiberError, MomentError
 from .greens import GreenKernel, enclosing_kernel
 from .model import BoundaryCurve
-from .moments import MomentEngine, recover_fibers
-from .spectral import fourier_derivative
+from .moments import MomentEngine, integral_sheet_count, recover_fibers
 
 CARACT_SCHEMA = "nodal-idn/caract/1"
 GREEN_IDENTITY_CONSTANT = -4.0 * np.pi
 FLATNESS_FLOOR = 1e-8
 
 
-def compute_G(datum: DNDatum, xi0: complex, xi1: complex) -> complex:
-    """G(xi0, xi1) = (1/2*pi*i) int f1 d(xi0 + xi1 f1 + f2)/(xi0 + xi1 f1 + f2)."""
-    f1, f2 = datum.f
-    denom = xi0 + xi1 * f1 + f2
-    if np.min(np.abs(denom)) < 1e-6:
-        raise CharacterizationError("probe line meets f(gamma)")
-    numer = xi1 * fourier_derivative(f1) + fourier_derivative(f2)
-    return complex(np.sum(f1 * numer / denom) / (1j * datum.n))
-
-
 def _pencil_engine(datum: DNDatum, xi1: complex) -> MomentEngine:
     """Moment engine for the pencil coordinate xi1*f1 + f2."""
     f1, f2 = datum.f
-    tilted = xi1 * f1 + f2
-    return MomentEngine(datum.curve, f1, tilted, datum.theta)
+    return MomentEngine(datum.curve, f1, xi1 * f1 + f2)
 
 
-def pencil_fibers(datum: DNDatum, xi0: complex, xi1: complex,
-                  p: int | None = None,
-                  previous: np.ndarray | None = None) -> np.ndarray:
-    """f1-values of the intersections of Y with {xi0 + xi1 w1 + w2 = 0}."""
-    engine = _pencil_engine(datum, xi1)
-    target = -xi0
+def _pencil_sheet_count(engine: MomentEngine, xi0: complex) -> int:
+    p = integral_sheet_count(engine.moments([0], [-xi0])[0])
     if p is None:
-        m0 = engine.moments([0], [target])[0, 0]
-        p = int(np.rint(m0.real))
-        if abs(m0 - p) > 1e-4 or p < 0:
-            raise MomentError("pencil sheet count is not a clean integer")
-    if p == 0:
-        return np.zeros(0, dtype=complex)
-    sums = engine.moments(range(1, p + 1), [target])[:, 0]
-    return recover_fibers(sums, p, previous=previous)
+        raise MomentError("pencil sheet count is not a clean integer")
+    return p
+
+
+def compute_G(datum: DNDatum, xi0, xi1: complex):
+    """G(xi0, xi1) = (1/2*pi*i) int f1 d(xi0 + xi1 f1 + f2)/(xi0 + xi1 f1 + f2),
+    the first moment of the pencil engine at -xi0, for one xi0 or an array
+    of them on the line xi1."""
+    xi0 = np.asarray(xi0, dtype=complex)
+    g = _pencil_engine(datum, xi1).moments([1], -xi0.ravel())[0]
+    return g.reshape(xi0.shape)[()]
+
+
+def pencil_fibers(datum: DNDatum, xi0, xi1: complex, p: int | None = None,
+                  previous: np.ndarray | None = None) -> np.ndarray:
+    """f1-values of the intersections of Y with {xi0 + xi1 w1 + w2 = 0}, for
+    one xi0 or an array of them on the line xi1; shape xi0.shape + (p,).
+    Without ``p`` the sheet count is M_0 at the first xi0."""
+    engine = _pencil_engine(datum, xi1)
+    xi0 = np.asarray(xi0, dtype=complex)
+    if p is None:
+        p = _pencil_sheet_count(engine, xi0.flat[0])
+    sums = engine.moments(range(1, p + 1), -xi0.ravel()).T
+    return recover_fibers(sums, p, previous=previous).reshape(xi0.shape + (p,))
 
 
 @dataclass
@@ -93,8 +97,7 @@ class ShockReport:
                 "shock_ratio": self.shock_ratio, "flat_ratio": self.flat_ratio,
                 "flat_band": self.flat_band,
                 "G": [jsonio.encode_complex(v) for v in self.g_values],
-                "fibers": [jsonio.encode_complex_array(np.asarray(h))
-                           for h in self.fibers]}
+                "fibers": [jsonio.encode_complex_array(h) for h in self.fibers]}
 
 
 def shock_residual(datum: DNDatum, center: tuple, extent: float,
@@ -106,6 +109,9 @@ def shock_residual(datum: DNDatum, center: tuple, extent: float,
     residual |d2/dxi0^2 (G - sum h_j)| of exact data is pure
     finite-difference noise (the identity holds pointwise), so its halving
     ratio sits at the noise floor 1/4 rather than 4.
+
+    Each pencil line xi1 gets one engine and one kernel call for G = M_1
+    and the power sums at all its xi0; p is M_0 at the first grid point.
     """
     xi0c, xi1c = complex(center[0]), complex(center[1])
     if delta is None:
@@ -114,59 +120,50 @@ def shock_residual(datum: DNDatum, center: tuple, extent: float,
     offs = np.linspace(-extent / 2, extent / 2, grid_n) if grid_n > 1 \
         else np.array([0.0])
     grid = [(xi0c + a, xi1c + b) for a in offs for b in offs]
-
-    p_ref = pencil_fibers(datum, grid[0][0], grid[0][1])
-    p = p_ref.size
-    bases = [p_ref] + [pencil_fibers(datum, x0, x1, p=p) for x0, x1 in grid[1:]]
-    results = {}
-    for d in (delta, delta / 2):
-        max_shock = 0.0
-        max_flat = 0.0
-        for (x0, x1), base in zip(grid, bases):
-            if p == 0:
-                flat = (compute_G(datum, x0 + d, x1) - 2 * compute_G(datum, x0, x1)
-                        + compute_G(datum, x0 - d, x1)) / d ** 2
-                max_flat = max(max_flat, abs(flat))
-                continue
-            hp0 = pencil_fibers(datum, x0 + d, x1, p=p, previous=base)
-            hm0 = pencil_fibers(datum, x0 - d, x1, p=p, previous=base)
-            hp1 = pencil_fibers(datum, x0, x1 + d, p=p, previous=base)
-            hm1 = pencil_fibers(datum, x0, x1 - d, p=p, previous=base)
-            d0 = (hp0 - hm0) / (2 * d)
-            d1 = (hp1 - hm1) / (2 * d)
-            max_shock = max(max_shock, float(np.max(np.abs(base * d0 - d1))))
-            g_pp = compute_G(datum, x0 + d, x1) - np.sum(hp0)
-            g_00 = compute_G(datum, x0, x1) - np.sum(base)
-            g_mm = compute_G(datum, x0 - d, x1) - np.sum(hm0)
-            max_flat = max(max_flat, abs(g_pp - 2 * g_00 + g_mm) / d ** 2)
-        results[d] = (max_shock, max_flat)
-    coarse, fine = results[delta], results[delta / 2]
-    flat_band = _xi0_curvature(datum, grid, extent)
-    g_values = [compute_G(datum, x0, x1) for x0, x1 in grid]
-    return ShockReport(grid, p, delta, fine[0], fine[1],
-                       _safe_ratio(coarse[0], fine[0]),
-                       _safe_ratio(coarse[1], fine[1]), flat_band,
-                       g_values, bases)
-
-
-def _xi0_curvature(datum, grid, extent: float) -> float:
-    """Robust estimate of max |d^2 G / d xi0^2| over the window.
-
-    A quadratic least-squares fit across the full xi0 extent is immune to
-    the noise amplification of small finite-difference stencils, so an
-    identically affine G reads as flat at the 1e-8 level.
-    """
-    xi1s = sorted({complex(b) for _, b in grid}, key=lambda v: (v.real, v.imag))
-    xi0s = sorted({complex(a) for a, _ in grid}, key=lambda v: (v.real, v.imag))
-    center = xi0s[len(xi0s) // 2]
+    x0, x1 = np.array(grid).T
+    # stencil points (step, grid point, direction): xi0 + d, xi0 - d,
+    # xi1 + d, xi1 - d; the curvature fit takes 7 xi0 on each grid line xi1
+    d = np.array([delta, delta / 2])[:, None, None]
+    st0 = x0[None, :, None] + d * np.array([1.0, -1.0, 0.0, 0.0])
+    st1 = x1[None, :, None] + d * np.array([0.0, 0.0, 1.0, -1.0])
     offsets = np.linspace(-extent / 2, extent / 2, 7)
-    basis = np.vander(offsets / (extent / 2), 3, increasing=True)
-    band = 0.0
-    for x1 in xi1s:
-        vals = np.array([compute_G(datum, center + o, x1) for o in offsets])
-        coeff, *_ = np.linalg.lstsq(basis, vals, rcond=None)
-        band = max(band, abs(2.0 * coeff[2]) / (extent / 2) ** 2)
-    return band
+    cv1, cv0 = np.meshgrid(xi1c + offs, xi0c + offs[offs.size // 2] + offsets,
+                           indexing="ij")
+    xi0 = np.concatenate([x0, st0.ravel(), cv0.ravel()])
+    xi1 = np.concatenate([x1, st1.ravel(), cv1.ravel()])
+    first = _pencil_engine(datum, x1[0])
+    p = _pencil_sheet_count(first, x0[0])
+    sums = np.empty((xi0.size, max(p, 1)), dtype=complex)
+    for line in dict.fromkeys(xi1):
+        engine = first if line == x1[0] else _pencil_engine(datum, line)
+        on = xi1 == line
+        sums[on] = engine.moments(range(1, max(p, 1) + 1), -xi0[on]).T
+    g = sums[:, 0]
+    n, m = x0.size, st0.size
+    bases = recover_fibers(sums[:n], p)
+    moved = recover_fibers(sums[n:n + m].reshape(st0.shape + (-1,)), p,
+                           previous=np.broadcast_to(bases[None, :, None],
+                                                    st0.shape + (p,)))
+    hp0, hm0, hp1, hm1 = np.moveaxis(moved, 2, 0)
+    shock = bases * ((hp0 - hm0) / (2 * d)) - (hp1 - hm1) / (2 * d)
+    max_shock = np.max(np.abs(shock), axis=(1, 2), initial=0.0).tolist()
+    flat = g[n:n + m].reshape(st0.shape) - np.sum(moved, axis=-1)
+    flat0 = g[:n] - np.sum(bases, axis=-1)
+    max_flat = np.max(np.abs(flat[..., 0] - 2 * flat0 + flat[..., 1])
+                      / d[..., 0] ** 2, axis=1).tolist()
+    # max |d2G/dxi0^2| by a quadratic fit over the whole xi0 extent, immune
+    # to the noise of small stencils: an affine G reads flat at 1e-8
+    fit = np.linalg.lstsq(np.vander(offsets / (extent / 2), 3, increasing=True),
+                          g[n + m:].reshape(cv0.shape).T, rcond=None)[0]
+    flat_band = float(np.max(np.abs(2.0 * fit[2]))) / (extent / 2) ** 2
+    return ShockReport(grid, p, delta, max_shock[1], max_flat[1],
+                       _safe_ratio(max_shock[0], max_shock[1]),
+                       _safe_ratio(max_flat[0], max_flat[1]), flat_band,
+                       list(g[:n]), list(bases))
+
+
+def _passes(rep: ShockReport | None, shock: float, flat: float) -> bool:
+    return rep is not None and rep.max_shock < shock and rep.max_flat < flat
 
 
 def _safe_ratio(coarse: float, fine: float) -> float:
@@ -257,10 +254,8 @@ def orientation_probe(datum: DNDatum, center: tuple, extent: float,
             errors[name] = str(exc)
 
     fwd, rev = reports["gamma"], reports["-gamma"]
-    fwd_pass = fwd is not None and fwd.max_shock < pass_shock \
-        and fwd.max_flat < pass_flat
-    rev_pass = rev is not None and rev.max_shock < pass_shock \
-        and rev.max_flat < pass_flat
+    fwd_pass = _passes(fwd, pass_shock, pass_flat)
+    rev_pass = _passes(rev, pass_shock, pass_flat)
     if not fwd_pass and not rev_pass:
         raise CharacterizationError("not a DN-datum at tested windows")
     # with valid data, flatness of G signals the algebraic case, in which
@@ -330,14 +325,10 @@ def characterize(datum: DNDatum, center: tuple, extent: float,
     orient = orientation_probe(datum, center, extent,
                                pass_shock=thresholds["shock"],
                                pass_flat=thresholds["flat"])
-
-    def passes(rep):
-        return rep is not None and rep.max_shock < thresholds["shock"] \
-            and rep.max_flat < thresholds["flat"]
-
-    if orient.verdict != "-gamma" and passes(orient.forward):
+    limits = thresholds["shock"], thresholds["flat"]
+    if orient.verdict != "-gamma" and _passes(orient.forward, *limits):
         shock, oriented = orient.forward, datum
-    elif passes(orient.reversed):
+    elif _passes(orient.reversed, *limits):
         shock, oriented = orient.reversed, datum.reversed()
     else:
         shock, oriented = orient.forward or orient.reversed, datum

@@ -70,7 +70,7 @@ def _decode_samples(rows) -> tuple:
 def cmd_forward(cfg: PipelineConfig) -> int:
     model = NodalDomainModel.from_json(jsonio.load(cfg.path("model")))
     families = _decode_families(cfg.path("families"))
-    boundary = _decode_samples(cfg.path("boundary_values"))
+    boundary = _decode_samples(cfg.path("boundary_values") or [])
     prescriptions = None
     if cfg.path("prescriptions"):
         prescriptions = tuple(_decode_prescription(p)

@@ -405,16 +405,19 @@ def build_dn_datum(model: NodalDomainModel,
     if families and len(families) != 3:
         raise ModelError(f"expected one admissible family per potential, "
                          f"got {len(families)} for 3 potentials")
+    if boundary_values is None or \
+            [np.size(v) for v in boundary_values] != [curve.n] * 3:
+        raise ModelError(f"expected 3 boundary_values rows of {curve.n} "
+                         "samples each")
     if prescriptions is not None:
-        if boundary_values is None:
-            raise ModelError("synthetic path requires boundary potential samples")
+        if len(prescriptions) != 3:
+            raise ModelError(f"expected 3 prescriptions, got "
+                             f"{len(prescriptions)}")
         theta = np.vstack([p(curve.positions) for p in prescriptions])
         for ell, p in enumerate(prescriptions):
             _check_prescription(model, families[ell] if families else None, p)
         u = np.vstack([np.asarray(v, dtype=complex) for v in boundary_values])
     else:
-        if boundary_values is None:
-            raise ModelError("physical path requires boundary potentials")
         rows_u, rows_t = [], []
         for ell in range(3):
             fam = families[ell] if families else None

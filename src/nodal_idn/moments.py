@@ -22,7 +22,7 @@ import numpy as np
 
 from . import jsonio
 from .dirichlet import DNDatum
-from .errors import FiberError, MomentError, SolveError
+from .errors import FiberError, ModelError, MomentError, SolveError
 from .model import BoundaryCurve
 from .spectral import fourier_derivative
 
@@ -173,7 +173,7 @@ def window_grid(center: complex, radius: float, grid_n: int) -> tuple[np.ndarray
 
 
 def build_moment_table(engine: MomentEngine, center: complex, radius: float,
-                       grid_n: int = 9, max_order: int | None = None) -> MomentTable:
+                       grid_n: int = 9) -> MomentTable:
     grid, shape = window_grid(center, radius, grid_n)
     dist = np.min(np.abs(grid[:, None] - engine.f2[None, :]), axis=1)
     if np.any(dist < 0.05 * radius):
@@ -181,13 +181,19 @@ def build_moment_table(engine: MomentEngine, center: complex, radius: float,
     m0 = engine.moments([0], grid)[0]
     table = MomentTable(center, radius, grid, shape, {0: m0}, 0)
     table.p, table.sheet_method = estimate_sheet_count(table)
-    order = max_order if max_order is not None else max(2 * table.p, 1)
-    if order >= 1:
-        rows = engine.moments(range(1, order + 1), grid)
-        for m in range(1, order + 1):
-            table.moments[m] = rows[m - 1]
-    table.max_order = order
+    table.max_order = max(2 * table.p, 1)
+    rows = engine.moments(range(1, table.max_order + 1), grid)
+    table.moments.update(enumerate(rows, start=1))
     return table
+
+
+def integral_sheet_count(m0: np.ndarray) -> int | None:
+    """The fiber cardinality p >= 0 if every M_0 given is that integer to
+    SHEET_INTEGRALITY_TOL, else None."""
+    p = int(np.rint(np.median(m0.real)))
+    if np.max(np.abs(m0 - p)) < SHEET_INTEGRALITY_TOL and p >= 0:
+        return p
+    return None
 
 
 def estimate_sheet_count(table: MomentTable) -> SheetCountEstimate:
@@ -198,9 +204,8 @@ def estimate_sheet_count(table: MomentTable) -> SheetCountEstimate:
     """
     if 0 not in table.moments:
         raise MomentError("table has no order-0 moments")
-    m0 = table.moments[0]
-    p = int(np.rint(np.median(m0.real)))
-    if np.max(np.abs(m0 - p)) < SHEET_INTEGRALITY_TOL and p >= 0:
+    p = integral_sheet_count(table.moments[0])
+    if p is not None:
         return SheetCountEstimate(p, "m0-integrality")
     orders = sorted(k for k in table.moments if k >= 1)
     if len(orders) >= 3:
@@ -358,15 +363,15 @@ def recover_fibers(power_sums: np.ndarray, p: int,
 
     ``power_sums`` holds S_1, S_2, ... on its last axis and may carry
     leading batch axes; the roots come from S_1..S_p and are checked
-    against S_1..S_2p.  Without ``previous`` the roots of a row are sorted,
-    with it they follow its same row.  A FiberError names the first row
-    at fault; its ``failed`` marks every such row and ``partial`` holds
-    the roots of all rows.
+    against S_1..S_2p, and an empty fiber (p = 0) has none.  Without
+    ``previous`` the roots of a row are sorted, with it they follow its
+    same row.  A FiberError names the first row at fault; its ``failed``
+    marks every such row and ``partial`` holds the roots of all rows.
     """
-    if p < 1:
-        raise FiberError("sheet count must be at least 1")
     s = np.asarray(power_sums, dtype=complex)
     shape = s.shape[:-1] + (p,)
+    if p < 1:
+        return np.zeros(shape, dtype=complex)
     s = s.reshape(-1, s.shape[-1])
     roots = _refine_roots(roots_from_power_sums(s[:, :p]), s[:, :p])
     if previous is None:
@@ -470,9 +475,9 @@ class FiberWindow:
 
 
 def analyze_window(engine: MomentEngine, center: complex, radius: float,
-                   grid_n: int = 9, max_order: int | None = None) -> FiberWindow:
+                   grid_n: int = 9) -> FiberWindow:
     """Full per-window pipeline: moments, sheet count, fibers, quotients."""
-    table = build_moment_table(engine, center, radius, grid_n, max_order)
+    table = build_moment_table(engine, center, radius, grid_n)
     p = table.p
     grid = table.grid
     g = grid.size
@@ -520,7 +525,6 @@ class WindowPlan:
     centers: list
     radius: float
     grid_n: int = 9
-    max_order: int | None = None
 
     @staticmethod
     def ring(center: complex, ring_radius: float, count: int,
@@ -531,14 +535,14 @@ class WindowPlan:
 
     def to_json(self) -> dict:
         return {"centers": jsonio.encode_complex_array(np.array(self.centers)),
-                "radius": self.radius, "grid_n": self.grid_n,
-                "max_order": self.max_order}
+                "radius": self.radius, "grid_n": self.grid_n}
 
     @staticmethod
     def from_json(doc: dict) -> "WindowPlan":
+        if doc.get("max_order") is not None:
+            raise ModelError("windows.max_order is no longer supported")
         return WindowPlan(list(jsonio.decode_complex_array(doc["centers"])),
-                          float(doc["radius"]), int(doc.get("grid_n", 9)),
-                          doc.get("max_order"))
+                          float(doc["radius"]), int(doc.get("grid_n", 9)))
 
 
 @dataclass
@@ -577,7 +581,7 @@ def sweep_windows(datum: DNDatum, plan: WindowPlan) -> ReconstructedCurve:
     def attempt_at(center):
         try:
             return analyze_window(engine, complex(center), plan.radius,
-                                  plan.grid_n, plan.max_order)
+                                  plan.grid_n)
         except (MomentError, FiberError, SolveError) as exc:
             return exc
 

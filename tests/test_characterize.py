@@ -7,7 +7,7 @@ from nodal_idn.characterize import (GREEN_IDENTITY_CONSTANT, characterize,
                                     green_identity_residual, orientation_probe,
                                     pencil_fibers, shock_residual)
 from nodal_idn.dirichlet import DNDatum
-from nodal_idn.errors import CharacterizationError
+from nodal_idn.errors import CharacterizationError, MomentError
 from nodal_idn.greens import enclosing_kernel
 from nodal_idn.moments import MomentEngine
 from nodal_idn.oracles import polynomial_roots
@@ -16,6 +16,20 @@ from nodal_idn.scenarios import corrupted_datum, flat_line
 TRUE_POINTS = [1.0, -1.0]
 TRUE_CHARGES = np.array([[1, -1], [2, -2], [3, -3]], dtype=complex)
 WINDOW = ((-3.6, 0.15), 0.02)
+DELTA = 1e-3
+# a grid point of WINDOW with its xi0 stencil at steps DELTA and DELTA / 2
+STENCIL_XI0 = -3.6 + 0.1j + np.array([0.0, DELTA, -DELTA, DELTA / 2,
+                                      -DELTA / 2])
+
+
+def _oracle_fibers(xi0, xi1):
+    """Sorted f1-values of charged4 at the in-domain roots of the line
+    equation xi0 + xi1 f1 + f2 = 0, a quartic in z:
+    z^4 + xi1 z^3 - z^2 - xi1 z + (3 + 2 xi1 + xi0) = 0."""
+    roots = polynomial_roots(np.array([3 + 2 * xi1 + xi0, -xi1, -1.0, xi1,
+                                       1.0], dtype=complex))
+    roots = roots[np.abs(roots) < 1.5]
+    return np.sort_complex(2 + roots**3 - roots)
 
 
 @pytest.fixture(scope="module")
@@ -48,31 +62,38 @@ class TestComputeG:
 
     def test_pencil_root_oracle(self, charged_datum):
         # G equals the sum of f1 over the in-domain solutions of the line
-        # equation xi0 + xi1 f1 + f2 = 0
-        xi0, xi1 = -3.6 + 0.1j, 0.15
-        # z^4 + xi1 z^3 - z^2 - xi1 z + (3 + 2 xi1 + xi0) = 0
-        coeffs = np.array([3 + 2 * xi1 + xi0, -xi1, -1.0, xi1, 1.0],
-                          dtype=complex)
-        roots = polynomial_roots(coeffs)
-        roots = roots[np.abs(roots) < 1.5]
-        oracle = np.sum(2 + roots**3 - roots)
-        assert abs(compute_G(charged_datum, xi0, xi1) - oracle) < 1e-8
+        # equation xi0 + xi1 f1 + f2 = 0: on the xi0 of a shock stencil, on
+        # its delta-shifted line, and at one point
+        for xi0, xi1 in ((STENCIL_XI0, 0.15), (STENCIL_XI0[:1], 0.15 + DELTA),
+                         (STENCIL_XI0[0], 0.15)):
+            oracle = [np.sum(_oracle_fibers(x0, xi1))
+                      for x0 in np.atleast_1d(xi0)]
+            got = compute_G(charged_datum, xi0, xi1)
+            assert np.shape(got) == np.shape(xi0)
+            assert np.max(np.abs(got - oracle)) < 1e-8
 
     def test_probe_line_through_image_rejected(self, graph_datum):
-        # xi0 + f2 = 0 passes through f2(gamma) when |xi0| = 1
-        with pytest.raises(CharacterizationError):
+        # xi0 + f2 = 0 passes through f2(gamma) when |xi0| = 1: the pencil
+        # engine refuses the quadrature there
+        with pytest.raises(MomentError):
             compute_G(graph_datum, 1.0, 0.0)
 
 
 class TestPencilFibers:
     def test_matches_line_intersections(self, charged_datum):
-        xi0, xi1 = -3.6, 0.15
-        coeffs = np.array([3 + 2 * xi1 + xi0, -xi1, -1.0, xi1, 1.0],
-                          dtype=complex)
-        roots = polynomial_roots(coeffs)
-        expected = np.sort_complex(2 + roots**3 - roots)
-        got = np.sort_complex(pencil_fibers(charged_datum, xi0, xi1))
-        assert np.max(np.abs(got - expected)) < 1e-8
+        # the xi0 of a shock stencil on one line, then its delta-shifted
+        # line continued from the first line's fibers
+        expected = [_oracle_fibers(x0, 0.15) for x0 in STENCIL_XI0]
+        base = pencil_fibers(charged_datum, STENCIL_XI0, 0.15)
+        assert base.shape == (STENCIL_XI0.size, 4)
+        assert np.max(np.abs(base - expected)) < 1e-8
+        shifted = [_oracle_fibers(x0, 0.15 + DELTA) for x0 in STENCIL_XI0]
+        moved = pencil_fibers(charged_datum, STENCIL_XI0, 0.15 + DELTA, p=4,
+                              previous=base)
+        assert np.max(np.abs(np.sort_complex(moved) - shifted)) < 1e-8
+        assert np.max(np.abs(moved - base)) < 10 * DELTA
+        single = pencil_fibers(charged_datum, STENCIL_XI0[0], 0.15)
+        assert np.max(np.abs(single - expected[0])) < 1e-8
 
     def test_empty_window(self, graph_datum):
         assert pencil_fibers(graph_datum, 40.0, 0.0).size == 0

@@ -229,6 +229,40 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "one admissible family per potential" in proc.stderr
 
+    @pytest.mark.parametrize("config, key, edit", [
+        ("graph.forward.json", "boundary_values", lambda rows: rows[:2]),
+        ("charged4_physical.forward.json", "boundary_values",
+         lambda rows: rows[:2]),
+        ("graph.forward.json", "prescriptions", lambda rows: rows[:2]),
+        ("graph.forward.json", "boundary_values",
+         lambda rows: [rows[0][:-2]] + rows[1:]),
+        ("charged4_physical.forward.json", "boundary_values",
+         lambda rows: None),
+    ])
+    def test_forward_row_counts_exit_2(self, workdir, tmp_path, config, key,
+                                       edit):
+        cfg = json.loads((workdir / config).read_text())
+        cfg["model"] = str(workdir / cfg["model"])
+        cfg["out"] = str(tmp_path / "datum.json")
+        cfg[key] = edit(cfg[key])
+        (tmp_path / "rows.forward.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "forward", "rows.forward.json")
+        assert proc.returncode == 2, proc.stderr
+        assert "expected 3" in proc.stderr
+        assert not (tmp_path / "datum.json").exists()
+
+    def test_window_max_order_exits_2(self, charged_outputs, tmp_path):
+        # the plan's moment-order cap is gone; below the sheet count it
+        # used to end invert with a ValueError
+        cfg = json.loads((charged_outputs / "charged4.invert.json").read_text())
+        cfg["datum"] = str(charged_outputs / cfg["datum"])
+        cfg["out"] = str(tmp_path / "curve.json")
+        cfg["windows"]["max_order"] = 3
+        (tmp_path / "capped.invert.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "invert", "capped.invert.json")
+        assert proc.returncode == 2, proc.stderr
+        assert "max_order" in proc.stderr
+
     @pytest.mark.parametrize("command", ["invert", "characterize"])
     def test_malformed_curve_exits_2(self, graph_outputs, tmp_path, command):
         datum = json.loads((graph_outputs / "graph.datum.json").read_text())
