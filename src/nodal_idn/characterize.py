@@ -43,33 +43,38 @@ def _pencil_engine(datum: DNDatum, xi1: complex) -> MomentEngine:
     return MomentEngine(datum.curve, f1, xi1 * f1 + f2)
 
 
-def _pencil_sheet_count(engine: MomentEngine, xi0: complex) -> int:
-    p = integral_sheet_count(engine.moments([0], [-xi0])[0])
-    if p is None:
-        raise MomentError("pencil sheet count is not a clean integer")
-    return p
+def _pencil_sums(datum: DNDatum, xi0, xi1, p: int | None = None):
+    """Sheet count p and fiber power sums S_1..S_max(p, 1), S_1 = G, at the
+    points (xi0, xi1) broadcast together: one engine and one kernel call per
+    distinct xi1.  Without ``p`` it is M_0 at the first point."""
+    xi0, xi1 = np.broadcast_arrays(np.asarray(xi0, dtype=complex),
+                                   np.asarray(xi1, dtype=complex))
+    sums = None
+    for line in dict.fromkeys(xi1.flat):
+        engine = _pencil_engine(datum, line)
+        if p is None:
+            p = integral_sheet_count(engine.moments([0], [-xi0.flat[0]])[0])
+            if p is None:
+                raise MomentError("pencil sheet count is not a clean integer")
+        if sums is None:
+            sums = np.empty(xi0.shape + (max(p, 1),), dtype=complex)
+        on = xi1 == line
+        sums[on] = engine.moments(range(1, max(p, 1) + 1), -xi0[on]).T
+    return p, sums
 
 
-def compute_G(datum: DNDatum, xi0, xi1: complex):
+def compute_G(datum: DNDatum, xi0, xi1):
     """G(xi0, xi1) = (1/2*pi*i) int f1 d(xi0 + xi1 f1 + f2)/(xi0 + xi1 f1 + f2),
-    the first moment of the pencil engine at -xi0, for one xi0 or an array
-    of them on the line xi1."""
-    xi0 = np.asarray(xi0, dtype=complex)
-    g = _pencil_engine(datum, xi1).moments([1], -xi0.ravel())[0]
-    return g.reshape(xi0.shape)[()]
+    the pencil engine's M_1 at -xi0, for one point or arrays of them."""
+    return _pencil_sums(datum, xi0, xi1, p=0)[1][..., 0][()]
 
 
-def pencil_fibers(datum: DNDatum, xi0, xi1: complex, p: int | None = None,
+def pencil_fibers(datum: DNDatum, xi0, xi1, p: int | None = None,
                   previous: np.ndarray | None = None) -> np.ndarray:
-    """f1-values of the intersections of Y with {xi0 + xi1 w1 + w2 = 0}, for
-    one xi0 or an array of them on the line xi1; shape xi0.shape + (p,).
-    Without ``p`` the sheet count is M_0 at the first xi0."""
-    engine = _pencil_engine(datum, xi1)
-    xi0 = np.asarray(xi0, dtype=complex)
-    if p is None:
-        p = _pencil_sheet_count(engine, xi0.flat[0])
-    sums = engine.moments(range(1, p + 1), -xi0.ravel()).T
-    return recover_fibers(sums, p, previous=previous).reshape(xi0.shape + (p,))
+    """f1-values of the intersections of Y with {xi0 + xi1 w1 + w2 = 0},
+    for one point or arrays of them; shape points + (p,)."""
+    p, sums = _pencil_sums(datum, xi0, xi1, p)
+    return recover_fibers(sums, p, previous=previous)
 
 
 @dataclass
@@ -109,9 +114,6 @@ def shock_residual(datum: DNDatum, center: tuple, extent: float,
     residual |d2/dxi0^2 (G - sum h_j)| of exact data is pure
     finite-difference noise (the identity holds pointwise), so its halving
     ratio sits at the noise floor 1/4 rather than 4.
-
-    Each pencil line xi1 gets one engine and one kernel call for G = M_1
-    and the power sums at all its xi0; p is M_0 at the first grid point.
     """
     xi0c, xi1c = complex(center[0]), complex(center[1])
     if delta is None:
@@ -131,13 +133,7 @@ def shock_residual(datum: DNDatum, center: tuple, extent: float,
                            indexing="ij")
     xi0 = np.concatenate([x0, st0.ravel(), cv0.ravel()])
     xi1 = np.concatenate([x1, st1.ravel(), cv1.ravel()])
-    first = _pencil_engine(datum, x1[0])
-    p = _pencil_sheet_count(first, x0[0])
-    sums = np.empty((xi0.size, max(p, 1)), dtype=complex)
-    for line in dict.fromkeys(xi1):
-        engine = first if line == x1[0] else _pencil_engine(datum, line)
-        on = xi1 == line
-        sums[on] = engine.moments(range(1, max(p, 1) + 1), -xi0[on]).T
+    p, sums = _pencil_sums(datum, xi0, xi1)
     g = sums[:, 0]
     n, m = x0.size, st0.size
     bases = recover_fibers(sums[:n], p)

@@ -64,13 +64,15 @@ class TestComputeG:
         # G equals the sum of f1 over the in-domain solutions of the line
         # equation xi0 + xi1 f1 + f2 = 0: on the xi0 of a shock stencil, on
         # its delta-shifted line, and at one point
-        for xi0, xi1 in ((STENCIL_XI0, 0.15), (STENCIL_XI0[:1], 0.15 + DELTA),
-                         (STENCIL_XI0[0], 0.15)):
-            oracle = [np.sum(_oracle_fibers(x0, xi1))
-                      for x0 in np.atleast_1d(xi0)]
+        lines = np.array([[0.15], [0.15 + DELTA]])
+        for xi0, xi1 in ((STENCIL_XI0, 0.15), (STENCIL_XI0, lines),
+                         (STENCIL_XI0[0], 0.15), (-3.6, 0.15)):
+            x0, x1 = np.broadcast_arrays(xi0, xi1)
+            oracle = [np.sum(_oracle_fibers(a, b))
+                      for a, b in zip(x0.flat, x1.flat)]
             got = compute_G(charged_datum, xi0, xi1)
-            assert np.shape(got) == np.shape(xi0)
-            assert np.max(np.abs(got - oracle)) < 1e-8
+            assert np.shape(got) == x0.shape
+            assert np.max(np.abs(np.ravel(got) - oracle)) < 1e-8
 
     def test_probe_line_through_image_rejected(self, graph_datum):
         # xi0 + f2 = 0 passes through f2(gamma) when |xi0| = 1: the pencil
@@ -81,16 +83,25 @@ class TestComputeG:
 
 class TestPencilFibers:
     def test_matches_line_intersections(self, charged_datum):
-        # the xi0 of a shock stencil on one line, then its delta-shifted
-        # line continued from the first line's fibers
+        # on the real centre of WINDOW the fibers come in conjugate pairs
+        expected = _oracle_fibers(-3.6, 0.15)
+        assert expected.size == 4
+        got = np.sort_complex(pencil_fibers(charged_datum, -3.6, 0.15))
+        assert np.max(np.abs(got - expected)) < 1e-8
+        # the xi0 of a shock stencil on one line, then in one call the same
+        # xi0 on that line and on its delta-shifted line, continued from
+        # the first call's fibers as shock_residual continues its stencil
         expected = [_oracle_fibers(x0, 0.15) for x0 in STENCIL_XI0]
         base = pencil_fibers(charged_datum, STENCIL_XI0, 0.15)
         assert base.shape == (STENCIL_XI0.size, 4)
         assert np.max(np.abs(base - expected)) < 1e-8
-        shifted = [_oracle_fibers(x0, 0.15 + DELTA) for x0 in STENCIL_XI0]
-        moved = pencil_fibers(charged_datum, STENCIL_XI0, 0.15 + DELTA, p=4,
-                              previous=base)
-        assert np.max(np.abs(np.sort_complex(moved) - shifted)) < 1e-8
+        lines = np.array([[0.15], [0.15 + DELTA]])
+        moved = pencil_fibers(charged_datum, STENCIL_XI0, lines, p=4,
+                              previous=np.broadcast_to(base, (2,) + base.shape))
+        assert moved.shape == (2, STENCIL_XI0.size, 4)
+        for row, xi1 in zip(moved, lines[:, 0]):
+            shifted = [_oracle_fibers(x0, xi1) for x0 in STENCIL_XI0]
+            assert np.max(np.abs(np.sort_complex(row) - shifted)) < 1e-8
         assert np.max(np.abs(moved - base)) < 10 * DELTA
         single = pencil_fibers(charged_datum, STENCIL_XI0[0], 0.15)
         assert np.max(np.abs(single - expected[0])) < 1e-8
@@ -105,6 +116,19 @@ class TestShock:
         assert rep.max_shock < 1e-5
         assert rep.max_flat < 1e-5
         assert abs(rep.shock_ratio - 4.0) < 0.8  # second-order convergence
+
+    def test_grid_matches_line_intersections(self, charged_datum):
+        # G and the fibers shock_residual reports at its grid points, on
+        # three real pencil lines with conjugate fiber pairs
+        rep = shock_residual(charged_datum, *WINDOW)
+        assert len(rep.grid) == len(rep.g_values) == len(rep.fibers) == 9
+        for (xi0, xi1), g, h in zip(rep.grid, rep.g_values, rep.fibers):
+            expected = _oracle_fibers(xi0, xi1)
+            assert abs(g - np.sum(expected)) < 1e-8
+            # as sets: the order within a conjugate pair is set by round-off
+            gap = np.abs(np.asarray(h)[:, None] - expected[None, :])
+            assert np.max(np.min(gap, axis=0)) < 1e-8
+            assert np.max(np.min(gap, axis=1)) < 1e-8
 
     def test_graph_satisfies_shock_exactly(self, graph_datum):
         rep = shock_residual(graph_datum, (-0.1, 0.05), 0.02)
