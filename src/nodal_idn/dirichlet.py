@@ -22,8 +22,8 @@ from . import jsonio
 from .errors import ModelError, SolveError
 from .greens import (AnnulusHarmonicSolver, AnnulusPrincipalGreen,
                      DiskHarmonicSolver, GreenKernel, check_fft_circle)
-from .model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve, DiskDomain,
-                    NodalDomainModel)
+from .model import (GRID_FLOOR, AdmissibleFamily, AnnulusDomain, BoundaryCurve,
+                    DiskDomain, NodalDomainModel, grid_cell, grid_pairs)
 from .spectral import fourier_derivative
 
 DATUM_SCHEMA = "nodal-idn/datum/1"
@@ -346,7 +346,8 @@ def check_hypothesis_a(curve: BoundaryCurve, theta: np.ndarray,
                        raise_on_failure: bool = True) -> tuple[np.ndarray, HypothesisAReport]:
     """Derive f = (theta1/theta0, theta2/theta0) and test the embedding."""
     theta0 = theta[0]
-    zero_idx = np.nonzero(np.abs(theta0) < 1e-12 * max(np.max(np.abs(theta0)), 1e-300))[0]
+    scale = np.max(np.abs(theta0), where=np.isfinite(theta0), initial=0.0)
+    zero_idx = np.nonzero(np.abs(theta0) < 1e-12 * max(scale, 1e-300))[0]
     if zero_idx.size:
         report = HypothesisAReport(False, 0.0, False, 0.0, [],
                                    zero_idx.tolist())
@@ -354,8 +355,14 @@ def check_hypothesis_a(curve: BoundaryCurve, theta: np.ndarray,
             raise ModelError(f"theta0 u0 vanishes at samples {zero_idx.tolist()}")
         return np.zeros((2, curve.n), dtype=complex), report
 
-    f = np.vstack([theta[1] / theta0, theta[2] / theta0])
-    n = curve.n
+    with np.errstate(all="ignore"):
+        f = np.vstack([theta[1] / theta0, theta[2] / theta0])
+    bad = np.flatnonzero(~np.all(np.isfinite(np.vstack([theta, f])), axis=0))
+    if bad.size:
+        if raise_on_failure:
+            raise ModelError(f"hypothesis A failed: theta or f is not finite "
+                             f"at samples {bad.tolist()}")
+        return f, HypothesisAReport(False, 0.0, False, 0.0, [], [])
     for row in f:
         # a constant coordinate degenerates the embedding (and the moment
         # engine downstream), so it counts as an immersion failure
@@ -364,17 +371,9 @@ def check_hypothesis_a(curve: BoundaryCurve, theta: np.ndarray,
             if raise_on_failure:
                 raise ModelError("hypothesis A failed: constant component in f")
             return f, report
-    gaps = np.abs(f[0][:, None] - f[0][None, :]) + np.abs(f[1][:, None] - f[1][None, :])
-    idx = np.arange(n)
-    circ = (idx[:, None] - idx[None, :]) % n
-    nonadjacent = (circ >= 2) & (circ <= n - 2)
-    masked = np.where(nonadjacent, gaps, np.inf)
-    min_gap = float(np.min(masked))
+    min_gap, pair = _min_image_gap(f)
     injective = min_gap > INJECTIVITY_GAP
-    offending = []
-    if not injective:
-        i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-        offending.append((int(i), int(j)))
+    offending = [] if injective else [pair]
 
     speed = np.abs(fourier_derivative(f[0])) + np.abs(fourier_derivative(f[1]))
     min_speed = float(np.min(speed))
@@ -386,6 +385,41 @@ def check_hypothesis_a(curve: BoundaryCurve, theta: np.ndarray,
                          f"(min gap {min_gap:.3e}), immersive={immersive} "
                          f"(min speed {min_speed:.3e}), pairs={offending}")
     return f, report
+
+
+def _min_image_gap(f: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Smallest |df0| + |df1| over circularly non-adjacent sample pairs, and
+    the first pair (i < j) in lexicographic order that attains it.
+
+    U = min_k gap(k, k+2) bounds the minimum from above, and a pair with gap
+    <= U differs by at most U in every real coordinate.  Each sample sits in
+    a cell of side >= 2U on the two widest real coordinates of f, and only
+    pairs in neighbouring cells are evaluated.
+    """
+    n = f.shape[1]
+
+    def gap(i, j):
+        return np.abs(f[0][i] - f[0][j]) + np.abs(f[1][i] - f[1][j])
+
+    k = np.arange(n)
+    bound = float(np.min(gap(k, (k + 2) % n)))
+    coords = np.vstack([f.real, f.imag])
+    x, y = coords[np.argsort(np.ptp(coords, axis=1))[-2:]]
+    h = max(2.0 * bound, GRID_FLOOR * float(np.max(np.abs(np.r_[x, y]))))
+    cx, cy = grid_cell(x, h), grid_cell(y, h)
+    # a sample registers in the 2x2 cells from its own: two samples share one
+    # of them exactly when their cells are neighbours
+    best = (np.inf, 0)
+    for a, b in grid_pairs(cx, cx + 1, cy, cy + 1):
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        keep = (j - i >= 2) & (j - i <= n - 2)
+        i, j = i[keep], j[keep]
+        if i.size:
+            g = gap(i, j)
+            low = np.min(g)
+            best = min(best, (float(low), int(np.min((i * n + j)[g == low]))))
+    i, j = divmod(best[1], n)
+    return best[0], (i, j)
 
 
 def build_dn_datum(model: NodalDomainModel,

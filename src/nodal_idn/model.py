@@ -20,6 +20,10 @@ MODEL_SCHEMA = "nodal-idn/model/1"
 MAX_GENERIC_POINTS = 20
 MAX_PARTITION_POINTS = 16
 INTERIOR_MARGIN = 0.05
+# smallest grid cell relative to the coordinate scale: cell indices stay
+# below 2^40, where x / h resolves a cell to 2^-13
+GRID_FLOOR = 2.0 ** -40
+PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,8 @@ class BoundaryCurve:
         der = np.asarray(self.derivatives, dtype=complex)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "derivatives", der)
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(der))):
+            raise ModelError("curve samples must be finite")
         n = pos.size
         if n < 4 or n % 2 != 0:
             raise ModelError("sample count must be a positive even integer >= 4")
@@ -42,9 +48,8 @@ class BoundaryCurve:
             raise ModelError("positions and derivatives must have equal length")
         if np.min(np.abs(der)) == 0.0:
             raise ModelError("curve derivative vanishes at a sample")
-        gaps = np.abs(pos[:, None] - pos[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if np.min(gaps) == 0.0:
+        ordered = pos[np.lexsort((pos.imag, pos.real))]
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ModelError("curve samples are not pairwise distinct")
         if self.orientation not in (1, -1):
             raise ModelError("orientation must be +1 or -1")
@@ -122,30 +127,74 @@ class BoundaryCurve:
                              int(doc.get("orientation", 1)))
 
 
+def grid_pairs(x0, x1, y0, y1):
+    """Pairs of items whose integer cell ranges [x0, x1] x [y0, y1] share a cell.
+
+    Each item registers in every cell of its range; the registrations are
+    sorted by cell and each run of one cell is paired off.  Yields (i, j)
+    index arrays in batches of at most PAIR_CHUNK pairs plus the partners of
+    one registration, so memory stays linear even when one cell holds every
+    item.  A pair sharing several cells comes once per cell.
+    """
+    nx = x1 - x0 + 1
+    reps = nx * (y1 - y0 + 1)
+    item = np.repeat(np.arange(reps.size), reps)
+    k = np.arange(item.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    cx = x0[item] + k % nx[item]
+    cy = y0[item] + k // nx[item]
+    order = np.lexsort((cy, cx))
+    item, cx, cy = item[order], cx[order], cy[order]
+    start = np.flatnonzero(np.r_[True, (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])])
+    run_end = np.repeat(np.r_[start[1:], item.size], np.diff(np.r_[start, item.size]))
+    # registration p pairs with every later one of its run
+    later = run_end - np.arange(item.size) - 1
+    total = np.cumsum(later)
+    cuts = np.searchsorted(total, np.arange(PAIR_CHUNK, total[-1], PAIR_CHUNK))
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, item.size]):
+        count = later[lo:hi]
+        first = np.repeat(np.arange(lo, hi), count)
+        step = np.arange(first.size) - np.repeat(np.cumsum(count) - count, count)
+        yield item[first], item[first + 1 + step]
+
+
+def grid_cell(x: np.ndarray, h: float) -> np.ndarray:
+    """Cell index floor(x / h); monotone in x, so overlapping ranges share a
+    cell under rounding.  Callers keep h >= GRID_FLOOR * max|x|."""
+    return np.floor(x / h).astype(np.int64)
+
+
 def _polygon_self_intersects(pos: np.ndarray) -> bool:
-    """Segment-intersection scan of the closed polygon through the samples."""
+    """Proper crossing of two non-adjacent sides of the closed polygon.
+
+    Only sides whose bounding boxes share a cell of a uniform grid are
+    tested; the cell side is the largest side of any bounding box, so a box
+    spans at most 2 cells per axis (3 under rounding).  Two sides that meet
+    have overlapping boxes and so share a cell.
+    """
     n = pos.size
-    a = pos
-    b = np.roll(pos, -1)
-    ax, ay = a.real, a.imag
-    bx, by = b.real, b.imag
+    ax, ay = pos.real, pos.imag
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    lo_x, hi_x = np.minimum(ax, bx), np.maximum(ax, bx)
+    lo_y, hi_y = np.minimum(ay, by), np.maximum(ay, by)
+    h = max(float(np.max(hi_x - lo_x)), float(np.max(hi_y - lo_y)),
+            GRID_FLOOR * float(np.max(np.abs(np.r_[ax, ay]))))
+    if h == 0.0:
+        return False    # every sample at the origin
 
     def cross(ox, oy, px, py, qx, qy):
         return (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
 
-    d1 = cross(ax[:, None], ay[:, None], bx[:, None], by[:, None],
-               ax[None, :], ay[None, :])
-    d2 = cross(ax[:, None], ay[:, None], bx[:, None], by[:, None],
-               bx[None, :], by[None, :])
-    d3 = cross(ax[None, :], ay[None, :], bx[None, :], by[None, :],
-               ax[:, None], ay[:, None])
-    d4 = cross(ax[None, :], ay[None, :], bx[None, :], by[None, :],
-               bx[:, None], by[:, None])
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-    idx = np.arange(n)
-    diff = (idx[:, None] - idx[None, :]) % n
-    adjacent = (diff == 0) | (diff == 1) | (diff == n - 1)
-    return bool(np.any(proper & ~adjacent))
+    for i, j in grid_pairs(grid_cell(lo_x, h), grid_cell(hi_x, h),
+                           grid_cell(lo_y, h), grid_cell(hi_y, h)):
+        keep = ((i - j) % n > 1) & ((j - i) % n > 1)
+        i, j = i[keep], j[keep]
+        d1 = cross(ax[i], ay[i], bx[i], by[i], ax[j], ay[j])
+        d2 = cross(ax[i], ay[i], bx[i], by[i], bx[j], by[j])
+        d3 = cross(ax[j], ay[j], bx[j], by[j], ax[i], ay[i])
+        d4 = cross(ax[j], ay[j], bx[j], by[j], bx[i], by[i])
+        if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -207,3 +207,54 @@ def argument_principle_count(samples: np.ndarray, xi: complex,
     if abs(total - winding) > 1e-6:
         raise NodalIdnError("winding number failed to round to an integer")
     return winding
+
+
+def samples_distinct(pos) -> bool:
+    """Pairwise distinctness of curve samples from the full N x N gap matrix."""
+    pos = np.asarray(pos, dtype=complex)
+    gaps = np.abs(pos[:, None] - pos[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return bool(np.min(gaps) > 0.0)
+
+
+def polygon_self_intersects(pos) -> bool:
+    """Proper crossing of two non-adjacent sides of the closed polygon,
+    tested on all N x N side pairs."""
+    pos = np.asarray(pos, dtype=complex)
+    n = pos.size
+    a = pos
+    b = np.roll(pos, -1)
+    ax, ay = a.real, a.imag
+    bx, by = b.real, b.imag
+
+    def cross(ox, oy, px, py, qx, qy):
+        return (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
+
+    d1 = cross(ax[:, None], ay[:, None], bx[:, None], by[:, None],
+               ax[None, :], ay[None, :])
+    d2 = cross(ax[:, None], ay[:, None], bx[:, None], by[:, None],
+               bx[None, :], by[None, :])
+    d3 = cross(ax[None, :], ay[None, :], bx[None, :], by[None, :],
+               ax[:, None], ay[:, None])
+    d4 = cross(ax[None, :], ay[None, :], bx[None, :], by[None, :],
+               bx[:, None], by[:, None])
+    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
+    idx = np.arange(n)
+    diff = (idx[:, None] - idx[None, :]) % n
+    adjacent = (diff == 0) | (diff == 1) | (diff == n - 1)
+    return bool(np.any(proper & ~adjacent))
+
+
+def min_image_gap(f) -> tuple[float, tuple[int, int]]:
+    """Smallest |df0| + |df1| over circularly non-adjacent sample pairs of
+    f (shape (2, N)) and the row-major first pair attaining it, from the
+    full N x N gap matrix."""
+    f = np.asarray(f, dtype=complex)
+    n = f.shape[1]
+    gaps = np.abs(f[0][:, None] - f[0][None, :]) + np.abs(f[1][:, None] - f[1][None, :])
+    idx = np.arange(n)
+    circ = (idx[:, None] - idx[None, :]) % n
+    nonadjacent = (circ >= 2) & (circ <= n - 2)
+    masked = np.where(nonadjacent, gaps, np.inf)
+    i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
+    return float(masked[i, j]), (int(i), int(j))

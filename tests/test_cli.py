@@ -263,19 +263,31 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "max_order" in proc.stderr
 
-    @pytest.mark.parametrize("command", ["invert", "characterize"])
-    def test_malformed_curve_exits_2(self, graph_outputs, tmp_path, command):
+    @staticmethod
+    def _run_on_bad_curve(graph_outputs, tmp_path, command, sample):
         datum = json.loads((graph_outputs / "graph.datum.json").read_text())
         positions = datum["curve"]["positions"]
-        positions[5] = positions[100]
+        positions[5] = sample(positions)
         (tmp_path / "graph.datum.json").write_text(json.dumps(datum))
         cfg = json.loads((graph_outputs / f"graph.{command}.json").read_text())
         cfg["out"] = str(tmp_path / "out.json")
         (tmp_path / "cmd.json").write_text(json.dumps(cfg))
         proc = run_cli(tmp_path, command, "cmd.json")
         assert proc.returncode == 2, proc.stderr
-        assert "not pairwise distinct" in proc.stderr
         assert "Traceback" not in proc.stderr
+        return proc
+
+    @pytest.mark.parametrize("command", ["invert", "characterize"])
+    def test_malformed_curve_exits_2(self, graph_outputs, tmp_path, command):
+        proc = self._run_on_bad_curve(graph_outputs, tmp_path, command,
+                                      lambda positions: positions[100])
+        assert "not pairwise distinct" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["invert", "characterize"])
+    def test_non_finite_curve_exits_2(self, graph_outputs, tmp_path, command):
+        proc = self._run_on_bad_curve(graph_outputs, tmp_path, command,
+                                      lambda positions: [float("nan"), 0.0])
+        assert "curve samples must be finite" in proc.stderr
 
     def test_compact_rejects_interior_pole(self, workdir):
         proc = run_cli(workdir, "compact", "compact_nocharge.json")

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nodal_idn import oracles
 from nodal_idn.errors import ModelError, PartitionError
 from nodal_idn.model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve,
                              DiskDomain, NodalDomainModel,
+                             _polygon_self_intersects,
                              finest_zero_sum_partition, is_generic_family,
                              zero_sum_subsets)
 
@@ -53,6 +55,109 @@ class TestBoundaryCurve:
         curve = BoundaryCurve.ellipse(1.3, 0.8, 32)
         back = BoundaryCurve.from_json(curve.to_json())
         assert np.allclose(back.positions, curve.positions)
+
+
+    @pytest.mark.parametrize("where", ["position", "derivative"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf * 1j])
+    def test_non_finite_sample_rejected(self, where, bad):
+        curve = BoundaryCurve.circle(1.0, 16)
+        pos, der = curve.positions.copy(), curve.derivatives.copy()
+        (pos if where == "position" else der)[4] = bad
+        with pytest.raises(ModelError, match="curve samples must be finite"):
+            BoundaryCurve(pos, der)
+
+    def test_non_finite_checked_first(self):
+        # an odd count with a NaN fails on the NaN, before the count
+        pos = np.exp(2j * np.pi * np.arange(9) / 9)
+        pos[2] = np.nan
+        with pytest.raises(ModelError, match="finite"):
+            BoundaryCurve(pos, 1j * pos)
+
+
+def _curve_verdict(pos):
+    """The engine's verdict on a sample polygon: its error message or None."""
+    try:
+        BoundaryCurve(pos, np.ones(pos.size, dtype=complex))
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+def _oracle_verdict(pos):
+    if not oracles.samples_distinct(pos):
+        return "curve samples are not pairwise distinct"
+    if oracles.polygon_self_intersects(pos):
+        return "polygonal closure of the samples self-intersects"
+    return None
+
+
+lattice_points = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          min_size=3, max_size=24)
+
+
+def _lattice(points):
+    return np.array([complex(x, y) for x, y in points])
+
+
+class TestCurveValidationOracle:
+    """Grid checks of BoundaryCurve against the N x N oracles.
+
+    On small integer coordinates every cross product is exact, so the
+    lattice cases pin the degenerate geometry: shared and touching
+    vertices, collinear overlaps and repeated samples."""
+
+    @pytest.mark.parametrize("points, crosses", [
+        ([(0, 0), (2, 2), (2, 0), (0, 2)], True),            # figure eight
+        ([(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)], False),   # vertex on a side
+        ([(0, 0), (3, 0), (1, 0), (2, 2)], False),           # collinear overlap
+        ([(0, 0), (2, 0), (2, 2), (0, 0), (-2, 0), (-2, -2)], False),  # touch
+        ([(0, 0), (1, 1), (2, 0), (3, 1), (4, 0), (2, -3)], False),
+        ([(0, 0), (1, 1), (2, 0), (3, 1), (4, 0), (4, 3), (1, -1)], True),
+        ([(0, 0), (1000, 1), (999, 2), (998, 1), (997, 0), (3, 2)], True),
+    ])
+    def test_degenerate_lattice_polygons(self, points, crosses):
+        pos = _lattice(points)
+        assert oracles.polygon_self_intersects(pos) is crosses
+        assert _polygon_self_intersects(pos) is crosses
+
+    @given(lattice_points)
+    @settings(max_examples=300, deadline=None)
+    def test_lattice_polygons(self, points):
+        pos = _lattice(points)
+        assert _polygon_self_intersects(pos) == oracles.polygon_self_intersects(pos)
+        if pos.size % 2 == 0 and pos.size >= 4:
+            assert _curve_verdict(pos) == _oracle_verdict(pos)
+
+    @given(lattice_points, st.integers(0, 23), st.integers(-400, 400),
+           st.integers(-400, 400))
+    @settings(max_examples=200, deadline=None)
+    def test_one_long_side(self, points, at, x, y):
+        # one far vertex: the grid cell is the long sides' box, so every
+        # short side shares one cell
+        pos = _lattice(points)
+        pos[at % pos.size] = complex(x, y)
+        assert _polygon_self_intersects(pos) == oracles.polygon_self_intersects(pos)
+
+    @given(st.lists(st.complex_numbers(max_magnitude=0.6, allow_nan=False,
+                                       allow_infinity=False),
+                    min_size=4, max_size=4),
+           st.sampled_from([16, 64, 256]),
+           st.sampled_from([0.0, 1e6 - 3e5j]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_smooth_curves(self, coeffs, n, center):
+        t = 2 * np.pi * np.arange(n) / n
+        modes = (-3, -2, 2, 3)
+        pos = center + np.exp(1j * t) + sum(
+            c * np.exp(1j * k * t) for c, k in zip(coeffs, modes))
+        assert _polygon_self_intersects(pos) == oracles.polygon_self_intersects(pos)
+        assert _curve_verdict(pos) == _oracle_verdict(pos)
+
+    def test_repeated_sample(self):
+        curve = BoundaryCurve.circle(1.0, 32)
+        pos = curve.positions.copy()
+        pos[20] = pos[7]
+        assert _curve_verdict(pos) == _oracle_verdict(pos) \
+            == "curve samples are not pairwise distinct"
 
 
 class TestFamiliesAndModels:
