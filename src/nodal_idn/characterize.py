@@ -32,7 +32,7 @@ from .greens import GreenKernel, enclosing_kernel
 from .model import BoundaryCurve
 from .moments import MomentEngine, integral_sheet_count, recover_fibers
 
-CARACT_SCHEMA = "nodal-idn/caract/1"
+CARACT_SCHEMA = "nodal-idn/caract/2"
 GREEN_IDENTITY_CONSTANT = -4.0 * np.pi
 FLATNESS_FLOOR = 1e-8
 

@@ -12,6 +12,30 @@ empty (Delves & Lyness, Math. Comp. 1967).  Power sums are converted to
 roots through Newton's identities and companion-matrix eigenvalues, and the
 form quotients dU_ell / dF2 at the fiber points come from a Vandermonde
 solve against theta-weighted moments.
+
+The kernel is the periodic trapezoid rule (1/iN) sum_k w_k f1_k^m /
+(f2_k - xi), for the weight row w = df2 or w = theta_ell dgamma.  Summed
+directly it costs O(N) per point, and it is trusted only at points xi
+with |xi - f2_k| at least 6 grid spacings of |df2_k| for every sample k.
+On a disc D(c, r) with d = min_k |f2_k - c| > r the same sum is a Taylor
+series in u = (xi - c) / r, a local expansion in the sense of Greengard &
+Rokhlin (J. Comput. Phys. 73, 1987), with the coefficients
+
+    C[w, m, j] = (1/iN) sum_k w_k f1_k^m (f2_k - c)^(-1) (r / (f2_k - c))^j
+
+for j < J: one product of the integrand rows with J powers of the Cauchy
+factor, after which a point costs O(rows J) and no N-wide work.  With
+rho = r / d the dropped tail is at most (1/N) sum_k |w_k f1_k^m| rho^J /
+(d (1 - rho)).  J is the smallest order with rho^J <= eps (1 - rho), which
+keeps the tail below the round-off of the direct sum; a disc with no such
+J <= 64 gets no expansion.  A disc is used only when |f2_k - c| - r
+exceeds the near threshold of every sample k, which implies the pointwise
+test at every point of the disc.  Each engine keeps its expansions per
+weight set.  A batch that lies in a kept disc whose orders cover it is
+evaluated from that disc.  Otherwise a batch of at least J points builds a
+disc about its bounding-box centre, of radius max(batch radius, d / 4):
+there the build costs no more than the direct call it replaces.  Any other
+batch takes the direct sum with its pointwise check.
 """
 from __future__ import annotations
 
@@ -33,6 +57,52 @@ BRANCH_SEPARATION_FLOOR = 1e-4
 VANDERMONDE_CONDITION_LIMIT = 1e10
 POWER_SUM_TOL = 1e-6
 DOUBLE_EPS = float(np.finfo(float).eps)
+# a double root moves by O(sqrt(eps)) under round-off of its power sums, so
+# real parts of fiber points closer than this are not ordered by the data
+FIBER_ORDER_TOL = float(np.sqrt(DOUBLE_EPS))
+MAX_EXPANSION_ORDER = 64
+DISC_REACH = 0.25           # a new disc's radius is at least this share of d
+
+
+def truncation_order(rho: float) -> int | None:
+    """The smallest J <= MAX_EXPANSION_ORDER with rho^J <= eps (1 - rho),
+    where rho = radius / d: past J the Taylor tail of the Cauchy factor is
+    below the round-off of the direct sum.  None if no such J exists."""
+    for order in range(1, MAX_EXPANSION_ORDER + 1):
+        if rho ** order <= DOUBLE_EPS * (1.0 - rho):
+            return order
+    return None
+
+
+MIN_EXPANSION_ORDER = truncation_order(DISC_REACH)
+
+
+@dataclass
+class LocalExpansion:
+    """The kernel on the disc |xi - center| <= radius as a Taylor series.
+
+    ``coeffs[w, m, j]`` = (1/iN) sum_k w_k f1_k^m (f2_k - c)^-1
+    (r / (f2_k - c))^j for orders m = 0..top and j < J, so the kernel at xi
+    is sum_j coeffs[w, m, j] u^j with u = (xi - c) / r, |u| <= 1.
+    """
+
+    center: complex
+    radius: float
+    coeffs: np.ndarray          # (weights, top + 1, J)
+
+    def holds(self, top: int, xi: np.ndarray) -> bool:
+        """Do the disc and the orders 0..top cover the request?"""
+        return (top < self.coeffs.shape[1]
+                and bool(np.all(np.abs(xi - self.center) <= self.radius)))
+
+    def __call__(self, orders: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """The kernel at every xi for the given orders, from the
+        coefficients alone; shape (weights, len(orders), len(xi))."""
+        u = (xi - self.center) / self.radius
+        coeffs = self.coeffs[:, orders]
+        powers = np.vander(u, coeffs.shape[-1], increasing=True).T
+        out = coeffs.reshape(-1, coeffs.shape[-1]) @ powers
+        return out.reshape(len(coeffs), orders.size, xi.size)
 
 
 class MomentEngine:
@@ -52,46 +122,58 @@ class MomentEngine:
         self._dgamma = curve.derivatives
         self._powers = np.empty((0, self.f1.size), dtype=complex)
         self._far_fits = {}
+        self._expansions = {}       # weight rows -> [LocalExpansion]
 
     @staticmethod
     def from_datum(datum: DNDatum) -> "MomentEngine":
         return MomentEngine(datum.curve, datum.f[0], datum.f[1], datum.theta)
 
-    def check_off_curve(self, xi) -> None:
-        """Trust plain quadrature only when the pole of (f2 - xi)^(-1) stays
-        several grid spacings away from the parameter line; the error's
-        ``failed`` marks the points that do not."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-        near = np.any(np.abs(xi[:, None] - self.f2[None, :]) < self._near, axis=1)
-        if np.any(near):
-            raise MomentError("on-curve evaluation: xi too close to f2(gamma)",
-                              failed=near)
-
     def moments(self, orders, xi) -> np.ndarray:
         """M_m(xi) for every m in orders; returns shape (len(orders), len(xi))."""
-        return self._kernel(self.df2[None, :], orders, xi)[0]
+        return self._kernel(None, orders, xi)[0]
 
     def theta_moments(self, ells, orders, xi) -> np.ndarray:
         """A_m(xi) = (1/2*pi*i) int f1^m (f2-xi)^(-1) theta_ell for every ell
         in ells; returns shape (len(ells), len(orders), len(xi))."""
         if self.theta is None:
             raise MomentError("no theta rows attached to this projection")
-        weights = self.theta[list(ells)] * self._dgamma
-        return self._kernel(weights, orders, xi)
+        return self._kernel(tuple(ells), orders, xi)
 
-    def _kernel(self, weights: np.ndarray, orders, xi) -> np.ndarray:
-        """(1/2*pi*i) int f1^m w (f2-xi)^(-1) for each weight row w, order m
-        and point xi: the powers of f1 times the Cauchy matrix, one product.
-        Returns shape (len(weights), len(orders), len(xi))."""
+    def _kernel(self, ells, orders, xi) -> np.ndarray:
+        """(1/2*pi*i) int f1^m w (f2-xi)^(-1) for each weight row w (the df2
+        row for ``ells`` None, else theta_ell dgamma), order m and point xi.
+        A batch inside the disc of a local expansion is evaluated from its
+        Taylor coefficients, any other batch directly.  Returns shape
+        (len(weights), len(orders), len(xi))."""
         orders = np.asarray(list(orders), dtype=int)
         if np.any(orders > MAX_MOMENT_ORDER):
             raise MomentError(f"moment order exceeds {MAX_MOMENT_ORDER}")
         xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-        self.check_off_curve(xi)
-        cauchy = 1.0 / (self.f2[:, None] - xi[None, :])
+        expansion = self._expansion_for(ells, orders, xi)
+        if expansion is not None:
+            return expansion(orders, xi)
+        return self._direct(ells, orders, xi)
+
+    def _direct(self, ells, orders: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """The kernel as the powers of f1 times the Cauchy matrix, one
+        product.  Plain quadrature is trusted only when the pole of
+        (f2 - xi)^(-1) stays several grid spacings away from the parameter
+        line; the error's ``failed`` marks the points that do not."""
+        shift = self.f2[:, None] - xi[None, :]
+        near = np.any(np.abs(shift) < self._near[:, None], axis=0)
+        if np.any(near):
+            raise MomentError("on-curve evaluation: xi too close to f2(gamma)",
+                              failed=near)
+        cauchy = np.divide(1.0, shift, out=shift)
+        out = self._rows(ells, orders) @ cauchy / (1j * self.curve.n)
+        return out.reshape(-1, orders.size, xi.size)
+
+    def _rows(self, ells, orders: np.ndarray) -> np.ndarray:
+        """The integrand rows w f1^m, weight-major: (weights * orders, N)."""
+        weights = self.df2[None, :] if ells is None \
+            else self.theta[list(ells)] * self._dgamma
         rows = weights[:, None, :] * self._f1_powers(orders)[None, :, :]
-        out = rows.reshape(-1, self.curve.n) @ cauchy / (1j * self.curve.n)
-        return out.reshape(len(weights), orders.size, xi.size)
+        return rows.reshape(-1, self.curve.n)
 
     def _f1_powers(self, orders: np.ndarray) -> np.ndarray:
         """Rows f1^m for m in orders, from a table of f1^0, f1^1, ... that
@@ -102,6 +184,58 @@ class MomentEngine:
             grown = self.f1[None, :] ** np.arange(have, top + 1)[:, None]
             self._powers = np.concatenate([self._powers, grown])
         return self._powers[orders]
+
+    def local_expansion(self, ells, top: int, center: complex, radius: float,
+                        order: int | None = None) -> "LocalExpansion | None":
+        """The Taylor expansion of the kernel rows ``ells`` (None: the df2
+        row), orders 0..top, on the disc D(center, radius): one product of
+        the integrand rows with J powers of the Cauchy factor.
+
+        None where the disc is not clear of the curve, that is where
+        |f2_k - center| - radius <= the near threshold of some sample k, or
+        where no truncation order J <= MAX_EXPANSION_ORDER bounds the tail.
+        ``order`` sets J instead of ``truncation_order``.
+        """
+        shift = self.f2 - center
+        gap = np.abs(shift)
+        if not np.all(gap - radius > self._near):
+            return None
+        if order is None:
+            order = truncation_order(radius / float(np.min(gap)))
+            if order is None:
+                return None
+        orders = np.arange(top + 1)
+        cauchy = np.vander(radius / shift, order, increasing=True)
+        cauchy /= shift[:, None]
+        coeffs = self._rows(ells, orders) @ cauchy / (1j * self.curve.n)
+        return LocalExpansion(complex(center), float(radius),
+                              coeffs.reshape(-1, top + 1, order))
+
+    def _expansion_for(self, ells, orders: np.ndarray, xi: np.ndarray):
+        """A cached expansion of the rows ``ells`` whose disc holds every xi
+        and whose orders cover the request.  Failing that, a new one on the
+        disc about the batch's bounding-box centre c of radius
+        max(batch radius, d/4), d = min_k |f2_k - c|, built only when the
+        batch has at least J points: the build then costs no more than one
+        direct call.  Else None."""
+        top = int(orders.max(initial=0))
+        cached = self._expansions.setdefault(ells, [])
+        for expansion in cached:
+            if expansion.holds(top, xi):
+                return expansion
+        if xi.size < MIN_EXPANSION_ORDER:
+            return None
+        center = 0.5 * complex(xi.real.min() + xi.real.max(),
+                               xi.imag.min() + xi.imag.max())
+        distance = float(np.min(np.abs(self.f2 - center)))
+        radius = max(float(np.max(np.abs(xi - center))), DISC_REACH * distance)
+        order = truncation_order(radius / distance) if distance > 0 else None
+        if order is None or xi.size < order:
+            return None
+        expansion = self.local_expansion(ells, top, center, radius, order)
+        if expansion is not None:
+            cached.append(expansion)
+        return expansion
 
     def far_probe_points(self, count: int) -> np.ndarray:
         center = complex(np.mean(self.f2))
@@ -344,13 +478,28 @@ def _match_rows(previous: np.ndarray, new: np.ndarray):
     return np.take_along_axis(new, choice, axis=1), collided
 
 
+def sort_fibers(roots: np.ndarray) -> np.ndarray:
+    """The roots of each row (last axis) by ascending real part, where real
+    parts within FIBER_ORDER_TOL * max(1, max |h|) of their neighbour count
+    as equal and the imaginary part decides.  The two points of a conjugate
+    pair, whose real parts differ by round-off, so keep their order."""
+    roots = np.asarray(roots)
+    by_real = np.take_along_axis(roots, np.argsort(roots.real, axis=-1), -1)
+    scale = np.maximum(1.0, np.max(np.abs(roots), axis=-1, keepdims=True))
+    steps = np.diff(by_real.real, axis=-1, prepend=-np.inf)
+    groups = np.cumsum(steps > FIBER_ORDER_TOL * scale, axis=-1)
+    order = np.lexsort((by_real.imag, groups), axis=-1)
+    return np.take_along_axis(by_real, order, -1)
+
+
 def match_roots(previous: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Order ``new`` to follow ``previous`` by nearest neighbor.
+    """Order ``new`` to follow ``previous`` by nearest neighbor, or sorted
+    by ``sort_fibers`` without ``previous``.
 
     Raises on assignment collisions (two predecessors claiming one root).
     """
     if previous is None:
-        return np.sort_complex(new)
+        return sort_fibers(new)
     matched, collided = _match_rows(np.atleast_2d(previous), np.atleast_2d(new))
     if collided.any():
         raise FiberError("root matching collision: decrease grid step")
@@ -364,9 +513,11 @@ def recover_fibers(power_sums: np.ndarray, p: int,
     ``power_sums`` holds S_1, S_2, ... on its last axis and may carry
     leading batch axes; the roots come from S_1..S_p and are checked
     against S_1..S_2p, and an empty fiber (p = 0) has none.  Without
-    ``previous`` the roots of a row are sorted, with it they follow its
-    same row.  A FiberError names the first row at fault; its ``failed``
-    marks every such row and ``partial`` holds the roots of all rows.
+    ``previous`` the roots of a row are ordered by ``sort_fibers``, with it
+    they follow its same row.  A FiberError names the first row at fault;
+    its ``failed`` marks every such row, ``collided`` those whose roots fit
+    the sums but collide in the matching, and ``partial`` holds the roots
+    of all rows.
     """
     s = np.asarray(power_sums, dtype=complex)
     shape = s.shape[:-1] + (p,)
@@ -375,16 +526,19 @@ def recover_fibers(power_sums: np.ndarray, p: int,
     s = s.reshape(-1, s.shape[-1])
     roots = _refine_roots(roots_from_power_sums(s[:, :p]), s[:, :p])
     if previous is None:
-        matched, collided = np.sort_complex(roots), np.zeros(len(s), dtype=bool)
+        matched, collided = sort_fibers(roots), np.zeros(len(s), dtype=bool)
     else:
         matched, collided = _match_rows(
             np.asarray(previous, dtype=complex).reshape(-1, p), roots)
     check = s[:, :2 * p]
-    defect = np.abs(_power_sum_defect(matched, check))
+    # of the roots before matching, which a collision would duplicate
+    defect = np.abs(_power_sum_defect(roots, check))
     bad = defect > POWER_SUM_TOL * np.maximum(1.0, np.abs(check))
+    inconsistent = np.any(bad, axis=1)
+    collided &= ~inconsistent
     matched = matched.reshape(shape)
-    if collided.any() or bad.any():
-        failed = collided | np.any(bad, axis=1)
+    if collided.any() or inconsistent.any():
+        failed = collided | inconsistent
         row = int(np.argmax(failed))
         if collided[row]:
             message = "root matching collision: decrease grid step"
@@ -393,7 +547,8 @@ def recover_fibers(power_sums: np.ndarray, p: int,
             message = (f"power-sum consistency failed at order {k + 1}: "
                        f"{defect[row, k]:.3e}")
         raise FiberError(message, failed=failed.reshape(shape[:-1]),
-                         partial=matched)
+                         partial=matched,
+                         collided=collided.reshape(shape[:-1]))
     return matched
 
 
@@ -661,11 +816,13 @@ def continue_fibers(engine: MomentEngine, p: int, paths: np.ndarray,
     ``paths`` is (B, L); path b starts from the point ``start_xi[b]``,
     where its roots are ``start_roots[b]``.  Each step solves every live
     path with one kernel call and one batched root recovery.  A path whose
-    matching collides or whose roots fail the power-sum check has its step
-    halved, recursively, alone with the other such paths.  Returns
-    (B, L, p).  If paths fail for good (or leave the quadrature's reach),
-    the error of the first one is raised, with ``failed`` marking them and
-    ``partial`` holding the tracked roots of the others.
+    matching collides has its step halved, recursively, alone with the
+    other such paths; one whose roots fail the power-sum check fails at
+    once, since halving leaves the sums at the end of the step as they
+    are.  Returns (B, L, p).  If paths fail for good (or leave the
+    quadrature's reach), the error of the first one is raised, with
+    ``failed`` marking them and ``partial`` holding the tracked roots of
+    the others.
     """
     paths = np.asarray(paths, dtype=complex)
     out = np.zeros(paths.shape + (p,), dtype=complex)
@@ -713,9 +870,13 @@ def _advance(engine: MomentEngine, p: int, xi_from: np.ndarray,
     except FiberError as exc:
         if exc.failed is None:
             raise
-        roots, bad = exc.partial, np.flatnonzero(exc.failed)
-        if budget <= 0:
-            errors[bad] = exc
+        # the sums at xi_to, and so a power-sum failure there, do not
+        # depend on the path: only a collision is worth a shorter step
+        roots = exc.partial
+        retry = exc.collided & (budget > 0)
+        errors[exc.failed & ~retry] = exc
+        bad = np.flatnonzero(retry)
+        if not bad.size:
             return roots, errors
     mid = 0.5 * (xi_from[bad] + xi_to[bad])
     middle, errors[bad] = _advance(engine, p, xi_from[bad], mid, roots_from[bad],

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nodal_idn.characterize import (GREEN_IDENTITY_CONSTANT, characterize,
+from nodal_idn.characterize import (GREEN_IDENTITY_CONSTANT, _pencil_sums,
+                                    characterize,
                                     compute_G, exterior_probes,
                                     green_identity_defect,
                                     green_identity_residual, orientation_probe,
@@ -9,7 +10,7 @@ from nodal_idn.characterize import (GREEN_IDENTITY_CONSTANT, characterize,
 from nodal_idn.dirichlet import DNDatum
 from nodal_idn.errors import CharacterizationError, MomentError
 from nodal_idn.greens import enclosing_kernel
-from nodal_idn.moments import MomentEngine
+from nodal_idn.moments import MomentEngine, recover_fibers
 from nodal_idn.oracles import polynomial_roots
 from nodal_idn.scenarios import corrupted_datum, flat_line
 
@@ -105,6 +106,18 @@ class TestPencilFibers:
         assert np.max(np.abs(moved - base)) < 10 * DELTA
         single = pencil_fibers(charged_datum, STENCIL_XI0[0], 0.15)
         assert np.max(np.abs(single - expected[0])) < 1e-8
+
+    def test_conjugate_pair_order_survives_round_off(self, charged_datum):
+        # on the real pencil line xi1 = 0.15 the fibers at xi0 = -3.6 come
+        # in conjugate pairs; sums perturbed by 1e-13 keep their order
+        p, sums = _pencil_sums(charged_datum, np.array([-3.6]), 0.15)
+        assert p == 4
+        rng = np.random.default_rng(11)
+        noise = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
+        rows = recover_fibers(sums * (1 + 1e-13 * noise), p)
+        first = recover_fibers(sums, p)[0]
+        assert np.sum(np.abs(first.imag) > 1e-3) >= 2
+        assert np.max(np.abs(rows - first)) < 1e-9
 
     def test_empty_window(self, graph_datum):
         assert pencil_fibers(graph_datum, 40.0, 0.0).size == 0
@@ -223,7 +236,7 @@ class TestReport:
                            candidate_charges=TRUE_CHARGES)
         assert rep.passed
         doc = rep.to_json()
-        assert doc["schema"] == "nodal-idn/caract/1"
+        assert doc["schema"] == "nodal-idn/caract/2"
         assert doc["passed"] is True
 
     def test_reversed_charged_still_passes(self, charged_datum):

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nodal_idn.errors import FiberError, MomentError
+from nodal_idn.model import BoundaryCurve
 from nodal_idn.moments import (MomentEngine, MomentTable, ReconstructedCurve,
                                WindowPlan, analyze_window, build_moment_table,
                                companion_roots, continue_fibers,
                                estimate_sheet_count, match_roots,
                                recover_fibers, recover_form_quotient,
                                roots_from_power_sums, sweep_windows,
-                               window_grid)
+                               truncation_order, window_grid)
 from nodal_idn.oracles import argument_principle_count, polynomial_roots
 from nodal_idn.scenarios import graph as graph_scn
 
@@ -62,6 +63,159 @@ class TestComputeMoment:
                                   datum.theta, spacings=2.0)
             errs[n] = abs(engine.moments([2], [xi])[0, 0] - xi**4)
         assert errs[32] / max(errs[64], 1e-16) > 1e2
+
+
+def _cauchy_sums(weights, f1, f2, orders, xi):
+    """(1/iN) sum_k w_k f1_k^m / (f2_k - xi) for every weight row, order
+    and point, summed term by term; shape (weights, orders, points)."""
+    terms = (weights[:, None, :, None] * f1[None, None, :, None]
+             ** np.asarray(orders)[None, :, None, None]
+             / (f2[None, None, :, None] - np.asarray(xi)[None, None, None, :]))
+    return terms.sum(axis=2) / (1j * f2.size)
+
+
+def _trig_curve(n, coeffs):
+    """Samples of sum_k a_k e^(ikt) at t_j = 2 pi j / n and of its exact
+    t-derivative; ``coeffs`` maps k to a_k."""
+    t = 2 * np.pi * np.arange(n) / n
+    values = sum(a * np.exp(1j * k * t) for k, a in coeffs.items())
+    slope = sum(1j * k * a * np.exp(1j * k * t) for k, a in coeffs.items())
+    return values, slope
+
+
+_coefficient = st.complex_numbers(max_magnitude=0.3, allow_nan=False,
+                                  allow_infinity=False)
+
+
+class TestLocalExpansion:
+    """The Taylor expansion of the kernel about a disc centre against the
+    Cauchy sums written out term by term."""
+
+    @given(st.sampled_from([64, 128, 256]),
+           st.lists(_coefficient, min_size=6, max_size=6),
+           st.lists(_coefficient, min_size=4, max_size=4),
+           st.complex_numbers(max_magnitude=0.8, allow_nan=False,
+                              allow_infinity=False),
+           st.floats(0.05, 0.95), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cauchy_sums(self, n, f2_coeffs, f1_coeffs, center,
+                                 share, seed):
+        # f2 = e^(it) + 0.3-bounded harmonics -3..3, f1 a random
+        # trigonometric polynomial; the disc takes ``share`` of the room
+        # between its centre and the near-curve band
+        f2, df2 = _trig_curve(n, {1: 1.0, **dict(zip((-3, -2, -1, 0, 2, 3),
+                                                      f2_coeffs))})
+        f1, _ = _trig_curve(n, dict(zip((-2, -1, 1, 2), f1_coeffs)))
+        rng = np.random.default_rng(seed)
+        theta = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        curve = BoundaryCurve.circle(1.0, n)
+        engine = MomentEngine(curve, f1, f2, theta, df2=df2)
+        near = 6.0 * 2 * np.pi / n * np.abs(df2)
+        room = float(np.min(np.abs(f2 - center) - near))
+        assume(room > 1e-3)
+        radius = share * room
+        distance = float(np.min(np.abs(f2 - center)))
+        rho = radius / distance
+        u = rng.uniform(0, 1, 12) * np.exp(2j * np.pi * rng.uniform(0, 1, 12))
+        xi = center + radius * np.r_[u, np.exp(2j * np.pi * rng.uniform())]
+        for ells, weights in ((None, df2[None, :]),
+                              ((0, 2), theta[[0, 2]] * curve.derivatives)):
+            expansion = engine.local_expansion(ells, 4, center, radius)
+            order = truncation_order(rho)
+            if order is None:
+                assert expansion is None and rho > 0.5
+                continue
+            assert expansion.coeffs.shape == (len(weights), 5, order)
+            want = _cauchy_sums(weights, f1, f2, range(5), xi)
+            got = expansion(np.arange(5), xi)
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) \
+                < 1e-12
+            # at half the order the tail bound (1/N) sum |w f1^m| rho^J /
+            # (d (1 - rho)) covers the truncation error
+            half = engine.local_expansion(ells, 4, center, radius, order // 2)
+            bound = (np.abs(weights)[:, None, :]
+                     * np.abs(f1)[None, None, :] ** np.arange(5)[None, :, None]
+                     ).sum(axis=2) / n * rho ** (order // 2) \
+                / (distance * (1 - rho))
+            error = np.abs(half(np.arange(5), xi) - want)
+            assert np.all(error <= bound[:, :, None]
+                          + 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_disc_test_at_its_edge(self, charged_datum):
+        # with a near band of 12 grid spacings a disc about 3 may reach to
+        # the band of no sample: radius below min_k |f2_k - 3| - near_k
+        datum = charged_datum
+        engine = MomentEngine(datum.curve, datum.f[0], datum.f[1],
+                              datum.theta, spacings=12.0)
+        near = 12.0 * 2 * np.pi / datum.curve.n * np.abs(engine.df2)
+        room = float(np.min(np.abs(engine.f2 - 3.0) - near))
+        assert engine.local_expansion(None, 2, 3.0, room * (1 + 1e-9)) is None
+        assert engine.local_expansion(None, 2, 3.0, room * (1 - 1e-9)) \
+            is not None
+
+    def test_batch_reuses_disc(self, charged_datum):
+        # a window grid builds one disc per weight set and order range; the
+        # next grids inside it are evaluated from its coefficients alone
+        engine = _engine(charged_datum)
+        direct = []
+        kernel = engine._direct
+        engine._direct = lambda *args: direct.append(args) or kernel(*args)
+        for center in (3.1, 3.0 + 0.1j, 2.9):
+            grid, _ = window_grid(center, 0.09, 9)
+            got = engine.moments(range(1, 9), grid)
+            want = _cauchy_sums(engine.df2[None, :], engine.f1, engine.f2,
+                                range(1, 9), grid)[0]
+            assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) \
+                < 1e-12
+        assert direct == []
+        assert len(engine._expansions[None]) == 1
+
+    def test_small_batch_builds_no_disc(self, charged_datum):
+        # a new disc needs J terms: 27 at its least radius d/4, 29 at the
+        # radius 0.28 d.  A batch of fewer points goes direct and builds
+        # nothing, a batch of J or more builds the disc.  Even counts on a
+        # circle about 3.1 keep the bounding-box centre at 3.1
+        d = float(np.min(np.abs(charged_datum.f[1] - 3.1)))
+        for radius, order in ((0.01, 27), (0.28 * d, 29)):
+            engine = _engine(charged_datum)
+            for count, discs in ((order - 1, 0), (order + 1, 1)):
+                xi = 3.1 + radius * np.exp(2j * np.pi * np.arange(count)
+                                           / count)
+                engine.moments(range(1, 9), xi)
+                assert len(engine._expansions[None]) == discs
+            assert engine._expansions[None][0].coeffs.shape == (1, 9, order)
+
+    def test_straddling_batch_matches_direct(self, charged_datum):
+        engine = _engine(charged_datum)
+        grid, _ = window_grid(3.1, 0.09, 9)
+        engine.moments(range(1, 9), grid)
+        (disc,) = engine._expansions[None]
+        # segments from the disc's centre to 1.5 radii out: 10 points go
+        # direct, 60 points straddle the edge and get a disc of their own
+        for count in (10, 60):
+            xi = disc.center + 1.5 * disc.radius * np.linspace(0, 1, count) \
+                * np.exp(0.3j)
+            got = engine.moments(range(1, 9), xi)
+            want = _cauchy_sums(engine.df2[None, :], engine.f1, engine.f2,
+                                range(1, 9), xi)[0]
+            assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) \
+                < 1e-12
+        assert len(engine._expansions[None]) == 2
+
+    @pytest.mark.parametrize("count", [2, 40])
+    def test_near_point_fails_alone(self, charged_datum, count):
+        # a batch of points in a cached disc plus one next to f2(gamma)
+        engine = _engine(charged_datum)
+        grid, _ = window_grid(3.1, 0.09, 9)
+        engine.moments(range(1, 9), grid)
+        xi = np.r_[grid[:count - 1], engine.f2[17] + 1e-3]
+        threshold = 6.0 * 2 * np.pi / engine.f2.size * np.abs(engine.df2)
+        want = np.any(np.abs(xi[:, None] - engine.f2[None, :]) < threshold,
+                      axis=1)
+        assert want.tolist() == [False] * (count - 1) + [True]
+        with pytest.raises(MomentError, match="on-curve") as info:
+            engine.moments(range(1, 9), xi)
+        assert np.array_equal(info.value.failed, want)
 
 
 class TestMomentTable:
@@ -287,7 +441,7 @@ class PowerSumFamily:
 
 def _track_path(engine, p, path, xi, roots, budget=6):
     """Reference continuation of one path, one point at a time, halving a
-    failed step recursively; raises on the first failure."""
+    step that collides recursively; raises on the first failure."""
     out = []
     for x in path:
         roots = _track_step(engine, p, xi, roots, x, budget)
@@ -300,8 +454,10 @@ def _track_step(engine, p, xi_from, roots_from, xi_to, budget):
     sums = engine.moments(range(1, 2 * p + 1), [xi_to])[:, 0]
     try:
         return recover_fibers(sums, p, previous=roots_from)
-    except FiberError:
-        if budget <= 0:
+    except FiberError as exc:
+        # the sums at xi_to do not depend on the path: only a collision is
+        # worth a shorter step
+        if budget <= 0 or "collision" not in str(exc):
             raise
     mid = 0.5 * (xi_from + xi_to)
     middle = _track_step(engine, p, xi_from, roots_from, mid, budget - 1)
@@ -363,6 +519,26 @@ class TestContinuation:
             continue_fibers(engine, 2, [[1.0]], [0.0], start, max_halvings=0)
         got = continue_fibers(engine, 2, [[1.0]], [0.0], start)
         assert np.allclose(got[0, 0], [0.9, 2.0], atol=1e-12)
+
+    def test_power_sum_failure_is_not_halved(self):
+        # S_4 is off by 1e-3 where Re xi > 0.5, whatever the path there:
+        # the failing path costs no halvings, the other one arrives
+        calls = []
+
+        class Inconsistent(PowerSumFamily):
+            def moments(self, orders, xi):
+                calls.append(np.size(xi))
+                out = super().moments(orders, xi)
+                out[-1] += 1e-3 * (np.real(xi) > 0.5)
+                return out
+
+        engine = Inconsistent([[0.0, 0.5, 0.0], [1.0, 1.0, 0.0]])
+        start = engine.roots([0.0, 0.0])
+        with pytest.raises(FiberError, match="power-sum") as info:
+            continue_fibers(engine, 2, [[1.0], [0.4]], [0.0, 0.0], start)
+        assert calls == [2]
+        assert info.value.failed.tolist() == [True, False]
+        assert np.allclose(info.value.partial[1, 0], [0.2, 1.4], atol=1e-12)
 
     def test_rays_follow_rational_oracle(self, charged_datum, charged_scenario):
         # eight rays out of 3.25 + 0.1j, away from the critical values 2.75

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from nodal_idn import scenarios
 from nodal_idn.dirichlet import DNDatum
 from nodal_idn.errors import PartitionError
-from nodal_idn.moments import MomentEngine
+from nodal_idn.moments import MomentEngine, sweep_windows
 from nodal_idn.nodes import (BranchReport, SingularPointReport,
                              analyze_singular_point,
                              branch_residues, classify_and_partition,
@@ -252,3 +253,39 @@ class TestClassification:
         doc = jsonio.load(path)
         assert doc["schema"] == "nodal-idn/nodes/1"
         assert len(doc["nodes"]) == 1
+
+
+def test_residues_kernel_products_at_large_n(monkeypatch):
+    # charged4 at N = 4096, the steps of one residues run.  A direct kernel
+    # for every batch makes 324 N-wide products here, 156 of them at single
+    # points.  A batch that a local expansion's disc holds is evaluated
+    # from its coefficients and a batch of J or more points builds such a
+    # disc, which leaves 141 direct products, all at single points (the
+    # walk and contour before the first disc of their engine), and 3 discs
+    scn = scenarios.charged4(4096)
+    datum = scn.datum()
+    curve = sweep_windows(datum, scn.plan)
+    direct, built = [], []
+    kernel, expand = MomentEngine._direct, MomentEngine.local_expansion
+
+    def counting_direct(self, ells, orders, xi):
+        direct.append(xi.size)
+        return kernel(self, ells, orders, xi)
+
+    def counting_expand(self, *args, **kwargs):
+        built.append(args)
+        return expand(self, *args, **kwargs)
+
+    monkeypatch.setattr(MomentEngine, "_direct", counting_direct)
+    monkeypatch.setattr(MomentEngine, "local_expansion", counting_expand)
+    candidates = locate_singularities(curve, datum)
+    reports = analyze_singular_point(datum, curve, candidates)
+    inventory = classify_and_partition(reports, datum)
+    assert len(direct) <= 150 and max(direct) == 1
+    assert len(built) <= 4
+    (node,) = inventory.nodes
+    h, xi = node["point"]
+    assert abs(h - 2.0) < 1e-9 and abs(xi - 3.0) < 1e-8
+    charges = np.asarray(node["charges"])
+    want = np.array([[1.0], [2.0], [3.0]]) * np.sign(charges.real)
+    assert np.max(np.abs(charges - want)) < 1e-9
