@@ -185,8 +185,8 @@ class MomentEngine:
             self._powers = np.concatenate([self._powers, grown])
         return self._powers[orders]
 
-    def local_expansion(self, ells, top: int, center: complex, radius: float,
-                        order: int | None = None) -> "LocalExpansion | None":
+    def local_expansion(self, ells, top: int, center: complex,
+                        radius: float) -> "LocalExpansion | None":
         """The Taylor expansion of the kernel rows ``ells`` (None: the df2
         row), orders 0..top, on the disc D(center, radius): one product of
         the integrand rows with J powers of the Cauchy factor.
@@ -194,16 +194,14 @@ class MomentEngine:
         None where the disc is not clear of the curve, that is where
         |f2_k - center| - radius <= the near threshold of some sample k, or
         where no truncation order J <= MAX_EXPANSION_ORDER bounds the tail.
-        ``order`` sets J instead of ``truncation_order``.
         """
         shift = self.f2 - center
         gap = np.abs(shift)
         if not np.all(gap - radius > self._near):
             return None
+        order = truncation_order(radius / float(np.min(gap)))
         if order is None:
-            order = truncation_order(radius / float(np.min(gap)))
-            if order is None:
-                return None
+            return None
         orders = np.arange(top + 1)
         cauchy = np.vander(radius / shift, order, increasing=True)
         cauchy /= shift[:, None]
@@ -232,7 +230,7 @@ class MomentEngine:
         order = truncation_order(radius / distance) if distance > 0 else None
         if order is None or xi.size < order:
             return None
-        expansion = self.local_expansion(ells, top, center, radius, order)
+        expansion = self.local_expansion(ells, top, center, radius)
         if expansion is not None:
             cached.append(expansion)
         return expansion

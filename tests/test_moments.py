@@ -4,8 +4,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from nodal_idn.errors import FiberError, MomentError
 from nodal_idn.model import BoundaryCurve
-from nodal_idn.moments import (MomentEngine, MomentTable, ReconstructedCurve,
-                               WindowPlan, analyze_window, build_moment_table,
+from nodal_idn.moments import (LocalExpansion, MomentEngine, MomentTable,
+                               ReconstructedCurve, WindowPlan, analyze_window,
+                               build_moment_table,
                                companion_roots, continue_fibers,
                                estimate_sheet_count, match_roots,
                                recover_fibers, recover_form_quotient,
@@ -132,7 +133,8 @@ class TestLocalExpansion:
                 < 1e-12
             # at half the order the tail bound (1/N) sum |w f1^m| rho^J /
             # (d (1 - rho)) covers the truncation error
-            half = engine.local_expansion(ells, 4, center, radius, order // 2)
+            half = LocalExpansion(expansion.center, expansion.radius,
+                                  expansion.coeffs[..., :order // 2])
             bound = (np.abs(weights)[:, None, :]
                      * np.abs(f1)[None, None, :] ** np.arange(5)[None, :, None]
                      ).sum(axis=2) / n * rho ** (order // 2) \
