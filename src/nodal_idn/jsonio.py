@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+import numbers
 import os
-from typing import Any
 
 import numpy as np
+
+from .errors import ModelError
 
 
 def encode_complex(z) -> list:
@@ -14,43 +16,61 @@ def encode_complex(z) -> list:
 
 
 def encode_complex_array(a) -> list:
-    return [encode_complex(z) for z in np.asarray(a).ravel()]
+    """[re, im] pairs of every element of ``a``, flattened in C order."""
+    return np.asarray(a, dtype=complex).ravel().view(float).reshape(-1, 2).tolist()
 
 
 def decode_complex(pair) -> complex:
-    if isinstance(pair, (int, float)):
+    """A real number or an [re, im] pair; anything else is a ModelError."""
+    if isinstance(pair, numbers.Real):
         return complex(pair)
-    return complex(pair[0], pair[1])
+    if isinstance(pair, (list, tuple)) and len(pair) == 2 \
+            and all(isinstance(x, numbers.Real) for x in pair):
+        return complex(pair[0], pair[1])
+    raise ModelError(f"not a complex number: {pair!r}")
 
 
 def decode_complex_array(items) -> np.ndarray:
+    """A list of real numbers and [re, im] pairs as a complex array.
+
+    A list of pairs alone, or of reals alone, is decoded in one numpy
+    conversion; a mixed list entry by entry.
+    """
+    try:
+        values = np.array(items)
+    except ValueError:          # ragged entries
+        values = None
+    if values is not None and values.dtype.kind in "fi":
+        if values.ndim == 2 and values.shape[1] == 2:
+            return np.ascontiguousarray(values, dtype=float).view(complex).ravel()
+        if values.ndim == 1:
+            return values.astype(complex)
+    if values is not None and values.ndim == 0:
+        raise ModelError(f"not a list of complex numbers: {items!r}")
     return np.array([decode_complex(p) for p in items], dtype=complex)
 
 
-def _sanitize(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+def _encode_default(obj):
+    """The JSON form of what the C encoder cannot write itself."""
+    if isinstance(obj, (np.integer, np.floating)):
         return obj.item()
-    if isinstance(obj, (np.complexfloating, complex)):
-        return encode_complex(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dump(obj: dict, path) -> None:
-    """Write a document deterministically: sorted keys, round-trip floats.
+    """Write a document deterministically: one line, sorted keys, round-trip
+    floats, through the C encoder (which ``indent`` would turn off).
 
     An existing regular file is unlinked first: truncating a file that was
     just written forces a flush of its old blocks on ext4 (about 50 ms per
     MB), while a new file costs nothing extra.
     """
-    text = json.dumps(_sanitize(obj), sort_keys=True, indent=1)
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=_encode_default)
     if os.path.isfile(path) and not os.path.islink(path):
         os.unlink(path)
     with open(path, "w", encoding="utf-8") as fh:
