@@ -21,7 +21,7 @@ from .dirichlet import DNDatum, Prescription, build_dn_datum
 from .errors import (FiberError, ModelError, MomentError, PartitionError,
                      SolveError)
 from .model import AdmissibleFamily, BoundaryCurve, DiskDomain, NodalDomainModel
-from .moments import ReconstructedCurve, WindowPlan, sweep_windows
+from .moments import MomentEngine, ReconstructedCurve, WindowPlan, sweep_windows
 from .nodes import (analyze_singular_point, classify_and_partition,
                     locate_singularities)
 
@@ -89,8 +89,9 @@ def cmd_forward(cfg: PipelineConfig) -> int:
 def cmd_invert(cfg: PipelineConfig) -> int:
     datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
     plan = WindowPlan.from_json(cfg.path("windows"))
+    engine = MomentEngine.from_datum(datum)
     try:
-        curve = sweep_windows(datum, plan)
+        curve = sweep_windows(engine, plan)
     except (FiberError, MomentError) as exc:
         print(f"invert: {exc}", file=sys.stderr)
         return EXIT_INVERSION
@@ -111,16 +112,14 @@ def cmd_invert(cfg: PipelineConfig) -> int:
                             f"{list(map(int, sigma))}")
     report_lines.extend(curve.notes)
     report_lines.append(f"self-consistency residual: "
-                        f"{_self_consistency(datum, curve):.3e}")
+                        f"{_self_consistency(engine, curve):.3e}")
     with open(out + ".report.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(report_lines) + "\n")
     return 0
 
 
-def _self_consistency(datum: DNDatum, curve: ReconstructedCurve) -> float:
+def _self_consistency(engine: MomentEngine, curve: ReconstructedCurve) -> float:
     """Max power-sum defect of the recovered fibers against fresh moments."""
-    from .moments import MomentEngine
-    engine = MomentEngine.from_datum(datum)
     worst = 0.0
     for w in curve.windows:
         if w.p == 0:
@@ -137,7 +136,8 @@ def cmd_residues(cfg: PipelineConfig) -> int:
     curve = ReconstructedCurve.from_json(jsonio.load(cfg.path("curve")))
     radius = float(cfg.path("contour_radius", 0.05))
     try:
-        inventory = _node_inventory(curve, datum, radius)
+        inventory = _node_inventory(curve, MomentEngine.from_datum(datum),
+                                    radius)
     except (FiberError, MomentError) as exc:
         print(f"residues: contour tracking failed: {exc}", file=sys.stderr)
         return EXIT_INVERSION
@@ -148,12 +148,13 @@ def cmd_residues(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _node_inventory(curve: ReconstructedCurve, datum: DNDatum, radius: float):
+def _node_inventory(curve: ReconstructedCurve, engine: MomentEngine,
+                    radius: float):
     """Candidates, their contour reports and the classified inventory."""
-    candidates = locate_singularities(curve, datum)
-    reports = analyze_singular_point(datum, curve, candidates,
+    candidates = locate_singularities(curve, engine)
+    reports = analyze_singular_point(engine, curve, candidates,
                                      contour_radius=radius)
-    return classify_and_partition(reports, datum)
+    return classify_and_partition(reports)
 
 
 def cmd_characterize(cfg: PipelineConfig) -> int:
@@ -239,14 +240,15 @@ def cmd_compact(cfg: PipelineConfig) -> int:
         return EXIT_BAD_DATUM
     jsonio.dump(datum.to_json(), f"{prefix}.datum.json")
     plan = WindowPlan.from_json(doc["windows"])
+    engine = MomentEngine.from_datum(datum)
     try:
-        curve = sweep_windows(datum, plan)
+        curve = sweep_windows(engine, plan)
     except (FiberError, MomentError) as exc:
         print(f"compact: inversion failed: {exc}", file=sys.stderr)
         return EXIT_INVERSION
     jsonio.dump(curve.to_json(), f"{prefix}.curve.json")
     try:
-        inventory = _node_inventory(curve, datum,
+        inventory = _node_inventory(curve, engine,
                                     float(doc.get("contour_radius", 0.05)))
     except (FiberError, MomentError) as exc:
         print(f"compact: contour tracking failed: {exc}", file=sys.stderr)

@@ -727,10 +727,8 @@ class ReconstructedCurve:
         )
 
 
-def sweep_windows(datum: DNDatum, plan: WindowPlan) -> ReconstructedCurve:
+def sweep_windows(engine: MomentEngine, plan: WindowPlan) -> ReconstructedCurve:
     """Run the window pipeline over the plan, re-centering near branch points."""
-    engine = MomentEngine.from_datum(datum)
-
     def attempt_at(center):
         try:
             return analyze_window(engine, complex(center), plan.radius,

@@ -81,7 +81,7 @@ class _Crossing:
     live: bool = True
 
 
-def locate_singularities(curve: ReconstructedCurve, datum: DNDatum,
+def locate_singularities(curve: ReconstructedCurve, engine: MomentEngine,
                          tau_factor: float = 1e-4,
                          fit_degree: int = 3) -> list[SingularPointCandidate]:
     """Transverse double-point candidates from pairwise sheet crossings.
@@ -92,7 +92,6 @@ def locate_singularities(curve: ReconstructedCurve, datum: DNDatum,
     tau_sing = tau_factor * window radius (branch-point collisions) are
     discarded, as are pairs with near-equal or runaway slopes.
     """
-    engine = MomentEngine.from_datum(datum)
     seeds = _crossing_seeds(curve, fit_degree)
     _refine_crossings(engine, seeds)
     candidates = []
@@ -432,7 +431,7 @@ class SingularPointReport:
                 "branches": [b.to_json() for b in self.branches]}
 
 
-def analyze_singular_point(datum: DNDatum, curve: ReconstructedCurve,
+def analyze_singular_point(engine: MomentEngine, curve: ReconstructedCurve,
                            candidates: list,
                            contour_radius: float = DEFAULT_CONTOUR_RADIUS,
                            nodes: int = DEFAULT_CONTOUR_NODES,
@@ -442,7 +441,6 @@ def analyze_singular_point(datum: DNDatum, curve: ReconstructedCurve,
     The contours of all candidates whose windows share a sheet count are
     tracked together.  Returns one SingularPointReport per candidate.
     """
-    engine = MomentEngine.from_datum(datum)
     by_sheets: dict[int, list] = {}
     for i, candidate in enumerate(candidates):
         p = curve.windows[candidate.window_index].p

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nodal_idn import scenarios
-from nodal_idn.moments import sweep_windows
+from nodal_idn.moments import MomentEngine, sweep_windows
 
 logging.getLogger("nodal_idn").setLevel(logging.ERROR)
 
@@ -31,7 +31,8 @@ def charged_datum(charged_scenario):
 
 @pytest.fixture(scope="session")
 def charged_sweep(charged_scenario, charged_datum):
-    return sweep_windows(charged_datum, charged_scenario.plan)
+    return sweep_windows(MomentEngine.from_datum(charged_datum),
+                         charged_scenario.plan)
 
 
 @pytest.fixture(scope="session")
@@ -46,12 +47,14 @@ def spurious_datum(spurious_scenario):
 
 @pytest.fixture(scope="session")
 def spurious_sweep(spurious_scenario, spurious_datum):
-    return sweep_windows(spurious_datum, spurious_scenario.plan)
+    return sweep_windows(MomentEngine.from_datum(spurious_datum),
+                         spurious_scenario.plan)
 
 
 @pytest.fixture(scope="session")
 def graph_sweep(graph_scenario, graph_datum):
-    return sweep_windows(graph_datum, graph_scenario.plan)
+    return sweep_windows(MomentEngine.from_datum(graph_datum),
+                         graph_scenario.plan)
 
 
 @pytest.fixture(scope="session")

@@ -162,7 +162,8 @@ def test_criterion_05_moment_engine(graph_datum, charged_datum,
 def test_criterion_06_fiber_recovery(charged_datum, charged_scenario):
     from nodal_idn.moments import sweep_windows
     with _Budget("6 fiber recovery", 5.0):
-        charged_sweep = sweep_windows(charged_datum, charged_scenario.plan)
+        charged_sweep = sweep_windows(MomentEngine.from_datum(charged_datum),
+                                      charged_scenario.plan)
         total_grid = 0
         worst = 0.0
         for window in charged_sweep.windows:
@@ -197,9 +198,9 @@ def test_criterion_07_form_quotients(charged_sweep, charged_scenario):
 def test_criterion_08_node_classification(charged_datum, charged_sweep,
                                           spurious_datum, spurious_sweep):
     with _Budget("8 node classification", 10.0):
-        candidates = locate_singularities(charged_sweep, charged_datum)
-        reports = analyze_singular_point(charged_datum, charged_sweep,
-                                         candidates)
+        engine = MomentEngine.from_datum(charged_datum)
+        candidates = locate_singularities(charged_sweep, engine)
+        reports = analyze_singular_point(engine, charged_sweep, candidates)
         inventory = classify_and_partition(reports, charged_datum)
         assert len(inventory.nodes) == 1
         charges = inventory.nodes[0]["charges"]
@@ -209,8 +210,9 @@ def test_criterion_08_node_classification(charged_datum, charged_sweep,
         assert inventory.partition_unique
         assert all(inventory.family_generic)
 
-        sp_candidates = locate_singularities(spurious_sweep, spurious_datum)
-        sp_reports = analyze_singular_point(spurious_datum, spurious_sweep,
+        sp_engine = MomentEngine.from_datum(spurious_datum)
+        sp_candidates = locate_singularities(spurious_sweep, sp_engine)
+        sp_reports = analyze_singular_point(sp_engine, spurious_sweep,
                                             sp_candidates)
         sp_inventory = classify_and_partition(sp_reports, spurious_datum)
         assert sp_inventory.nodes == [] and len(sp_inventory.spurious) == 1

@@ -251,6 +251,21 @@ class TestExitCodes:
         assert "expected 3" in proc.stderr
         assert not (tmp_path / "datum.json").exists()
 
+    @pytest.mark.parametrize("entry", [[1.0], ["a", "b"], None,
+                                       [1.0, 0.0, 5.0]])
+    def test_malformed_complex_entry_exits_2(self, workdir, tmp_path, entry):
+        model = json.loads((workdir / "graph.model.json").read_text())
+        model["boundary"]["positions"][3] = entry
+        (tmp_path / "bad.model.json").write_text(json.dumps(model))
+        cfg = json.loads((workdir / "graph.forward.json").read_text())
+        cfg["model"] = "bad.model.json"
+        cfg["out"] = str(tmp_path / "datum.json")
+        (tmp_path / "bad.forward.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "forward", "bad.forward.json")
+        assert proc.returncode == 2, proc.stderr
+        assert "not a complex number" in proc.stderr
+        assert not (tmp_path / "datum.json").exists()
+
     def test_window_max_order_exits_2(self, charged_outputs, tmp_path):
         # the plan's moment-order cap is gone; below the sheet count it
         # used to end invert with a ValueError
@@ -353,7 +368,7 @@ class TestCompact:
         import numpy as np
         from nodal_idn.cli import _compact_potentials
         from nodal_idn.dirichlet import build_dn_datum
-        from nodal_idn.moments import WindowPlan, sweep_windows
+        from nodal_idn.moments import MomentEngine, WindowPlan, sweep_windows
         cfg = {
             "rho": 1.0, "n": 512,
             "charges": [[1.0, 0.0], [1.3, 0.0], [0.8, 0.0]],
@@ -370,7 +385,7 @@ class TestCompact:
         assert datum.hypothesis_a.passed
         forms = _oracle_forms(cfg)
         plan = WindowPlan.ring(0.5146 - 0.3672j, 0.03, 4, 0.02)
-        rec = sweep_windows(datum, plan)
+        rec = sweep_windows(MomentEngine.from_datum(datum), plan)
         assert [w.p for w in rec.windows] == [2, 2, 2, 2]
         errs = []
         for win in rec.windows:

@@ -651,21 +651,21 @@ class TestSweep:
         zeros = sorted(float(r) for r in sympy.solve(disc, xi))
         assert zeros == [2.75, 3.0]
         plan = WindowPlan([2.75 + 0.0j], 0.05)
-        curve = sweep_windows(charged_datum, plan)
+        curve = sweep_windows(MomentEngine.from_datum(charged_datum), plan)
         assert len(curve.windows) == 1
         assert curve.windows[0].relocated_from == 2.75 + 0.0j
         assert any("re-centered" in n for n in curve.notes)
 
     def test_window_on_curve_skipped(self, graph_datum):
         plan = WindowPlan([0.0 + 0.0j, 0.98 + 0.0j, 0.3 + 0.2j], 0.25)
-        curve = sweep_windows(graph_datum, plan)
+        curve = sweep_windows(MomentEngine.from_datum(graph_datum), plan)
         assert len(curve.failures) == 1
         assert len(curve.windows) == 2
 
     def test_too_many_failures_raise(self, graph_datum):
         plan = WindowPlan([0.99 + 0.0j, 1.0 + 0.01j, -0.99 + 0.0j], 0.25)
         with pytest.raises(FiberError):
-            sweep_windows(graph_datum, plan)
+            sweep_windows(MomentEngine.from_datum(graph_datum), plan)
 
     def test_json_round_trip(self, charged_sweep, tmp_path):
         from nodal_idn import jsonio

@@ -14,24 +14,26 @@ from nodal_idn.nodes import (BranchReport, SingularPointReport,
 
 @pytest.fixture(scope="module")
 def charged_candidates(charged_sweep, charged_datum):
-    return locate_singularities(charged_sweep, charged_datum)
+    return locate_singularities(charged_sweep,
+                                MomentEngine.from_datum(charged_datum))
 
 
 @pytest.fixture(scope="module")
 def charged_report(charged_datum, charged_sweep, charged_candidates):
-    return analyze_singular_point(charged_datum, charged_sweep,
-                                  charged_candidates[:1])[0]
+    return analyze_singular_point(MomentEngine.from_datum(charged_datum),
+                                  charged_sweep, charged_candidates[:1])[0]
 
 
 @pytest.fixture(scope="module")
 def spurious_candidates(spurious_sweep, spurious_datum):
-    return locate_singularities(spurious_sweep, spurious_datum)
+    return locate_singularities(spurious_sweep,
+                                MomentEngine.from_datum(spurious_datum))
 
 
 @pytest.fixture(scope="module")
 def spurious_report(spurious_datum, spurious_sweep, spurious_candidates):
-    return analyze_singular_point(spurious_datum, spurious_sweep,
-                                  spurious_candidates[:1])[0]
+    return analyze_singular_point(MomentEngine.from_datum(spurious_datum),
+                                  spurious_sweep, spurious_candidates[:1])[0]
 
 
 class TestLocate:
@@ -50,7 +52,8 @@ class TestLocate:
         assert abs(c.xi) < 1e-6 and abs(c.h) < 1e-6
 
     def test_graph_has_no_candidates(self, graph_sweep, graph_datum):
-        assert locate_singularities(graph_sweep, graph_datum) == []
+        engine = MomentEngine.from_datum(graph_datum)
+        assert locate_singularities(graph_sweep, engine) == []
 
     def test_failing_seed_leaves_others(self, charged_sweep, charged_datum,
                                         charged_candidates, monkeypatch):
@@ -71,7 +74,8 @@ class TestLocate:
             return seeds[:half] + [bad] + seeds[half:]
 
         monkeypatch.setattr(nodes, "_crossing_seeds", with_bad_seed)
-        got = locate_singularities(charged_sweep, charged_datum)
+        got = locate_singularities(charged_sweep,
+                                   MomentEngine.from_datum(charged_datum))
         assert dropped[0].fit is None and not dropped[0].live
         assert len(got) == len(charged_candidates)
         for a, b in zip(got, charged_candidates):
@@ -117,14 +121,14 @@ class TestBranchResidues:
 
     def test_contour_radius_stability(self, charged_datum, charged_sweep,
                                       charged_candidates):
-        small = analyze_singular_point(charged_datum, charged_sweep,
-                                       charged_candidates[:1],
+        small = analyze_singular_point(MomentEngine.from_datum(charged_datum),
+                                       charged_sweep, charged_candidates[:1],
                                        contour_radius=0.025,
                                        with_energy=False)[0]
         big_map = {b.cycle: b.residues for b in small.branches
                    if len(b.cycle) == 1}
-        ref = analyze_singular_point(charged_datum, charged_sweep,
-                                     charged_candidates[:1],
+        ref = analyze_singular_point(MomentEngine.from_datum(charged_datum),
+                                     charged_sweep, charged_candidates[:1],
                                      with_energy=False)[0]
         for b in ref.branches:
             if len(b.cycle) != 1:
@@ -256,15 +260,16 @@ class TestClassification:
 
 
 def test_residues_kernel_products_at_large_n(monkeypatch):
-    # charged4 at N = 4096, the steps of one residues run.  A direct kernel
-    # for every batch makes 324 N-wide products here, 156 of them at single
-    # points.  A batch that a local expansion's disc holds is evaluated
-    # from its coefficients and a batch of J or more points builds such a
-    # disc, which leaves 141 direct products, all at single points (the
-    # walk and contour before the first disc of their engine), and 3 discs
+    # charged4 at N = 4096, the steps of one residues run on one engine.  A
+    # direct kernel for every batch makes 324 N-wide products here, 156 of
+    # them at single points.  A batch that a local expansion's disc holds
+    # is evaluated from its coefficients and a batch of J or more points
+    # builds such a disc.  The walks of the crossing refinement build the
+    # first disc about the node, so the later single-point walk and contour
+    # of the contour analysis need no direct product: 2 discs, no product
     scn = scenarios.charged4(4096)
     datum = scn.datum()
-    curve = sweep_windows(datum, scn.plan)
+    curve = sweep_windows(MomentEngine.from_datum(datum), scn.plan)
     direct, built = [], []
     kernel, expand = MomentEngine._direct, MomentEngine.local_expansion
 
@@ -278,11 +283,12 @@ def test_residues_kernel_products_at_large_n(monkeypatch):
 
     monkeypatch.setattr(MomentEngine, "_direct", counting_direct)
     monkeypatch.setattr(MomentEngine, "local_expansion", counting_expand)
-    candidates = locate_singularities(curve, datum)
-    reports = analyze_singular_point(datum, curve, candidates)
+    engine = MomentEngine.from_datum(datum)
+    candidates = locate_singularities(curve, engine)
+    reports = analyze_singular_point(engine, curve, candidates)
     inventory = classify_and_partition(reports, datum)
-    assert len(direct) <= 150 and max(direct) == 1
-    assert len(built) <= 4
+    assert direct == []
+    assert len(built) <= 2
     (node,) = inventory.nodes
     h, xi = node["point"]
     assert abs(h - 2.0) < 1e-9 and abs(xi - 3.0) < 1e-8
