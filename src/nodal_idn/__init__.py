@@ -7,10 +7,8 @@ from .greens import (GreenKernel, NystromSystem, PrincipalGreen, disk_green,
                      layer_potential_T, solve_dirichlet_fredholm,
                      trace_T_minus, trace_T_plus)
 from .dirichlet import (DNDatum, HarmonicDistribution, Prescription, apply_dn,
-                        build_dn_datum, compute_theta, solve_nodal_dirichlet,
-                        verify_weak_holomorphy)
-from .moments import (FiberWindow, MomentEngine, MomentTable,
-                      ReconstructedCurve, WindowPlan, estimate_sheet_count,
+                        build_dn_datum, compute_theta, solve_nodal_dirichlet)
+from .moments import (FiberWindow, MomentEngine, ReconstructedCurve, WindowPlan,
                       recover_fibers, recover_form_quotient, sweep_windows)
 from .nodes import (branch_residues, classify_and_partition,
                     energy_growth_reports, locate_singularities)

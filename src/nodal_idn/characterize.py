@@ -2,11 +2,10 @@
 
 Three independent criteria decide whether a boundary triple is a plausible
 DN-datum: (a) the local fiber functions of the line pencil satisfy the
-Riemann-Burgers shock equation h * dh/dxi0 = dh/dxi1 and absorb all the
-nonlinearity of G (the second xi0-derivative of G minus their sum is flat);
-(b) exactly one orientation of the curve passes, unless G is affine in xi0
-in which case both may (algebraic image); (c) a boundary Green identity
-holds with the candidate identification points and charges:
+Riemann-Burgers shock equation h * dh/dxi0 = dh/dxi1; (b) exactly one
+orientation of the curve passes, unless G is affine in xi0 in which case
+both may (algebraic image); (c) a boundary Green identity holds with the
+candidate identification points and charges:
 
     (2/i) int_gamma [ u dg(.,z) + g(.,z) conj(theta u) ] = K * sum c g(a, z)
 
@@ -17,7 +16,9 @@ the charge points and verified numerically to machine precision).
 
 Criterion (a) runs on the fiber engine alone: on the pencil line xi1 the
 moments at -xi0 of the projection (f1, xi1 f1 + f2) are the fiber power
-sums, and G(xi0, xi1) is its first moment M_1.
+sums, and G(xi0, xi1) is its first moment M_1.  G is thus the sum of the
+fibers by construction, so only its curvature in xi0 is read, for the
+algebraic verdict of (b).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .greens import GreenKernel, enclosing_kernel
 from .model import BoundaryCurve
 from .moments import MomentEngine, integral_sheet_count, recover_fibers
 
-CARACT_SCHEMA = "nodal-idn/caract/2"
+CARACT_SCHEMA = "nodal-idn/caract/3"
 GREEN_IDENTITY_CONSTANT = -4.0 * np.pi
 FLATNESS_FLOOR = 1e-8
 
@@ -83,9 +84,7 @@ class ShockReport:
     p: int
     delta: float
     max_shock: float
-    max_flat: float
     shock_ratio: float          # coarse/fine residual ratio under halving
-    flat_ratio: float
     flat_band: float            # max |d2G/dxi0^2| over the window
     g_values: list = field(default_factory=list)     # G per grid point
     fibers: list = field(default_factory=list)       # h_j per grid point
@@ -98,8 +97,7 @@ class ShockReport:
         return {"grid": [[jsonio.encode_complex(a), jsonio.encode_complex(b)]
                          for a, b in self.grid],
                 "p": self.p, "delta": self.delta,
-                "max_shock": self.max_shock, "max_flat": self.max_flat,
-                "shock_ratio": self.shock_ratio, "flat_ratio": self.flat_ratio,
+                "max_shock": self.max_shock, "shock_ratio": self.shock_ratio,
                 "flat_band": self.flat_band,
                 "G": [jsonio.encode_complex(v) for v in self.g_values],
                 "fibers": [jsonio.encode_complex_array(h) for h in self.fibers]}
@@ -107,13 +105,12 @@ class ShockReport:
 
 def shock_residual(datum: DNDatum, center: tuple, extent: float,
                    grid_n: int = 3, delta: float | None = None) -> ShockReport:
-    """Shock and flatness residuals of the pencil fibers over a window.
+    """Shock residual of the pencil fibers over a window, and the curvature
+    band of G.
 
-    Residuals use centered differences of step delta and delta/2; the
-    second-order ratio (about 4) is reported for both.  Note the flatness
-    residual |d2/dxi0^2 (G - sum h_j)| of exact data is pure
-    finite-difference noise (the identity holds pointwise), so its halving
-    ratio sits at the noise floor 1/4 rather than 4.
+    The residual uses centered differences of step delta and delta/2 and
+    reports their second-order ratio (about 4).  ``flat_band`` is
+    max |d2G/dxi0^2| over the window.
     """
     xi0c, xi1c = complex(center[0]), complex(center[1])
     if delta is None:
@@ -143,23 +140,18 @@ def shock_residual(datum: DNDatum, center: tuple, extent: float,
     hp0, hm0, hp1, hm1 = np.moveaxis(moved, 2, 0)
     shock = bases * ((hp0 - hm0) / (2 * d)) - (hp1 - hm1) / (2 * d)
     max_shock = np.max(np.abs(shock), axis=(1, 2), initial=0.0).tolist()
-    flat = g[n:n + m].reshape(st0.shape) - np.sum(moved, axis=-1)
-    flat0 = g[:n] - np.sum(bases, axis=-1)
-    max_flat = np.max(np.abs(flat[..., 0] - 2 * flat0 + flat[..., 1])
-                      / d[..., 0] ** 2, axis=1).tolist()
     # max |d2G/dxi0^2| by a quadratic fit over the whole xi0 extent, immune
     # to the noise of small stencils: an affine G reads flat at 1e-8
     fit = np.linalg.lstsq(np.vander(offsets / (extent / 2), 3, increasing=True),
                           g[n + m:].reshape(cv0.shape).T, rcond=None)[0]
     flat_band = float(np.max(np.abs(2.0 * fit[2]))) / (extent / 2) ** 2
-    return ShockReport(grid, p, delta, max_shock[1], max_flat[1],
-                       _safe_ratio(max_shock[0], max_shock[1]),
-                       _safe_ratio(max_flat[0], max_flat[1]), flat_band,
+    return ShockReport(grid, p, delta, max_shock[1],
+                       _safe_ratio(max_shock[0], max_shock[1]), flat_band,
                        list(g[:n]), list(bases))
 
 
-def _passes(rep: ShockReport | None, shock: float, flat: float) -> bool:
-    return rep is not None and rep.max_shock < shock and rep.max_flat < flat
+def _passes(rep: ShockReport | None, shock: float) -> bool:
+    return rep is not None and rep.max_shock < shock
 
 
 def _safe_ratio(coarse: float, fine: float) -> float:
@@ -232,8 +224,7 @@ class OrientationReport:
 
 
 def orientation_probe(datum: DNDatum, center: tuple, extent: float,
-                      pass_shock: float = 1e-5,
-                      pass_flat: float = 1e-5) -> OrientationReport:
+                      pass_shock: float = 1e-5) -> OrientationReport:
     """Which orientation of gamma satisfies the shock criterion.
 
     When G is affine in xi0 over the window for both orientations the
@@ -250,8 +241,8 @@ def orientation_probe(datum: DNDatum, center: tuple, extent: float,
             errors[name] = str(exc)
 
     fwd, rev = reports["gamma"], reports["-gamma"]
-    fwd_pass = _passes(fwd, pass_shock, pass_flat)
-    rev_pass = _passes(rev, pass_shock, pass_flat)
+    fwd_pass = _passes(fwd, pass_shock)
+    rev_pass = _passes(rev, pass_shock)
     if not fwd_pass and not rev_pass:
         raise CharacterizationError("not a DN-datum at tested windows")
     # with valid data, flatness of G signals the algebraic case, in which
@@ -282,7 +273,6 @@ class CharacterizationReport:
         ok = self.hypothesis_a.get("injective", False) \
             and self.hypothesis_a.get("immersive", False)
         ok = ok and self.shock.max_shock < self.thresholds.get("shock", 1e-5)
-        ok = ok and self.shock.max_flat < self.thresholds.get("flat", 1e-5)
         if self.green_residuals is not None:
             ok = ok and float(np.max(self.green_residuals)) \
                 < self.thresholds.get("green", 1e-6)
@@ -316,15 +306,12 @@ def characterize(datum: DNDatum, center: tuple, extent: float,
     """
     thresholds = dict(thresholds or {})
     thresholds.setdefault("shock", 1e-5)
-    thresholds.setdefault("flat", 1e-5)
     thresholds.setdefault("green", 1e-6)
-    orient = orientation_probe(datum, center, extent,
-                               pass_shock=thresholds["shock"],
-                               pass_flat=thresholds["flat"])
-    limits = thresholds["shock"], thresholds["flat"]
-    if orient.verdict != "-gamma" and _passes(orient.forward, *limits):
+    limit = thresholds["shock"]
+    orient = orientation_probe(datum, center, extent, pass_shock=limit)
+    if orient.verdict != "-gamma" and _passes(orient.forward, limit):
         shock, oriented = orient.forward, datum
-    elif _passes(orient.reversed, *limits):
+    elif _passes(orient.reversed, limit):
         shock, oriented = orient.reversed, datum.reversed()
     else:
         shock, oriented = orient.forward or orient.reversed, datum

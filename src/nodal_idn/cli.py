@@ -31,6 +31,7 @@ EXIT_BAD_DATUM = 2
 EXIT_INVERSION = 3
 EXIT_INCONSISTENT = 4
 EXIT_CHARACTERIZATION = 5
+THRESHOLD_KEYS = ("shock", "green")
 
 
 @dataclass
@@ -100,7 +101,7 @@ def cmd_invert(cfg: PipelineConfig) -> int:
     report_lines = [f"windows analyzed: {len(curve.windows)}"]
     for w in curve.windows:
         line = (f"window center {w.center:.6g} radius {w.radius:.6g}: "
-                f"p={w.p} ({w.sheet_method}), min sheet separation "
+                f"p={w.p}, min sheet separation "
                 f"{w.min_root_separation:.3e}")
         if w.relocated_from is not None:
             line += f" [re-centered from {w.relocated_from:.6g}]"
@@ -157,12 +158,32 @@ def _node_inventory(curve: ReconstructedCurve, engine: MomentEngine,
     return classify_and_partition(reports)
 
 
+def _decode_thresholds(value) -> dict | None:
+    """The characterize thresholds: absent, or an object whose keys are
+    among THRESHOLD_KEYS, each a finite positive number."""
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise ModelError("thresholds must be an object with keys among "
+                         "shock, green")
+    for key, limit in value.items():
+        if key not in THRESHOLD_KEYS:
+            raise ModelError(f"unknown threshold {key!r}: expected shock "
+                             "or green")
+        if isinstance(limit, bool) or not isinstance(limit, (int, float)) \
+                or not 0 < limit < np.inf:
+            raise ModelError(f"threshold {key!r} must be a finite positive "
+                             f"number, not {limit!r}")
+    return value
+
+
 def cmd_characterize(cfg: PipelineConfig) -> int:
     datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
     window = cfg.path("window")
     center = (jsonio.decode_complex(window["center"][0]),
               jsonio.decode_complex(window["center"][1]))
     extent = float(window["extent"])
+    thresholds = _decode_thresholds(cfg.path("thresholds"))
     cand = cfg.path("candidates")
     points = charges = None
     if cand:
@@ -173,7 +194,7 @@ def cmd_characterize(cfg: PipelineConfig) -> int:
         report = characterize(datum, center, extent, points, charges,
                               probe_count=int(cfg.path("probes", 20)),
                               seed=int(cfg.path("seed", 7)),
-                              thresholds=cfg.path("thresholds"))
+                              thresholds=thresholds)
     except CharacterizationError as exc:
         print(f"characterize: {exc}", file=sys.stderr)
         return EXIT_CHARACTERIZATION

@@ -117,23 +117,6 @@ class HarmonicDistribution:
         return self._plus_charges(np.conj(self._trace_re) + 1j * np.conj(self._trace_im),
                                   (np.conj(t) for t in self._charge_traces))
 
-    def residue_at(self, point: complex, eps: float | None = None,
-                   nodes: int = 64) -> complex:
-        """(1/2*pi*i) contour integral of dU around the point."""
-        point = complex(point)
-        if eps is None:
-            gaps = [float(np.min(np.abs(self.curve.positions - point)))]
-            for other in self.charge_points:
-                d = abs(other - point)
-                if d > 1e-12:
-                    gaps.append(d)
-            eps = 0.01 * min(gaps)
-        ang = 2 * np.pi * np.arange(nodes) / nodes
-        ring = point + eps * np.exp(1j * ang)
-        dz_ring = 1j * eps * np.exp(1j * ang)
-        vals = self.dz(ring) * dz_ring
-        return complex(np.sum(vals) / (1j * nodes))
-
 
 @functools.lru_cache(maxsize=1)
 def _extend_and_green(domain, n: int):
@@ -213,61 +196,6 @@ def compute_theta(dist: HarmonicDistribution) -> np.ndarray:
     if gap > THETA_CROSSCHECK_TOL:
         raise SolveError(f"theta/N operator identity violated: gap {gap:.3e}")
     return direct
-
-
-@dataclass
-class HolomorphyReport:
-    residues: list
-    declared: list
-    residues_match: bool
-    zero_sum: bool
-    bounded_after_polar: bool
-    growth_factors: list
-
-    @property
-    def passed(self) -> bool:
-        return self.residues_match and self.zero_sum and self.bounded_after_polar
-
-
-def verify_weak_holomorphy(form_dz, points, charges, eps: float = 0.02,
-                           halvings: int = 4, nodes: int = 64,
-                           tol: float = 1e-6) -> HolomorphyReport:
-    """Check the log-singularity model of a (1,0)-form near identified points.
-
-    (i) contour residues match the declared charges, (ii) they sum to zero,
-    (iii) the form minus its polar part stays bounded on shrinking circles.
-    """
-    points = np.asarray(points, dtype=complex)
-    charges = np.asarray(charges, dtype=complex)
-    ang = 2 * np.pi * np.arange(nodes) / nodes
-    unit = np.exp(1j * ang)
-    residues = []
-    growth_factors = []
-    bounded = True
-    for a, c in zip(points, charges):
-        ring = a + eps * unit
-        res = complex(np.sum(form_dz(ring) * 1j * eps * unit) / (1j * nodes))
-        residues.append(res)
-        sups = []
-        for k in range(halvings + 1):
-            r = eps / 2**k
-            ring = a + r * unit
-            sups.append(float(np.max(np.abs(form_dz(ring) - res / (r * unit)))))
-        # ratios of sups at roundoff level are noise, not growth
-        floor = 1e-9 * max(abs(res) / eps, 1.0)
-        factors = [sups[k + 1] / sups[k] if sups[k] > floor else 0.0
-                   for k in range(halvings)]
-        growth_factors.append(factors)
-        if factors and max(factors) > 1.5:
-            bounded = False
-    scale = max(1.0, float(np.max(np.abs(charges))) if charges.size else 1.0)
-    match = all(abs(r - c) < tol * scale for r, c in zip(residues, charges))
-    # the zero-sum requirement binds only when the declared charges form a
-    # complete node group (a partial set of branches may be checked alone)
-    declared_zero = abs(np.sum(charges)) < tol * scale if charges.size else True
-    zero = (not declared_zero) or abs(np.sum(residues)) < tol * scale
-    return HolomorphyReport(residues, charges.tolist(), match, zero, bounded,
-                            growth_factors)
 
 
 @dataclass

@@ -165,7 +165,7 @@ def _pv_cauchy_matrix(curve: BoundaryCurve) -> np.ndarray:
     the diagonal; the cotangent part is the conjugate-function operator.
     """
     n = curve.n
-    t = parameter_grid(n)
+    t = curve.parameters
     diff = t[None, :] - t[:, None]
     gap = curve.positions[None, :] - curve.positions[:, None]
     np.fill_diagonal(gap, 1.0)
@@ -475,19 +475,11 @@ class AnnulusHarmonicExtension:
         out = (0.5 * self.log_coefficient + basis @ (self.solver.modes * self.hol)) / w
         return out.reshape(np.shape(z)) if np.shape(z) else complex(out[0])
 
-    def _circle_dz(self, size: np.ndarray, radius: float) -> np.ndarray:
-        """dz trace on the ccw grid of |w| = radius: one inverse FFT."""
-        n, modes = self.solver.n, self.solver.modes
+    def boundary_dz(self) -> np.ndarray:
+        """dz trace at the samples of ``solver.outer``: one inverse FFT."""
+        solver = self.solver
+        n, modes = solver.n, solver.modes
         spec = np.zeros(n, dtype=complex)
         spec[0] = 0.5 * self.log_coefficient
-        np.add.at(spec, modes % n, modes * size * self.hol)
-        return n * np.fft.ifft(spec) / _circle_grid(radius, n)
-
-    def boundary_dz(self) -> np.ndarray:
-        """dz trace at the samples of ``solver.outer``."""
-        return self._circle_dz(self.solver.outer_size, self.solver.domain.outer_radius)
-
-    def inner_boundary_dz(self) -> np.ndarray:
-        """dz trace at the (cw) samples of ``solver.inner``."""
-        trace = self._circle_dz(self.solver.inner_size, self.solver.domain.inner_radius)
-        return trace[self.solver._flip]
+        np.add.at(spec, modes % n, modes * solver.outer_size * self.hol)
+        return n * np.fft.ifft(spec) / _circle_grid(solver.domain.outer_radius, n)

@@ -77,12 +77,6 @@ class BoundaryCurve:
     def second_derivatives(self) -> np.ndarray:
         return fourier_derivative(self.derivatives)
 
-    def spectral_consistency(self) -> float:
-        """Relative sup-norm gap between stored and re-derived derivatives."""
-        rederived = fourier_derivative(self.positions)
-        scale = np.max(np.abs(self.derivatives))
-        return float(np.max(np.abs(rederived - self.derivatives)) / scale)
-
     def reversed(self) -> "BoundaryCurve":
         """Same geometric curve with the opposite orientation."""
         idx = (-np.arange(self.n)) % self.n
@@ -104,13 +98,6 @@ class BoundaryCurve:
             pos = center + radius * np.exp(-1j * t)
             der = -1j * radius * np.exp(-1j * t)
         return BoundaryCurve(pos, der, orientation)
-
-    @staticmethod
-    def ellipse(a: float, b: float, n: int) -> "BoundaryCurve":
-        t = parameter_grid(n)
-        pos = a * np.cos(t) + 1j * b * np.sin(t)
-        der = -a * np.sin(t) + 1j * b * np.cos(t)
-        return BoundaryCurve(pos, der, 1)
 
     def to_json(self) -> dict:
         return {
@@ -282,9 +269,6 @@ class AdmissibleFamily:
     def flat(self) -> np.ndarray:
         return np.concatenate([g for g in self.charges]) if self.charges \
             else np.zeros(0, dtype=complex)
-
-    def scaled(self, factor: complex) -> "AdmissibleFamily":
-        return AdmissibleFamily(tuple(g * factor for g in self.charges))
 
     def to_json(self) -> list:
         return [jsonio.encode_complex_array(g) for g in self.charges]
@@ -458,30 +442,3 @@ def finest_zero_sum_partition(residues, tol: float | None = None):
     as_indices = [[tuple(i for i in range(n) if mask >> i & 1) for mask in p]
                   for p in unique_parts]
     return as_indices, len(as_indices) == 1
-
-
-def zero_sum_subsets(values, tol: float) -> list[tuple[int, ...]]:
-    """All nonempty zero-sum index subsets (test support)."""
-    vals = np.asarray(values, dtype=complex)
-    return [tuple(i for i in range(vals.size) if m >> i & 1)
-            for m in _zero_sum_masks(vals, tol)]
-
-
-def has_distinct_pair_magnitudes(family: AdmissibleFamily,
-                                 tol: float = 1e-12) -> bool:
-    """Genericity predicate for bipolar pairs: |c_j| pairwise distinct.
-
-    Applies to families whose groups are all charge pairs (c, -c); this is
-    a different condition from the subset-sum genericity and neither
-    implies the other.
-    """
-    mags = []
-    for group in family.charges:
-        if group.size != 2 or abs(group[0] + group[1]) > tol * max(
-                1.0, float(np.max(np.abs(group)))):
-            raise ModelError("predicate applies to bipolar pair families")
-        mags.append(abs(group[0]))
-    mags = np.asarray(mags)
-    gaps = np.abs(mags[:, None] - mags[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    return bool(np.min(gaps) > tol * max(1.0, float(np.max(mags))))

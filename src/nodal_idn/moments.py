@@ -40,7 +40,6 @@ batch takes the direct sum with its pointwise check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -269,54 +268,12 @@ class MomentEngine:
         return residual
 
 
-@dataclass
-class MomentTable:
-    """Moments over a square window grid around a center."""
-
-    center: complex
-    radius: float
-    grid: np.ndarray            # flattened complex grid, row-major
-    grid_shape: tuple
-    moments: dict               # order -> flattened values
-    max_order: int
-    p: int = 0                  # estimated sheet count
-    sheet_method: str = ""
-
-    def holomorphy_residual(self, m: int) -> float:
-        vals = self.moments[m].reshape(self.grid_shape)
-        spacing = float(np.abs(self.grid[1] - self.grid[0]))
-        return _cr_residual(vals, spacing)
-
-
-class SheetCountEstimate(NamedTuple):
-    p: int
-    method: str
-
-    def __int__(self) -> int:
-        return self.p
-
-
 def window_grid(center: complex, radius: float, grid_n: int) -> tuple[np.ndarray, tuple]:
     """Square grid inscribed in the window disk, row-major flattened."""
     half = radius / np.sqrt(2.0)
     axis = np.linspace(-half, half, grid_n)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     return (center + gx + 1j * gy).ravel(), (grid_n, grid_n)
-
-
-def build_moment_table(engine: MomentEngine, center: complex, radius: float,
-                       grid_n: int = 9) -> MomentTable:
-    grid, shape = window_grid(center, radius, grid_n)
-    dist = np.min(np.abs(grid[:, None] - engine.f2[None, :]), axis=1)
-    if np.any(dist < 0.05 * radius):
-        raise MomentError("window grid too close to the image curve f2(gamma)")
-    m0 = engine.moments([0], grid)[0]
-    table = MomentTable(center, radius, grid, shape, {0: m0}, 0)
-    table.p, table.sheet_method = estimate_sheet_count(table)
-    table.max_order = max(2 * table.p, 1)
-    rows = engine.moments(range(1, table.max_order + 1), grid)
-    table.moments.update(enumerate(rows, start=1))
-    return table
 
 
 def integral_sheet_count(m0: np.ndarray) -> int | None:
@@ -326,32 +283,6 @@ def integral_sheet_count(m0: np.ndarray) -> int | None:
     if np.max(np.abs(m0 - p)) < SHEET_INTEGRALITY_TOL and p >= 0:
         return p
     return None
-
-
-def estimate_sheet_count(table: MomentTable) -> SheetCountEstimate:
-    """Sheet count from M_0, with a Hankel-rank fallback.
-
-    In the bounded regime M_0 is the integer fiber cardinality; otherwise a
-    rank test on the Hankel matrix of the power sums decides.
-    """
-    if 0 not in table.moments:
-        raise MomentError("table has no order-0 moments")
-    p = integral_sheet_count(table.moments[0])
-    if p is not None:
-        return SheetCountEstimate(p, "m0-integrality")
-    orders = sorted(k for k in table.moments if k >= 1)
-    if len(orders) >= 3:
-        k = (len(orders) + 1) // 2
-        center_idx = table.grid.size // 2
-        h = np.empty((k, k), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                h[i, j] = table.moments[orders[min(i + j, len(orders) - 1)]][center_idx]
-        sv = np.linalg.svd(h, compute_uv=False)
-        if sv[0] > 0:
-            rank = int(np.sum(sv > 1e-8 * sv[0]))
-            return SheetCountEstimate(rank, "hankel-rank")
-    raise MomentError("sheet count ambiguous: move window")
 
 
 def newton_power_sums_to_coefficients(power_sums: np.ndarray) -> np.ndarray:
@@ -584,16 +515,7 @@ class FiberWindow:
     roots: np.ndarray           # (grid, p)
     quotients: np.ndarray       # (3, grid, p)
     min_root_separation: float
-    sheet_method: str
     relocated_from: complex | None = None
-
-    def roots_grid(self) -> np.ndarray:
-        return self.roots.reshape(self.grid_shape + (self.p,))
-
-    def sheet_holomorphy_residual(self, j: int) -> float:
-        vals = self.roots_grid()[..., j]
-        spacing = float(np.abs(self.grid[1] - self.grid[0]))
-        return _cr_residual(vals, spacing)
 
     def to_json(self) -> dict:
         return {
@@ -605,7 +527,6 @@ class FiberWindow:
             "roots": jsonio.encode_complex_array(self.roots),
             "quotients": jsonio.encode_complex_array(self.quotients),
             "min_root_separation": self.min_root_separation,
-            "sheet_method": self.sheet_method,
             "relocated_from": (jsonio.encode_complex(self.relocated_from)
                                if self.relocated_from is not None else None),
         }
@@ -623,28 +544,32 @@ class FiberWindow:
         return FiberWindow(jsonio.decode_complex(doc["center"]), doc["radius"],
                            jsonio.decode_complex_array(doc["grid"]), shape, p,
                            roots, quot, doc["min_root_separation"],
-                           doc.get("sheet_method", ""),
                            jsonio.decode_complex(reloc) if reloc else None)
 
 
 def analyze_window(engine: MomentEngine, center: complex, radius: float,
                    grid_n: int = 9) -> FiberWindow:
-    """Full per-window pipeline: moments, sheet count, fibers, quotients."""
-    table = build_moment_table(engine, center, radius, grid_n)
-    p = table.p
-    grid = table.grid
+    """Full per-window pipeline: grid, sheet count p from M_0, the moments
+    M_1..M_2p, fibers, quotients."""
+    grid, shape = window_grid(center, radius, grid_n)
     g = grid.size
+    dist = np.min(np.abs(grid[:, None] - engine.f2[None, :]), axis=1)
+    if np.any(dist < 0.05 * radius):
+        raise MomentError("window grid too close to the image curve f2(gamma)")
+    p = integral_sheet_count(engine.moments([0], grid)[0])
+    if p is None:
+        raise MomentError("sheet count ambiguous: move window")
     if p == 0:
-        return FiberWindow(center, radius, grid, table.grid_shape, 0,
+        return FiberWindow(center, radius, grid, shape, 0,
                            np.zeros((g, 0), complex), np.zeros((3, g, 0), complex),
-                           np.inf, table.sheet_method)
+                           np.inf)
 
-    sums = np.stack([table.moments[m] for m in range(1, table.max_order + 1)], axis=1)
+    sums = engine.moments(range(1, 2 * p + 1), grid).T
     engine.check_bounded_regime(sums)
     unordered = recover_fibers(sums, p)
     roots = np.zeros((g, p), dtype=complex)
     prev = None
-    for idx in _snake_order(table.grid_shape):
+    for idx in _snake_order(shape):
         roots[idx] = match_roots(prev, unordered[idx])
         if prev is not None and p > 1:
             seps = np.abs(prev[:, None] - prev[None, :])
@@ -659,8 +584,7 @@ def analyze_window(engine: MomentEngine, center: complex, radius: float,
 
     quot = recover_form_quotient(engine, grid, roots) \
         if engine.theta is not None else np.zeros((3, g, p), dtype=complex)
-    return FiberWindow(center, radius, grid, table.grid_shape, p, roots, quot,
-                       min_sep, table.sheet_method)
+    return FiberWindow(center, radius, grid, shape, p, roots, quot, min_sep)
 
 
 def _snake_order(shape: tuple) -> list[int]:
@@ -882,17 +806,3 @@ def _advance(engine: MomentEngine, p: int, xi_from: np.ndarray,
     roots[rows], errors[rows] = _advance(engine, p, mid[arrived], xi_to[rows],
                                          middle[arrived], budget - 1)
     return roots, errors
-
-
-def _cr_residual(values: np.ndarray, spacing: float) -> float:
-    """Fourth-order discrete Cauchy-Riemann residual on a square grid."""
-    v = np.asarray(values)
-    if v.shape[0] < 5 or v.shape[1] < 5:
-        raise MomentError("grid too small for the holomorphy cross-check")
-    c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    dx = sum(c[k + 2] * v[2 + k:v.shape[0] - 2 + k or None, 2:-2]
-             for k in range(-2, 3)) / spacing
-    dy = sum(c[k + 2] * v[2:-2, 2 + k:v.shape[1] - 2 + k or None]
-             for k in range(-2, 3)) / spacing
-    dbar = 0.5 * (dx + 1j * dy)
-    return float(np.max(np.abs(dbar)))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .dirichlet import DNDatum
 from .errors import FiberError, MomentError, MonodromyError, PartitionError
 from .model import finest_zero_sum_partition, is_generic_family
 from .moments import (FiberWindow, MomentEngine, ReconstructedCurve,
@@ -335,10 +334,6 @@ class EnergyGrowthReport:
     ratios: list
     verdict: str                # "divergent" | "convergent" | "undetermined"
 
-    @property
-    def divergent(self) -> bool:
-        return self.verdict == "divergent"
-
 
 def energy_growth_reports(engine: MomentEngine, contour: BranchContour,
                           cycles: list, halvings: int = 4,
@@ -511,7 +506,7 @@ class NodeInventory:
         }
 
 
-def classify_and_partition(reports: list, datum: DNDatum | None = None,
+def classify_and_partition(reports: list,
                            tau_factor: float = 1e-4) -> NodeInventory:
     """Classify branches, infer the node partition and check genericity.
 

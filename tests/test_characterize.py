@@ -127,7 +127,7 @@ class TestShock:
     def test_valid_data_residuals(self, charged_datum):
         rep = shock_residual(charged_datum, *WINDOW)
         assert rep.max_shock < 1e-5
-        assert rep.max_flat < 1e-5
+        assert not {"max_flat", "flat_ratio"} & rep.to_json().keys()
         assert abs(rep.shock_ratio - 4.0) < 0.8  # second-order convergence
 
     def test_grid_matches_line_intersections(self, charged_datum):
@@ -156,7 +156,8 @@ class TestShock:
         rep = shock_residual(graph_datum, (40.0, 0.0), 0.02)
         assert rep.p == 0
         assert rep.max_shock == 0.0
-        assert rep.max_flat < 1e-10  # G vanishes identically out there
+        assert rep.flat_band < 1e-10  # G vanishes identically out there
+        assert not {"max_flat", "flat_ratio"} & rep.to_json().keys()
 
 
 class TestGreenIdentity:
@@ -236,7 +237,7 @@ class TestReport:
                            candidate_charges=TRUE_CHARGES)
         assert rep.passed
         doc = rep.to_json()
-        assert doc["schema"] == "nodal-idn/caract/2"
+        assert doc["schema"] == "nodal-idn/caract/3"
         assert doc["passed"] is True
 
     def test_reversed_charged_still_passes(self, charged_datum):

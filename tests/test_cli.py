@@ -279,6 +279,34 @@ class TestExitCodes:
         assert "max_order" in proc.stderr
 
     @staticmethod
+    def _characterize_with(charged_outputs, tmp_path, thresholds):
+        cfg = json.loads(
+            (charged_outputs / "charged4.characterize.json").read_text())
+        cfg["datum"] = str(charged_outputs / cfg["datum"])
+        cfg["out"] = str(tmp_path / "caract.json")
+        cfg["thresholds"] = thresholds
+        (tmp_path / "limits.characterize.json").write_text(json.dumps(cfg))
+        return run_cli(tmp_path, "characterize", "limits.characterize.json")
+
+    @pytest.mark.parametrize("thresholds, named", [
+        (5, "thresholds"), ([1, 2], "thresholds"),
+        ({"shock": "abc"}, "'shock'"), ({"shok": 1e-30}, "'shok'"),
+        ({"flat": 1e-5}, "'flat'")])
+    def test_malformed_thresholds_exit_2(self, charged_outputs, tmp_path,
+                                         thresholds, named):
+        proc = self._characterize_with(charged_outputs, tmp_path, thresholds)
+        assert proc.returncode == 2, proc.stderr
+        assert named in proc.stderr
+        assert not (tmp_path / "caract.json").exists()
+
+    def test_thresholds_object_is_read(self, charged_outputs, tmp_path):
+        limits = {"shock": 1e-4, "green": 1e-5}
+        proc = self._characterize_with(charged_outputs, tmp_path, limits)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((tmp_path / "caract.json").read_text())
+        assert doc["thresholds"] == limits
+
+    @staticmethod
     def _run_on_bad_curve(graph_outputs, tmp_path, command, sample):
         datum = json.loads((graph_outputs / "graph.datum.json").read_text())
         positions = datum["curve"]["positions"]

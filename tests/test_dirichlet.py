@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annulus_fredholm import FredholmAnnulus
+from engine_checks import residue_at, verify_weak_holomorphy
 from nodal_idn import oracles
 from nodal_idn.dirichlet import (INJECTIVITY_GAP, DNDatum, Prescription,
                                  apply_dn, build_dn_datum, check_hypothesis_a,
-                                 compute_theta, solve_nodal_dirichlet,
-                                 verify_weak_holomorphy)
+                                 compute_theta, solve_nodal_dirichlet)
 from nodal_idn.errors import ModelError
 from nodal_idn.greens import disk_green
 from nodal_idn.model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve,
@@ -52,10 +52,10 @@ class TestNodalDirichlet:
         assert abs(dipole_dist.value(0.25 + 0.0j) - expected) < 1e-12
 
     def test_residue_contract(self, dipole_dist):
-        assert abs(dipole_dist.residue_at(0.5) - 1.0) < 1e-6
-        assert abs(dipole_dist.residue_at(-0.5) + 1.0) < 1e-6
+        assert abs(residue_at(dipole_dist, 0.5) - 1.0) < 1e-6
+        assert abs(residue_at(dipole_dist, -0.5) + 1.0) < 1e-6
         # also at the fixed circle radius of the type invariant
-        assert abs(dipole_dist.residue_at(0.5, eps=0.01) - 1.0) < 1e-6
+        assert abs(residue_at(dipole_dist, 0.5, eps=0.01) - 1.0) < 1e-6
 
     def test_boundary_trace(self, dipole_model):
         # the charge part vanishes on the rim by the principal-Green
@@ -113,8 +113,8 @@ class TestNodalDirichlet:
         model = NodalDomainModel(dom, outer, (np.array([0.7, -0.7]),))
         fam = AdmissibleFamily((np.array([1.0, -1.0]),))
         dist = solve_nodal_dirichlet(model, fam, np.zeros(160))
-        assert abs(dist.residue_at(0.7, eps=0.02) - 1.0) < 1e-6
-        assert abs(dist.residue_at(-0.7, eps=0.02) + 1.0) < 1e-6
+        assert abs(residue_at(dist, 0.7, eps=0.02) - 1.0) < 1e-6
+        assert abs(residue_at(dist, -0.7, eps=0.02) + 1.0) < 1e-6
 
 
 class TestDNOperator:

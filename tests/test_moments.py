@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from engine_checks import cr_residual
 from nodal_idn.errors import FiberError, MomentError
 from nodal_idn.model import BoundaryCurve
-from nodal_idn.moments import (LocalExpansion, MomentEngine, MomentTable,
+from nodal_idn.moments import (LocalExpansion, MomentEngine,
                                ReconstructedCurve, WindowPlan, analyze_window,
-                               build_moment_table,
                                companion_roots, continue_fibers,
-                               estimate_sheet_count, match_roots,
+                               integral_sheet_count, match_roots,
                                recover_fibers, recover_form_quotient,
                                roots_from_power_sums, sweep_windows,
                                truncation_order, window_grid)
@@ -221,54 +221,57 @@ class TestLocalExpansion:
 
 
 class TestMomentTable:
+    """The moments of a window grid, before any fiber is recovered."""
+
     def test_grid_avoids_curve(self, graph_datum):
-        with pytest.raises(MomentError):
-            build_moment_table(_engine(graph_datum), 0.95 + 0.0j, 0.2)
+        with pytest.raises(MomentError, match="too close to the image curve"):
+            analyze_window(_engine(graph_datum), 0.95 + 0.0j, 0.2)
 
     def test_holomorphy_residual(self, charged_datum):
-        table = build_moment_table(_engine(charged_datum), 3.0 + 0.45j, 0.1)
-        assert table.holomorphy_residual(1) < 1e-5
-        assert table.holomorphy_residual(2) < 1e-5
+        grid, shape = window_grid(3.0 + 0.45j, 0.1, 9)
+        spacing = float(np.abs(grid[1] - grid[0]))
+        rows = _engine(charged_datum).moments([1, 2], grid)
+        assert cr_residual(rows[0].reshape(shape), spacing) < 1e-5
+        assert cr_residual(rows[1].reshape(shape), spacing) < 1e-5
 
 
 class TestSheetCount:
+    """p = M_0 where M_0 is an integer over the whole window grid."""
+
     def test_graph_single_sheet(self, graph_datum):
-        table = build_moment_table(_engine(graph_datum), 0.2 + 0.1j, 0.3)
-        est = estimate_sheet_count(table)
-        assert est.p == 1 and est.method == "m0-integrality"
+        assert analyze_window(_engine(graph_datum), 0.2 + 0.1j, 0.3).p == 1
 
     def test_four_sheets_vs_winding_oracle(self, charged_datum):
-        table = build_moment_table(_engine(charged_datum), 3.1 + 0.0j, 0.1)
-        est = estimate_sheet_count(table)
+        window = analyze_window(_engine(charged_datum), 3.1 + 0.0j, 0.1)
         winding = argument_principle_count(charged_datum.f[1], 3.1)
-        assert est.p == winding == 4
+        assert window.p == winding == 4
 
     def test_empty_fiber(self, graph_datum):
-        table = build_moment_table(_engine(graph_datum), 5.0 + 0.0j, 0.3)
-        assert estimate_sheet_count(table).p == 0
+        window = analyze_window(_engine(graph_datum), 5.0 + 0.0j, 0.3)
+        assert window.p == 0 and window.roots.shape == (81, 0)
 
     def test_integrality_over_window(self, charged_datum):
-        table = build_moment_table(_engine(charged_datum), 3.1 + 0.0j, 0.1)
-        assert np.max(np.abs(table.moments[0] - 4)) < 1e-4
+        grid, _ = window_grid(3.1 + 0.0j, 0.1, 9)
+        m0 = _engine(charged_datum).moments([0], grid)[0]
+        assert np.max(np.abs(m0 - 4)) < 1e-4
+        assert integral_sheet_count(m0) == 4
 
     def test_inconclusive_count_errors(self):
-        grid = np.arange(9, dtype=complex)
-        table = MomentTable(0.0, 1.0, grid, (3, 3),
-                            {0: np.full(9, 2.3, dtype=complex)}, 0)
-        with pytest.raises(MomentError):
-            estimate_sheet_count(table)
+        assert integral_sheet_count(np.full(9, 2.3, dtype=complex)) is None
+        assert integral_sheet_count(np.r_[np.full(8, 2.0), 3.0]) is None
+        assert integral_sheet_count(np.full(9, -1.0)) is None
 
-    def test_hankel_fallback(self):
-        # corrupt M0 beyond integrality; power sums of roots {1, 2} at all
-        # orders give a rank-2 Hankel matrix
-        grid = np.arange(9, dtype=complex)
-        moments = {0: np.full(9, 2.3, dtype=complex)}
-        for m in range(1, 8):
-            moments[m] = np.full(9, 1.0**m + 2.0**m, dtype=complex)
-        table = MomentTable(0.0, 1.0, grid, (3, 3), moments, 7)
-        est = estimate_sheet_count(table)
-        assert est.method == "hankel-rank"
-        assert est.p == 2
+    def test_window_with_fractional_m0_raises(self):
+        class FractionalM0:
+            """M_0 = 2.3 at every point, far from any curve sample."""
+            f2 = np.array([100.0 + 0.0j])
+
+            def moments(self, orders, xi):
+                assert list(orders) == [0]
+                return np.full((1, len(xi)), 2.3, dtype=complex)
+
+        with pytest.raises(MomentError, match="sheet count ambiguous"):
+            analyze_window(FractionalM0(), 0.0, 1.0)
 
 
 class TestEliminatePolynomialPart:
@@ -638,7 +641,9 @@ class TestSweep:
     def test_sheet_holomorphy(self, charged_datum):
         window = analyze_window(_engine(charged_datum), 3.0 + 0.45j, 0.1)
         assert window.p == 4
-        assert max(window.sheet_holomorphy_residual(j)
+        spacing = float(np.abs(window.grid[1] - window.grid[0]))
+        sheets = window.roots.reshape(window.grid_shape + (4,))
+        assert max(cr_residual(sheets[..., j], spacing)
                    for j in range(4)) < 1e-4
 
     def test_discriminant_window_recentred(self, charged_datum):

@@ -203,8 +203,8 @@ class TestEnergyGrowth:
 
 
 class TestClassification:
-    def test_charged_inventory(self, charged_report, charged_datum):
-        inv = classify_and_partition([charged_report], charged_datum)
+    def test_charged_inventory(self, charged_report):
+        inv = classify_and_partition([charged_report])
         assert len(inv.nodes) == 1
         node = inv.nodes[0]
         assert abs(node["point"][0] - 2.0) < 1e-6
@@ -216,14 +216,12 @@ class TestClassification:
         assert inv.partition_unique
         assert inv.isomorphism_class == "full"
 
-    def test_diagnostics_agree(self, charged_report, spurious_report,
-                               charged_datum):
-        inv = classify_and_partition([charged_report, spurious_report],
-                                     charged_datum)
+    def test_diagnostics_agree(self, charged_report, spurious_report):
+        inv = classify_and_partition([charged_report, spurious_report])
         assert not any("disagree" in n for n in inv.notes)
 
-    def test_spurious_inventory(self, spurious_report, spurious_datum):
-        inv = classify_and_partition([spurious_report], spurious_datum)
+    def test_spurious_inventory(self, spurious_report):
+        inv = classify_and_partition([spurious_report])
         assert inv.nodes == []
         assert len(inv.spurious) == 1
 
@@ -249,9 +247,9 @@ class TestClassification:
         with pytest.raises(PartitionError):
             classify_and_partition([report])
 
-    def test_json_output(self, charged_report, charged_datum, tmp_path):
+    def test_json_output(self, charged_report, tmp_path):
         from nodal_idn import jsonio
-        inv = classify_and_partition([charged_report], charged_datum)
+        inv = classify_and_partition([charged_report])
         path = tmp_path / "nodes.json"
         jsonio.dump(inv.to_json(), path)
         doc = jsonio.load(path)
@@ -286,7 +284,7 @@ def test_residues_kernel_products_at_large_n(monkeypatch):
     engine = MomentEngine.from_datum(datum)
     candidates = locate_singularities(curve, engine)
     reports = analyze_singular_point(engine, curve, candidates)
-    inventory = classify_and_partition(reports, datum)
+    inventory = classify_and_partition(reports)
     assert direct == []
     assert len(built) <= 2
     (node,) = inventory.nodes
