@@ -1,9 +1,9 @@
 """Command-line pipelines: forward, invert, residues, characterize, compact.
 
 All inputs and outputs are UTF-8 JSON with schema-version fields.  Exit
-codes: 2 bad datum, 3 inversion failure, 4 cross-potential inconsistency,
-5 characterization failure.  Outputs are byte-deterministic for identical
-configs (fixed summation order, fixed seeds).
+codes: 2 bad datum or config, 3 inversion failure, 4 cross-potential
+inconsistency, 5 characterization failure.  Outputs are byte-deterministic
+for identical configs (fixed summation order, fixed seeds).
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ import numpy as np
 from . import jsonio
 from .characterize import CharacterizationError, characterize
 from .dirichlet import DNDatum, Prescription, build_dn_datum
-from .errors import (FiberError, ModelError, MomentError, PartitionError,
-                     SolveError)
+from .errors import (ConfigError, FiberError, ModelError, MomentError,
+                     PartitionError, SolveError)
 from .model import AdmissibleFamily, BoundaryCurve, DiskDomain, NodalDomainModel
 from .moments import MomentEngine, ReconstructedCurve, WindowPlan, sweep_windows
 from .nodes import (analyze_singular_point, classify_and_partition,
@@ -41,12 +41,29 @@ class PipelineConfig:
     out: str | None
     base_dir: str = "."
 
-    def path(self, key: str, default=None):
-        """Config values; path-like entries resolve against the config dir."""
+    def path(self, key: str, default=None) -> str:
+        """A file name of the config, resolved against the config dir."""
         value = self.doc.get(key, default)
-        if isinstance(value, str) and not os.path.isabs(value):
-            return os.path.join(self.base_dir, value)
-        return value
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must name a file, not {value!r}")
+        return value if os.path.isabs(value) else os.path.join(self.base_dir, value)
+
+
+def _positive(value, key: str) -> float:
+    """A config value that must be a finite positive number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 < value < np.inf:
+        raise ConfigError(f"{key} must be a finite positive number, "
+                          f"not {value!r}")
+    return float(value)
+
+
+def _integer(value, key: str, least: int) -> int:
+    """A config value that must be an integer of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{key} must be an integer of at least {least}, "
+                          f"not {value!r}")
+    return value
 
 
 def _decode_prescription(doc: dict) -> Prescription:
@@ -70,12 +87,12 @@ def _decode_samples(rows) -> tuple:
 
 def cmd_forward(cfg: PipelineConfig) -> int:
     model = NodalDomainModel.from_json(jsonio.load(cfg.path("model")))
-    families = _decode_families(cfg.path("families"))
-    boundary = _decode_samples(cfg.path("boundary_values") or [])
+    families = _decode_families(cfg.doc.get("families"))
+    boundary = _decode_samples(cfg.doc.get("boundary_values") or [])
     prescriptions = None
-    if cfg.path("prescriptions"):
+    if cfg.doc.get("prescriptions"):
         prescriptions = tuple(_decode_prescription(p)
-                              for p in cfg.path("prescriptions"))
+                              for p in cfg.doc["prescriptions"])
     try:
         datum = build_dn_datum(model, families, boundary_values=boundary,
                                prescriptions=prescriptions)
@@ -89,7 +106,7 @@ def cmd_forward(cfg: PipelineConfig) -> int:
 
 def cmd_invert(cfg: PipelineConfig) -> int:
     datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
-    plan = WindowPlan.from_json(cfg.path("windows"))
+    plan = WindowPlan.from_json(cfg.doc.get("windows"))
     engine = MomentEngine.from_datum(datum)
     try:
         curve = sweep_windows(engine, plan)
@@ -135,7 +152,7 @@ def _self_consistency(engine: MomentEngine, curve: ReconstructedCurve) -> float:
 def cmd_residues(cfg: PipelineConfig) -> int:
     datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
     curve = ReconstructedCurve.from_json(jsonio.load(cfg.path("curve")))
-    radius = float(cfg.path("contour_radius", 0.05))
+    radius = _positive(cfg.doc.get("contour_radius", 0.05), "contour_radius")
     try:
         inventory = _node_inventory(curve, MomentEngine.from_datum(datum),
                                     radius)
@@ -164,36 +181,63 @@ def _decode_thresholds(value) -> dict | None:
     if value is None:
         return None
     if not isinstance(value, dict):
-        raise ModelError("thresholds must be an object with keys among "
-                         "shock, green")
+        raise ConfigError("thresholds must be an object with keys among "
+                          "shock, green")
     for key, limit in value.items():
         if key not in THRESHOLD_KEYS:
-            raise ModelError(f"unknown threshold {key!r}: expected shock "
-                             "or green")
-        if isinstance(limit, bool) or not isinstance(limit, (int, float)) \
-                or not 0 < limit < np.inf:
-            raise ModelError(f"threshold {key!r} must be a finite positive "
-                             f"number, not {limit!r}")
+            raise ConfigError(f"unknown threshold {key!r}: expected shock "
+                              "or green")
+        _positive(limit, f"threshold {key!r}")
     return value
+
+
+def _decode_window(value) -> tuple:
+    """The characterize window: an object whose center is a list of two
+    complex numbers and whose extent is a finite positive number."""
+    if not isinstance(value, dict):
+        raise ConfigError("window must be an object with keys center and "
+                          "extent")
+    center = value.get("center")
+    if not isinstance(center, list) or len(center) != 2:
+        raise ConfigError("window center must be a list of two complex "
+                          f"numbers, not {center!r}")
+    try:
+        center = tuple(jsonio.decode_complex(c) for c in center)
+    except ModelError as exc:
+        raise ConfigError(f"window center: {exc}") from None
+    return center, _positive(value.get("extent"), "window extent")
+
+
+def _decode_candidates(value) -> tuple:
+    """The characterize candidates: absent, or an object with the candidate
+    points and their charges, one row per potential and one charge per
+    point.  Returns (points, charges), both None when absent."""
+    if not value:
+        return None, None
+    if not isinstance(value, dict) or not isinstance(value.get("charges"), list):
+        raise ConfigError("candidates must be an object with points and "
+                          "charges")
+    try:
+        points = jsonio.decode_complex_array(value.get("points"))
+        rows = [jsonio.decode_complex_array(r) for r in value["charges"]]
+    except ModelError as exc:
+        raise ConfigError(f"candidates: {exc}") from None
+    if len(rows) != 3 or any(r.shape != points.shape for r in rows):
+        raise ConfigError(f"candidates need 3 rows of {points.size} charges, "
+                          "one per potential")
+    return points, np.vstack(rows)
 
 
 def cmd_characterize(cfg: PipelineConfig) -> int:
     datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
-    window = cfg.path("window")
-    center = (jsonio.decode_complex(window["center"][0]),
-              jsonio.decode_complex(window["center"][1]))
-    extent = float(window["extent"])
-    thresholds = _decode_thresholds(cfg.path("thresholds"))
-    cand = cfg.path("candidates")
-    points = charges = None
-    if cand:
-        points = jsonio.decode_complex_array(cand["points"])
-        charges = np.vstack([jsonio.decode_complex_array(r)
-                             for r in cand["charges"]])
+    center, extent = _decode_window(cfg.doc.get("window"))
+    thresholds = _decode_thresholds(cfg.doc.get("thresholds"))
+    probes = _integer(cfg.doc.get("probes", 20), "probes", 1)
+    seed = _integer(cfg.doc.get("seed", 7), "seed", 0)
+    points, charges = _decode_candidates(cfg.doc.get("candidates"))
     try:
         report = characterize(datum, center, extent, points, charges,
-                              probe_count=int(cfg.path("probes", 20)),
-                              seed=int(cfg.path("seed", 7)),
+                              probe_count=probes, seed=seed,
                               thresholds=thresholds)
     except CharacterizationError as exc:
         print(f"characterize: {exc}", file=sys.stderr)
@@ -252,6 +296,8 @@ def _compact_potentials(cfg_doc: dict):
 def cmd_compact(cfg: PipelineConfig) -> int:
     doc = cfg.doc
     prefix = cfg.out or cfg.path("out_prefix", "compact")
+    plan = WindowPlan.from_json(doc.get("windows"))
+    radius = _positive(doc.get("contour_radius", 0.05), "contour_radius")
     try:
         model, us, prescriptions = _compact_potentials(doc)
         datum = build_dn_datum(model, None, boundary_values=us,
@@ -260,7 +306,6 @@ def cmd_compact(cfg: PipelineConfig) -> int:
         print(f"compact: bad scenario: {exc}", file=sys.stderr)
         return EXIT_BAD_DATUM
     jsonio.dump(datum.to_json(), f"{prefix}.datum.json")
-    plan = WindowPlan.from_json(doc["windows"])
     engine = MomentEngine.from_datum(datum)
     try:
         curve = sweep_windows(engine, plan)
@@ -269,8 +314,7 @@ def cmd_compact(cfg: PipelineConfig) -> int:
         return EXIT_INVERSION
     jsonio.dump(curve.to_json(), f"{prefix}.curve.json")
     try:
-        inventory = _node_inventory(curve, engine,
-                                    float(doc.get("contour_radius", 0.05)))
+        inventory = _node_inventory(curve, engine, radius)
     except (FiberError, MomentError) as exc:
         print(f"compact: contour tracking failed: {exc}", file=sys.stderr)
         return EXIT_INVERSION
@@ -325,6 +369,9 @@ def main(argv=None) -> int:
     cfg = PipelineConfig(args.command, doc, out, base_dir)
     try:
         return COMMANDS[args.command](cfg)
+    except ConfigError as exc:
+        print(f"{args.command}: bad config: {exc}", file=sys.stderr)
+        return EXIT_BAD_DATUM
     except ModelError as exc:
         # malformed curve, model, family or prescription, in any command
         print(f"{args.command}: bad datum: {exc}", file=sys.stderr)

@@ -19,6 +19,10 @@ class ModelError(NodalIdnError):
     """Invalid curve, domain, node group or charge family."""
 
 
+class ConfigError(ModelError):
+    """Malformed command config: a missing, mistyped or unknown value."""
+
+
 class QuadratureError(NodalIdnError):
     """Evaluation point too close to a contour for plain quadrature."""
 

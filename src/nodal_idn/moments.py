@@ -45,7 +45,7 @@ import numpy as np
 
 from . import jsonio
 from .dirichlet import DNDatum
-from .errors import FiberError, ModelError, MomentError, SolveError
+from .errors import ConfigError, FiberError, MomentError, SolveError
 from .model import BoundaryCurve
 from .spectral import fourier_derivative
 
@@ -61,6 +61,7 @@ DOUBLE_EPS = float(np.finfo(float).eps)
 FIBER_ORDER_TOL = float(np.sqrt(DOUBLE_EPS))
 MAX_EXPANSION_ORDER = 64
 DISC_REACH = 0.25           # a new disc's radius is at least this share of d
+DIRECT_BLOCK = 1 << 17      # Cauchy factors per block of a direct sum (2 MB)
 
 
 def truncation_order(rho: float) -> int | None:
@@ -155,16 +156,25 @@ class MomentEngine:
 
     def _direct(self, ells, orders: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """The kernel as the powers of f1 times the Cauchy matrix, one
-        product.  Plain quadrature is trusted only when the pole of
-        (f2 - xi)^(-1) stays several grid spacings away from the parameter
-        line; the error's ``failed`` marks the points that do not."""
-        shift = self.f2[:, None] - xi[None, :]
-        near = np.any(np.abs(shift) < self._near[:, None], axis=0)
+        product per block of points, each block holding at most
+        DIRECT_BLOCK Cauchy factors so that memory stays O(N) per call.
+        Plain quadrature is trusted only when the pole of (f2 - xi)^(-1)
+        stays several grid spacings away from the parameter line; the
+        error's ``failed`` marks the points that do not."""
+        rows = self._rows(ells, orders)
+        out = np.empty((len(rows), xi.size), dtype=complex)
+        near = np.zeros(xi.size, dtype=bool)
+        step = max(1, DIRECT_BLOCK // self.curve.n)
+        for start in range(0, xi.size, step):
+            block = slice(start, start + step)
+            shift = self.f2[:, None] - xi[None, block]
+            near[block] = np.any(np.abs(shift) < self._near[:, None], axis=0)
+            if not near[block].any():
+                out[:, block] = rows @ np.divide(1.0, shift, out=shift)
         if np.any(near):
             raise MomentError("on-curve evaluation: xi too close to f2(gamma)",
                               failed=near)
-        cauchy = np.divide(1.0, shift, out=shift)
-        out = self._rows(ells, orders) @ cauchy / (1j * self.curve.n)
+        out /= 1j * self.curve.n
         return out.reshape(-1, orders.size, xi.size)
 
     def _rows(self, ells, orders: np.ndarray) -> np.ndarray:
@@ -616,8 +626,11 @@ class WindowPlan:
 
     @staticmethod
     def from_json(doc: dict) -> "WindowPlan":
+        if not isinstance(doc, dict):
+            raise ConfigError("windows must be an object with centers and "
+                              "radius")
         if doc.get("max_order") is not None:
-            raise ModelError("windows.max_order is no longer supported")
+            raise ConfigError("windows.max_order is no longer supported")
         return WindowPlan(list(jsonio.decode_complex_array(doc["centers"])),
                           float(doc["radius"]), int(doc.get("grid_n", 9)))
 

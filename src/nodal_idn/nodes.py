@@ -1,14 +1,18 @@
 """Singularity analysis of the reconstructed curve.
 
-Double points of the image curve are located by intersecting recovered
-sheets, refined by Newton iteration on their difference.  Around each
-candidate a small contour in the base coordinate is tracked; the monodromy
-permutation splits the sheets into cycles, one per local irreducible
-branch.  A branch belongs to a node exactly when some contour residue of a
-recovered form quotient is nonzero, in which case that residue is the
-charge of the branch; zero-residue branches are spurious intersections (or
-carry undetectable zero charges).  A logarithmic-divergence test of the
-Dirichlet energy on shrinking annuli gives a second, independent verdict.
+Singular points lie over the zeros of the fiber discriminant
+Delta(xi) = prod_(j<k) (h_j - h_k)^2: branch points (order 1 when simple)
+and base points where local branches meet.  The argument principle counts
+the zeros inside a circle and their power sums place them (Delves &
+Lyness, Math. Comp. 1967).  Around each zero of order 2 or more a small
+contour in the base coordinate is tracked; the monodromy permutation splits
+the sheets into cycles, one per local irreducible branch, and cycles that
+pass through one fiber point form a singular point.  A branch belongs to a
+node exactly when some contour residue of a recovered form quotient is
+nonzero, in which case that residue is the charge of the branch;
+zero-residue branches are spurious intersections (or carry undetectable
+zero charges).  A logarithmic-divergence test of the Dirichlet energy on
+shrinking annuli gives a second, independent verdict.
 """
 from __future__ import annotations
 
@@ -17,31 +21,128 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import FiberError, MomentError, MonodromyError, PartitionError
-from .model import finest_zero_sum_partition, is_generic_family
-from .moments import (FiberWindow, MomentEngine, ReconstructedCurve,
-                      companion_roots, continue_fibers, recover_form_quotient,
+from .errors import MomentError, MonodromyError, ModelError, PartitionError
+from .model import AdmissibleFamily, finest_zero_sum_partition, is_generic_family
+from .moments import (MomentEngine, ReconstructedCurve, continue_fibers,
+                      integral_sheet_count, recover_form_quotient,
                       roots_from_power_sums)
+from .spectral import fourier_derivative
 
 NODES_SCHEMA = "nodal-idn/nodes/1"
 DEFAULT_CONTOUR_RADIUS = 0.05
 DEFAULT_CONTOUR_NODES = 128
-SLOPE_CAP = 50.0
+CENSUS_REACH = (3.0, 2.0, 1.0)  # census radii in window radii, tried in turn
+CLUSTER_LINK = 0.1              # zeros closer than this share of the radius
 
 
 @dataclass
 class SingularPointCandidate:
-    """A transverse sheet crossing in the image curve."""
+    """A base point over which the fiber discriminant has a zero of order
+    at least 2, where local branches may meet."""
 
     xi: complex
-    h: complex
+    order: int
     window_index: int
-    sheet_pair: tuple
-    slopes: tuple
 
-    @property
-    def point(self) -> tuple:
-        return (self.h, self.xi)
+
+def discriminant(engine: MomentEngine, p: int, xi) -> np.ndarray:
+    """Delta(xi) = det[S_(i+j)]_(i,j<p) = prod_(j<k) (h_j - h_k)^2 of the
+    p-sheet fiber at every xi, with S_0 = p; MomentError unless M_0 is p.
+    Orders up to 2p, as fiber tracking asks, keep one disc for both."""
+    sums = engine.moments(range(2 * p + 1), xi)
+    if integral_sheet_count(sums[0]) != p:
+        raise MomentError(f"sheet count is not {p} on the census circle")
+    sums[0] = p
+    index = np.add.outer(np.arange(p), np.arange(p))
+    return np.linalg.det(np.moveaxis(sums[index], -1, 0))
+
+
+def zero_census(engine: MomentEngine, p: int, center: complex, radius: float):
+    """(n, sums): the count n of discriminant zeros inside the circle and
+    the power sums of (zero - center) / radius for orders 1..n, by the
+    argument principle with Delta' by FFT along the circle.  None where the
+    engine refuses a point, |Delta| dips below 1e-8 of its maximum (a zero
+    near the circle) or the count is not an integer to 1e-6."""
+    k = DEFAULT_CONTOUR_NODES
+    phase = np.exp(2j * np.pi * np.arange(k) / k)
+    try:
+        delta = discriminant(engine, p, center + radius * phase)
+    except MomentError:
+        return None
+    size = np.abs(delta)
+    if np.min(size) <= 1e-8 * np.max(size):
+        return None
+    # dDelta/dt / Delta dt = Delta'/Delta dxi along xi = center + radius e^it
+    weights = fourier_derivative(delta) / delta / (1j * k)
+    count = np.sum(weights)
+    n = int(np.rint(count.real))
+    if abs(count - n) > 1e-6:
+        return None
+    return n, np.array([np.sum(weights * phase ** m) for m in range(1, n + 1)])
+
+
+def locate_singularities(curve: ReconstructedCurve,
+                         engine: MomentEngine) -> list[SingularPointCandidate]:
+    """The discriminant zeros of order 2 or more about every window with
+    two or more sheets, each kept once.  A window's census is taken on the
+    circles of CENSUS_REACH window radii in turn until one is certified;
+    a window that no radius certifies is skipped."""
+    candidates: list[SingularPointCandidate] = []
+    for widx, window in enumerate(curve.windows):
+        if window.p < 2:
+            continue
+        for reach in CENSUS_REACH:
+            zeros = _certified_zeros(engine, window.p, window.center,
+                                     reach * window.radius)
+            if zeros is not None:
+                break
+        else:
+            continue
+        for xi, order in zeros:
+            if order >= 2 and all(abs(xi - c.xi) > 1e-6 * max(1.0, abs(xi))
+                                  for c in candidates):
+                candidates.append(SingularPointCandidate(xi, order, widx))
+    return candidates
+
+
+def _certified_zeros(engine: MomentEngine, p: int, center: complex,
+                     radius: float):
+    """(xi, order) of each cluster of discriminant zeros inside the
+    circle, or None unless certified.  The census' zeros are split by
+    single linkage at CLUSTER_LINK radii; a census about each centroid, of
+    radius half the gap to the nearest other one and at most half the
+    circle's, must count the cluster's size, so the orders account for
+    every zero inside.  It also refines the centroid."""
+    census = zero_census(engine, p, center, radius)
+    if census is None:
+        return None
+    if census[0] == 0:
+        return []
+    zeros = center + radius * roots_from_power_sums(census[1])
+    clusters = _single_linkage(zeros, CLUSTER_LINK * radius)
+    centroids = np.array([np.mean(zeros[members]) for members in clusters])
+    found = []
+    for i, members in enumerate(clusters):
+        gaps = np.abs(np.delete(centroids, i) - centroids[i])
+        rho = min(0.5 * radius, 0.5 * float(np.min(gaps, initial=np.inf)))
+        local = zero_census(engine, p, centroids[i], rho)
+        if local is None or local[0] != len(members):
+            return None
+        found.append((complex(centroids[i] + rho * local[1][0] / len(members)),
+                      len(members)))
+    return found
+
+
+def _single_linkage(points: np.ndarray, reach: float) -> list:
+    """Index arrays of the clusters of points joined by chains of steps of
+    at most reach, in the order of their first members."""
+    linked = np.abs(points[:, None] - points[None, :]) <= reach
+    label = np.arange(points.size)
+    while True:   # each point takes the smallest label within reach
+        merged = np.min(np.where(linked, label, points.size), axis=1)
+        if np.array_equal(merged, label):
+            return [np.flatnonzero(label == lab) for lab in np.unique(label)]
+        label = merged
 
 
 def _sheet_values_at(engine: MomentEngine, windows: list, xi,
@@ -50,192 +151,12 @@ def _sheet_values_at(engine: MomentEngine, windows: list, xi,
     point nearest to xi[b]; the walks of every b advance together (the
     windows share one sheet count).  Returns (B, p)."""
     xi = np.asarray(xi, dtype=complex)
-    grid_xi, grid_roots = _nearest_grid_points(windows, xi)
-    walks = _walks(grid_xi, xi, steps)
-    return continue_fibers(engine, windows[0].p, walks, grid_xi, grid_roots)[:, -1]
-
-
-def _nearest_grid_points(windows: list, xi: np.ndarray):
-    """The grid point of windows[b] nearest to xi[b] and its roots."""
     nearest = [int(np.argmin(np.abs(w.grid - x))) for w, x in zip(windows, xi)]
-    return (np.array([w.grid[k] for w, k in zip(windows, nearest)]),
-            np.array([w.roots[k] for w, k in zip(windows, nearest)]))
-
-
-def _walks(start: np.ndarray, end: np.ndarray, steps: int) -> np.ndarray:
-    """(B, steps) straight walks from start[b] to end[b], start excluded."""
-    return start[:, None] + (end - start)[:, None] * (np.arange(1, steps + 1) / steps)
-
-
-@dataclass
-class _Crossing:
-    """A seed of the refinement of one sheet crossing, and its state."""
-
-    window_index: int
-    window: FiberWindow
-    pair: tuple
-    center: complex
-    rho: float
-    fit: dict | None = None
-    live: bool = True
-
-
-def locate_singularities(curve: ReconstructedCurve, engine: MomentEngine,
-                         tau_factor: float = 1e-4,
-                         fit_degree: int = 3) -> list[SingularPointCandidate]:
-    """Transverse double-point candidates from pairwise sheet crossings.
-
-    Per window, the difference of every sheet pair is modelled by a low
-    degree polynomial whose roots seed Newton refinement on the true sheet
-    difference; candidates where the difference cannot be driven below
-    tau_sing = tau_factor * window radius (branch-point collisions) are
-    discarded, as are pairs with near-equal or runaway slopes.
-    """
-    seeds = _crossing_seeds(curve, fit_degree)
-    _refine_crossings(engine, seeds)
-    candidates = []
-    for seed in seeds:
-        scale_h = max(1.0, float(np.max(np.abs(seed.window.roots))))
-        found = _accept_crossing(seed, tau_factor * seed.window.radius * scale_h)
-        if found is not None:
-            candidates.append(found)
-    return _cluster_candidates(candidates)
-
-
-def _crossing_seeds(curve: ReconstructedCurve, fit_degree: int) -> list:
-    """One crossing per root of the polynomial model of every sheet
-    difference, per window; roots far outside the window are skipped."""
-    seeds = []
-    for widx, window in enumerate(curve.windows):
-        if window.p < 2:
-            continue
-        x = (window.grid - window.center) / window.radius
-        basis = np.vander(x, fit_degree + 1, increasing=True)
-        for j in range(window.p):
-            for k in range(j + 1, window.p):
-                diff = window.roots[:, j] - window.roots[:, k]
-                coeffs, *_ = np.linalg.lstsq(basis, diff, rcond=None)
-                for root in companion_roots(coeffs):
-                    if abs(root) > 3.0:
-                        continue
-                    seeds.append(_Crossing(widx, window, (j, k),
-                                           window.center + root * window.radius,
-                                           0.05 * window.radius))
-    return seeds
-
-
-def _refine_crossings(engine: MomentEngine, crossings: list,
-                      iterations: int = 3, circle_nodes: int = 16,
-                      steps: int = 12) -> None:
-    """Locate the zero of h_j - h_k of every crossing from fits on small
-    circles.
-
-    Sheets cannot be tracked into the collision itself, so the difference is
-    modelled by a quadratic fitted on a circle around the current estimate
-    and the model root re-centers the circle.  Each round, the crossings
-    still live whose windows share a sheet count are tracked together: a
-    walk from the window grid to the circle, then around it.  A crossing
-    whose tracking fails (or comes too close to f2(gamma)) or whose fit
-    breaks down is dropped, alone.
-    """
-    ang = 2 * np.pi * np.arange(circle_nodes) / circle_nodes
-    for _ in range(iterations):
-        live = [c for c in crossings if c.live]
-        for p in sorted({c.window.p for c in live}):
-            group = [c for c in live if c.window.p == p]
-            centers = np.array([c.center for c in group])
-            rho = np.array([c.rho for c in group])
-            start = centers + rho * np.exp(1j * ang[0])
-            circles = centers[:, None] + rho[:, None] * np.exp(1j * ang[1:])
-            grid_xi, grid_roots = _nearest_grid_points(
-                [c.window for c in group], start)
-            paths = np.hstack([_walks(grid_xi, start, steps), circles])
-            try:
-                tracks = continue_fibers(engine, p, paths, grid_xi, grid_roots)
-                failed = np.zeros(len(group), dtype=bool)
-            except (FiberError, MomentError) as exc:
-                if exc.failed is None:
-                    tracks, failed = None, np.ones(len(group), dtype=bool)
-                else:
-                    tracks, failed = exc.partial, exc.failed
-            for b, crossing in enumerate(group):
-                if failed[b]:
-                    crossing.fit, crossing.live = None, False
-                else:
-                    _recenter(crossing, ang, tracks[b, steps - 1:])
-
-
-def _recenter(crossing: _Crossing, ang: np.ndarray, values: np.ndarray) -> None:
-    """Fit the circle values and move the crossing's circle to the model
-    root; stops the crossing once it converges or its fit breaks down."""
-    fit = _circle_fit(crossing.center, crossing.rho, ang, values, *crossing.pair)
-    crossing.fit = fit
-    if fit is None:
-        crossing.live = False
-        return
-    step = fit["root"] - crossing.center
-    crossing.center = fit["root"]
-    if abs(step) > 5 * crossing.rho:   # model untrustworthy that far out
-        crossing.rho = min(abs(step), crossing.window.radius)
-    elif abs(step) < 0.05 * crossing.rho:
-        crossing.live = False
-        return
-    crossing.rho = max(2 * abs(step), 0.2 * crossing.rho)
-
-
-def _accept_crossing(crossing: _Crossing, tol: float):
-    """The candidate of a refined crossing, or None where the sheets do not
-    meet (gap above tol) or meet at a branch point: branch-point collisions
-    leave a large fit residual (a square-root singularity inside the
-    circle) or have runaway or coincident slopes."""
-    fit = crossing.fit
-    if fit is None or fit["gap"] > tol:
-        return None
-    slope_j, slope_k = fit["slopes"]
-    if max(abs(slope_j), abs(slope_k)) > SLOPE_CAP:
-        return None
-    if abs(slope_j - slope_k) < 1e-3 * (1.0 + max(abs(slope_j), abs(slope_k))):
-        return None
-    return SingularPointCandidate(crossing.center, fit["h"], crossing.window_index,
-                                  crossing.pair, (slope_j, slope_k))
-
-
-def _circle_fit(center, rho, ang, values, j, k):
-    """Quadratic models of two sheets on a circle; their common value."""
-    x = np.exp(1j * ang)     # (xi - center)/rho on the circle
-    basis = np.vander(x, 3, increasing=True)
-    cj, *_ = np.linalg.lstsq(basis, values[:, j], rcond=None)
-    ck, *_ = np.linalg.lstsq(basis, values[:, k], rcond=None)
-    resid = max(float(np.max(np.abs(basis @ cj - values[:, j]))),
-                float(np.max(np.abs(basis @ ck - values[:, k]))))
-    scale = float(np.max(np.abs(values[:, j] - values[:, k]))) + 1e-300
-    if resid > 0.02 * scale:
-        return None              # not analytic across the circle: branch point
-    d = cj - ck
-    roots = companion_roots(d)
-    if roots.size == 0:
-        root_x = 0.0 + 0.0j
-    else:
-        root_x = roots[np.argmin(np.abs(roots))]
-    xi_root = center + rho * root_x
-    gap = abs(d[0] + d[1] * root_x + d[2] * root_x**2)
-    hj = cj[0] + cj[1] * root_x + cj[2] * root_x**2
-    hk = ck[0] + ck[1] * root_x + ck[2] * root_x**2
-    slopes = ((cj[1] + 2 * cj[2] * root_x) / rho,
-              (ck[1] + 2 * ck[2] * root_x) / rho)
-    return {"root": xi_root, "gap": gap, "h": 0.5 * (hj + hk),
-            "slopes": slopes}
-
-
-def _cluster_candidates(candidates, tol: float = 1e-3):
-    out: list[SingularPointCandidate] = []
-    for c in candidates:
-        for seen in out:
-            if abs(c.xi - seen.xi) < tol and abs(c.h - seen.h) < tol:
-                break
-        else:
-            out.append(c)
-    return out
+    grid_xi = np.array([w.grid[k] for w, k in zip(windows, nearest)])
+    grid_roots = np.array([w.roots[k] for w, k in zip(windows, nearest)])
+    fraction = np.arange(1, steps + 1) / steps
+    walks = grid_xi[:, None] + (xi - grid_xi)[:, None] * fraction
+    return continue_fibers(engine, windows[0].p, walks, grid_xi, grid_roots)[:, -1]
 
 
 @dataclass
@@ -294,21 +215,24 @@ def _permutation_cycles(perm: np.ndarray) -> list:
     return cycles
 
 
-def branch_passes_through(contour: BranchContour, cycle: tuple,
-                          h_star: complex, tol: float = 1e-3) -> bool:
-    """Does the local branch (monodromy cycle) pass through (h_star, center)?
+def cycle_centre(contour: BranchContour, cycle: tuple,
+                 tol: float = 1e-3) -> complex | None:
+    """The point h_c of the center's fiber that the local branch of a
+    monodromy cycle passes through, or None if it meets several.
 
-    The cycle's elementary symmetric functions are single-valued on the
-    punctured disk and bounded, so their mean over the contour is their
-    value at the center; the branch is incident iff every root of the
-    extended local polynomial equals h_star.
+    The cycle's power sums are single-valued on the punctured disk and
+    bounded, so their mean over the contour is their value at the center;
+    h_c = S_1 / k, and the branch passes through it iff every root of that
+    local polynomial is within tol * max(1, |h_c|) of it.
     """
     vals = contour.roots[:-1][:, list(cycle)]
     mean_sums = np.array([np.mean(np.sum(vals ** m, axis=1))
                           for m in range(1, len(cycle) + 1)])
+    centre = mean_sums[0] / len(cycle)
     roots = roots_from_power_sums(mean_sums)
-    scale = max(1.0, abs(h_star))
-    return bool(np.all(np.abs(roots - h_star) < tol * scale))
+    if np.all(np.abs(roots - centre) < tol * max(1.0, abs(centre))):
+        return complex(centre)
+    return None
 
 
 def branch_residues(engine: MomentEngine, contour: BranchContour,
@@ -433,12 +357,21 @@ def analyze_singular_point(engine: MomentEngine, curve: ReconstructedCurve,
                            with_energy: bool = True) -> list:
     """Track a contour around each candidate and measure branch residues.
 
-    The contours of all candidates whose windows share a sheet count are
-    tracked together.  Returns one SingularPointReport per candidate.
+    A contour must enclose exactly the candidate's discriminant zeros, or
+    its monodromy would mix in other singular fibers.  The contours of all
+    candidates whose windows share a sheet count are tracked together.
+    Returns one SingularPointReport per point where two or more local
+    branches meet, candidate by candidate.
     """
     by_sheets: dict[int, list] = {}
     for i, candidate in enumerate(candidates):
         p = curve.windows[candidate.window_index].p
+        census = zero_census(engine, p, candidate.xi, contour_radius)
+        if census is None or census[0] != candidate.order:
+            raise MonodromyError(
+                f"contour of radius {contour_radius:g} about {candidate.xi:.6g} "
+                f"does not enclose exactly the {candidate.order} discriminant "
+                "zeros there: change contour_radius")
         by_sheets.setdefault(p, []).append(i)
     contours = [None] * len(candidates)
     for p, members in by_sheets.items():
@@ -449,26 +382,41 @@ def analyze_singular_point(engine: MomentEngine, curve: ReconstructedCurve,
                                        nodes)
         for i, contour in zip(members, tracked):
             contours[i] = contour
-    return [_point_report(engine, candidate, contour, with_energy)
-            for candidate, contour in zip(candidates, contours)]
+    return [report for contour in contours
+            for report in _point_reports(engine, contour, with_energy)]
 
 
-def _point_report(engine: MomentEngine, candidate: SingularPointCandidate,
-                  contour: BranchContour, with_energy: bool) -> SingularPointReport:
-    """Residues and energy verdicts of the branches of one tracked contour
-    that pass through the candidate."""
-    incident = [cyc for cyc in contour.cycles
-                if branch_passes_through(contour, cyc, candidate.h)]
-    energy = energy_growth_reports(engine, contour, incident) \
-        if with_energy else None
-    residues = branch_residues(engine, contour, incident) if incident else []
-    branches = []
-    for ci, cyc in enumerate(incident):
-        report = BranchReport(cyc, residues[ci])
-        if energy is not None:
-            report.energy_verdicts = [energy[ci][ell].verdict for ell in range(3)]
-        branches.append(report)
-    return SingularPointReport(candidate.h, candidate.xi, contour.radius, branches)
+def _point_reports(engine: MomentEngine, contour: BranchContour,
+                   with_energy: bool) -> list:
+    """A SingularPointReport for each point of the center's fiber that two
+    or more cycles of the contour pass through, at the mean of their
+    centres, with the residues and energy verdicts of those cycles."""
+    groups: list = []           # (centres, cycles) through one point each
+    for cyc in contour.cycles:
+        centre = cycle_centre(contour, cyc)
+        if centre is None:
+            continue
+        group = next((g for g in groups if abs(centre - g[0][0])
+                      < 1e-3 * max(1.0, abs(centre))), None)
+        if group is None:
+            group = ([], [])
+            groups.append(group)
+        group[0].append(centre)
+        group[1].append(cyc)
+    reports = []
+    for centres, cycles in groups:
+        if len(cycles) < 2:
+            continue
+        energy = energy_growth_reports(engine, contour, cycles) \
+            if with_energy else None
+        residues = branch_residues(engine, contour, cycles)
+        branches = [BranchReport(cyc, residues[ci], energy_verdicts=[
+                        e.verdict for e in energy[ci]] if energy else [])
+                    for ci, cyc in enumerate(cycles)]
+        reports.append(SingularPointReport(complex(np.mean(centres)),
+                                           contour.center, contour.radius,
+                                           branches))
+    return reports
 
 
 @dataclass
@@ -582,9 +530,8 @@ def classify_and_partition(reports: list,
             continue
         centered = tuple(np.asarray(g) - np.mean(g) for g in groups)
         try:
-            from .model import AdmissibleFamily
             ok, _ = is_generic_family(AdmissibleFamily(centered), tol=1e-6)
-        except Exception:
+        except ModelError:      # more than MAX_GENERIC_POINTS points
             ok = False
         family_generic.append(bool(ok))
 

@@ -194,8 +194,8 @@ class TestExitCodes:
 
     def test_residues_exits_3_when_contour_tracking_fails(self, tmp_path,
                                                            charged_outputs):
-        # a contour of radius 1.5 around the node image sweeps past branch
-        # points: the sheets collide on it
+        # a contour of radius 1.5 around the node image also encloses the
+        # two branch points over 2.75: its census counts 9 zeros, not 7
         cfg = json.loads((charged_outputs / "charged4.residues.json").read_text())
         cfg["contour_radius"] = 1.5
         for key in ("datum", "curve"):
@@ -204,7 +204,7 @@ class TestExitCodes:
         (tmp_path / "wide.residues.json").write_text(json.dumps(cfg))
         proc = run_cli(tmp_path, "residues", "wide.residues.json")
         assert proc.returncode == 3, proc.stderr
-        assert "root matching collision" in proc.stderr
+        assert "not enclose exactly the 7 discriminant zeros" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_node_pole_without_family_exits_2(self, workdir, tmp_path):
@@ -276,6 +276,7 @@ class TestExitCodes:
         (tmp_path / "capped.invert.json").write_text(json.dumps(cfg))
         proc = run_cli(tmp_path, "invert", "capped.invert.json")
         assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("invert: bad config: ")
         assert "max_order" in proc.stderr
 
     @staticmethod
@@ -296,8 +297,54 @@ class TestExitCodes:
                                          thresholds, named):
         proc = self._characterize_with(charged_outputs, tmp_path, thresholds)
         assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("characterize: bad config: ")
         assert named in proc.stderr
         assert not (tmp_path / "caract.json").exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda cfg: cfg.pop("window"), "window"),
+        (lambda cfg: cfg["window"].update(center=5), "window center"),
+        (lambda cfg: cfg["window"].update(center=[[0.1, 0.0], "x"]),
+         "window center"),
+        (lambda cfg: cfg["window"].update(extent="abc"), "window extent"),
+        (lambda cfg: cfg.update(probes="20"), "probes"),
+        (lambda cfg: cfg.update(probes=0), "probes"),
+        (lambda cfg: cfg.update(seed="7"), "seed"),
+        (lambda cfg: cfg.update(datum=None), "datum"),
+        (lambda cfg: cfg.update(candidates=5), "candidates"),
+        (lambda cfg: cfg["candidates"].pop("charges"), "candidates"),
+        (lambda cfg: cfg["candidates"]["charges"].pop(), "3 rows of 2"),
+        (lambda cfg: cfg["candidates"]["charges"][1].pop(), "3 rows of 2"),
+        (lambda cfg: cfg["candidates"].update(points=None), "candidates"),
+    ])
+    def test_malformed_characterize_config_exits_2(self, charged_outputs,
+                                                   tmp_path, edit, named):
+        cfg = json.loads(
+            (charged_outputs / "charged4.characterize.json").read_text())
+        cfg["datum"] = str(charged_outputs / cfg["datum"])
+        cfg["out"] = str(tmp_path / "caract.json")
+        edit(cfg)
+        (tmp_path / "bad.characterize.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "characterize", "bad.characterize.json")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("characterize: bad config: ")
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "caract.json").exists()
+
+    @pytest.mark.parametrize("radius", ["0.05", 0, -1.0, None, [0.05]])
+    def test_malformed_contour_radius_exits_2(self, charged_outputs, tmp_path,
+                                              radius):
+        cfg = json.loads((charged_outputs / "charged4.residues.json").read_text())
+        cfg["contour_radius"] = radius
+        for key in ("datum", "curve"):
+            cfg[key] = str(charged_outputs / cfg[key])
+        cfg["out"] = str(tmp_path / "nodes.json")
+        (tmp_path / "bad.residues.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "residues", "bad.residues.json")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("residues: bad config: contour_radius")
+        assert not (tmp_path / "nodes.json").exists()
 
     def test_thresholds_object_is_read(self, charged_outputs, tmp_path):
         limits = {"shock": 1e-4, "green": 1e-5}

@@ -43,6 +43,27 @@ class TestComputeMoment:
         with pytest.raises(MomentError):
             _engine(graph_datum).moments([33], [0.1])
 
+    def test_direct_blocks_match_cauchy_sums(self, charged_datum,
+                                             monkeypatch):
+        # in blocks of 3 points, 10 points take 4 products; a point next to
+        # f2(gamma) in the second block is marked alone
+        from nodal_idn import moments
+        engine = _engine(charged_datum)
+        monkeypatch.setattr(moments, "DIRECT_BLOCK", 3 * engine.f2.size)
+        xi = 3.1 + 0.2 * np.exp(2j * np.pi * np.arange(10) / 10)
+        orders = np.arange(1, 9)
+        theta_rows = charged_datum.theta[[0, 2]] * charged_datum.curve.derivatives
+        for ells, weights in ((None, engine.df2[None, :]),
+                              ((0, 2), theta_rows)):
+            got = engine._direct(ells, orders, xi)
+            want = _cauchy_sums(weights, engine.f1, engine.f2, orders, xi)
+            assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) \
+                < 1e-12
+        xi[4] = engine.f2[17] + 1e-3
+        with pytest.raises(MomentError, match="on-curve") as info:
+            engine._direct(None, orders, xi)
+        assert info.value.failed.tolist() == [k == 4 for k in range(10)]
+
     def test_moment_equals_fiber_sum(self, charged_datum, charged_scenario):
         engine = _engine(charged_datum)
         for m in (0, 1, 2, 3):

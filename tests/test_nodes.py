@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodal_idn import scenarios
 from nodal_idn.dirichlet import DNDatum
-from nodal_idn.errors import PartitionError
+from nodal_idn.errors import MomentError, MonodromyError, PartitionError
 from nodal_idn.moments import MomentEngine, sweep_windows
 from nodal_idn.nodes import (BranchReport, SingularPointReport,
-                             analyze_singular_point,
-                             branch_residues, classify_and_partition,
-                             energy_growth_reports, locate_singularities,
-                             track_branch_contour, _sheet_values_at)
+                             analyze_singular_point, branch_residues,
+                             classify_and_partition, cycle_centre,
+                             discriminant, energy_growth_reports,
+                             locate_singularities, track_branch_contour,
+                             zero_census, _sheet_values_at)
+from test_moments import PowerSumFamily
+
+_lattice = st.integers(-6, 6)
 
 
 @pytest.fixture(scope="module")
@@ -37,50 +43,126 @@ def spurious_report(spurious_datum, spurious_sweep, spurious_candidates):
 
 
 class TestLocate:
-    def test_charged_candidate_at_node_image(self, charged_candidates):
-        assert len(charged_candidates) == 1
-        c = charged_candidates[0]
-        assert abs(c.xi - 3.0) < 1e-6
-        assert abs(c.h - 2.0) < 1e-6
-        # transverse crossing of the two node sheets with slopes +-1
-        assert abs(abs(c.slopes[0]) - 1.0) < 1e-3
-        assert abs(abs(c.slopes[1]) - 1.0) < 1e-3
+    def test_charged_candidate_at_node_image(self, charged_candidates,
+                                             charged_report):
+        # over 3 the node, the branch point of z = 0 and their four mixed
+        # pairs make a discriminant zero of order 7; over 2.75 the branch
+        # points of z = +-1/sqrt(2) make one of order 2
+        assert [c.order for c in charged_candidates] == [7, 2]
+        assert abs(charged_candidates[0].xi - 3.0) < 1e-9
+        assert abs(charged_candidates[1].xi - 2.75) < 1e-9
+        assert abs(charged_report.xi - 3.0) < 1e-9
+        assert abs(charged_report.h - 2.0) < 1e-9
 
-    def test_spurious_candidate_at_origin(self, spurious_candidates):
-        assert len(spurious_candidates) == 1
-        c = spurious_candidates[0]
-        assert abs(c.xi) < 1e-6 and abs(c.h) < 1e-6
+    def test_branch_point_pair_is_no_point(self, charged_datum, charged_sweep,
+                                           charged_candidates):
+        # the contour about 2.75 gives two 2-cycles with distinct centres
+        # f1(+-1/sqrt(2)) = 2 -+ sqrt(2)/4: no two branches meet there
+        engine = MomentEngine.from_datum(charged_datum)
+        c = charged_candidates[1]
+        window = charged_sweep.windows[c.window_index]
+        start = _sheet_values_at(engine, [window], [c.xi + 0.05])
+        contour, = track_branch_contour(engine, window.p, [c.xi], 0.05, start)
+        assert [len(cyc) for cyc in contour.cycles] == [2, 2]
+        centres = sorted(cycle_centre(contour, cyc).real
+                         for cyc in contour.cycles)
+        assert np.allclose(centres, 2 + np.array([-1, 1]) * np.sqrt(2) / 4,
+                           atol=1e-9)
+        assert analyze_singular_point(engine, charged_sweep, [c],
+                                      with_energy=False) == []
+
+    def test_spurious_candidate_at_origin(self, spurious_candidates,
+                                          spurious_report):
+        (c,) = spurious_candidates
+        assert c.order == 2 and abs(c.xi) < 1e-9
+        assert abs(spurious_report.h) < 1e-9
 
     def test_graph_has_no_candidates(self, graph_sweep, graph_datum):
         engine = MomentEngine.from_datum(graph_datum)
         assert locate_singularities(graph_sweep, engine) == []
 
-    def test_failing_seed_leaves_others(self, charged_sweep, charged_datum,
-                                        charged_candidates, monkeypatch):
-        # a seed on f2(gamma) itself, tracked in the middle of the batch,
-        # fails its off-curve check and is dropped alone
+    def test_failing_window_census_leaves_others(self, charged_sweep,
+                                                 charged_datum, monkeypatch):
+        # no census about window 0 can be trusted: that window is skipped
+        # and the others still find the node's base point
         from nodal_idn import nodes
-        window = charged_sweep.windows[0]
-        on_curve = complex(charged_datum.f[1][0])
-        dropped = []
-        seeds_of = nodes._crossing_seeds
+        census = nodes.zero_census
+        center = charged_sweep.windows[0].center
+        refused = []
 
-        def with_bad_seed(curve, fit_degree):
-            seeds = seeds_of(curve, fit_degree)
-            bad = nodes._Crossing(0, window, (0, 1), on_curve,
-                                  0.05 * window.radius)
-            dropped.append(bad)
-            half = len(seeds) // 2
-            return seeds[:half] + [bad] + seeds[half:]
+        def failing(engine, p, about, radius):
+            if about == center:
+                refused.append(radius)
+                return None
+            return census(engine, p, about, radius)
 
-        monkeypatch.setattr(nodes, "_crossing_seeds", with_bad_seed)
+        monkeypatch.setattr(nodes, "zero_census", failing)
         got = locate_singularities(charged_sweep,
                                    MomentEngine.from_datum(charged_datum))
-        assert dropped[0].fit is None and not dropped[0].live
-        assert len(got) == len(charged_candidates)
-        for a, b in zip(got, charged_candidates):
-            assert (a.window_index, a.sheet_pair) == (b.window_index, b.sheet_pair)
-            assert abs(a.xi - b.xi) < 1e-9 and abs(a.h - b.h) < 1e-9
+        assert len(refused) == len(nodes.CENSUS_REACH)
+        assert all(c.window_index != 0 for c in got)
+        (node,) = [c for c in got if c.order == 7]
+        assert abs(node.xi - 3.0) < 1e-9
+
+    def test_contour_census_must_match_order(self, charged_datum,
+                                             charged_sweep, charged_candidates):
+        # a contour of radius 0.3 about 3 also encloses the zeros at 2.75
+        with pytest.raises(MonodromyError, match="change contour_radius"):
+            analyze_singular_point(MomentEngine.from_datum(charged_datum),
+                                   charged_sweep, charged_candidates[:1],
+                                   contour_radius=0.3, with_energy=False)
+
+
+class TestDiscriminantCensus:
+    @given(st.lists(st.tuples(_lattice, _lattice), min_size=2, max_size=4,
+                    unique=True),
+           st.lists(st.tuples(_lattice, _lattice, _lattice), min_size=4,
+                    max_size=4),
+           st.lists(st.tuples(_lattice, _lattice), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_root_products(self, origins, slopes, points):
+        p = len(origins)
+        family = PowerSumFamily(
+            [[0.25 * (x + 1j * y), 0.15 * (u + 1j * v), 0.05 * w]
+             for (x, y), (u, v, w) in zip(origins, slopes)])
+        xi = np.array([0.15 * (a + 1j * b) for a, b in points])
+        got = discriminant(family, p, xi)
+        for x, value in zip(xi, got):
+            h = family.roots(x)[0]
+            want = np.prod([(h[j] - h[k]) ** 2
+                            for j in range(p) for k in range(j + 1, p)])
+            scale = max(1.0, float(np.max(np.abs(h)))) ** (p * (p - 1))
+            assert abs(value - want) <= 1e-10 * scale
+
+    def test_sheet_count_mismatch_raises(self):
+        family = PowerSumFamily([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(MomentError, match="sheet count"):
+            discriminant(family, 3, [0.5])
+
+    @pytest.mark.parametrize("name, f1, f2, want", [
+        ("charged", "2 + z**3 - z", "3 + z**4 - z**2",
+         {3.0: 7, 2.75: 2}),
+        ("spurious", "z**2 - 1", "z**3 - z",
+         {0.0: 2, 2 / (3 * np.sqrt(3)): 1, -2 / (3 * np.sqrt(3)): 1}),
+    ])
+    def test_counts_and_centroids_match_sympy(self, request, name, f1, f2,
+                                              want):
+        # the discriminant in h of P(h, xi) = Res_z(f2 - xi, h - f1), whose
+        # roots in h are the fiber f1(f2^-1(xi)), vanishes where Delta does
+        import sympy
+        z, h, xi = sympy.symbols("z h xi")
+        poly = sympy.resultant(sympy.sympify(f2) - xi, h - sympy.sympify(f1), z)
+        zeros = sympy.roots(sympy.Poly(sympy.discriminant(poly, h), xi))
+        got = {float(root): int(order) for root, order in zeros.items()}
+        assert sorted(got) == pytest.approx(sorted(want), abs=1e-12)
+        assert sorted(got.values()) == sorted(want.values())
+        engine = MomentEngine.from_datum(request.getfixturevalue(f"{name}_datum"))
+        p = sympy.Poly(poly, h).degree()
+        for root, order in got.items():
+            count, sums = zero_census(engine, p, root, 0.1)
+            assert count == order
+            centroid = root + 0.1 * sums[0] / count
+            assert abs(centroid - root) < 1e-9
 
 
 class TestBranchResidues:
@@ -246,6 +328,17 @@ class TestClassification:
         report = SingularPointReport(0.0, 0.5, 0.05, branches)
         with pytest.raises(PartitionError):
             classify_and_partition([report])
+
+    def test_too_many_points_are_not_generic(self):
+        # 11 nodes of two branches: 22 identified points, past the
+        # exhaustive genericity test's limit of 20
+        branches = [BranchReport((0,), np.array([1.0, 2.0, 3.0])),
+                    BranchReport((1,), np.array([-1.0, -2.0, -3.0]))]
+        reports = [SingularPointReport(0.0, complex(k), 0.05, branches)
+                   for k in range(11)]
+        inv = classify_and_partition(reports)
+        assert len(inv.nodes) == 11
+        assert inv.family_generic == [False, False, False]
 
     def test_json_output(self, charged_report, tmp_path):
         from nodal_idn import jsonio
