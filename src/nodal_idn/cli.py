@@ -66,6 +66,33 @@ def _integer(value, key: str, least: int) -> int:
     return value
 
 
+def _complex_list(value, key: str, count: int | None = None) -> np.ndarray:
+    """A config value that must be a list of ``count`` complex numbers, or
+    of one or more without ``count``."""
+    try:
+        values = jsonio.decode_complex_array(value)
+    except ModelError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    if values.size == 0 or count is not None and values.size != count:
+        raise ConfigError(f"{key} must be a list of {count or 'one or more'} "
+                          f"complex numbers, not {value!r}")
+    return values
+
+
+def _decode_plan(value) -> WindowPlan:
+    """The window plan: an object with a list of complex ``centers``, a
+    finite positive ``radius`` and an integer ``grid_n`` of at least 2 (9
+    if absent).  ``max_order`` is gone and read only as null."""
+    if not isinstance(value, dict):
+        raise ConfigError("windows must be an object with centers and radius")
+    if value.get("max_order") is not None:
+        raise ConfigError("windows.max_order is no longer supported")
+    centers = _complex_list(value.get("centers"), "windows centers")
+    return WindowPlan(list(centers),
+                      _positive(value.get("radius"), "windows radius"),
+                      _integer(value.get("grid_n", 9), "windows grid_n", 2))
+
+
 def _decode_prescription(doc: dict) -> Prescription:
     return Prescription(
         poles=tuple(jsonio.decode_complex_array(doc.get("poles", []))),
@@ -106,7 +133,7 @@ def cmd_forward(cfg: PipelineConfig) -> int:
 
 def cmd_invert(cfg: PipelineConfig) -> int:
     datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
-    plan = WindowPlan.from_json(cfg.doc.get("windows"))
+    plan = _decode_plan(cfg.doc.get("windows"))
     engine = MomentEngine.from_datum(datum)
     try:
         curve = sweep_windows(engine, plan)
@@ -247,13 +274,27 @@ def cmd_characterize(cfg: PipelineConfig) -> int:
 
 
 def _compact_potentials(cfg_doc: dict):
-    """Closed-form boundary data of the compact scenario on gamma = bS."""
-    rho = float(cfg_doc["rho"])
-    n = int(cfg_doc.get("n", 512))
+    """Closed-form boundary data of the compact scenario on gamma = bS: a
+    disk of finite positive radius ``rho`` sampled at an integer ``n`` >= 4
+    points (512 if absent), with one charge, one pair of poles and a list
+    of auxiliary [pole, residue] pairs per potential."""
+    rho = _positive(cfg_doc.get("rho"), "rho")
+    n = _integer(cfg_doc.get("n", 512), "n", 4)
     margin = 0.05 * rho
-    charges = jsonio.decode_complex_array(cfg_doc["charges"])
-    poles = [tuple(jsonio.decode_complex_array(p)) for p in cfg_doc["poles"]]
+    charges = _complex_list(cfg_doc.get("charges"), "charges", 3)
+    poles = cfg_doc.get("poles")
+    if not isinstance(poles, list) or len(poles) != 3:
+        raise ConfigError("poles must be a list of 3 pairs of complex "
+                          f"numbers, one per potential, not {poles!r}")
+    poles = [_complex_list(pair, "poles", 2) for pair in poles]
     aux = cfg_doc.get("aux") or [[], [], []]
+    if not (isinstance(aux, list) and len(aux) == 3
+            and all(isinstance(row, list) for row in aux)):
+        raise ConfigError("aux must be a list of 3 lists of [pole, residue] "
+                          f"pairs, one per potential, not {aux!r}")
+    # as Python complex numbers, whose division rounds unlike numpy's
+    aux = [[tuple(map(complex, _complex_list(item, "aux", 2))) for item in row]
+           for row in aux]
     curve = BoundaryCurve.circle(rho, n)
     z = curve.positions
 
@@ -277,9 +318,7 @@ def _compact_potentials(cfg_doc: dict):
         u = log_pole_potential(aplus, c) + log_pole_potential(aminus, -c)
         w_poles = [aplus, aminus]
         w_res = [c, -c]
-        for item in aux[ell]:
-            p = jsonio.decode_complex(item[0])
-            kappa = jsonio.decode_complex(item[1])
+        for p, kappa in aux[ell]:
             if abs(p) <= rho + margin:
                 raise ModelError(f"auxiliary pole {p} is not inside the "
                                  "measurement subdomain")
@@ -296,7 +335,7 @@ def _compact_potentials(cfg_doc: dict):
 def cmd_compact(cfg: PipelineConfig) -> int:
     doc = cfg.doc
     prefix = cfg.out or cfg.path("out_prefix", "compact")
-    plan = WindowPlan.from_json(doc.get("windows"))
+    plan = _decode_plan(doc.get("windows"))
     radius = _positive(doc.get("contour_radius", 0.05), "contour_radius")
     try:
         model, us, prescriptions = _compact_potentials(doc)

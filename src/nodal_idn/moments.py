@@ -45,7 +45,7 @@ import numpy as np
 
 from . import jsonio
 from .dirichlet import DNDatum
-from .errors import ConfigError, FiberError, MomentError, SolveError
+from .errors import FiberError, MomentError, SolveError
 from .model import BoundaryCurve
 from .spectral import fourier_derivative
 
@@ -407,14 +407,26 @@ def _solve_rows(matrices: np.ndarray, rhs: np.ndarray):
     return out, solved
 
 
-def _match_rows(previous: np.ndarray, new: np.ndarray):
-    """Order each row of ``new`` to follow the same row of ``previous`` by
-    nearest neighbor; returns the ordered rows and the mask of the rows
-    where the assignment collides (two predecessors claim one root)."""
+def match_rows(previous: np.ndarray, new: np.ndarray):
+    """Order each row of ``new`` (B, p) to follow the same row of
+    ``previous`` by nearest neighbor: the sheet rule of continuation,
+    window stitching and monodromy.  Returns the ordered rows, the index
+    map (``new[b, choice[b, j]]`` is the root nearest to
+    ``previous[b, j]``) and the mask of the rows where the assignment
+    collides (two predecessors claim one root)."""
     choice = np.argmin(np.abs(previous[:, :, None] - new[:, None, :]), axis=2)
     ordered = np.sort(choice, axis=1)
     collided = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
-    return np.take_along_axis(new, choice, axis=1), collided
+    return np.take_along_axis(new, choice, axis=1), choice, collided
+
+
+def min_separations(roots: np.ndarray) -> np.ndarray:
+    """The distance from each root to the nearest other root of its row
+    (last axis); inf for a root alone in its row."""
+    seps = np.abs(roots[..., :, None] - roots[..., None, :])
+    p = roots.shape[-1]
+    seps[..., np.arange(p), np.arange(p)] = np.inf
+    return np.min(seps, axis=-1, initial=np.inf)
 
 
 def sort_fibers(roots: np.ndarray) -> np.ndarray:
@@ -429,20 +441,6 @@ def sort_fibers(roots: np.ndarray) -> np.ndarray:
     groups = np.cumsum(steps > FIBER_ORDER_TOL * scale, axis=-1)
     order = np.lexsort((by_real.imag, groups), axis=-1)
     return np.take_along_axis(by_real, order, -1)
-
-
-def match_roots(previous: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Order ``new`` to follow ``previous`` by nearest neighbor, or sorted
-    by ``sort_fibers`` without ``previous``.
-
-    Raises on assignment collisions (two predecessors claiming one root).
-    """
-    if previous is None:
-        return sort_fibers(new)
-    matched, collided = _match_rows(np.atleast_2d(previous), np.atleast_2d(new))
-    if collided.any():
-        raise FiberError("root matching collision: decrease grid step")
-    return matched.reshape(np.shape(new))
 
 
 def recover_fibers(power_sums: np.ndarray, p: int,
@@ -467,7 +465,7 @@ def recover_fibers(power_sums: np.ndarray, p: int,
     if previous is None:
         matched, collided = sort_fibers(roots), np.zeros(len(s), dtype=bool)
     else:
-        matched, collided = _match_rows(
+        matched, _, collided = match_rows(
             np.asarray(previous, dtype=complex).reshape(-1, p), roots)
     check = s[:, :2 * p]
     # of the roots before matching, which a collision would duplicate
@@ -502,9 +500,7 @@ def recover_form_quotient(engine: MomentEngine, xi, roots) -> np.ndarray:
     p = roots.shape[1]
     if p == 0:
         return np.zeros((3, xi.size, 0), dtype=complex)
-    seps = np.abs(roots[:, :, None] - roots[:, None, :])
-    seps[:, np.arange(p), np.arange(p)] = np.inf
-    if np.min(seps) < 1e-6:
+    if np.min(min_separations(roots)) < 1e-6:
         raise FiberError("near branch point: move xi")
     a = engine.theta_moments(range(3), range(p), xi)        # (3, p, B)
     v = roots[:, None, :] ** np.arange(p)[None, :, None]     # (B, p, p)
@@ -576,35 +572,32 @@ def analyze_window(engine: MomentEngine, center: complex, radius: float,
 
     sums = engine.moments(range(1, 2 * p + 1), grid).T
     engine.check_bounded_regime(sums)
-    unordered = recover_fibers(sums, p)
-    roots = np.zeros((g, p), dtype=complex)
-    prev = None
-    for idx in _snake_order(shape):
-        roots[idx] = match_roots(prev, unordered[idx])
-        if prev is not None and p > 1:
-            seps = np.abs(prev[:, None] - prev[None, :])
-            np.fill_diagonal(seps, np.inf)
-            if np.any(np.abs(roots[idx] - prev) > 0.5 * np.min(seps, axis=1)):
-                raise FiberError("continuation step exceeds half the root "
-                                 "separation: decrease grid step")
-        prev = roots[idx]
-    seps = np.abs(roots[:, :, None] - roots[:, None, :])
-    seps[:, np.arange(p), np.arange(p)] = np.inf
-    min_sep = float(np.min(seps)) if p > 1 else np.inf
+    # a row-major snake through the grid, by adjacent steps only
+    snake = np.arange(g).reshape(shape)
+    snake[1::2] = snake[1::2, ::-1]
+    snake = snake.ravel()
+    unordered = recover_fibers(sums, p)[snake]
+    # nearest-neighbour matching does not depend on how the previous row
+    # is ordered, so every step is matched at once and the maps composed
+    matched, choice, collided = match_rows(unordered[:-1], unordered[1:])
+    seps = min_separations(unordered)
+    leaps = np.any(np.abs(matched - unordered[:-1]) > 0.5 * seps[:-1], axis=1)
+    stops = collided | leaps
+    if stops.any():
+        if collided[np.argmax(stops)]:
+            raise FiberError("root matching collision: decrease grid step")
+        raise FiberError("continuation step exceeds half the root "
+                         "separation: decrease grid step")
+    orders = [np.arange(p)]
+    for step in choice:
+        orders.append(step[orders[-1]])
+    roots = np.empty((g, p), dtype=complex)
+    roots[snake] = np.take_along_axis(unordered, np.array(orders), axis=1)
+    min_sep = float(np.min(seps))
 
     quot = recover_form_quotient(engine, grid, roots) \
         if engine.theta is not None else np.zeros((3, g, p), dtype=complex)
     return FiberWindow(center, radius, grid, shape, p, roots, quot, min_sep)
-
-
-def _snake_order(shape: tuple) -> list[int]:
-    """Row-major snake through a rectangular grid (adjacent steps only)."""
-    rows, cols = shape
-    order = []
-    for r in range(rows):
-        cs = range(cols) if r % 2 == 0 else range(cols - 1, -1, -1)
-        order.extend(r * cols + c for c in cs)
-    return order
 
 
 @dataclass
@@ -623,16 +616,6 @@ class WindowPlan:
     def to_json(self) -> dict:
         return {"centers": jsonio.encode_complex_array(np.array(self.centers)),
                 "radius": self.radius, "grid_n": self.grid_n}
-
-    @staticmethod
-    def from_json(doc: dict) -> "WindowPlan":
-        if not isinstance(doc, dict):
-            raise ConfigError("windows must be an object with centers and "
-                              "radius")
-        if doc.get("max_order") is not None:
-            raise ConfigError("windows.max_order is no longer supported")
-        return WindowPlan(list(jsonio.decode_complex_array(doc["centers"])),
-                          float(doc["radius"]), int(doc.get("grid_n", 9)))
 
 
 @dataclass
@@ -733,12 +716,10 @@ def _stitch_pair(a: FiberWindow, b: FiberWindow) -> np.ndarray:
                          f"({a.p}) and {b.center} ({b.p})")
     dist = np.abs(a.grid[:, None] - b.grid[None, :])
     ia, ib = np.unravel_index(int(np.argmin(dist)), dist.shape)
-    ra, rb = a.roots[ia], b.roots[ib]
-    gap = np.abs(ra[:, None] - rb[None, :])
-    sigma = np.argmin(gap, axis=1)
-    if np.unique(sigma).size != sigma.size:
+    _, sigma, collided = match_rows(a.roots[ia][None], b.roots[ib][None])
+    if collided[0]:
         raise FiberError("stitching collision between windows: refine plan")
-    return sigma
+    return sigma[0]
 
 
 def continue_fibers(engine: MomentEngine, p: int, paths: np.ndarray,

@@ -24,7 +24,7 @@ from . import jsonio
 from .errors import MomentError, MonodromyError, ModelError, PartitionError
 from .model import AdmissibleFamily, finest_zero_sum_partition, is_generic_family
 from .moments import (MomentEngine, ReconstructedCurve, continue_fibers,
-                      integral_sheet_count, recover_form_quotient,
+                      integral_sheet_count, match_rows, recover_form_quotient,
                       roots_from_power_sums)
 from .spectral import fourier_derivative
 
@@ -185,17 +185,14 @@ def track_branch_contour(engine: MomentEngine, p: int, centers, radius: float,
     paths = centers[:, None] + radius * np.exp(1j * ang)
     tracks = continue_fibers(engine, p, paths, paths[:, 0],
                              np.reshape(seed_roots, (centers.size, p)))
-    contours = []
-    for center, rows in zip(centers, tracks):
-        start, final = rows[0], rows[-1]
-        dist = np.abs(start[:, None] - final[None, :])
-        perm = np.argmin(dist, axis=0)   # sheet s ends where sheet perm[s] started
-        if np.unique(perm).size != perm.size:
-            raise MonodromyError("monodromy: sheet tracking did not close into a "
-                                 "permutation; branch point too close to contour")
-        contours.append(BranchContour(complex(center), radius, ang, rows, perm,
-                                      _permutation_cycles(perm)))
-    return contours
+    # sheet s ends where sheet perms[b, s] started
+    _, perms, collided = match_rows(tracks[:, -1], tracks[:, 0])
+    if collided.any():
+        raise MonodromyError("monodromy: sheet tracking did not close into a "
+                             "permutation; branch point too close to contour")
+    return [BranchContour(complex(center), radius, ang, rows, perm,
+                          _permutation_cycles(perm))
+            for center, rows, perm in zip(centers, tracks, perms)]
 
 
 def _permutation_cycles(perm: np.ndarray) -> list:
@@ -272,11 +269,9 @@ def energy_growth_reports(engine: MomentEngine, contour: BranchContour,
     """
     p = contour.roots.shape[1]
     ang = 2 * np.pi * np.arange(angular_nodes) / angular_nodes
-    ref_roots = np.zeros((angular_nodes, p), dtype=complex)
-    for i, a in enumerate(ang):
-        j = int(np.argmin(np.abs((contour.angles[:-1] - a + np.pi) % (2 * np.pi)
-                                 - np.pi)))
-        ref_roots[i] = contour.roots[j]
+    # the contour node nearest in angle to each ring angle
+    turn = (contour.angles[None, :-1] - ang[:, None] + np.pi) % (2 * np.pi)
+    ref_roots = contour.roots[np.argmin(np.abs(turn - np.pi), axis=1)]
     contributions = np.zeros((len(cycles), 3, halvings + 1))
     outer_roots = ref_roots
     outer_radius = contour.radius

@@ -279,6 +279,40 @@ class TestExitCodes:
         assert proc.stderr.startswith("invert: bad config: ")
         assert "max_order" in proc.stderr
 
+    @pytest.mark.parametrize("config, edit, named", [
+        ("charged4.invert.json",
+         lambda cfg: cfg["windows"].update(radius="abc"), "windows radius"),
+        ("charged4.invert.json",
+         lambda cfg: cfg["windows"].pop("radius"), "windows radius"),
+        ("charged4.invert.json",
+         lambda cfg: cfg["windows"].update(radius=-0.1), "windows radius"),
+        ("charged4.invert.json",
+         lambda cfg: cfg["windows"].update(grid_n=2.5), "windows grid_n"),
+        ("charged4.invert.json",
+         lambda cfg: cfg["windows"].update(grid_n=1), "windows grid_n"),
+        ("charged4.invert.json",
+         lambda cfg: cfg["windows"].update(centers=[]), "windows centers"),
+        ("compact.json", lambda cfg: cfg.update(rho="abc"), "rho"),
+        ("compact.json", lambda cfg: cfg.pop("charges"), "charges"),
+        ("compact.json", lambda cfg: cfg.update(n="512"), "n must"),
+        ("compact.json", lambda cfg: cfg["poles"].pop(), "poles"),
+        ("compact.json", lambda cfg: cfg["poles"][0].pop(), "poles"),
+        ("compact.json", lambda cfg: cfg.update(aux=[[[2.5]], [], []]), "aux"),
+    ])
+    def test_bad_config_value_exits_2(self, charged_outputs, tmp_path, config,
+                                      edit, named):
+        cfg = json.loads((charged_outputs / config).read_text())
+        if "datum" in cfg:
+            cfg["datum"] = str(charged_outputs / cfg["datum"])
+        cfg["out"] = str(tmp_path / "out")
+        edit(cfg)
+        (tmp_path / config).write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, cfg["command"], config)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"{cfg['command']}: bad config: ")
+        assert named in proc.stderr
+        assert not list(tmp_path.glob("out*"))
+
     @staticmethod
     def _characterize_with(charged_outputs, tmp_path, thresholds):
         cfg = json.loads(

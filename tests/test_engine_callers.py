@@ -41,17 +41,21 @@ def _definitions(body, prefix=""):
             yield from _definitions(node.body, f"{prefix}{node.name}.")
 
 
-def _references(tree, skip=()):
-    """Names and attributes used in the tree, except inside ``skip``."""
-    skipped = {id(node) for top in skip for node in ast.walk(top)}
+def _references(node, enclosing=()):
+    """Names and attributes used under ``node``, each kept unless one of
+    the definitions around the use, ``enclosing`` included, has its name:
+    a definition's reference to itself is not a caller."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    if isinstance(node, kinds):
+        enclosing = enclosing + (node.name,)
     found = set()
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+    if isinstance(node, ast.Name):
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        found.add(node.attr)
+    found -= set(enclosing)
+    for child in ast.iter_child_nodes(node):
+        found |= _references(child, enclosing)
     return found
 
 
@@ -78,18 +82,16 @@ def uncalled_engine_names() -> list[str]:
     outside = _span_targets()
     for path in sorted((ROOT / "scripts").glob("*.py")):
         outside |= _references(ast.parse(path.read_text()))
+    inside = set().union(*map(_references, trees.values()))
     missing = []
     for module, tree in trees.items():
         for qualified, node in _definitions(tree.body):
             name = node.name
             if (name.startswith("__") and name.endswith("__")
-                    or f"{module}:{qualified}" in ALLOWED or name in outside):
+                    or f"{module}:{qualified}" in ALLOWED
+                    or name in outside or name in inside):
                 continue
-            if not any(name in _references(
-                           other, [n for _, n in _definitions(other.body)
-                                   if n.name == name])
-                       for other in trees.values()):
-                missing.append(f"{module}:{node.lineno} {qualified}")
+            missing.append(f"{module}:{node.lineno} {qualified}")
     return missing
 
 

@@ -5,13 +5,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from engine_checks import cr_residual
 from nodal_idn.errors import FiberError, MomentError
 from nodal_idn.model import BoundaryCurve
-from nodal_idn.moments import (LocalExpansion, MomentEngine,
-                               ReconstructedCurve, WindowPlan, analyze_window,
-                               companion_roots, continue_fibers,
-                               integral_sheet_count, match_roots,
-                               recover_fibers, recover_form_quotient,
-                               roots_from_power_sums, sweep_windows,
-                               truncation_order, window_grid)
+from nodal_idn.moments import (FiberWindow, LocalExpansion, MomentEngine,
+                               ReconstructedCurve, WindowPlan, _stitch_pair,
+                               analyze_window, companion_roots,
+                               continue_fibers, integral_sheet_count,
+                               match_rows, recover_fibers,
+                               recover_form_quotient, roots_from_power_sums,
+                               sweep_windows, truncation_order, window_grid)
 from nodal_idn.oracles import argument_principle_count, polynomial_roots
 from nodal_idn.scenarios import graph as graph_scn
 
@@ -360,7 +360,7 @@ class TestRecoverFibers:
         prev = np.array([0.0 + 0.0j, 0.1 + 0.0j])
         new = np.array([10.0 + 0.0j, 10.0001 + 0.0j])
         with pytest.raises(FiberError):
-            match_roots(prev, new)
+            recover_fibers(_power_sums(new), 2, previous=prev)
 
     def test_long_double_is_extended(self):
         # the root refinement keeps its defect in long double; where that is
@@ -422,6 +422,30 @@ def _assert_covers(got, reference):
 
 def _assert_round_trip(roots):
     _assert_covers(recover_fibers(_power_sums(roots), roots.size), roots)
+
+
+class TestMatchRows:
+    def test_batched_rows_match_alone(self, rng):
+        # rows of separated roots, each shuffled and nudged: every row maps
+        # back onto its predecessor by the inverse of its shuffle
+        previous = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        previous += 3.0 * np.arange(4)
+        shuffles = np.array([rng.permutation(4) for _ in range(5)])
+        new = np.take_along_axis(previous, shuffles, axis=1) + 1e-3
+        matched, choice, collided = match_rows(previous, new)
+        assert not collided.any()
+        assert np.array_equal(np.sort(choice, axis=1),
+                              np.broadcast_to(np.arange(4), (5, 4)))
+        assert np.array_equal(choice, np.argsort(shuffles, axis=1))
+        assert np.allclose(matched, previous + 1e-3)
+        # a row whose two predecessors claim one root collides alone
+        new[2, :2] = previous[2, 0] + np.array([1e-3, 2e-3])
+        new[2, 2:] = 50.0 + np.arange(2)
+        matched_again, choice_again, collided = match_rows(previous, new)
+        assert collided.tolist() == [False, False, True, False, False]
+        rows = [0, 1, 3, 4]
+        assert np.array_equal(choice_again[rows], choice[rows])
+        assert np.array_equal(matched_again[rows], matched[rows])
 
 
 class TestEngineRoots:
@@ -681,6 +705,43 @@ class TestSweep:
         assert len(curve.windows) == 1
         assert curve.windows[0].relocated_from == 2.75 + 0.0j
         assert any("re-centered" in n for n in curve.notes)
+
+    def test_grid_order_matches_sequential_snake(self, charged_datum):
+        # the reference walks the snake one grid point at a time, matching
+        # each root of the point before to its nearest root at this one
+        engine = _engine(charged_datum)
+        window = analyze_window(engine, 3.0 + 0.45j, 0.1)
+        unordered = recover_fibers(engine.moments(range(1, 9), window.grid).T, 4)
+        rows, cols = window.grid_shape
+        before = None
+        for r in range(rows):
+            for c in range(cols) if r % 2 == 0 else reversed(range(cols)):
+                new = unordered[r * cols + c]
+                if before is not None:
+                    new = new[[int(np.argmin(np.abs(new - h))) for h in before]]
+                assert np.array_equal(window.roots[r * cols + c], new)
+                before = new
+
+    def test_step_over_half_the_separation_raises(self, charged_datum):
+        # 2.75 is a critical value of f2: two sheets meet over it, and the
+        # grid of a window of radius 0.05 about it steps past half their gap
+        with pytest.raises(FiberError, match="continuation step exceeds "
+                           "half the root separation"):
+            analyze_window(_engine(charged_datum), 2.75 + 0.0j, 0.05)
+
+    def test_stitch_collision_raises(self):
+        # both sheets of the first window are nearest to one root of the
+        # second at their closest grid points
+        def window(center, roots):
+            grid = np.array([center])
+            return FiberWindow(center, 0.1, grid, (1, 1), 2, np.array([roots]),
+                               np.zeros((3, 1, 2), dtype=complex), 0.1)
+
+        a = window(0.0 + 0.0j, [0.0, 0.1])
+        b = window(0.05 + 0.0j, [10.0, 10.0001])
+        with pytest.raises(FiberError, match="stitching collision between "
+                           "windows"):
+            _stitch_pair(a, b)
 
     def test_window_on_curve_skipped(self, graph_datum):
         plan = WindowPlan([0.0 + 0.0j, 0.98 + 0.0j, 0.3 + 0.2j], 0.25)
