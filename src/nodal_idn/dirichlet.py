@@ -260,14 +260,20 @@ class DNDatum:
 
     @staticmethod
     def from_json(doc: dict) -> "DNDatum":
+        """The datum of a file; ModelError where u, theta or f has a sample
+        that is not finite."""
         jsonio.require_schema(doc, DATUM_SCHEMA)
-        return DNDatum(
-            BoundaryCurve.from_json(doc["curve"]),
-            np.array([jsonio.decode_complex_array(r) for r in doc["u"]]),
-            np.array([jsonio.decode_complex_array(r) for r in doc["theta"]]),
-            np.array([jsonio.decode_complex_array(r) for r in doc["f"]]),
-            HypothesisAReport.from_json(doc["hypothesisA"]),
-        )
+        curve = BoundaryCurve.from_json(doc["curve"])
+        rows = {}
+        for key in ("u", "theta", "f"):
+            rows[key] = np.array([jsonio.decode_complex_array(r)
+                                  for r in doc[key]])
+            bad = np.flatnonzero(~np.all(np.isfinite(rows[key]), axis=0))
+            if bad.size:
+                raise ModelError(f"datum {key} is not finite at samples "
+                                 f"{bad.tolist()}")
+        return DNDatum(curve, rows["u"], rows["theta"], rows["f"],
+                       HypothesisAReport.from_json(doc["hypothesisA"]))
 
 
 def check_hypothesis_a(curve: BoundaryCurve, theta: np.ndarray,

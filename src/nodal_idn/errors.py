@@ -36,17 +36,7 @@ class MomentError(NodalIdnError):
 
 
 class FiberError(NodalIdnError):
-    """Fiber recovery, continuation or root matching failed.
-
-    ``collided`` marks the failed rows whose roots fit their power sums but
-    collide when matched to the previous roots: the one failure that a
-    shorter continuation step can cure.
-    """
-
-    def __init__(self, message: str = "", failed=None, partial=None,
-                 collided=None):
-        super().__init__(message, failed, partial)
-        self.collided = collided
+    """Fiber recovery, continuation or root matching failed."""
 
 
 class MonodromyError(FiberError):

@@ -62,6 +62,8 @@ FIBER_ORDER_TOL = float(np.sqrt(DOUBLE_EPS))
 MAX_EXPANSION_ORDER = 64
 DISC_REACH = 0.25           # a new disc's radius is at least this share of d
 DIRECT_BLOCK = 1 << 17      # Cauchy factors per block of a direct sum (2 MB)
+ROOT_BLOCK = 512            # path points per kernel call and root recovery
+COLLISION = "root matching collision: decrease grid step"
 
 
 def truncation_order(rho: float) -> int | None:
@@ -342,9 +344,12 @@ def _power_sum_defect(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
     roots that fit the power sums is not lost to the rounding of h^m.
     Batched over leading axes.
     """
-    h = np.asarray(roots, dtype=np.clongdouble)
-    powers = np.repeat(h[..., None, :], power_sums.shape[-1], axis=-2)
-    return np.cumprod(powers, axis=-2, out=powers).sum(axis=-1) - power_sums
+    h = power = np.asarray(roots, dtype=np.clongdouble)
+    sums = []
+    for _ in range(power_sums.shape[-1]):
+        sums.append(power.sum(axis=-1))
+        power = power * h
+    return np.stack(sums, axis=-1) - power_sums
 
 
 def _refine_roots(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
@@ -414,7 +419,9 @@ def match_rows(previous: np.ndarray, new: np.ndarray):
     map (``new[b, choice[b, j]]`` is the root nearest to
     ``previous[b, j]``) and the mask of the rows where the assignment
     collides (two predecessors claim one root)."""
-    choice = np.argmin(np.abs(previous[:, :, None] - new[:, None, :]), axis=2)
+    choice = np.empty(previous.shape, dtype=int)
+    for j in range(previous.shape[1]):      # memory O(B p), not O(B p^2)
+        choice[:, j] = np.argmin(np.abs(previous[:, j, None] - new), axis=1)
     ordered = np.sort(choice, axis=1)
     collided = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
     return np.take_along_axis(new, choice, axis=1), choice, collided
@@ -443,6 +450,23 @@ def sort_fibers(roots: np.ndarray) -> np.ndarray:
     return np.take_along_axis(by_real, order, -1)
 
 
+def _fiber_roots(sums: np.ndarray, p: int):
+    """The roots of each row of power sums (B, >= p), unordered, from
+    S_1..S_p, and per row None where they pass the check against
+    S_1..S_2p, else the message naming the first order at fault.  The
+    check is of unmatched roots, which a collision would duplicate."""
+    roots = _refine_roots(roots_from_power_sums(sums[:, :p]), sums[:, :p])
+    check = sums[:, :2 * p]
+    defect = np.abs(_power_sum_defect(roots, check))
+    bad = defect > POWER_SUM_TOL * np.maximum(1.0, np.abs(check))
+    faults = np.full(len(sums), None, dtype=object)
+    for row in np.flatnonzero(np.any(bad, axis=1)):
+        k = int(np.argmax(bad[row]))
+        faults[row] = (f"power-sum consistency failed at order {k + 1}: "
+                       f"{defect[row, k]:.3e}")
+    return roots, faults
+
+
 def recover_fibers(power_sums: np.ndarray, p: int,
                    previous: np.ndarray | None = None) -> np.ndarray:
     """Fiber roots h_1..h_p from power sums, continuation-ordered.
@@ -451,42 +475,28 @@ def recover_fibers(power_sums: np.ndarray, p: int,
     leading batch axes; the roots come from S_1..S_p and are checked
     against S_1..S_2p, and an empty fiber (p = 0) has none.  Without
     ``previous`` the roots of a row are ordered by ``sort_fibers``, with it
-    they follow its same row.  A FiberError names the first row at fault;
-    its ``failed`` marks every such row, ``collided`` those whose roots fit
-    the sums but collide in the matching, and ``partial`` holds the roots
-    of all rows.
+    they follow its same row.  A FiberError names the first row at fault,
+    a failed check or else a collision in the matching; its ``failed``
+    marks every such row and ``partial`` holds the roots of all rows.
     """
     s = np.asarray(power_sums, dtype=complex)
     shape = s.shape[:-1] + (p,)
     if p < 1:
         return np.zeros(shape, dtype=complex)
     s = s.reshape(-1, s.shape[-1])
-    roots = _refine_roots(roots_from_power_sums(s[:, :p]), s[:, :p])
+    roots, faults = _fiber_roots(s, p)
     if previous is None:
         matched, collided = sort_fibers(roots), np.zeros(len(s), dtype=bool)
     else:
         matched, _, collided = match_rows(
             np.asarray(previous, dtype=complex).reshape(-1, p), roots)
-    check = s[:, :2 * p]
-    # of the roots before matching, which a collision would duplicate
-    defect = np.abs(_power_sum_defect(roots, check))
-    bad = defect > POWER_SUM_TOL * np.maximum(1.0, np.abs(check))
-    inconsistent = np.any(bad, axis=1)
-    collided &= ~inconsistent
-    matched = matched.reshape(shape)
-    if collided.any() or inconsistent.any():
-        failed = collided | inconsistent
+    failed = collided | faults.astype(bool)
+    if failed.any():
         row = int(np.argmax(failed))
-        if collided[row]:
-            message = "root matching collision: decrease grid step"
-        else:
-            k = int(np.argmax(bad[row]))
-            message = (f"power-sum consistency failed at order {k + 1}: "
-                       f"{defect[row, k]:.3e}")
+        message = faults[row] or COLLISION
         raise FiberError(message, failed=failed.reshape(shape[:-1]),
-                         partial=matched,
-                         collided=collided.reshape(shape[:-1]))
-    return matched
+                         partial=matched.reshape(shape))
+    return matched.reshape(shape)
 
 
 def recover_form_quotient(engine: MomentEngine, xi, roots) -> np.ndarray:
@@ -585,7 +595,7 @@ def analyze_window(engine: MomentEngine, center: complex, radius: float,
     stops = collided | leaps
     if stops.any():
         if collided[np.argmax(stops)]:
-            raise FiberError("root matching collision: decrease grid step")
+            raise FiberError(COLLISION)
         raise FiberError("continuation step exceeds half the root "
                          "separation: decrease grid step")
     orders = [np.arange(p)]
@@ -725,78 +735,110 @@ def _stitch_pair(a: FiberWindow, b: FiberWindow) -> np.ndarray:
 def continue_fibers(engine: MomentEngine, p: int, paths: np.ndarray,
                     start_xi: np.ndarray, start_roots: np.ndarray,
                     max_halvings: int = 6) -> np.ndarray:
-    """Track the p fiber roots along B paths of L points each, in lockstep.
+    """Track the p fiber roots along B paths of L points each, all at once.
 
     ``paths`` is (B, L); path b starts from the point ``start_xi[b]``,
-    where its roots are ``start_roots[b]``.  Each step solves every live
-    path with one kernel call and one batched root recovery.  A path whose
-    matching collides has its step halved, recursively, alone with the
-    other such paths; one whose roots fail the power-sum check fails at
-    once, since halving leaves the sums at the end of the step as they
-    are.  Returns (B, L, p).  If paths fail for good (or leave the
-    quadrature's reach), the error of the first one is raised, with
-    ``failed`` marking them and ``partial`` holding the tracked roots of
-    the others.
+    where its roots are ``start_roots[b]``.  The roots at a point come from
+    its power sums alone, so those of all points are found together.
+    Nearest-neighbour matching does not depend on the order of the
+    previous roots, so every step is matched at once and the index maps
+    compose along each path.  Colliding steps are halved, recursively,
+    together; a step that ends where the roots fail the power-sum check
+    fails at once, since halving leaves the sums there as they are.
+    Returns (B, L, p).  If paths fail for good (or leave the quadrature's
+    reach), the first error of the first one is raised, with ``failed``
+    marking them and ``partial`` the tracks, where a failed path repeats
+    its last arrived roots.
     """
-    paths = np.asarray(paths, dtype=complex)
-    out = np.zeros(paths.shape + (p,), dtype=complex)
-    xi = np.asarray(start_xi, dtype=complex).reshape(len(paths))
-    roots = np.array(start_roots, dtype=complex).reshape(len(paths), p)
-    errors = np.full(len(paths), None, dtype=object)
-    for i in range(paths.shape[1]):
-        live = np.flatnonzero(_succeeded(errors))
-        roots[live], errors[live] = _advance(engine, p, xi[live], paths[live, i],
-                                             roots[live], max_halvings)
-        out[:, i] = roots
-        xi = paths[:, i]
-    failed = ~_succeeded(errors)
-    if failed.any():
-        error = errors[np.argmax(failed)]
-        raise type(error)(str(error), failed=failed, partial=out)
-    return out
+    # point-major, so that the two ends of every step are views
+    paths = np.asarray(paths, dtype=complex).T
+    length, count = paths.shape
+    xi = np.concatenate([np.reshape(start_xi, (1, count)), paths])
+    roots = np.empty((length + 1, count, p), dtype=complex)
+    roots[0] = np.reshape(start_roots, (count, p))
+    errors = _fibers_at(engine, p, xi[1:].ravel(), roots[1:].reshape(-1, p))
+    # no step past a path's first failed point is tried
+    choice, errors = _match_steps(
+        engine, p, xi[:-1].ravel(), roots[:-1].reshape(-1, p), xi[1:].ravel(),
+        roots[1:].reshape(-1, p),
+        _from_first(errors.reshape(length, count)).ravel(), max_halvings)
+    choice = choice.reshape(length, count, p)
+    # step i maps sheet j of point i - 1 to choice_i[j]: compose the maps
+    last = np.arange(p)[None, :]
+    for i in range(length):
+        last = choice[i] = np.take_along_axis(choice[i], last, axis=1)
+    roots[1:] = np.take_along_axis(roots[1:], choice, axis=2)
+    errors = _from_first(errors.reshape(length, count))
+    stopped = errors.astype(bool)
+    if not stopped.any():
+        return roots[1:].transpose(1, 0, 2).copy()
+    # a failed path stays at the last point it arrived at
+    arrived = np.where(stopped, np.argmax(stopped, axis=0),
+                       np.arange(1, length + 1)[:, None])
+    error = errors[-1, np.argmax(stopped[-1])]
+    partial = np.take_along_axis(roots, arrived[..., None], axis=0)
+    raise type(error)(str(error), failed=stopped[-1],
+                      partial=partial.transpose(1, 0, 2))
 
 
-def _succeeded(errors: np.ndarray) -> np.ndarray:
-    return np.array([e is None for e in errors], dtype=bool)
+def _from_first(errors: np.ndarray) -> np.ndarray:
+    """Errors (L, B) with each column's first error repeated onwards."""
+    stopped = np.cumsum(errors.astype(bool), axis=0) > 0
+    return np.where(stopped, errors[np.argmax(stopped, axis=0),
+                                    np.arange(errors.shape[1])], None)
 
 
-def _advance(engine: MomentEngine, p: int, xi_from: np.ndarray,
-             xi_to: np.ndarray, roots_from: np.ndarray, budget: int):
-    """One continuation step of each row, from (xi_from, roots_from) to
-    xi_to: the roots there and, per row, the error that stopped it (None
-    for the rows that arrived)."""
-    errors = np.full(xi_to.size, None, dtype=object)
-    if not xi_to.size:
-        return roots_from.copy(), errors
-    try:
-        sums = engine.moments(range(1, 2 * p + 1), xi_to)
-    except MomentError as exc:
-        if exc.failed is None:
-            raise
-        errors[exc.failed] = exc
-        ok = ~exc.failed
-        roots = roots_from.copy()
-        roots[ok], errors[ok] = _advance(engine, p, xi_from[ok], xi_to[ok],
-                                         roots_from[ok], budget)
-        return roots, errors
-    try:
-        return recover_fibers(sums.T, p, previous=roots_from), errors
-    except FiberError as exc:
-        if exc.failed is None:
-            raise
-        # the sums at xi_to, and so a power-sum failure there, do not
-        # depend on the path: only a collision is worth a shorter step
-        roots = exc.partial
-        retry = exc.collided & (budget > 0)
-        errors[exc.failed & ~retry] = exc
-        bad = np.flatnonzero(retry)
-        if not bad.size:
-            return roots, errors
-    mid = 0.5 * (xi_from[bad] + xi_to[bad])
-    middle, errors[bad] = _advance(engine, p, xi_from[bad], mid, roots_from[bad],
-                                   budget - 1)
-    arrived = _succeeded(errors[bad])
-    rows = bad[arrived]
-    roots[rows], errors[rows] = _advance(engine, p, mid[arrived], xi_to[rows],
-                                         middle[arrived], budget - 1)
-    return roots, errors
+def _fibers_at(engine: MomentEngine, p: int, xi: np.ndarray,
+               roots: np.ndarray) -> np.ndarray:
+    """Write the roots at every point xi (K,), unordered, to ``roots``
+    (K, p), ROOT_BLOCK points per kernel call and root recovery.  Returns
+    per point the error that rules its roots out (None where they hold):
+    the kernel's refusal of the point, or the power-sum check of its own
+    roots."""
+    errors = np.full(xi.size, None, dtype=object)
+    for start in range(0, xi.size, ROOT_BLOCK):
+        rows = np.arange(start, min(start + ROOT_BLOCK, xi.size))
+        try:
+            sums = engine.moments(range(1, 2 * p + 1), xi[rows])
+        except MomentError as exc:
+            if exc.failed is None:
+                raise
+            errors[rows[exc.failed]] = exc
+            rows = rows[~exc.failed]
+            sums = engine.moments(range(1, 2 * p + 1), xi[rows])
+        roots[rows], faults = _fiber_roots(sums.T, p)
+        for row, fault in zip(rows, faults):
+            if fault is not None:
+                errors[row] = FiberError(fault)
+    return errors
+
+
+def _match_steps(engine: MomentEngine, p: int, xi_from: np.ndarray,
+                 roots_from: np.ndarray, xi_to: np.ndarray,
+                 roots_to: np.ndarray, errors: np.ndarray, budget: int):
+    """The index map of each step (K, p): ``roots_to[k, choice[k, j]]``
+    continues ``roots_from[k, j]``, and the error that stops the step (None
+    where it arrives); ``errors`` holds those of the end points and is
+    updated in place.  The midpoints of all steps that collide are solved
+    in one batch, both halves of every such step recurse in one call with
+    budget - 1, and the maps of the halves compose."""
+    _, choice, collided = match_rows(roots_from, roots_to)
+    halved = np.flatnonzero(collided & ~errors.astype(bool))
+    if budget <= 0 or not halved.size:
+        errors[halved] = FiberError(COLLISION)
+        return choice, errors
+    mid = 0.5 * (xi_from[halved] + xi_to[halved])
+    mid_roots = np.zeros((mid.size, p), dtype=complex)
+    mid_errors = _fibers_at(engine, p, mid, mid_roots)
+    # a second half that starts where the roots fail is not tried
+    halves, half_errors = _match_steps(
+        engine, p, np.concatenate([xi_from[halved], mid]),
+        np.concatenate([roots_from[halved], mid_roots]),
+        np.concatenate([mid, xi_to[halved]]),
+        np.concatenate([mid_roots, roots_to[halved]]),
+        np.concatenate([mid_errors, mid_errors]), budget - 1)
+    first, second = np.split(halves, 2)
+    choice[halved] = np.take_along_axis(second, first, axis=1)
+    first, second = np.split(half_errors, 2)
+    errors[halved] = np.where(first.astype(bool), first, second)
+    return choice, errors

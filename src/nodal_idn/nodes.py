@@ -272,27 +272,24 @@ def energy_growth_reports(engine: MomentEngine, contour: BranchContour,
     # the contour node nearest in angle to each ring angle
     turn = (contour.angles[None, :-1] - ang[:, None] + np.pi) % (2 * np.pi)
     ref_roots = contour.roots[np.argmin(np.abs(turn - np.pi), axis=1)]
-    contributions = np.zeros((len(cycles), 3, halvings + 1))
-    outer_roots = ref_roots
-    outer_radius = contour.radius
-    for k in range(halvings + 1):
-        eps = contour.radius / 2.0 ** k
-        radii = eps / 2.0 + (eps / 2.0) * (np.arange(radial_nodes) + 0.5) / radial_nodes
-        for r in sorted(radii, reverse=True):
-            ring = contour.center + r * np.exp(1j * ang)
-            rays = contour.center + np.linspace(outer_radius, r, 4)[None, 1:] \
-                * np.exp(1j * ang)[:, None]
-            ring_roots = continue_fibers(
-                engine, p, rays, contour.center + outer_radius * np.exp(1j * ang),
-                outer_roots)[:, -1]
-            dr = (eps / 2.0) / radial_nodes
-            weight = r * dr * (2 * np.pi / angular_nodes)
-            g = recover_form_quotient(engine, ring, ring_roots)
-            for ci, cyc in enumerate(cycles):
-                contributions[ci, :, k] += \
-                    np.sum(np.abs(g[:, :, list(cyc)]) ** 2, axis=(1, 2)) * weight
-            outer_roots = ring_roots
-            outer_radius = r
+    # radial_nodes rings in each annulus eps / 2 < r < eps, eps = radius /
+    # 2^k, outermost first; each angle's path reaches a ring in 3 steps
+    eps = contour.radius / 2.0 ** np.arange(halvings + 1)[:, None]
+    radii = (eps / 2.0 + (eps / 2.0) * (np.arange(radial_nodes) + 0.5)
+             / radial_nodes)[:, ::-1]
+    outer = np.r_[contour.radius, radii.ravel()[:-1]]
+    steps = np.linspace(outer, radii.ravel(), 4, axis=1)[:, 1:].ravel()
+    rays = contour.center + steps[None, :] * np.exp(1j * ang)[:, None]
+    start = contour.center + contour.radius * np.exp(1j * ang)
+    tracks = continue_fibers(engine, p, rays, start, ref_roots)
+    g = recover_form_quotient(engine, rays[:, 2::3].ravel(),
+                              tracks[:, 2::3].reshape(-1, p))
+    power = np.abs(g.reshape(3, angular_nodes, radii.size, p)) ** 2
+    weight = radii * ((eps / 2.0) / radial_nodes) * (2 * np.pi / angular_nodes)
+    # per cycle, potential and ring, then over the rings of each annulus
+    contributions = np.array([np.sum(np.sum(
+        power[..., list(cyc)], axis=(1, 3)).reshape((3,) + radii.shape)
+        * weight, axis=2) for cyc in cycles])
     out = []
     for ci in range(len(cycles)):
         per_ell = []

@@ -207,6 +207,26 @@ class TestExitCodes:
         assert "not enclose exactly the 7 discriminant zeros" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["invert", "residues",
+                                         "characterize"])
+    @pytest.mark.parametrize("key", ["u", "theta", "f"])
+    def test_non_finite_datum_exits_2(self, charged_outputs, tmp_path,
+                                      command, key):
+        doc = json.loads((charged_outputs / "charged4.datum.json").read_text())
+        doc[key][1][5] = [float("nan"), 0.0]
+        (tmp_path / "nan.datum.json").write_text(json.dumps(doc))
+        cfg = json.loads(
+            (charged_outputs / f"charged4.{command}.json").read_text())
+        cfg["datum"] = "nan.datum.json"
+        if "curve" in cfg:
+            cfg["curve"] = str(charged_outputs / cfg["curve"])
+        cfg["out"] = str(tmp_path / "out.json")
+        (tmp_path / "nan.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, command, "nan.json")
+        assert proc.returncode == 2, proc.stderr
+        assert f"bad datum: datum {key} is not finite at samples [5]" \
+            in proc.stderr
+
     def test_node_pole_without_family_exits_2(self, workdir, tmp_path):
         # charged4's prescriptions have poles at the node points +-1
         cfg = json.loads((workdir / "charged4.forward.json").read_text())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -5,8 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from engine_checks import cr_residual
 from nodal_idn.errors import FiberError, MomentError
 from nodal_idn.model import BoundaryCurve
-from nodal_idn.moments import (FiberWindow, LocalExpansion, MomentEngine,
-                               ReconstructedCurve, WindowPlan, _stitch_pair,
+from nodal_idn.moments import (ROOT_BLOCK, FiberWindow, LocalExpansion,
+                               MomentEngine, ReconstructedCurve, WindowPlan,
+                               _power_sum_defect, _stitch_pair,
                                analyze_window, companion_roots,
                                continue_fibers, integral_sheet_count,
                                match_rows, recover_fibers,
@@ -362,6 +365,17 @@ class TestRecoverFibers:
         with pytest.raises(FiberError):
             recover_fibers(_power_sums(new), 2, previous=prev)
 
+    def test_power_sum_defect_matches_cumprod(self, rng):
+        # the running product against the (B, 2p, p) cube of np.cumprod
+        # powers, in the same long double: equal bit for bit
+        for p in range(1, 17):
+            roots, sums = (rng.standard_normal((5, k, 2)) @ [1, 1j]
+                           for k in (p, 2 * p))
+            h = roots.astype(np.clongdouble)
+            cube = np.cumprod(np.repeat(h[:, None, :], 2 * p, axis=1), axis=1)
+            assert np.array_equal(_power_sum_defect(roots, sums),
+                                  cube.sum(axis=-1) - sums)
+
     def test_long_double_is_extended(self):
         # the root refinement keeps its defect in long double; where that is
         # plain double the round-trip bounds below are out of reach
@@ -489,6 +503,32 @@ class PowerSumFamily:
         return np.array([[np.sum(r ** m) for r in h] for m in orders])
 
 
+class Inconsistent(PowerSumFamily):
+    """A PowerSumFamily whose S_(2p) is off by 1e-3 wherever ``where(xi)``
+    holds."""
+
+    def __init__(self, coeffs, where):
+        super().__init__(coeffs)
+        self.where = where
+
+    def moments(self, orders, xi):
+        out = super().moments(orders, xi)
+        out[-1] += 1e-3 * self.where(np.asarray(xi))
+        return out
+
+
+class Counting:
+    """An engine's ``moments``, recording the size of every call."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.calls = []
+
+    def moments(self, orders, xi):
+        self.calls.append(np.size(xi))
+        return self.engine.moments(orders, xi)
+
+
 def _track_path(engine, p, path, xi, roots, budget=6):
     """Reference continuation of one path, one point at a time, halving a
     step that collides recursively; raises on the first failure."""
@@ -573,22 +613,60 @@ class TestContinuation:
     def test_power_sum_failure_is_not_halved(self):
         # S_4 is off by 1e-3 where Re xi > 0.5, whatever the path there:
         # the failing path costs no halvings, the other one arrives
-        calls = []
-
-        class Inconsistent(PowerSumFamily):
-            def moments(self, orders, xi):
-                calls.append(np.size(xi))
-                out = super().moments(orders, xi)
-                out[-1] += 1e-3 * (np.real(xi) > 0.5)
-                return out
-
-        engine = Inconsistent([[0.0, 0.5, 0.0], [1.0, 1.0, 0.0]])
-        start = engine.roots([0.0, 0.0])
+        engine = Counting(Inconsistent([[0.0, 0.5, 0.0], [1.0, 1.0, 0.0]],
+                                       lambda xi: np.real(xi) > 0.5))
+        start = engine.engine.roots([0.0, 0.0])
         with pytest.raises(FiberError, match="power-sum") as info:
             continue_fibers(engine, 2, [[1.0], [0.4]], [0.0, 0.0], start)
-        assert calls == [2]
+        assert engine.calls == [2]
         assert info.value.failed.tolist() == [True, False]
         assert np.allclose(info.value.partial[1, 0], [0.2, 1.4], atol=1e-12)
+
+    def test_failed_path_keeps_its_own_error(self):
+        # path 0 collides at its first step and arrives once halved; path 1
+        # fails the power-sum check where Im xi > 0.5, and that is its error
+        engine = Inconsistent([[0.0, 0.9, 0.0], [1.0, 1.0, 0.0]],
+                              lambda xi: np.imag(xi) > 0.5)
+        start = engine.roots([0.0, 0.0])
+        with pytest.raises(FiberError, match="power-sum consistency failed "
+                                             "at order 4") as info:
+            continue_fibers(engine, 2, [[1.0], [1j]], [0.0, 0.0], start)
+        assert info.value.failed.tolist() == [False, True]
+        assert np.allclose(info.value.partial[0, 0], [0.9, 2.0], atol=1e-12)
+
+    def test_one_batch_per_block_and_halving_level(self, charged_datum,
+                                                   charged_scenario):
+        # 64 rays of 60 points into the charged4 node, as many as the energy
+        # rings take, need one kernel call per ROOT_BLOCK points and no
+        # halving, and hold the memory of a block, not of all 3840 points
+        oracle = charged_scenario.oracle
+        engine = Counting(_engine(charged_datum))
+        direction = np.exp(2j * np.pi * np.arange(64) / 64)
+        start = 3.0 + 0.05 * direction
+        rays = 3.0 + np.linspace(0.05, 0.05 / 32, 61)[None, 1:] \
+            * direction[:, None]
+        start_roots = np.array([oracle.f1(oracle.fibers(x)) for x in start])
+        continue_fibers(engine, 4, rays, start, start_roots)   # builds discs
+        engine.calls.clear()
+        tracemalloc.start()
+        try:
+            continue_fibers(engine, 4, rays, start, start_roots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = -(-rays.size // ROOT_BLOCK)
+        assert engine.calls == [min(ROOT_BLOCK, rays.size - ROOT_BLOCK * k)
+                                for k in range(blocks)]
+        # about 1.3 MB with blocks of 512 points, 6.5 MB in one block
+        assert peak < ROOT_BLOCK * 4096
+        # r = (0.9 xi, 1 + xi) from xi = 0: the step to 1 collides once,
+        # both halves of the step to 2 collide again; each halving level
+        # solves the midpoints of every path in one more call
+        family = Counting(PowerSumFamily([[0.0, 0.9, 0.0], [1.0, 1.0, 0.0]]))
+        got = continue_fibers(family, 2, [[1.0], [2.0]], [0.0, 0.0],
+                              family.engine.roots([0.0, 0.0]))
+        assert family.calls == [2, 2, 2]
+        assert np.allclose(got[:, 0], [[0.9, 2.0], [1.8, 3.0]], atol=1e-12)
 
     def test_rays_follow_rational_oracle(self, charged_datum, charged_scenario):
         # eight rays out of 3.25 + 0.1j, away from the critical values 2.75

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from nodal_idn import scenarios
 from nodal_idn.dirichlet import DNDatum
 from nodal_idn.errors import MomentError, MonodromyError, PartitionError
-from nodal_idn.moments import MomentEngine, sweep_windows
+from nodal_idn.moments import (MomentEngine, continue_fibers,
+                               recover_form_quotient, sweep_windows)
 from nodal_idn.nodes import (BranchReport, SingularPointReport,
                              analyze_singular_point, branch_residues,
                              classify_and_partition, cycle_centre,
@@ -233,7 +234,68 @@ class TestBranchResidues:
                            atol=1e-4)
 
 
+def _energy_ring_by_ring(engine, contour, cycles, halvings=4,
+                         radial_nodes=4, angular_nodes=64):
+    """Reference for energy_growth_reports: the rings one after another,
+    each reached from the one outside it by 3 ray steps of its own
+    continue_fibers call, with one quotient solve per ring."""
+    p = contour.roots.shape[1]
+    ang = 2 * np.pi * np.arange(angular_nodes) / angular_nodes
+    turn = (contour.angles[None, :-1] - ang[:, None] + np.pi) % (2 * np.pi)
+    outer_roots = contour.roots[np.argmin(np.abs(turn - np.pi), axis=1)]
+    outer_radius = contour.radius
+    contributions = np.zeros((len(cycles), 3, halvings + 1))
+    for k in range(halvings + 1):
+        eps = contour.radius / 2.0 ** k
+        radii = eps / 2.0 + (eps / 2.0) * (np.arange(radial_nodes) + 0.5) \
+            / radial_nodes
+        for r in sorted(radii, reverse=True):
+            ring = contour.center + r * np.exp(1j * ang)
+            rays = contour.center + np.linspace(outer_radius, r, 4)[None, 1:] \
+                * np.exp(1j * ang)[:, None]
+            ring_roots = continue_fibers(
+                engine, p, rays,
+                contour.center + outer_radius * np.exp(1j * ang),
+                outer_roots)[:, -1]
+            weight = r * ((eps / 2.0) / radial_nodes) * (2 * np.pi
+                                                          / angular_nodes)
+            g = recover_form_quotient(engine, ring, ring_roots)
+            for ci, cyc in enumerate(cycles):
+                contributions[ci, :, k] += np.sum(
+                    np.abs(g[:, :, list(cyc)]) ** 2, axis=(1, 2)) * weight
+            outer_roots, outer_radius = ring_roots, r
+    return contributions
+
+
 class TestEnergyGrowth:
+    def test_matches_ring_by_ring_reference(self, charged_datum,
+                                            charged_sweep,
+                                            charged_candidates):
+        c = charged_candidates[0]
+        window = charged_sweep.windows[c.window_index]
+        contours = []
+        for _ in range(2):
+            engine = MomentEngine.from_datum(charged_datum)
+            start = _sheet_values_at(engine, [window], [c.xi + 0.05])
+            contours.append((engine, track_branch_contour(
+                engine, window.p, [c.xi], 0.05, start)[0]))
+        (engine, contour), (ref_engine, ref_contour) = contours
+        assert np.array_equal(contour.roots, ref_contour.roots)
+        reports = energy_growth_reports(engine, contour, contour.cycles)
+        want = _energy_ring_by_ring(ref_engine, ref_contour, contour.cycles)
+        for ci in range(len(contour.cycles)):
+            for ell in range(3):
+                rep = reports[ci][ell]
+                assert np.allclose(rep.contributions, want[ci, ell],
+                                   rtol=1e-12, atol=0)
+                ratios = want[ci, ell, 1:] / want[ci, ell, :-1]
+                if 0.8 <= ratios[-1] <= 1.25:
+                    verdict = "divergent"
+                else:
+                    verdict = "convergent" if ratios[-1] < 0.8 \
+                        else "undetermined"
+                assert rep.verdict == verdict
+
     def test_node_branch_diverges(self, charged_report):
         singles = [b for b in charged_report.branches if len(b.cycle) == 1]
         for b in singles:
