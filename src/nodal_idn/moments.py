@@ -9,7 +9,9 @@ test curves live in the bounded regime where the polynomial part vanishes.
 ``MomentEngine.check_bounded_regime`` asserts that on every window, against
 a polynomial fit to the moments at far-field probes where the fiber is
 empty (Delves & Lyness, Math. Comp. 1967).  Power sums are converted to
-roots through Newton's identities and companion-matrix eigenvalues, and the
+roots through Newton's identities and one batched Aberth iteration on the
+monic polynomial they give; only the rows where it does not converge, and
+batches too small for it to pay, take companion-matrix eigenvalues.  The
 form quotients dU_ell / dF2 at the fiber points come from a Vandermonde
 solve against theta-weighted moments.
 
@@ -63,6 +65,10 @@ MAX_EXPANSION_ORDER = 64
 DISC_REACH = 0.25           # a new disc's radius is at least this share of d
 DIRECT_BLOCK = 1 << 17      # Cauchy factors per block of a direct sum (2 MB)
 ROOT_BLOCK = 512            # path points per kernel call and root recovery
+ABERTH_STEPS = 20           # Aberth steps before a row falls back
+ABERTH_MIN_ROWS = 64        # smaller batches take the eigensolve at once
+ABERTH_TOL = 1e-10          # relative step at which an Aberth row stops
+ABERTH_START_ANGLE = 0.4    # turns the start circle off symmetric fibers
 COLLISION = "root matching collision: decrease grid step"
 
 
@@ -319,22 +325,79 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
 def roots_from_power_sums(power_sums: np.ndarray) -> np.ndarray:
     """Monic-polynomial roots whose power sums are the given S_1..S_p.
 
-    Batched over leading axes: one stacked eigenvalue solve on companion
-    matrices built as ``np.roots`` builds them.  A row whose constant
-    coefficient is exactly zero goes through ``np.roots``, which deflates
-    the zero roots.
+    Batched over leading axes.  A batch of at least ABERTH_MIN_ROWS rows
+    runs the Aberth iteration on the monic polynomial of Newton's
+    identities (``_aberth``).  The stacked eigenvalue solve on companion
+    matrices built as ``np.roots`` builds them takes the rows where the
+    iteration did not converge or left a value that is not finite, and
+    every row of a smaller batch, where it is the faster: a step of the
+    iteration costs some 40 array operations whatever the batch, the
+    eigensolve about 20 us a 4 x 4 row.  A row whose constant coefficient
+    is exactly zero goes through ``np.roots``, which deflates the zero
+    roots.
     """
-    e = newton_power_sums_to_coefficients(power_sums)
+    s = np.asarray(power_sums, dtype=complex)
+    e = newton_power_sums_to_coefficients(s)
     p = e.shape[-1]
     # z^p - e1 z^(p-1) + e2 z^(p-2) - ... ; descending coefficients after 1
     desc = ((-1) ** np.arange(1, p + 1) * e).reshape(-1, p)
-    companion = np.zeros((len(desc), p, p), dtype=complex)
-    companion[:, 1:, :-1] = np.eye(p - 1)
-    companion[:, 0, :] = -desc / (1.0 + 0.0j)   # over the leading coefficient
-    roots = np.linalg.eigvals(companion)
-    for row in np.flatnonzero(desc[:, -1] == 0):
+    if len(desc) < ABERTH_MIN_ROWS:
+        roots, converged = np.empty_like(desc), np.zeros(len(desc), bool)
+    else:
+        roots, converged = _aberth(desc, s.reshape(-1, p))
+    zero = desc[:, -1] == 0
+    rows = np.flatnonzero(~converged & ~zero)
+    if rows.size:
+        companion = np.zeros((rows.size, p, p), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(p - 1)
+        companion[:, 0, :] = -desc[rows] / (1.0 + 0.0j)  # over the leading 1
+        roots[rows] = np.linalg.eigvals(companion)
+    for row in np.flatnonzero(zero):
         roots[row] = companion_roots(np.r_[desc[row, ::-1], 1.0])
     return roots.reshape(e.shape)
+
+
+def _aberth(desc: np.ndarray, power_sums: np.ndarray):
+    """The Aberth-Ehrlich iteration (Aberth, Math. Comp. 1973; Bini, Numer.
+    Algorithms 1996) on z^p + desc[b, 0] z^(p-1) + ... + desc[b, p-1] for
+    every row b at once.  Row b starts from p points on the circle about
+    its centroid S_1/p of radius |S_2/p - (S_1/p)^2|^(1/2), and each root
+    takes the step P/(P' - P sum_(j != i) 1/(z_i - z_j)).  A row stops once
+    every step is at most ABERTH_TOL times its largest root, or when a
+    step or root is not finite; the others go on, for ABERTH_STEPS steps in
+    all.  Returns the roots (B, p) and the mask of the rows that converged.
+    """
+    count, p = desc.shape
+    centre = power_sums[:, :1] / p
+    spread = power_sums[:, 1:2] / p - centre ** 2 if p > 1 else 0.0 * centre
+    angles = 2 * np.pi * np.arange(p) / p + ABERTH_START_ANGLE
+    roots = centre + np.sqrt(np.abs(spread)) * np.exp(1j * angles)
+    converged = np.zeros(count, dtype=bool)
+    live = np.arange(count)
+    z, coeffs = roots, desc
+    diagonal = np.arange(p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(ABERTH_STEPS):
+            value, slope = z + coeffs[:, :1], np.ones_like(z)
+            for k in range(1, p):                   # Horner for P and P'
+                slope = slope * z + value
+                value = value * z + coeffs[:, k, None]
+            gaps = z[:, :, None] - z[:, None, :]
+            gaps[:, diagonal, diagonal] = np.inf    # no pull of z_i on itself
+            step = value / (slope - value * (1 / gaps).sum(axis=2))
+            z = z - step
+            size, scale = np.abs(step).max(axis=1), np.abs(z).max(axis=1)
+            done = (size <= ABERTH_TOL * scale) & (scale < np.inf)
+            going = ~done & np.isfinite(size)
+            if going.all():
+                continue
+            finished = live[done]
+            converged[finished] = True
+            roots[finished] = z[done]
+            live, z, coeffs = live[going], z[going], coeffs[going]
+            if not live.size:
+                break
+    return roots, converged
 
 
 def _power_sum_defect(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
@@ -356,8 +419,10 @@ def _refine_roots(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
     """Up to two Newton steps on h -> (sum_j h_j^m)_{m<=p} against S_1..S_p,
     for each row of roots (B, p) and power sums (B, p).
 
-    The companion eigenvalues carry the rounding of the Newton-identity
-    coefficients; these steps fit the roots to the power sums themselves.
+    The roots of ``roots_from_power_sums``, from the Aberth iteration or
+    its companion-eigenvalue fallback, carry the rounding of the
+    Newton-identity coefficients; these steps fit the roots to the power
+    sums themselves.
     Roots and defect are kept in extended precision and only the Jacobian
     solve is done in double (iterative refinement), so the roots converge
     to the exact roots of the given sums rather than stalling at the
@@ -413,18 +478,18 @@ def _solve_rows(matrices: np.ndarray, rhs: np.ndarray):
 
 
 def match_rows(previous: np.ndarray, new: np.ndarray):
-    """Order each row of ``new`` (B, p) to follow the same row of
-    ``previous`` by nearest neighbor: the sheet rule of continuation,
-    window stitching and monodromy.  Returns the ordered rows, the index
-    map (``new[b, choice[b, j]]`` is the root nearest to
-    ``previous[b, j]``) and the mask of the rows where the assignment
-    collides (two predecessors claim one root)."""
+    """Match each row of ``new`` (B, p) to the same row of ``previous`` by
+    nearest neighbor: the sheet rule of continuation, window stitching and
+    monodromy.  Returns the index map
+    (``new[b, choice[b, j]]`` is the root nearest to ``previous[b, j]``)
+    and the mask of the rows where the assignment collides (two
+    predecessors claim one root)."""
     choice = np.empty(previous.shape, dtype=int)
     for j in range(previous.shape[1]):      # memory O(B p), not O(B p^2)
         choice[:, j] = np.argmin(np.abs(previous[:, j, None] - new), axis=1)
     ordered = np.sort(choice, axis=1)
     collided = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
-    return np.take_along_axis(new, choice, axis=1), choice, collided
+    return choice, collided
 
 
 def min_separations(roots: np.ndarray) -> np.ndarray:
@@ -488,8 +553,9 @@ def recover_fibers(power_sums: np.ndarray, p: int,
     if previous is None:
         matched, collided = sort_fibers(roots), np.zeros(len(s), dtype=bool)
     else:
-        matched, _, collided = match_rows(
+        choice, collided = match_rows(
             np.asarray(previous, dtype=complex).reshape(-1, p), roots)
+        matched = np.take_along_axis(roots, choice, axis=1)
     failed = collided | faults.astype(bool)
     if failed.any():
         row = int(np.argmax(failed))
@@ -569,9 +635,14 @@ def analyze_window(engine: MomentEngine, center: complex, radius: float,
     M_1..M_2p, fibers, quotients."""
     grid, shape = window_grid(center, radius, grid_n)
     g = grid.size
-    dist = np.min(np.abs(grid[:, None] - engine.f2[None, :]), axis=1)
-    if np.any(dist < 0.05 * radius):
-        raise MomentError("window grid too close to the image curve f2(gamma)")
+    # the grid lies in the window disc, so a curve 1.05 radii from its
+    # centre keeps 0.05 radii from every grid point (the slack covers the
+    # rounding of the grid corners); only a nearer curve needs the matrix
+    if np.min(np.abs(engine.f2 - center)) < 1.05 * radius * (1 + 1e-12):
+        dist = np.min(np.abs(grid[:, None] - engine.f2[None, :]), axis=1)
+        if np.any(dist < 0.05 * radius):
+            raise MomentError("window grid too close to the image curve "
+                              "f2(gamma)")
     p = integral_sheet_count(engine.moments([0], grid)[0])
     if p is None:
         raise MomentError("sheet count ambiguous: move window")
@@ -589,7 +660,8 @@ def analyze_window(engine: MomentEngine, center: complex, radius: float,
     unordered = recover_fibers(sums, p)[snake]
     # nearest-neighbour matching does not depend on how the previous row
     # is ordered, so every step is matched at once and the maps composed
-    matched, choice, collided = match_rows(unordered[:-1], unordered[1:])
+    choice, collided = match_rows(unordered[:-1], unordered[1:])
+    matched = np.take_along_axis(unordered[1:], choice, axis=1)
     seps = min_separations(unordered)
     leaps = np.any(np.abs(matched - unordered[:-1]) > 0.5 * seps[:-1], axis=1)
     stops = collided | leaps
@@ -726,7 +798,7 @@ def _stitch_pair(a: FiberWindow, b: FiberWindow) -> np.ndarray:
                          f"({a.p}) and {b.center} ({b.p})")
     dist = np.abs(a.grid[:, None] - b.grid[None, :])
     ia, ib = np.unravel_index(int(np.argmin(dist)), dist.shape)
-    _, sigma, collided = match_rows(a.roots[ia][None], b.roots[ib][None])
+    sigma, collided = match_rows(a.roots[ia][None], b.roots[ib][None])
     if collided[0]:
         raise FiberError("stitching collision between windows: refine plan")
     return sigma[0]
@@ -822,7 +894,7 @@ def _match_steps(engine: MomentEngine, p: int, xi_from: np.ndarray,
     updated in place.  The midpoints of all steps that collide are solved
     in one batch, both halves of every such step recurse in one call with
     budget - 1, and the maps of the halves compose."""
-    _, choice, collided = match_rows(roots_from, roots_to)
+    choice, collided = match_rows(roots_from, roots_to)
     halved = np.flatnonzero(collided & ~errors.astype(bool))
     if budget <= 0 or not halved.size:
         errors[halved] = FiberError(COLLISION)

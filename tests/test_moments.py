@@ -7,8 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from engine_checks import cr_residual
 from nodal_idn.errors import FiberError, MomentError
 from nodal_idn.model import BoundaryCurve
-from nodal_idn.moments import (ROOT_BLOCK, FiberWindow, LocalExpansion,
-                               MomentEngine, ReconstructedCurve, WindowPlan,
+from nodal_idn.moments import (ABERTH_MIN_ROWS, DOUBLE_EPS, ROOT_BLOCK,
+                               FiberWindow, LocalExpansion, MomentEngine,
+                               ReconstructedCurve, WindowPlan,
                                _power_sum_defect, _stitch_pair,
                                analyze_window, companion_roots,
                                continue_fibers, integral_sheet_count,
@@ -409,8 +410,109 @@ class TestRecoverFibers:
         _assert_round_trip(roots)
 
 
-def _power_sums(roots):
-    return np.array([np.sum(roots**m) for m in range(1, roots.size + 1)])
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_batches_cover_exact_roots(self, data):
+        # one batch of rows of one size p: separated lattice rows, clusters
+        # of 2-4 roots, exact double roots and exact zero roots, repeated
+        # to ABERTH_MIN_ROWS rows so that the batch takes the iteration;
+        # each row must cover the exact roots of its rounded sums to within
+        # what double precision resolves of them (``_resolution``)
+        p = data.draw(st.integers(1, 16))
+        rows, groups = zip(*[data.draw(_root_row(p))
+                             for _ in range(data.draw(st.integers(1, 4)))])
+        sums = np.array([_power_sums(roots, 2 * p) for roots in rows])
+        got = recover_fibers(np.resize(sums, (ABERTH_MIN_ROWS, 2 * p)), p)
+        for row, roots, size, s in zip(got, rows, groups, sums):
+            bound = np.maximum(1e-9, 4 * _resolution(roots, size))
+            for val in _exact_roots(s[:p]):
+                nearest = int(np.argmin(np.abs(roots - val)))
+                assert np.min(np.abs(row - val)) <= bound[nearest]
+
+    def test_eigensolve_only_for_rows_that_do_not_converge(self, monkeypatch):
+        solved = []
+        eigvals = np.linalg.eigvals
+
+        def counting(matrices):
+            solved.append(len(matrices))
+            return eigvals(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        lattices = ([0, 1, 13, 16, 18, 14, 15],
+                    [-7, -8, -9, -12, -11, -10, -14],
+                    [9, 10, 11, 12, 13, 14, 20], [-20, -5, 0, 3, 7, 17, 19])
+        separated = [np.array([0.3 * g + 0.18j * abs(g) for g in row])
+                     for row in lattices]
+        sums = np.resize([_power_sums(roots, 14) for roots in separated],
+                         (ABERTH_MIN_ROWS, 14))
+        recover_fibers(sums, 7)
+        assert solved == []
+        # a batch too small for the iteration takes the eigensolve whole
+        recover_fibers(sums[:4], 7)
+        assert solved == [4]
+        fourfold = np.r_[[1.5] * 4, separated[0][4:]]
+        sums[-1] = _power_sums(fourfold, 14)
+        got = recover_fibers(sums, 7)
+        assert solved == [4, 1]
+        bound = np.maximum(1e-9, 4 * _resolution(fourfold, 4))
+        for val in _exact_roots(sums[-1, :7]):
+            nearest = int(np.argmin(np.abs(fourfold - val)))
+            assert np.min(np.abs(got[-1] - val)) <= bound[nearest]
+
+
+@st.composite
+def _root_row(draw, p):
+    """p roots on the lattice of ``test_newton_round_trip``, of one kind:
+    separated; a cluster of 2-4 roots 1e-6 to 1e-3 apart; an exact double
+    root; or an exact zero root.  Returns the roots and the size k of the
+    cluster ``roots[:k]`` (1 for none)."""
+    lattice = draw(st.lists(st.integers(-20, 20), min_size=p, max_size=p,
+                            unique=True))
+    roots = np.array([0.3 * g + 0.18j * abs(g) for g in lattice])
+    kind = draw(st.sampled_from(["separated", "cluster", "double", "zero"]))
+    if kind == "cluster" and p >= 2:
+        size = draw(st.integers(2, min(4, p)))
+        gap = 10.0 ** draw(st.floats(-6, -3))
+        turn = np.arange(size) / size + draw(st.floats(0, 1))
+        roots[:size] = roots[0] + gap * np.exp(2j * np.pi * turn)
+        return roots, size
+    if kind == "double" and p >= 2:
+        roots[1] = roots[0]
+        return roots, 2
+    if kind == "zero":
+        roots[roots == 0] = 6.3         # the lattice point 0 moves off it
+        roots[0] = 0.0
+    return roots, 1
+
+
+def _resolution(roots, size):
+    """Per root v, the radius within which double precision resolves it
+    from the power sums of ``roots``, whose first ``size`` form a cluster.
+    Newton's identity for e_k in double errs by about eps T_k, where
+    T_k = max_i |e_(k-i) S_i| / k is its largest term; a root of
+    multiplicity m under such coefficient errors moves by Wilkinson's
+    (eps sum_k T_k |v|^(p-k) / prod_j |v - h_j|)^(1/m), the product over
+    the roots outside v's cluster.  Computed from the drawn roots alone."""
+    p = roots.size
+    e = np.poly(roots)                  # 1, -e_1, e_2, ...
+    s = _power_sums(roots, p)
+    terms = np.zeros(p + 1)
+    for k in range(1, p + 1):
+        terms[k] = max(abs(e[k - i] * s[i - 1]) for i in range(1, k + 1)) / k
+    group = np.arange(p)
+    group[:size] = 0
+    out = np.empty(p)
+    for j, v in enumerate(roots):
+        members = group == group[j]
+        scale = np.sum(terms * np.abs(v) ** np.arange(p, -1, -1))
+        rest = np.prod(np.abs(v - roots[~members]))
+        out[j] = (DOUBLE_EPS * scale / rest) ** (1 / members.sum())
+    return out
+
+
+def _power_sums(roots, count=None):
+    return np.array([np.sum(roots**m)
+                     for m in range(1, (count or roots.size) + 1)])
 
 
 def _exact_roots(sums):
@@ -446,7 +548,8 @@ class TestMatchRows:
         previous += 3.0 * np.arange(4)
         shuffles = np.array([rng.permutation(4) for _ in range(5)])
         new = np.take_along_axis(previous, shuffles, axis=1) + 1e-3
-        matched, choice, collided = match_rows(previous, new)
+        choice, collided = match_rows(previous, new)
+        matched = np.take_along_axis(new, choice, axis=1)
         assert not collided.any()
         assert np.array_equal(np.sort(choice, axis=1),
                               np.broadcast_to(np.arange(4), (5, 4)))
@@ -455,7 +558,8 @@ class TestMatchRows:
         # a row whose two predecessors claim one root collides alone
         new[2, :2] = previous[2, 0] + np.array([1e-3, 2e-3])
         new[2, 2:] = 50.0 + np.arange(2)
-        matched_again, choice_again, collided = match_rows(previous, new)
+        choice_again, collided = match_rows(previous, new)
+        matched_again = np.take_along_axis(new, choice_again, axis=1)
         assert collided.tolist() == [False, False, True, False, False]
         rows = [0, 1, 3, 4]
         assert np.array_equal(choice_again[rows], choice[rows])
