@@ -296,9 +296,9 @@ def window_grid(center: complex, radius: float, grid_n: int) -> tuple[np.ndarray
 
 def integral_sheet_count(m0: np.ndarray) -> int | None:
     """The fiber cardinality p >= 0 if every M_0 given is that integer to
-    SHEET_INTEGRALITY_TOL, else None."""
-    p = int(np.rint(np.median(m0.real)))
-    if np.max(np.abs(m0 - p)) < SHEET_INTEGRALITY_TOL and p >= 0:
+    SHEET_INTEGRALITY_TOL, else None (one sample names the candidate)."""
+    p = round(m0.flat[0].real) if np.isfinite(m0.flat[0]) else -1
+    if p >= 0 and np.max(np.abs(m0 - p)) < SHEET_INTEGRALITY_TOL:
         return p
     return None
 

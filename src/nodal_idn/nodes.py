@@ -141,7 +141,8 @@ def _single_linkage(points: np.ndarray, reach: float) -> list:
     while True:   # each point takes the smallest label within reach
         merged = np.min(np.where(linked, label, points.size), axis=1)
         if np.array_equal(merged, label):
-            return [np.flatnonzero(label == lab) for lab in np.unique(label)]
+            return [np.flatnonzero(label == lab)
+                    for lab in sorted(set(label.tolist()))]
         label = merged
 
 
@@ -273,17 +274,15 @@ def energy_growth_reports(engine: MomentEngine, contour: BranchContour,
     turn = (contour.angles[None, :-1] - ang[:, None] + np.pi) % (2 * np.pi)
     ref_roots = contour.roots[np.argmin(np.abs(turn - np.pi), axis=1)]
     # radial_nodes rings in each annulus eps / 2 < r < eps, eps = radius /
-    # 2^k, outermost first; each angle's path reaches a ring in 3 steps
+    # 2^k, outermost first; each angle's path runs from the contour through
+    # one point on each ring, whose form quotients are the ones solved
     eps = contour.radius / 2.0 ** np.arange(halvings + 1)[:, None]
     radii = (eps / 2.0 + (eps / 2.0) * (np.arange(radial_nodes) + 0.5)
              / radial_nodes)[:, ::-1]
-    outer = np.r_[contour.radius, radii.ravel()[:-1]]
-    steps = np.linspace(outer, radii.ravel(), 4, axis=1)[:, 1:].ravel()
-    rays = contour.center + steps[None, :] * np.exp(1j * ang)[:, None]
+    rays = contour.center + radii.ravel() * np.exp(1j * ang)[:, None]
     start = contour.center + contour.radius * np.exp(1j * ang)
     tracks = continue_fibers(engine, p, rays, start, ref_roots)
-    g = recover_form_quotient(engine, rays[:, 2::3].ravel(),
-                              tracks[:, 2::3].reshape(-1, p))
+    g = recover_form_quotient(engine, rays.ravel(), tracks.reshape(-1, p))
     power = np.abs(g.reshape(3, angular_nodes, radii.size, p)) ** 2
     weight = radii * ((eps / 2.0) / radial_nodes) * (2 * np.pi / angular_nodes)
     # per cycle, potential and ring, then over the rings of each annulus

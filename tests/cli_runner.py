@@ -14,9 +14,16 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(workdir, command, config, out=None):
-    """Run one CLI command from `workdir`; stdout/stderr are captured as text."""
-    args = [sys.executable, "-m", "nodal_idn.cli", command, "--config", config]
+MODULES_PROBE = ("import sys; from nodal_idn import cli; code = cli.main(); "
+                 "print(*sorted(sys.modules)); sys.exit(code)")
+
+
+def run_cli(workdir, command, config, out=None, modules=False):
+    """Run one CLI command from `workdir`; stdout/stderr are captured as text.
+    With `modules`, stdout ends with a line naming every module the child
+    holds after the command."""
+    entry = ["-c", MODULES_PROBE] if modules else ["-m", "nodal_idn.cli"]
+    args = [sys.executable, *entry, command, "--config", config]
     if out:
         args += ["--out", out]
     env = dict(os.environ)

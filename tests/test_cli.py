@@ -468,6 +468,20 @@ def _oracle_fiber(forms, xi):
     return w1(roots) / w0(roots)
 
 
+@pytest.mark.parametrize("command,config", [
+    ("forward", "charged4.forward.json"), ("invert", "charged4.invert.json"),
+    ("residues", "charged4.residues.json"),
+    ("characterize", "charged4.characterize.json"),
+    ("compact", "compact.json")])
+def test_no_command_imports_numpy_ma(charged_outputs, tmp_path, command,
+                                     config):
+    # numpy.ma costs some 13 ms and 0.5 MB in each process that loads it
+    proc = run_cli(charged_outputs, command, config,
+                   out=str(tmp_path / "out"), modules=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy.ma" not in proc.stdout.splitlines()[-1].split()
+
+
 class TestCompact:
     def test_compact_reconstruction(self, compact_outputs):
         report = json.loads((compact_outputs / "cmp.report.json").read_text())

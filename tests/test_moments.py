@@ -286,6 +286,31 @@ class TestSheetCount:
         assert integral_sheet_count(np.r_[np.full(8, 2.0), 3.0]) is None
         assert integral_sheet_count(np.full(9, -1.0)) is None
 
+    def test_non_finite_count_is_ambiguous(self):
+        for bad in (np.nan, np.inf, -np.inf, complex(np.nan, 0.0)):
+            for at in (0, 4):
+                m0 = np.full(9, 4.0, dtype=complex)
+                m0[at] = bad
+                assert integral_sheet_count(m0) is None
+
+    @given(st.integers(-3, 6),
+           st.lists(st.one_of(st.just(0.0),
+                              st.floats(-0.99e-4, 0.99e-4),
+                              st.floats(1.01e-4, 0.5),
+                              st.floats(-0.5, -1.01e-4),
+                              st.floats(-4.0, 4.0)),
+                    min_size=1, max_size=9),
+           st.lists(st.floats(-0.99e-4, 0.99e-4), min_size=9, max_size=9))
+    @settings(max_examples=300, deadline=None)
+    def test_count_matches_median_rule(self, p, real, imag):
+        # the median of the samples, rounded, names the only candidate p;
+        # any one sample must name the same one
+        m0 = p + np.array(real) + 1j * np.array(imag[:len(real)])
+        want = int(np.rint(np.median(m0.real)))
+        if not (np.max(np.abs(m0 - want)) < 1e-4 and want >= 0):
+            want = None
+        assert integral_sheet_count(m0) == want
+
     def test_window_with_fractional_m0_raises(self):
         class FractionalM0:
             """M_0 = 2.3 at every point, far from any curve sample."""
@@ -622,7 +647,8 @@ class Inconsistent(PowerSumFamily):
 
 
 class Counting:
-    """An engine's ``moments``, recording the size of every call."""
+    """An engine's ``moments``, recording the size of every call; every
+    other attribute is the engine's own."""
 
     def __init__(self, engine):
         self.engine = engine
@@ -631,6 +657,9 @@ class Counting:
     def moments(self, orders, xi):
         self.calls.append(np.size(xi))
         return self.engine.moments(orders, xi)
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
 
 
 def _track_path(engine, p, path, xi, roots, budget=6):
@@ -740,9 +769,10 @@ class TestContinuation:
 
     def test_one_batch_per_block_and_halving_level(self, charged_datum,
                                                    charged_scenario):
-        # 64 rays of 60 points into the charged4 node, as many as the energy
-        # rings take, need one kernel call per ROOT_BLOCK points and no
-        # halving, and hold the memory of a block, not of all 3840 points
+        # a stress input, three times the energy rings' 1,280 points: 64
+        # rays of 60 points into the charged4 node need one kernel call per
+        # ROOT_BLOCK points and no halving, and hold the memory of a block,
+        # not of all 3840 points
         oracle = charged_scenario.oracle
         engine = Counting(_engine(charged_datum))
         direction = np.exp(2j * np.pi * np.arange(64) / 64)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodal_idn import scenarios
+from nodal_idn import nodes, scenarios
 from nodal_idn.dirichlet import DNDatum
 from nodal_idn.errors import MomentError, MonodromyError, PartitionError
 from nodal_idn.moments import (MomentEngine, continue_fibers,
@@ -14,7 +14,7 @@ from nodal_idn.nodes import (BranchReport, SingularPointReport,
                              discriminant, energy_growth_reports,
                              locate_singularities, track_branch_contour,
                              zero_census, _sheet_values_at)
-from test_moments import PowerSumFamily
+from test_moments import Counting, PowerSumFamily
 
 _lattice = st.integers(-6, 6)
 
@@ -236,9 +236,10 @@ class TestBranchResidues:
 
 def _energy_ring_by_ring(engine, contour, cycles, halvings=4,
                          radial_nodes=4, angular_nodes=64):
-    """Reference for energy_growth_reports: the rings one after another,
-    each reached from the one outside it by 3 ray steps of its own
-    continue_fibers call, with one quotient solve per ring."""
+    """Reference for energy_growth_reports, three times finer along the
+    rays: the rings one after another, each reached from the one outside
+    it by 3 ray steps of its own continue_fibers call, with one quotient
+    solve per ring."""
     p = contour.roots.shape[1]
     ang = 2 * np.pi * np.arange(angular_nodes) / angular_nodes
     turn = (contour.angles[None, :-1] - ang[:, None] + np.pi) % (2 * np.pi)
@@ -267,19 +268,23 @@ def _energy_ring_by_ring(engine, contour, cycles, halvings=4,
     return contributions
 
 
+def _node_contour(datum, sweep, candidate):
+    """A fresh engine and the default contour about a candidate."""
+    engine = MomentEngine.from_datum(datum)
+    window = sweep.windows[candidate.window_index]
+    start = _sheet_values_at(engine, [window], [candidate.xi + 0.05])
+    contour, = track_branch_contour(engine, window.p, [candidate.xi], 0.05,
+                                    start)
+    return engine, contour
+
+
 class TestEnergyGrowth:
     def test_matches_ring_by_ring_reference(self, charged_datum,
                                             charged_sweep,
                                             charged_candidates):
-        c = charged_candidates[0]
-        window = charged_sweep.windows[c.window_index]
-        contours = []
-        for _ in range(2):
-            engine = MomentEngine.from_datum(charged_datum)
-            start = _sheet_values_at(engine, [window], [c.xi + 0.05])
-            contours.append((engine, track_branch_contour(
-                engine, window.p, [c.xi], 0.05, start)[0]))
-        (engine, contour), (ref_engine, ref_contour) = contours
+        (engine, contour), (ref_engine, ref_contour) = (
+            _node_contour(charged_datum, charged_sweep, charged_candidates[0])
+            for _ in range(2))
         assert np.array_equal(contour.roots, ref_contour.roots)
         reports = energy_growth_reports(engine, contour, contour.cycles)
         want = _energy_ring_by_ring(ref_engine, ref_contour, contour.cycles)
@@ -296,6 +301,44 @@ class TestEnergyGrowth:
                         else "undetermined"
                 assert rep.verdict == verdict
 
+    def test_one_point_per_ring(self, charged_datum, charged_sweep,
+                                charged_candidates):
+        # 64 rays reach the 20 rings one point each: 1,280 points in blocks
+        # of ROOT_BLOCK, and no halving
+        engine, contour = _node_contour(charged_datum, charged_sweep,
+                                        charged_candidates[0])
+        counting = Counting(engine)
+        energy_growth_reports(counting, contour, contour.cycles)
+        assert counting.calls == [512, 512, 256]
+
+    @pytest.mark.parametrize("name", ["charged", "spurious"])
+    def test_ray_steps_keep_a_matching_margin(self, request, monkeypatch,
+                                              name):
+        # nearest-neighbour matching is exact while every root moves less
+        # than half its distance to the nearest other root; the steps from
+        # ring to ring stay below half of that
+        engine, contour = _node_contour(
+            request.getfixturevalue(f"{name}_datum"),
+            request.getfixturevalue(f"{name}_sweep"),
+            request.getfixturevalue(f"{name}_candidates")[0])
+        calls = []
+
+        def recording(engine, p, paths, start_xi, start_roots):
+            tracks = continue_fibers(engine, p, paths, start_xi, start_roots)
+            calls.append((start_roots, tracks))
+            return tracks
+
+        monkeypatch.setattr(nodes, "continue_fibers", recording)
+        energy_growth_reports(engine, contour, contour.cycles)
+        (start_roots, tracks), = calls
+        assert tracks.shape == (64, 20, contour.roots.shape[1])
+        points = np.concatenate([start_roots[:, None], tracks], axis=1)
+        before, after = points[:, :-1], points[:, 1:]
+        gaps = np.abs(before[..., :, None] - before[..., None, :])
+        gaps += np.diag(np.full(gaps.shape[-1], np.inf))
+        margin = np.abs(after - before) / (0.5 * np.min(gaps, axis=-1))
+        assert np.max(margin) < 0.5
+
     def test_node_branch_diverges(self, charged_report):
         singles = [b for b in charged_report.branches if len(b.cycle) == 1]
         for b in singles:
@@ -308,11 +351,8 @@ class TestEnergyGrowth:
     def test_spurious_contributions_shrink_fast(self, spurious_datum,
                                                 spurious_sweep,
                                                 spurious_candidates):
-        engine = MomentEngine.from_datum(spurious_datum)
-        c = spurious_candidates[0]
-        window = spurious_sweep.windows[c.window_index]
-        start = _sheet_values_at(engine, [window], [c.xi + 0.05])
-        contour, = track_branch_contour(engine, window.p, [c.xi], 0.05, start)
+        engine, contour = _node_contour(spurious_datum, spurious_sweep,
+                                        spurious_candidates[0])
         cyc = contour.cycles[0]
         rep = energy_growth_reports(engine, contour, [cyc])[0][0]
         assert all(r < 0.3 for r in rep.ratios)  # >= 4x shrink per halving
@@ -322,11 +362,8 @@ class TestEnergyGrowth:
                                                 charged_candidates,
                                                 charged_report):
         single = [b for b in charged_report.branches if len(b.cycle) == 1][0]
-        engine = MomentEngine.from_datum(charged_datum)
-        c = charged_candidates[0]
-        window = charged_sweep.windows[c.window_index]
-        start = _sheet_values_at(engine, [window], [c.xi + 0.05])
-        contour, = track_branch_contour(engine, window.p, [c.xi], 0.05, start)
+        engine, contour = _node_contour(charged_datum, charged_sweep,
+                                        charged_candidates[0])
         rep = energy_growth_reports(engine, contour, [single.cycle])[0][0]
         assert all(0.8 <= r <= 1.25 for r in rep.ratios)
 
@@ -336,11 +373,8 @@ class TestEnergyGrowth:
         zeroed[2] = 0.0
         muted = DNDatum(charged_datum.curve, charged_datum.u, zeroed,
                         charged_datum.f, charged_datum.hypothesis_a)
-        engine = MomentEngine.from_datum(muted)
-        c = charged_candidates[0]
-        window = charged_sweep.windows[c.window_index]
-        start = _sheet_values_at(engine, [window], [c.xi + 0.05])
-        contour, = track_branch_contour(engine, window.p, [c.xi], 0.05, start)
+        engine, contour = _node_contour(muted, charged_sweep,
+                                        charged_candidates[0])
         rep = energy_growth_reports(engine, contour, [contour.cycles[0]])[0][2]
         assert rep.verdict == "convergent"
         assert rep.contributions[-1] < 1e-20
