@@ -29,13 +29,14 @@ import numpy as np
 from . import jsonio
 from .dirichlet import DNDatum
 from .errors import CharacterizationError, FiberError, MomentError
-from .greens import GreenKernel, enclosing_kernel
+from .greens import GreenKernel, enclosing_kernel, near_boundary_threshold
 from .model import BoundaryCurve
 from .moments import MomentEngine, integral_sheet_count, recover_fibers
 
 CARACT_SCHEMA = "nodal-idn/caract/3"
 GREEN_IDENTITY_CONSTANT = -4.0 * np.pi
 FLATNESS_FLOOR = 1e-8
+SHOCK_GRID = 3                  # window grid points per axis
 
 
 def _pencil_engine(datum: DNDatum, xi1: complex) -> MomentEngine:
@@ -62,12 +63,6 @@ def _pencil_sums(datum: DNDatum, xi0, xi1, p: int | None = None):
         on = xi1 == line
         sums[on] = engine.moments(range(1, max(p, 1) + 1), -xi0[on]).T
     return p, sums
-
-
-def compute_G(datum: DNDatum, xi0, xi1):
-    """G(xi0, xi1) = (1/2*pi*i) int f1 d(xi0 + xi1 f1 + f2)/(xi0 + xi1 f1 + f2),
-    the pencil engine's M_1 at -xi0, for one point or arrays of them."""
-    return _pencil_sums(datum, xi0, xi1, p=0)[1][..., 0][()]
 
 
 def pencil_fibers(datum: DNDatum, xi0, xi1, p: int | None = None,
@@ -103,21 +98,18 @@ class ShockReport:
                 "fibers": [jsonio.encode_complex_array(h) for h in self.fibers]}
 
 
-def shock_residual(datum: DNDatum, center: tuple, extent: float,
-                   grid_n: int = 3, delta: float | None = None) -> ShockReport:
-    """Shock residual of the pencil fibers over a window, and the curvature
-    band of G.
+def shock_residual(datum: DNDatum, center: tuple, extent: float) -> ShockReport:
+    """Shock residual of the pencil fibers over a SHOCK_GRID x SHOCK_GRID
+    window grid, and the curvature band of G.
 
     The residual uses centered differences of step delta and delta/2 and
     reports their second-order ratio (about 4).  ``flat_band`` is
     max |d2G/dxi0^2| over the window.
     """
     xi0c, xi1c = complex(center[0]), complex(center[1])
-    if delta is None:
-        # large enough that FD truncation dominates the fiber-recovery noise
-        delta = max(1e-3, 0.05 * extent)
-    offs = np.linspace(-extent / 2, extent / 2, grid_n) if grid_n > 1 \
-        else np.array([0.0])
+    # large enough that FD truncation dominates the fiber-recovery noise
+    delta = max(1e-3, 0.05 * extent)
+    offs = np.linspace(-extent / 2, extent / 2, SHOCK_GRID)
     grid = [(xi0c + a, xi1c + b) for a in offs for b in offs]
     x0, x1 = np.array(grid).T
     # stencil points (step, grid point, direction): xi0 + d, xi0 - d,
@@ -160,50 +152,47 @@ def _safe_ratio(coarse: float, fine: float) -> float:
     return coarse / fine
 
 
-def green_identity_residual(datum: DNDatum, kernel: GreenKernel | None,
-                            points, charges, probes) -> np.ndarray:
-    """Green-identity defect per (potential, probe).
+def green_identity_residual(datum: DNDatum, points, charges,
+                            probes) -> np.ndarray:
+    """Green-identity defect per (potential, probe) with the principal
+    kernel of the enclosing disk of the datum's curve.
 
     ``charges`` has shape (3, total points) in the residue normalization
-    Res(dU) = c; ``kernel`` defaults to the principal kernel of the
-    enclosing disk of the datum's curve.  Returns |LHS - K sum c g(a, z)|.
+    Res(dU) = c.  Returns |LHS - K sum c g(a, z)|.
     """
     curve = datum.curve
-    if kernel is None:
-        kernel = enclosing_kernel(curve)
     probes = np.asarray(probes, dtype=complex)
     if np.any(curve.distance_to(probes) < 1e-9):
         raise CharacterizationError("probe point on the boundary curve")
-    points = np.asarray(points, dtype=complex)
     charges = np.asarray(charges, dtype=complex)
     if charges.ndim == 1:
         charges = np.tile(charges, (3, 1))
-    out = np.zeros((3, probes.size))
-    for ell in range(3):
-        defects = green_identity_defect(datum, kernel, points, charges[ell],
-                                        probes, ell)
-        out[ell] = np.abs(defects)
-    return out
+    return np.abs(green_identity_defects(datum, enclosing_kernel(curve),
+                                         points, charges, probes))
 
 
-def green_identity_defect(datum: DNDatum, kernel: GreenKernel, points,
-                          charges_ell, probes, ell: int) -> np.ndarray:
-    """Signed complex defects LHS - K sum c g for one potential."""
+def green_identity_defects(datum: DNDatum, kernel: GreenKernel, points,
+                           charges, probes) -> np.ndarray:
+    """Signed complex defects LHS - K sum c g, shape (3, probes): the
+    kernel and its dz on the curve are evaluated once per probe for all
+    three potentials."""
     curve = datum.curve
     probes = np.asarray(probes, dtype=complex)
-    u = datum.u[ell]
-    theta_pullback = np.conj(datum.theta[ell] * curve.derivatives)
-    defects = np.zeros(probes.size, dtype=complex)
+    points = np.asarray(points, dtype=complex)
+    theta_pullback = np.conj(datum.theta * curve.derivatives)
+    defects = np.zeros((3, probes.size), dtype=complex)
     for i, z in enumerate(probes):
         g_vals = kernel(curve.positions, z)
         dg_vals = kernel.dz(curve.positions, z)
-        integrand = u * dg_vals * curve.derivatives + g_vals * theta_pullback
-        lhs = (2.0 / 1j) * np.sum(integrand) * (2 * np.pi / curve.n)
-        rhs = 0.0 + 0.0j
-        for a, c in zip(np.asarray(points, dtype=complex),
-                        np.asarray(charges_ell, dtype=complex)):
-            rhs += c * kernel(a, z)
-        defects[i] = lhs - GREEN_IDENTITY_CONSTANT * rhs
+        g_points = [kernel(a, z) for a in points]
+        for ell in range(3):
+            integrand = (datum.u[ell] * dg_vals * curve.derivatives
+                         + g_vals * theta_pullback[ell])
+            lhs = (2.0 / 1j) * np.sum(integrand) * (2 * np.pi / curve.n)
+            rhs = 0.0 + 0.0j
+            for g_a, c in zip(g_points, charges[ell]):
+                rhs += c * g_a
+            defects[ell, i] = lhs - GREEN_IDENTITY_CONSTANT * rhs
     return defects
 
 
@@ -319,7 +308,7 @@ def characterize(datum: DNDatum, center: tuple, extent: float,
     probes = None
     if candidate_points is not None:
         probes = exterior_probes(oriented.curve, probe_count, seed)
-        green = green_identity_residual(oriented, None, candidate_points,
+        green = green_identity_residual(oriented, candidate_points,
                                         candidate_charges, probes)
     return CharacterizationReport(datum.hypothesis_a.to_json(), shock, orient,
                                   green, probes, thresholds)
@@ -330,7 +319,6 @@ def exterior_probes(curve: BoundaryCurve, count: int, seed: int) -> np.ndarray:
 
     Probes keep a plain-quadrature-safe margin from the curve.
     """
-    from .greens import near_boundary_threshold
     kernel = enclosing_kernel(curve)
     rng = np.random.default_rng(seed)
     r_curve = np.max(np.abs(curve.positions - kernel.center))

@@ -400,6 +400,10 @@ def main(argv=None) -> int:
         print(f"nodal-idn: cannot read config {args.config}: {exc}",
               file=sys.stderr)
         return 1
+    if not isinstance(doc, dict):
+        print(f"{args.command}: bad config: the top level is not a JSON "
+              "object", file=sys.stderr)
+        return EXIT_BAD_DATUM
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out = args.out
     if out is None and isinstance(doc.get("out"), str):

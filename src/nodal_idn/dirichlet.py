@@ -359,8 +359,7 @@ def _min_image_gap(f: np.ndarray) -> tuple[float, tuple[int, int]]:
 def build_dn_datum(model: NodalDomainModel,
                    families: tuple,
                    boundary_values: tuple | None = None,
-                   prescriptions: tuple | None = None,
-                   raise_on_failure: bool = True) -> DNDatum:
+                   prescriptions: tuple | None = None) -> DNDatum:
     """Assemble a DN datum from three boundary potentials or prescribed forms.
 
     The physical path solves three nodal Dirichlet problems; the synthetic
@@ -395,7 +394,7 @@ def build_dn_datum(model: NodalDomainModel,
         u = np.vstack(rows_u)
         theta = np.vstack(rows_t)
 
-    f, report = check_hypothesis_a(curve, theta, raise_on_failure=raise_on_failure)
+    f, report = check_hypothesis_a(curve, theta)
     return DNDatum(curve, u, theta, f, report)
 
 

@@ -23,10 +23,6 @@ class ConfigError(ModelError):
     """Malformed command config: a missing, mistyped or unknown value."""
 
 
-class QuadratureError(NodalIdnError):
-    """Evaluation point too close to a contour for plain quadrature."""
-
-
 class SolveError(NodalIdnError):
     """Linear solve failed or produced an untrustworthy result."""
 

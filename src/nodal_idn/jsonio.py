@@ -84,6 +84,7 @@ def load(path) -> dict:
 
 
 def require_schema(doc: dict, schema: str) -> None:
-    found = doc.get("schema")
+    """ModelError unless ``doc`` is a JSON object of the given schema."""
+    found = doc.get("schema") if isinstance(doc, dict) else None
     if found != schema:
-        raise ValueError(f"expected schema {schema!r}, found {found!r}")
+        raise ModelError(f"expected schema {schema!r}, found {found!r}")

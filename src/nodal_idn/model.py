@@ -14,7 +14,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import ModelError, PartitionError
-from .spectral import fourier_derivative, parameter_grid
+from .spectral import parameter_grid
 
 MODEL_SCHEMA = "nodal-idn/model/1"
 MAX_GENERIC_POINTS = 20
@@ -61,10 +61,6 @@ class BoundaryCurve:
         return self.positions.size
 
     @property
-    def parameters(self) -> np.ndarray:
-        return parameter_grid(self.n)
-
-    @property
     def unit_tangent(self) -> np.ndarray:
         return self.derivatives / np.abs(self.derivatives)
 
@@ -73,9 +69,6 @@ class BoundaryCurve:
         # (normal, tangent) is a positively oriented frame with the domain
         # on the left of the travel direction.
         return -1j * self.unit_tangent
-
-    def second_derivatives(self) -> np.ndarray:
-        return fourier_derivative(self.derivatives)
 
     def reversed(self) -> "BoundaryCurve":
         """Same geometric curve with the opposite orientation."""

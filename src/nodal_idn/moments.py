@@ -690,10 +690,10 @@ class WindowPlan:
 
     @staticmethod
     def ring(center: complex, ring_radius: float, count: int,
-             window_radius: float, grid_n: int = 9) -> "WindowPlan":
+             window_radius: float) -> "WindowPlan":
         ang = 2 * np.pi * np.arange(count) / count
         centers = (center + ring_radius * np.exp(1j * ang)).tolist()
-        return WindowPlan(centers, window_radius, grid_n)
+        return WindowPlan(centers, window_radius)
 
     def to_json(self) -> dict:
         return {"centers": jsonio.encode_complex_array(np.array(self.centers)),

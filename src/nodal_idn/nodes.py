@@ -30,9 +30,17 @@ from .spectral import fourier_derivative
 
 NODES_SCHEMA = "nodal-idn/nodes/1"
 DEFAULT_CONTOUR_RADIUS = 0.05
-DEFAULT_CONTOUR_NODES = 128
+CONTOUR_NODES = 128
 CENSUS_REACH = (3.0, 2.0, 1.0)  # census radii in window radii, tried in turn
 CLUSTER_LINK = 0.1              # zeros closer than this share of the radius
+SHEET_WALK_STEPS = 12           # steps from a window grid point to a contour
+BRANCH_MEET = 1e-3              # relative distance at which branches meet
+# energy test: annuli eps/2 < r < eps, eps = contour radius / 2^k, k up to
+# ENERGY_HALVINGS, with ENERGY_RINGS rings each, on ENERGY_RAYS rays
+ENERGY_HALVINGS = 4
+ENERGY_RINGS = 4
+ENERGY_RAYS = 64
+TAU_FACTOR = 1e-4               # tau_res as a share of the largest residue
 
 
 @dataclass
@@ -63,7 +71,7 @@ def zero_census(engine: MomentEngine, p: int, center: complex, radius: float):
     argument principle with Delta' by FFT along the circle.  None where the
     engine refuses a point, |Delta| dips below 1e-8 of its maximum (a zero
     near the circle) or the count is not an integer to 1e-6."""
-    k = DEFAULT_CONTOUR_NODES
+    k = CONTOUR_NODES
     phase = np.exp(2j * np.pi * np.arange(k) / k)
     try:
         delta = discriminant(engine, p, center + radius * phase)
@@ -146,8 +154,7 @@ def _single_linkage(points: np.ndarray, reach: float) -> list:
         label = merged
 
 
-def _sheet_values_at(engine: MomentEngine, windows: list, xi,
-                     steps: int = 12) -> np.ndarray:
+def _sheet_values_at(engine: MomentEngine, windows: list, xi) -> np.ndarray:
     """All sheets of windows[b] at xi[b], continued from the window's grid
     point nearest to xi[b]; the walks of every b advance together (the
     windows share one sheet count).  Returns (B, p)."""
@@ -155,7 +162,7 @@ def _sheet_values_at(engine: MomentEngine, windows: list, xi,
     nearest = [int(np.argmin(np.abs(w.grid - x))) for w, x in zip(windows, xi)]
     grid_xi = np.array([w.grid[k] for w, k in zip(windows, nearest)])
     grid_roots = np.array([w.roots[k] for w, k in zip(windows, nearest)])
-    fraction = np.arange(1, steps + 1) / steps
+    fraction = np.arange(1, SHEET_WALK_STEPS + 1) / SHEET_WALK_STEPS
     walks = grid_xi[:, None] + (xi - grid_xi)[:, None] * fraction
     return continue_fibers(engine, windows[0].p, walks, grid_xi, grid_roots)[:, -1]
 
@@ -173,8 +180,7 @@ class BranchContour:
 
 
 def track_branch_contour(engine: MomentEngine, p: int, centers, radius: float,
-                         seed_roots: np.ndarray,
-                         nodes: int = DEFAULT_CONTOUR_NODES) -> list:
+                         seed_roots: np.ndarray) -> list:
     """Track all fibers once around the contour of every center, together,
     and decompose each monodromy.
 
@@ -182,7 +188,7 @@ def track_branch_contour(engine: MomentEngine, p: int, centers, radius: float,
     starts.  Returns one BranchContour per center.
     """
     centers = np.atleast_1d(np.asarray(centers, dtype=complex))
-    ang = 2 * np.pi * np.arange(nodes + 1) / nodes
+    ang = 2 * np.pi * np.arange(CONTOUR_NODES + 1) / CONTOUR_NODES
     paths = centers[:, None] + radius * np.exp(1j * ang)
     tracks = continue_fibers(engine, p, paths, paths[:, 0],
                              np.reshape(seed_roots, (centers.size, p)))
@@ -213,22 +219,21 @@ def _permutation_cycles(perm: np.ndarray) -> list:
     return cycles
 
 
-def cycle_centre(contour: BranchContour, cycle: tuple,
-                 tol: float = 1e-3) -> complex | None:
+def cycle_centre(contour: BranchContour, cycle: tuple) -> complex | None:
     """The point h_c of the center's fiber that the local branch of a
     monodromy cycle passes through, or None if it meets several.
 
     The cycle's power sums are single-valued on the punctured disk and
     bounded, so their mean over the contour is their value at the center;
     h_c = S_1 / k, and the branch passes through it iff every root of that
-    local polynomial is within tol * max(1, |h_c|) of it.
+    local polynomial is within BRANCH_MEET * max(1, |h_c|) of it.
     """
     vals = contour.roots[:-1][:, list(cycle)]
     mean_sums = np.array([np.mean(np.sum(vals ** m, axis=1))
                           for m in range(1, len(cycle) + 1)])
     centre = mean_sums[0] / len(cycle)
     roots = roots_from_power_sums(mean_sums)
-    if np.all(np.abs(roots - centre) < tol * max(1.0, abs(centre))):
+    if np.all(np.abs(roots - centre) < BRANCH_MEET * max(1.0, abs(centre))):
         return complex(centre)
     return None
 
@@ -258,9 +263,7 @@ class EnergyGrowthReport:
 
 
 def energy_growth_reports(engine: MomentEngine, contour: BranchContour,
-                          cycles: list, halvings: int = 4,
-                          radial_nodes: int = 4,
-                          angular_nodes: int = 64) -> list:
+                          cycles: list) -> list:
     """Energy of the recovered forms on shrinking annuli around the center.
 
     Returns an EnergyGrowthReport per (cycle, potential), from one tracking
@@ -269,22 +272,22 @@ def energy_growth_reports(engine: MomentEngine, contour: BranchContour,
     spurious branch.
     """
     p = contour.roots.shape[1]
-    ang = 2 * np.pi * np.arange(angular_nodes) / angular_nodes
+    ang = 2 * np.pi * np.arange(ENERGY_RAYS) / ENERGY_RAYS
     # the contour node nearest in angle to each ring angle
     turn = (contour.angles[None, :-1] - ang[:, None] + np.pi) % (2 * np.pi)
     ref_roots = contour.roots[np.argmin(np.abs(turn - np.pi), axis=1)]
-    # radial_nodes rings in each annulus eps / 2 < r < eps, eps = radius /
+    # ENERGY_RINGS rings in each annulus eps / 2 < r < eps, eps = radius /
     # 2^k, outermost first; each angle's path runs from the contour through
     # one point on each ring, whose form quotients are the ones solved
-    eps = contour.radius / 2.0 ** np.arange(halvings + 1)[:, None]
-    radii = (eps / 2.0 + (eps / 2.0) * (np.arange(radial_nodes) + 0.5)
-             / radial_nodes)[:, ::-1]
+    eps = contour.radius / 2.0 ** np.arange(ENERGY_HALVINGS + 1)[:, None]
+    radii = (eps / 2.0 + (eps / 2.0) * (np.arange(ENERGY_RINGS) + 0.5)
+             / ENERGY_RINGS)[:, ::-1]
     rays = contour.center + radii.ravel() * np.exp(1j * ang)[:, None]
     start = contour.center + contour.radius * np.exp(1j * ang)
     tracks = continue_fibers(engine, p, rays, start, ref_roots)
     g = recover_form_quotient(engine, rays.ravel(), tracks.reshape(-1, p))
-    power = np.abs(g.reshape(3, angular_nodes, radii.size, p)) ** 2
-    weight = radii * ((eps / 2.0) / radial_nodes) * (2 * np.pi / angular_nodes)
+    power = np.abs(g.reshape(3, ENERGY_RAYS, radii.size, p)) ** 2
+    weight = radii * ((eps / 2.0) / ENERGY_RINGS) * (2 * np.pi / ENERGY_RAYS)
     # per cycle, potential and ring, then over the rings of each annulus
     contributions = np.array([np.sum(np.sum(
         power[..., list(cyc)], axis=(1, 3)).reshape((3,) + radii.shape)
@@ -295,10 +298,8 @@ def energy_growth_reports(engine: MomentEngine, contour: BranchContour,
         for ell in range(3):
             contr = contributions[ci, ell].tolist()
             ratios = [contr[k + 1] / contr[k] if contr[k] > 0 else 0.0
-                      for k in range(halvings)]
-            if not ratios:
-                verdict = "undetermined"
-            elif 0.8 <= ratios[-1] <= 1.25:
+                      for k in range(ENERGY_HALVINGS)]
+            if 0.8 <= ratios[-1] <= 1.25:
                 verdict = "divergent"
             elif ratios[-1] < 0.8:
                 verdict = "convergent"
@@ -344,7 +345,6 @@ class SingularPointReport:
 def analyze_singular_point(engine: MomentEngine, curve: ReconstructedCurve,
                            candidates: list,
                            contour_radius: float = DEFAULT_CONTOUR_RADIUS,
-                           nodes: int = DEFAULT_CONTOUR_NODES,
                            with_energy: bool = True) -> list:
     """Track a contour around each candidate and measure branch residues.
 
@@ -369,8 +369,7 @@ def analyze_singular_point(engine: MomentEngine, curve: ReconstructedCurve,
         windows = [curve.windows[candidates[i].window_index] for i in members]
         centers = np.array([candidates[i].xi for i in members])
         start = _sheet_values_at(engine, windows, centers + contour_radius)
-        tracked = track_branch_contour(engine, p, centers, contour_radius, start,
-                                       nodes)
+        tracked = track_branch_contour(engine, p, centers, contour_radius, start)
         for i, contour in zip(members, tracked):
             contours[i] = contour
     return [report for contour in contours
@@ -388,7 +387,7 @@ def _point_reports(engine: MomentEngine, contour: BranchContour,
         if centre is None:
             continue
         group = next((g for g in groups if abs(centre - g[0][0])
-                      < 1e-3 * max(1.0, abs(centre))), None)
+                      < BRANCH_MEET * max(1.0, abs(centre))), None)
         if group is None:
             group = ([], [])
             groups.append(group)
@@ -445,8 +444,7 @@ class NodeInventory:
         }
 
 
-def classify_and_partition(reports: list,
-                           tau_factor: float = 1e-4) -> NodeInventory:
+def classify_and_partition(reports: list) -> NodeInventory:
     """Classify branches, infer the node partition and check genericity.
 
     A branch is a node branch iff some residue exceeds tau_res; the node
@@ -457,7 +455,7 @@ def classify_and_partition(reports: list,
     scale = max(all_res) if all_res else 1.0
     # the absolute floor keeps pure-noise residues of spurious points from
     # masquerading as charges
-    tau_res = max(tau_factor * scale, 1e-6)
+    tau_res = max(TAU_FACTOR * scale, 1e-6)
 
     points, nodes, spurious, notes = [], [], [], []
     groups_per_ell: dict[int, list] = {0: [], 1: [], 2: []}

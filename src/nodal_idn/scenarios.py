@@ -80,11 +80,11 @@ def charged4(n: int = 512) -> Scenario:
                     (-3.6, 0.15), 0.02)
 
 
-def spurious(n: int = 512) -> Scenario:
+def spurious() -> Scenario:
     """Charge-free curve f = (z^2 - 1, z^3 - z) with a spurious double point
     at the origin: f(1) = f(-1) = (0, 0) but nothing is identified."""
     dom = DiskDomain(1.5)
-    curve = dom.boundary(n)
+    curve = dom.boundary(512)
     z = curve.positions
     w0 = RationalFunction(poly=(1.0,))
     w1 = RationalFunction(poly=(-1.0, 0.0, 1.0))
@@ -99,11 +99,11 @@ def spurious(n: int = 512) -> Scenario:
                     0.02)
 
 
-def flat_line(n: int = 256) -> Scenario:
+def flat_line() -> Scenario:
     """Image contained in the affine line w2 = 0.5 w1 + 0.2, so the second
     xi0-derivative of G vanishes identically (algebraic-ambiguous case)."""
     dom = DiskDomain(1.0)
-    curve = dom.boundary(n)
+    curve = dom.boundary(256)
     z = curve.positions
     w0 = RationalFunction(poly=(1.0,))
     w1 = RationalFunction(poly=(0.0, 1.0))

@@ -23,21 +23,9 @@ def wavenumbers(n: int) -> np.ndarray:
     return k
 
 
-def fourier_derivative(samples: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral derivative d^order/dt^order of 2*pi-periodic samples."""
+def fourier_derivative(samples: np.ndarray) -> np.ndarray:
+    """Spectral derivative d/dt of 2*pi-periodic samples."""
     samples = np.asarray(samples, dtype=complex)
     n = samples.shape[-1]
-    mult = (1j * wavenumbers(n)) ** order
+    mult = 1j * wavenumbers(n)
     return np.fft.ifft(mult * np.fft.fft(samples, axis=-1), axis=-1)
-
-
-def conjugation_matrix(n: int) -> np.ndarray:
-    """Matrix of the periodic conjugate-function operator.
-
-    Acts as the Fourier multiplier -i*sgn(k); exact on trigonometric
-    polynomials of degree < n/2.
-    """
-    mult = -1j * np.sign(wavenumbers(n))
-    spectrum = mult[:, None] * np.fft.fft(np.eye(n), axis=0)
-    return np.fft.ifft(spectrum, axis=0).real
-

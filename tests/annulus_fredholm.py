@@ -12,10 +12,10 @@ serves small N (64 to 128) only.
 """
 import numpy as np
 
-from nodal_idn.greens import (LSTSQ_RCOND, _correction_factor,
-                              _pv_cauchy_matrix, enclosing_kernel,
-                              layer_potential_T)
+from nodal_idn.greens import enclosing_kernel
 from nodal_idn.spectral import fourier_derivative
+from nystrom import (LSTSQ_RCOND, _correction_factor, _pv_cauchy_matrix,
+                     layer_potential_T)
 
 
 def _cross_cauchy(target, source):

@@ -3,13 +3,14 @@
 No pipeline stage calls these, so they live beside the tests rather than
 in the package: cross-checks that re-verify engine output from outside
 (weak holomorphy, contour residues, discrete Cauchy-Riemann residuals,
-spectral consistency of a curve), the ellipse test curve, and charge-family
-predicates for the genericity tests.
+spectral consistency of a curve), the paper's G function on its own, the
+ellipse test curve, and charge-family predicates for the genericity tests.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
+from nodal_idn.characterize import _pencil_sums
 from nodal_idn.errors import ModelError
 from nodal_idn.model import AdmissibleFamily, BoundaryCurve, _zero_sum_masks
 from nodal_idn.spectral import fourier_derivative, parameter_grid
@@ -20,6 +21,13 @@ def ellipse(a: float, b: float, n: int) -> BoundaryCurve:
     pos = a * np.cos(t) + 1j * b * np.sin(t)
     der = -a * np.sin(t) + 1j * b * np.cos(t)
     return BoundaryCurve(pos, der, 1)
+
+
+def compute_G(datum, xi0, xi1):
+    """G(xi0, xi1) = (1/2*pi*i) int f1 d(xi0 + xi1 f1 + f2)/(xi0 + xi1 f1 + f2),
+    the pencil engine's M_1 at -xi0, for one point or arrays of them.
+    Criterion (a) reads G as S_1 of the same pencil power sums."""
+    return _pencil_sums(datum, xi0, xi1, p=0)[1][..., 0][()]
 
 
 def spectral_consistency(curve: BoundaryCurve) -> float:

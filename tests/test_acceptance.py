@@ -20,11 +20,7 @@ from nodal_idn.characterize import (characterize, exterior_probes,
                                     orientation_probe, shock_residual)
 from nodal_idn.dirichlet import solve_nodal_dirichlet
 from nodal_idn.errors import CharacterizationError
-from nodal_idn.greens import (GreenKernel, NystromSystem, PrincipalGreen,
-                              disk_green,
-                              near_boundary_threshold,
-                              solve_dirichlet_fredholm, trace_T_minus,
-                              trace_T_plus)
+from nodal_idn.greens import GreenKernel, disk_green, near_boundary_threshold
 from nodal_idn.model import (AdmissibleFamily, BoundaryCurve, DiskDomain,
                              NodalDomainModel)
 from nodal_idn.moments import MomentEngine, window_grid
@@ -32,6 +28,9 @@ from nodal_idn.nodes import (BranchReport, SingularPointReport,
                              analyze_singular_point, classify_and_partition,
                              locate_singularities)
 from nodal_idn.scenarios import corrupted_datum
+from nodal_idn.spectral import parameter_grid
+from nystrom import (NystromSystem, PrincipalGreen, solve_dirichlet_fredholm,
+                     trace_T_minus, trace_T_plus)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -63,7 +62,7 @@ def test_criterion_01_jump_identity(rng):
     with _Budget("1 jump identity", 1.0):
         curve = BoundaryCurve.circle(1.0, 256)
         system = NystromSystem.build(curve)
-        t = curve.parameters
+        t = parameter_grid(curve.n)
         worst = 0.0
         for k in range(0, 65):
             for v in (np.cos(k * t), np.sin(k * t) if k else None):
@@ -83,7 +82,7 @@ def test_criterion_02_fredholm_dirichlet():
     from fd_oracle import EllipseLaplaceOracle
     with _Budget("2 Fredholm Dirichlet", 2.0):
         circle = NystromSystem.build(BoundaryCurve.circle(1.0, 256))
-        t = circle.curve.parameters
+        t = parameter_grid(circle.curve.n)
         pts = 0.7 * np.exp(1j * np.linspace(0.0, 6.2, 23))
         worst = 0.0
         for k in range(1, 9):
@@ -132,7 +131,7 @@ def test_criterion_04_nodal_residues():
                                   np.array([0.5j, -0.5j])))
         fam = AdmissibleFamily((np.array([2.0, -2.0]),
                                 np.array([1.0 + 0.5j, -1.0 - 0.5j])))
-        t = model.boundary.parameters
+        t = parameter_grid(model.boundary.n)
         dist = solve_nodal_dirichlet(model, fam, np.cos(t))
         declared = {1.0 + 0j: 2.0, -1.0 + 0j: -2.0,
                     0.5j: 1.0 + 0.5j, -0.5j: -1.0 - 0.5j}
@@ -246,12 +245,12 @@ def test_criterion_09_characterization(charged_datum, charged_scenario,
         assert shock_residual(bad, *SHOCK_WINDOW).max_shock > 1e-2
 
         probes = exterior_probes(charged_datum.curve, 20, 7)
-        res = green_identity_residual(charged_datum, None, TRUE_POINTS,
+        res = green_identity_residual(charged_datum, TRUE_POINTS,
                                       TRUE_CHARGES, probes)
         assert float(np.max(res)) < 1e-6
         perturbed = TRUE_CHARGES.copy()
         perturbed[0, 0] += 0.1
-        res_bad = green_identity_residual(charged_datum, None, TRUE_POINTS,
+        res_bad = green_identity_residual(charged_datum, TRUE_POINTS,
                                           perturbed, probes)
         assert float(np.max(res_bad[0])) > 1e-2
 

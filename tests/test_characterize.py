@@ -1,10 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
+from engine_checks import compute_G
 from nodal_idn.characterize import (GREEN_IDENTITY_CONSTANT, _pencil_sums,
-                                    characterize,
-                                    compute_G, exterior_probes,
-                                    green_identity_defect,
+                                    characterize, exterior_probes,
+                                    green_identity_defects,
                                     green_identity_residual, orientation_probe,
                                     pencil_fibers, shock_residual)
 from nodal_idn.dirichlet import DNDatum
@@ -14,6 +16,7 @@ from nodal_idn.moments import MomentEngine, recover_fibers
 from nodal_idn.oracles import polynomial_roots
 from nodal_idn.scenarios import corrupted_datum, flat_line
 
+CHARACTERIZE = importlib.import_module("nodal_idn.characterize")
 TRUE_POINTS = [1.0, -1.0]
 TRUE_CHARGES = np.array([[1, -1], [2, -2], [3, -3]], dtype=complex)
 WINDOW = ((-3.6, 0.15), 0.02)
@@ -163,7 +166,7 @@ class TestShock:
 class TestGreenIdentity:
     def test_true_charges_pass(self, charged_datum):
         probes = exterior_probes(charged_datum.curve, 20, 7)
-        res = green_identity_residual(charged_datum, None, TRUE_POINTS,
+        res = green_identity_residual(charged_datum, TRUE_POINTS,
                                       TRUE_CHARGES, probes)
         assert res.shape == (3, 20)
         assert float(np.max(res)) < 1e-6
@@ -172,7 +175,7 @@ class TestGreenIdentity:
         probes = exterior_probes(charged_datum.curve, 20, 7)
         bad = TRUE_CHARGES.copy()
         bad[0, 0] += 0.1
-        res = green_identity_residual(charged_datum, None, TRUE_POINTS, bad,
+        res = green_identity_residual(charged_datum, TRUE_POINTS, bad,
                                       probes)
         assert float(np.max(res[0])) > 1e-2
 
@@ -182,24 +185,51 @@ class TestGreenIdentity:
                        np.zeros_like(charged_datum.theta),
                        charged_datum.f, charged_datum.hypothesis_a)
         probes = exterior_probes(charged_datum.curve, 5, 3)
-        res = green_identity_residual(zero, None, [], np.zeros((3, 0)), probes)
+        res = green_identity_residual(zero, [], np.zeros((3, 0)), probes)
         assert float(np.max(res)) < 1e-15
 
     def test_defect_linearity_in_charges(self, charged_datum):
         kernel = enclosing_kernel(charged_datum.curve)
         probes = exterior_probes(charged_datum.curve, 8, 11)
         delta = np.array([0.05 - 0.02j, 0.0], dtype=complex)
-        base = green_identity_defect(charged_datum, kernel, TRUE_POINTS,
-                                     TRUE_CHARGES[0], probes, 0)
-        shifted = green_identity_defect(charged_datum, kernel, TRUE_POINTS,
-                                        TRUE_CHARGES[0] + delta, probes, 0)
+        moved = TRUE_CHARGES.copy()
+        moved[0] += delta
+        base = green_identity_defects(charged_datum, kernel, TRUE_POINTS,
+                                      TRUE_CHARGES, probes)[0]
+        shifted = green_identity_defects(charged_datum, kernel, TRUE_POINTS,
+                                         moved, probes)[0]
         predicted = -GREEN_IDENTITY_CONSTANT * sum(
             d * kernel(a, probes) for a, d in zip(TRUE_POINTS, delta))
         assert np.max(np.abs((shifted - base) - predicted)) < 1e-8
 
+    def test_kernel_evaluated_once_per_probe(self, charged_datum, monkeypatch):
+        # the three potentials share each probe's N-wide g and dz on the curve
+        curve = charged_datum.curve
+        probes = exterior_probes(curve, 20, 7)
+        want = green_identity_residual(charged_datum, TRUE_POINTS,
+                                       TRUE_CHARGES, probes)
+        kernel = enclosing_kernel(curve)
+        wide = {"g": 0, "dz": 0}
+
+        class Counting:
+            def __call__(self, z, zeta):
+                wide["g"] += np.size(z) == curve.n
+                return kernel(z, zeta)
+
+            def dz(self, z, zeta):
+                wide["dz"] += np.size(z) == curve.n
+                return kernel.dz(z, zeta)
+
+        monkeypatch.setattr(CHARACTERIZE, "enclosing_kernel",
+                            lambda curve: Counting())
+        got = green_identity_residual(charged_datum, TRUE_POINTS,
+                                      TRUE_CHARGES, probes)
+        assert wide == {"g": 20, "dz": 20}
+        assert np.array_equal(got, want)
+
     def test_probe_on_curve_rejected(self, charged_datum):
         with pytest.raises(CharacterizationError):
-            green_identity_residual(charged_datum, None, TRUE_POINTS,
+            green_identity_residual(charged_datum, TRUE_POINTS,
                                     TRUE_CHARGES,
                                     charged_datum.curve.positions[:2])
 

@@ -227,6 +227,40 @@ class TestExitCodes:
         assert f"bad datum: datum {key} is not finite at samples [5]" \
             in proc.stderr
 
+    @pytest.mark.parametrize("text", ["[]", "3", '"x"', "null"])
+    def test_config_not_an_object_exits_2(self, tmp_path, text):
+        (tmp_path / "cmd.json").write_text(text)
+        proc = run_cli(tmp_path, "invert", "cmd.json")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("invert: bad config: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, key, found", [
+        ("invert", "datum", "nodal-idn/datum/9"),
+        ("residues", "datum", "nodal-idn/datum/9"),
+        ("characterize", "datum", "nodal-idn/datum/9"),
+        ("residues", "curve", "nodal-idn/curve/9"),
+        ("forward", "model", "nodal-idn/model/9"),
+        ("invert", "datum", None)])
+    def test_wrong_schema_exits_2(self, charged_outputs, tmp_path, command,
+                                  key, found):
+        # found None: the input file is a JSON list, not an object
+        cfg = json.loads(
+            (charged_outputs / f"charged4.{command}.json").read_text())
+        for name in ("datum", "curve", "model"):
+            if name in cfg:
+                cfg[name] = str(charged_outputs / cfg[name])
+        doc = json.loads(pathlib.Path(cfg[key]).read_text())
+        wrong = dict(doc, schema=found) if found else []
+        (tmp_path / "wrong.json").write_text(json.dumps(wrong))
+        cfg[key] = "wrong.json"
+        cfg["out"] = str(tmp_path / "out.json")
+        (tmp_path / "cmd.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, command, "cmd.json")
+        assert proc.returncode == 2, proc.stderr
+        assert (f"{command}: bad datum: expected schema {doc['schema']!r}, "
+                f"found {found!r}") in proc.stderr
+
     def test_node_pole_without_family_exits_2(self, workdir, tmp_path):
         # charged4's prescriptions have poles at the node points +-1
         cfg = json.loads((workdir / "charged4.forward.json").read_text())

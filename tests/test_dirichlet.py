@@ -15,6 +15,7 @@ from nodal_idn.errors import ModelError
 from nodal_idn.greens import disk_green
 from nodal_idn.model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve,
                              DiskDomain, NodalDomainModel)
+from nodal_idn.spectral import parameter_grid
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def dipole_dist(dipole_model):
 
 class TestNodalDirichlet:
     def test_harmonic_monomial(self, unit_disk_model):
-        t = unit_disk_model.boundary.parameters
+        t = parameter_grid(unit_disk_model.boundary.n)
         dist = solve_nodal_dirichlet(unit_disk_model, None, np.cos(t))
         assert abs(dist.value(0.3 + 0.2j) - 0.3) < 1e-12
         assert abs(dist.dz(0.1 - 0.4j) - 0.5) < 1e-12
@@ -61,7 +62,7 @@ class TestNodalDirichlet:
         # the charge part vanishes on the rim by the principal-Green
         # construction, so the trace is the boundary data itself
         fam = AdmissibleFamily((np.array([1.0, -1.0]),))
-        t = dipole_model.boundary.parameters
+        t = parameter_grid(dipole_model.boundary.n)
         u = np.cos(2 * t) + 0.3
         dist = solve_nodal_dirichlet(dipole_model, fam, u)
         trace = dist.value(dipole_model.boundary.positions)
@@ -70,7 +71,7 @@ class TestNodalDirichlet:
     def test_linearity_in_data_and_family(self, dipole_model, rng):
         fam = AdmissibleFamily((np.array([1.0, -1.0]),))
         zero = AdmissibleFamily((np.array([0.0, 0.0]),))
-        t = dipole_model.boundary.parameters
+        t = parameter_grid(dipole_model.boundary.n)
         u1 = np.cos(t) + 0.2 * np.sin(3 * t)
         u2 = np.sin(2 * t) - 0.1
         a, b = 0.7, -1.3
@@ -83,7 +84,7 @@ class TestNodalDirichlet:
         assert np.max(np.abs(combo.value(pts) - expected)) < 1e-9
 
     def test_maximum_principle(self, unit_disk_model, rng):
-        t = unit_disk_model.boundary.parameters
+        t = parameter_grid(unit_disk_model.boundary.n)
         u = np.cos(3 * t) + 0.5 * np.sin(t) - 0.2
         dist = solve_nodal_dirichlet(unit_disk_model, None, u)
         xs = np.arange(-0.8, 0.81, 0.08)
@@ -119,7 +120,7 @@ class TestNodalDirichlet:
 
 class TestDNOperator:
     def test_cosine(self, unit_disk_model):
-        t = unit_disk_model.boundary.parameters
+        t = parameter_grid(unit_disk_model.boundary.n)
         dist = solve_nodal_dirichlet(unit_disk_model, None, np.cos(t))
         nu = apply_dn(dist)
         assert nu.dtype.kind == "f"
@@ -132,7 +133,7 @@ class TestDNOperator:
 
     def test_complex_data_accepted(self, unit_disk_model):
         # the engine is linear over C; u = e^{it} extends to z with dU = dz
-        t = unit_disk_model.boundary.parameters
+        t = parameter_grid(unit_disk_model.boundary.n)
         dist = solve_nodal_dirichlet(unit_disk_model, None, np.exp(1j * t))
         nu = apply_dn(dist)
         assert nu.dtype.kind == "c"
@@ -141,7 +142,7 @@ class TestDNOperator:
 
     def test_charged_radial_derivative(self, dipole_dist, dipole_model):
         # finite-difference radial derivative of the closed form
-        t = dipole_model.boundary.parameters
+        t = parameter_grid(dipole_model.boundary.n)
         h = 1e-4
 
         def field(r):
@@ -156,7 +157,7 @@ class TestDNOperator:
 
 class TestTheta:
     def test_cosine_coefficient(self, unit_disk_model):
-        t = unit_disk_model.boundary.parameters
+        t = parameter_grid(unit_disk_model.boundary.n)
         dist = solve_nodal_dirichlet(unit_disk_model, None, np.cos(t))
         theta = compute_theta(dist)
         assert np.max(np.abs(theta - 0.5)) < 1e-7

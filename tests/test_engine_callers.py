@@ -1,12 +1,17 @@
-"""Engine code is code that a pipeline runs.
+"""Engine code is code that a pipeline runs, with options that some caller sets.
 
 Every function, class and method defined in ``src/nodal_idn`` (apart from
 ``oracles.py``, the test oracles, and ``__init__.py``, the re-exports) must
 be referenced somewhere other than its own definition: elsewhere in the
 package, in ``scripts/``, or among the span targets of
 ``perfbench/spans.py``.  A name that only tests use belongs in ``tests/``,
-as ``tests/engine_checks.py`` and ``tests/annulus_fredholm.py`` do.
-Dunder methods are called by the language and are not checked.
+as ``tests/engine_checks.py`` and ``tests/nystrom.py`` do.  Dunder methods
+are called by the language and are not checked.
+
+Every defaulted parameter of those functions and methods must be passed,
+by keyword or by position, at some call of that name in ``src/``,
+``scripts/``, ``perfbench/`` or ``tests/``: a default that no call
+overrides is a constant.
 """
 import ast
 import pathlib
@@ -14,22 +19,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nodal_idn"
 NOT_ENGINE = {"oracles.py", "__init__.py"}
-
-# Kept without a stage caller, as module:qualified name.
-ALLOWED = {
-    # The Nystrom/Fredholm layer for general curves has had no stage caller
-    # since the circle domains are solved by FFT.  It stays all the same:
-    # acceptance criteria 01-03 reproduce the paper's general-curve
-    # Dirichlet results with it, and a non-circular domain would be a new
-    # workload.
-    "greens.py:NystromSystem", "greens.py:NystromSystem.build",
-    "greens.py:layer_potential_T", "greens.py:trace_T_plus",
-    "greens.py:trace_T_minus", "greens.py:solve_dirichlet_fredholm",
-    "greens.py:PrincipalGreen",
-    # The paper's G function on its own; criterion (a) reads G off the same
-    # pencil power sums as the fibers, in one kernel call per line.
-    "characterize.py:compute_G",
-}
+CALLERS = ("src", "scripts", "perfbench", "tests")
 
 
 def _definitions(body, prefix=""):
@@ -88,7 +78,6 @@ def uncalled_engine_names() -> list[str]:
         for qualified, node in _definitions(tree.body):
             name = node.name
             if (name.startswith("__") and name.endswith("__")
-                    or f"{module}:{qualified}" in ALLOWED
                     or name in outside or name in inside):
                 continue
             missing.append(f"{module}:{node.lineno} {qualified}")
@@ -99,8 +88,89 @@ def test_every_engine_name_has_a_caller():
     assert uncalled_engine_names() == []
 
 
-def test_allowlist_names_are_defined():
-    defined = {f"{module}:{qualified}"
-               for module, tree in _engine_trees().items()
-               for qualified, _ in _definitions(tree.body)}
-    assert ALLOWED <= defined
+def _constructors(trees) -> dict:
+    """Class name -> the names whose calls run its ``__init__``: its own
+    and those of the engine classes derived from it."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    names = {cls: {cls} for cls in bases}
+    for cls in bases:
+        ancestors = list(bases[cls])
+        while ancestors:
+            parent = ancestors.pop()
+            if parent in names:
+                names[parent].add(cls)
+                ancestors.extend(bases[parent])
+    return names
+
+
+def _defaulted(body, constructors, cls=None):
+    """(qualified name, call names, parameter, position) of every defaulted
+    parameter; the position counts the arguments a call writes, so it skips
+    ``self`` and ``cls`` and is None for a keyword-only parameter."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _defaulted(node.body, constructors, node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualified = f"{cls}.{node.name}" if cls else node.name
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            params = node.args.posonlyargs + node.args.args
+            if cls is not None and not static:
+                params = params[1:]
+            calls = (constructors.get(cls, {cls}) if node.name == "__init__"
+                     else {node.name})
+            first = len(params) - len(node.args.defaults)
+            for pos, arg in enumerate(params[first:], first):
+                yield qualified, calls, arg.arg, pos
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield qualified, calls, arg.arg, None
+
+
+def _passed_arguments() -> dict:
+    """Call name -> the keywords and positions its calls pass.  A name
+    bound by ``from ... import name as alias`` is called as ``alias``.
+    Positions after a ``*args`` and keywords in a ``**kwargs`` are not
+    known, so they count for nothing."""
+    passed: dict = {}
+    for folder in CALLERS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            aliases = {alias.asname: alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       for alias in node.names if alias.asname}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (aliases.get(func.id, func.id)
+                        if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                if name is None:
+                    continue
+                known = passed.setdefault(name, set())
+                known.update(k.arg for k in node.keywords if k.arg is not None)
+                for pos, arg in enumerate(node.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    known.add(pos)
+    return passed
+
+
+def unset_engine_options() -> list[str]:
+    trees = _engine_trees()
+    constructors = _constructors(trees)
+    passed = _passed_arguments()
+    missing = []
+    for module, tree in trees.items():
+        for qualified, calls, param, pos in _defaulted(tree.body, constructors):
+            if not any(param in passed.get(name, ()) or pos in passed.get(name, ())
+                       for name in calls):
+                missing.append(f"{module}:{qualified}({param})")
+    return missing
+
+
+def test_every_engine_option_is_set():
+    assert unset_engine_options() == []

@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from annulus_fredholm import FredholmAnnulus
 from engine_checks import ellipse
-from nodal_idn.errors import ModelError, QuadratureError
+from nodal_idn.errors import ModelError
 from nodal_idn.greens import (AnnulusHarmonicSolver, AnnulusPrincipalGreen,
-                              DiskHarmonicSolver, GreenKernel, NystromSystem,
-                              PrincipalGreen, disk_green, enclosing_kernel,
-                              layer_potential_T, near_boundary_threshold,
-                              solve_dirichlet_fredholm, trace_T_minus,
-                              trace_T_plus)
+                              DiskHarmonicSolver, GreenKernel, disk_green,
+                              enclosing_kernel, near_boundary_threshold)
 from nodal_idn.model import AnnulusDomain, BoundaryCurve, DiskDomain
 from nodal_idn.oracles import fd_laplacian_check
+from nodal_idn.spectral import parameter_grid
+from nystrom import (NystromSystem, PrincipalGreen, QuadratureError,
+                     layer_potential_T, solve_dirichlet_fredholm,
+                     trace_T_minus, trace_T_plus)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +103,7 @@ class TestLayerPotential:
         assert abs(val) < 1e-10
 
     def test_cosine_mean_cancels(self, circle256):
-        v = np.cos(circle256.parameters)
+        v = np.cos(parameter_grid(circle256.n))
         val = layer_potential_T(v, 0.0j, circle256, GreenKernel("mundane-log"))
         assert abs(val) < 1e-12
 
@@ -124,13 +125,13 @@ class TestTraces:
            st.integers(min_value=0, max_value=1))
     @settings(max_examples=30, deadline=None)
     def test_jump_identity_trig_polynomials(self, circle_system, k, use_sin):
-        t = circle_system.curve.parameters
+        t = parameter_grid(circle_system.curve.n)
         v = np.sin(k * t) if use_sin else np.cos(k * t)
         jump = trace_T_plus(v, circle_system) - trace_T_minus(v, circle_system)
         assert np.max(np.abs(jump - v)) < 1e-7
 
     def test_jump_identity_on_ellipse(self, ellipse_system, rng):
-        t = ellipse_system.curve.parameters
+        t = parameter_grid(ellipse_system.curve.n)
         v = sum(rng.normal() * np.cos(k * t) + rng.normal() * np.sin(k * t)
                 for k in range(1, 64))
         jump = trace_T_plus(v, ellipse_system) - trace_T_minus(v, ellipse_system)
@@ -140,7 +141,7 @@ class TestTraces:
         # with the mundane kernel, T^- v is conj of the exterior Cauchy
         # transform of conj(v): Laurent series gives the closed form
         system = NystromSystem(circle256, GreenKernel("mundane-log"))
-        t = circle256.parameters
+        t = parameter_grid(circle256.n)
         v = np.cos(3 * t)
         got = trace_T_minus(v.astype(complex), system)
         assert np.max(np.abs(got - (-0.5 * np.exp(3j * t)))) < 1e-12
@@ -149,7 +150,7 @@ class TestTraces:
         # the exterior potential agrees with its Laurent closed form, whose
         # boundary limit is exactly the trace values
         system = NystromSystem(circle256, GreenKernel("mundane-log"))
-        t = circle256.parameters
+        t = parameter_grid(circle256.n)
         v = np.cos(3 * t)
         for r in (1.5, 1.3):
             pts = r * np.exp(1j * np.linspace(0.2, 5.8, 9))
@@ -163,7 +164,7 @@ class TestTraces:
 
 class TestFredholmDirichlet:
     def test_poisson_match_on_disk(self, circle_system):
-        t = circle_system.curve.parameters
+        t = parameter_grid(circle_system.curve.n)
         pts = 0.7 * np.exp(1j * np.linspace(0.0, 6.0, 17))
         for k in range(1, 9):
             for data, exact in ((np.cos(k * t), (pts**k).real),
@@ -202,8 +203,8 @@ class TestFredholmDirichlet:
 
     def test_mundane_kernel_warns(self, circle256, caplog):
         system = NystromSystem(circle256, GreenKernel("mundane-log"))
-        t = circle256.parameters
-        with caplog.at_level(logging.WARNING, logger="nodal_idn.greens"):
+        t = parameter_grid(circle256.n)
+        with caplog.at_level(logging.WARNING, logger="nystrom"):
             try:
                 solve_dirichlet_fredholm(np.cos(t).astype(complex), system)
             except Exception:
