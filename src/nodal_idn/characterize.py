@@ -300,10 +300,8 @@ def characterize(datum: DNDatum, center: tuple, extent: float,
     orient = orientation_probe(datum, center, extent, pass_shock=limit)
     if orient.verdict != "-gamma" and _passes(orient.forward, limit):
         shock, oriented = orient.forward, datum
-    elif _passes(orient.reversed, limit):
+    else:   # the probe raised unless one orientation passes
         shock, oriented = orient.reversed, datum.reversed()
-    else:
-        shock, oriented = orient.forward or orient.reversed, datum
     green = None
     probes = None
     if candidate_points is not None:

@@ -390,15 +390,14 @@ def _zero_sum_masks(values: np.ndarray, tol: float) -> list[int]:
 def finest_zero_sum_partition(residues, tol: float | None = None):
     """Partition points into minimal nonempty zero-sum groups.
 
-    ``residues`` is a sequence of (point, value) pairs or a plain sequence of
-    values.  Returns (partitions, unique) where ``partitions`` is a list of
-    partitions (each a list of index tuples) that consist solely of minimal
-    zero-sum groups, and ``unique`` is True when exactly one exists.
+    ``residues`` is a sequence of values.  Returns (partitions, unique)
+    where ``partitions`` is a list of partitions (each a list of index
+    tuples) that consist solely of minimal zero-sum groups, and ``unique``
+    is True when exactly one exists.  Each level of the recursion covers the
+    lowest unused index with a distinct minimal group, so no partition is
+    found twice.
     """
-    if len(residues) and isinstance(residues[0], (tuple, list)):
-        values = np.array([v for _, v in residues], dtype=complex)
-    else:
-        values = np.asarray(residues, dtype=complex)
+    values = np.asarray(residues, dtype=complex)
     n = values.size
     if n == 0:
         return [[]], True
@@ -428,10 +427,6 @@ def finest_zero_sum_partition(residues, tol: float | None = None):
     extend(0, [])
     if not partitions:
         raise PartitionError("not admissible within tolerance")
-    unique_parts = []
-    for p in partitions:
-        if p not in unique_parts:
-            unique_parts.append(p)
     as_indices = [[tuple(i for i in range(n) if mask >> i & 1) for mask in p]
-                  for p in unique_parts]
+                  for p in partitions]
     return as_indices, len(as_indices) == 1

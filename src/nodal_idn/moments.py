@@ -47,7 +47,7 @@ import numpy as np
 
 from . import jsonio
 from .dirichlet import DNDatum
-from .errors import FiberError, MomentError, SolveError
+from .errors import FiberError, MomentError
 from .model import BoundaryCurve
 from .spectral import fourier_derivative
 
@@ -69,7 +69,8 @@ ABERTH_STEPS = 20           # Aberth steps before a row falls back
 ABERTH_MIN_ROWS = 64        # smaller batches take the eigensolve at once
 ABERTH_TOL = 1e-10          # relative step at which an Aberth row stops
 ABERTH_START_ANGLE = 0.4    # turns the start circle off symmetric fibers
-COLLISION = "root matching collision: decrease grid step"
+UNSAFE_STEP = ("continuation step exceeds half the root separation: "
+               "decrease grid step")
 
 
 def truncation_order(rho: float) -> int | None:
@@ -482,14 +483,37 @@ def match_rows(previous: np.ndarray, new: np.ndarray):
     nearest neighbor: the sheet rule of continuation, window stitching and
     monodromy.  Returns the index map
     (``new[b, choice[b, j]]`` is the root nearest to ``previous[b, j]``)
-    and the mask of the rows where the assignment collides (two
-    predecessors claim one root)."""
+    and the mask of the unsafe rows, where some matched root's move is not
+    below half its minimum separation at the previous point (a NaN root is
+    unsafe).
+
+    A safe row is a permutation.  If predecessors j != k both claimed root
+    r with moves below half their separations, then |prev_j - prev_k| <=
+    |r - prev_j| + |r - prev_k| < (sep_j + sep_k)/2 <= |prev_j - prev_k|,
+    which is impossible."""
     choice = np.empty(previous.shape, dtype=int)
+    unsafe = np.zeros(len(previous), dtype=bool)
     for j in range(previous.shape[1]):      # memory O(B p), not O(B p^2)
-        choice[:, j] = np.argmin(np.abs(previous[:, j, None] - new), axis=1)
-    ordered = np.sort(choice, axis=1)
-    collided = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
-    return choice, collided
+        move = np.abs(previous[:, j, None] - new)
+        choice[:, j] = np.argmin(move, axis=1)
+        gaps = np.abs(previous[:, j, None] - previous)
+        gaps[:, j] = np.inf
+        unsafe |= ~(np.min(move, axis=1) < 0.5 * np.min(gaps, axis=1))
+    return choice, unsafe
+
+
+def compose_steps(choice: np.ndarray) -> np.ndarray:
+    """The step maps ``choice`` (L, ..., p) composed along a path: step i
+    takes sheet j of point i - 1 to ``choice[i, ..., j]``, and row i of the
+    result takes the sheets of point 0 to point i.  A prefix scan (Hillis &
+    Steele, CACM 29, 1986) in log2(L) array steps; after width w, row i
+    composes steps i - 2w + 1 .. i."""
+    width = 1
+    while width < len(choice):
+        head = np.take_along_axis(choice[width:], choice[:-width], axis=-1)
+        choice = np.concatenate([choice[:width], head])
+        width *= 2
+    return choice
 
 
 def min_separations(roots: np.ndarray) -> np.ndarray:
@@ -541,8 +565,8 @@ def recover_fibers(power_sums: np.ndarray, p: int,
     against S_1..S_2p, and an empty fiber (p = 0) has none.  Without
     ``previous`` the roots of a row are ordered by ``sort_fibers``, with it
     they follow its same row.  A FiberError names the first row at fault,
-    a failed check or else a collision in the matching; its ``failed``
-    marks every such row and ``partial`` holds the roots of all rows.
+    a failed check or else an unsafe match; its ``failed`` marks every
+    such row and ``partial`` holds the roots of all rows.
     """
     s = np.asarray(power_sums, dtype=complex)
     shape = s.shape[:-1] + (p,)
@@ -551,15 +575,15 @@ def recover_fibers(power_sums: np.ndarray, p: int,
     s = s.reshape(-1, s.shape[-1])
     roots, faults = _fiber_roots(s, p)
     if previous is None:
-        matched, collided = sort_fibers(roots), np.zeros(len(s), dtype=bool)
+        matched, unsafe = sort_fibers(roots), np.zeros(len(s), dtype=bool)
     else:
-        choice, collided = match_rows(
+        choice, unsafe = match_rows(
             np.asarray(previous, dtype=complex).reshape(-1, p), roots)
         matched = np.take_along_axis(roots, choice, axis=1)
-    failed = collided | faults.astype(bool)
+    failed = unsafe | faults.astype(bool)
     if failed.any():
         row = int(np.argmax(failed))
-        message = faults[row] or COLLISION
+        message = faults[row] or UNSAFE_STEP
         raise FiberError(message, failed=failed.reshape(shape[:-1]),
                          partial=matched.reshape(shape))
     return matched.reshape(shape)
@@ -660,22 +684,14 @@ def analyze_window(engine: MomentEngine, center: complex, radius: float,
     unordered = recover_fibers(sums, p)[snake]
     # nearest-neighbour matching does not depend on how the previous row
     # is ordered, so every step is matched at once and the maps composed
-    choice, collided = match_rows(unordered[:-1], unordered[1:])
-    matched = np.take_along_axis(unordered[1:], choice, axis=1)
-    seps = min_separations(unordered)
-    leaps = np.any(np.abs(matched - unordered[:-1]) > 0.5 * seps[:-1], axis=1)
-    stops = collided | leaps
-    if stops.any():
-        if collided[np.argmax(stops)]:
-            raise FiberError(COLLISION)
-        raise FiberError("continuation step exceeds half the root "
-                         "separation: decrease grid step")
-    orders = [np.arange(p)]
-    for step in choice:
-        orders.append(step[orders[-1]])
-    roots = np.empty((g, p), dtype=complex)
-    roots[snake] = np.take_along_axis(unordered, np.array(orders), axis=1)
-    min_sep = float(np.min(seps))
+    choice, unsafe = match_rows(unordered[:-1], unordered[1:])
+    # not halved: sweep_windows re-centres a window its grid cannot match
+    if unsafe.any():
+        raise FiberError(UNSAFE_STEP)
+    roots = np.empty_like(unordered)
+    orders = compose_steps(np.vstack([np.arange(p), choice]))
+    roots[snake] = np.take_along_axis(unordered, orders, axis=1)
+    min_sep = float(np.min(min_separations(unordered)))
 
     quot = recover_form_quotient(engine, grid, roots) \
         if engine.theta is not None else np.zeros((3, g, p), dtype=complex)
@@ -731,58 +747,45 @@ class ReconstructedCurve:
 
 def sweep_windows(engine: MomentEngine, plan: WindowPlan) -> ReconstructedCurve:
     """Run the window pipeline over the plan, re-centering near branch points."""
-    def attempt_at(center):
-        try:
-            return analyze_window(engine, complex(center), plan.radius,
-                                  plan.grid_n)
-        except (MomentError, FiberError, SolveError) as exc:
-            return exc
-
     windows: list[FiberWindow] = []
     failures = []
     notes = []
     for center in plan.centers:
-        center = complex(center)
-        window = None
-        attempt_center = center
-        last_error = None
+        center = attempt_center = complex(center)
         for attempt in range(3):
             if attempt > 0:
                 attempt_center = attempt_center + plan.radius * 0.5 * (0.6 + 0.8j)
-            outcome = attempt_at(attempt_center)
-            if isinstance(outcome, MomentError):
+            try:
+                outcome = analyze_window(engine, attempt_center, plan.radius,
+                                         plan.grid_n)
+            except MomentError as exc:
                 # off the valid region entirely: re-centering will not help
-                failures.append((attempt_center, str(outcome)))
-                last_error = None
+                failures.append((attempt_center, str(exc)))
                 break
-            if isinstance(outcome, Exception):
+            except FiberError as exc:
                 # continuation collapse: typical branch-point straddle
-                last_error = str(outcome)
+                last_error = str(exc)
                 continue
             if outcome.min_root_separation >= BRANCH_SEPARATION_FLOOR:
-                window = outcome
                 if attempt_center != center:
-                    window.relocated_from = center
+                    outcome.relocated_from = center
                     notes.append(f"window at {center} re-centered to "
                                  f"{attempt_center} (branch-point straddle)")
+                windows.append(outcome)
                 break
             last_error = "root separation collapsed"
-        else:
-            failures.append((center, last_error or "window straddles a branch point"))
-        if window is not None:
-            windows.append(window)
+        else:   # every attempt ended in a continue or a collapse
+            failures.append((center, last_error))
     if len(failures) > len(plan.centers) // 2:
         raise FiberError(f"more than half of the windows failed: {failures}")
 
     permutations = []
     for a, b in zip(windows[:-1], windows[1:]):
         permutations.append(_stitch_pair(a, b))
-    if len(windows) > 2 and windows[0].p == windows[-1].p and windows[0].p:
+    # a ring through an empty fiber has no monodromy to report
+    if len(windows) > 2 and all(w.p == windows[0].p > 0 for w in windows):
         closing = _stitch_pair(windows[-1], windows[0])
-        comp = np.arange(windows[0].p)
-        for s in permutations:
-            comp = s[comp]
-        comp = closing[comp]
+        comp = compose_steps(np.array(permutations + [closing]))[-1]
         if not np.array_equal(comp, np.arange(windows[0].p)):
             notes.append("ring monodromy: closing the window chain permutes "
                          f"sheets as {comp.tolist()}")
@@ -798,9 +801,10 @@ def _stitch_pair(a: FiberWindow, b: FiberWindow) -> np.ndarray:
                          f"({a.p}) and {b.center} ({b.p})")
     dist = np.abs(a.grid[:, None] - b.grid[None, :])
     ia, ib = np.unravel_index(int(np.argmin(dist)), dist.shape)
-    sigma, collided = match_rows(a.roots[ia][None], b.roots[ib][None])
-    if collided[0]:
-        raise FiberError("stitching collision between windows: refine plan")
+    sigma, unsafe = match_rows(a.roots[ia][None], b.roots[ib][None])
+    if unsafe[0]:
+        raise FiberError("stitching between windows exceeds half the root "
+                         "separation: refine plan")
     return sigma[0]
 
 
@@ -814,9 +818,10 @@ def continue_fibers(engine: MomentEngine, p: int, paths: np.ndarray,
     its power sums alone, so those of all points are found together.
     Nearest-neighbour matching does not depend on the order of the
     previous roots, so every step is matched at once and the index maps
-    compose along each path.  Colliding steps are halved, recursively,
-    together; a step that ends where the roots fail the power-sum check
-    fails at once, since halving leaves the sums there as they are.
+    compose along each path.  Unsafe steps (``match_rows``) are halved,
+    recursively, together; a step that ends where the roots fail the
+    power-sum check fails at once, since halving leaves the sums there as
+    they are.
     Returns (B, L, p).  If paths fail for good (or leave the quadrature's
     reach), the first error of the first one is raised, with ``failed``
     marking them and ``partial`` the tracks, where a failed path repeats
@@ -834,11 +839,7 @@ def continue_fibers(engine: MomentEngine, p: int, paths: np.ndarray,
         engine, p, xi[:-1].ravel(), roots[:-1].reshape(-1, p), xi[1:].ravel(),
         roots[1:].reshape(-1, p),
         _from_first(errors.reshape(length, count)).ravel(), max_halvings)
-    choice = choice.reshape(length, count, p)
-    # step i maps sheet j of point i - 1 to choice_i[j]: compose the maps
-    last = np.arange(p)[None, :]
-    for i in range(length):
-        last = choice[i] = np.take_along_axis(choice[i], last, axis=1)
+    choice = compose_steps(choice.reshape(length, count, p))
     roots[1:] = np.take_along_axis(roots[1:], choice, axis=2)
     errors = _from_first(errors.reshape(length, count))
     stopped = errors.astype(bool)
@@ -891,13 +892,13 @@ def _match_steps(engine: MomentEngine, p: int, xi_from: np.ndarray,
     """The index map of each step (K, p): ``roots_to[k, choice[k, j]]``
     continues ``roots_from[k, j]``, and the error that stops the step (None
     where it arrives); ``errors`` holds those of the end points and is
-    updated in place.  The midpoints of all steps that collide are solved
-    in one batch, both halves of every such step recurse in one call with
+    updated in place.  The midpoints of all unsafe steps are solved in one
+    batch, both halves of every such step recurse in one call with
     budget - 1, and the maps of the halves compose."""
-    choice, collided = match_rows(roots_from, roots_to)
-    halved = np.flatnonzero(collided & ~errors.astype(bool))
+    choice, unsafe = match_rows(roots_from, roots_to)
+    halved = np.flatnonzero(unsafe & ~errors.astype(bool))
     if budget <= 0 or not halved.size:
-        errors[halved] = FiberError(COLLISION)
+        errors[halved] = FiberError(UNSAFE_STEP)
         return choice, errors
     mid = 0.5 * (xi_from[halved] + xi_to[halved])
     mid_roots = np.zeros((mid.size, p), dtype=complex)

@@ -193,8 +193,8 @@ def track_branch_contour(engine: MomentEngine, p: int, centers, radius: float,
     tracks = continue_fibers(engine, p, paths, paths[:, 0],
                              np.reshape(seed_roots, (centers.size, p)))
     # sheet s ends where sheet perms[b, s] started
-    perms, collided = match_rows(tracks[:, -1], tracks[:, 0])
-    if collided.any():
+    perms, unsafe = match_rows(tracks[:, -1], tracks[:, 0])
+    if unsafe.any():
         raise MonodromyError("monodromy: sheet tracking did not close into a "
                              "permutation; branch point too close to contour")
     return [BranchContour(complex(center), radius, ang, rows, perm,

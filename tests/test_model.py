@@ -283,11 +283,6 @@ class TestFinestPartition:
         with pytest.raises(PartitionError):
             finest_zero_sum_partition([1.0, 1.0])
 
-    def test_point_value_pairs_accepted(self):
-        parts, unique = finest_zero_sum_partition(
-            [(0.3 + 0j, 1.0), (0.5j, -1.0)])
-        assert unique and parts[0] == [(0, 1)]
-
     def test_size_cap(self):
         with pytest.raises(PartitionError):
             finest_zero_sum_partition([1, -1] * 9)

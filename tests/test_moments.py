@@ -391,6 +391,13 @@ class TestRecoverFibers:
         with pytest.raises(FiberError):
             recover_fibers(_power_sums(new), 2, previous=prev)
 
+    def test_matching_swap_raises(self):
+        # each root of (0.4 - 0.5j, 0.6 + 0.5j) is nearest to a different
+        # one of (0, 1), but 0.64 away, past half their separation 1
+        new = np.array([0.6 + 0.5j, 0.4 - 0.5j])
+        with pytest.raises(FiberError, match="half the root separation"):
+            recover_fibers(_power_sums(new), 2, previous=[0.0, 1.0])
+
     def test_power_sum_defect_matches_cumprod(self, rng):
         # the running product against the (B, 2p, p) cube of np.cumprod
         # powers, in the same long double: equal bit for bit
@@ -573,9 +580,9 @@ class TestMatchRows:
         previous += 3.0 * np.arange(4)
         shuffles = np.array([rng.permutation(4) for _ in range(5)])
         new = np.take_along_axis(previous, shuffles, axis=1) + 1e-3
-        choice, collided = match_rows(previous, new)
+        choice, unsafe = match_rows(previous, new)
         matched = np.take_along_axis(new, choice, axis=1)
-        assert not collided.any()
+        assert not unsafe.any()
         assert np.array_equal(np.sort(choice, axis=1),
                               np.broadcast_to(np.arange(4), (5, 4)))
         assert np.array_equal(choice, np.argsort(shuffles, axis=1))
@@ -583,12 +590,44 @@ class TestMatchRows:
         # a row whose two predecessors claim one root collides alone
         new[2, :2] = previous[2, 0] + np.array([1e-3, 2e-3])
         new[2, 2:] = 50.0 + np.arange(2)
-        choice_again, collided = match_rows(previous, new)
+        choice_again, unsafe = match_rows(previous, new)
         matched_again = np.take_along_axis(new, choice_again, axis=1)
-        assert collided.tolist() == [False, False, True, False, False]
+        assert unsafe.tolist() == [False, False, True, False, False]
         rows = [0, 1, 3, 4]
         assert np.array_equal(choice_again[rows], choice[rows])
         assert np.array_equal(matched_again[rows], matched[rows])
+
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                    min_size=1, max_size=6, unique=True),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_moves_below_half_the_separation_match(self, lattice, data):
+        # each root moves by less than half its distance to the nearest
+        # other root, and the successors are shuffled: the match undoes the
+        # drawn shuffle; a successor put onto another root's predecessor
+        # leaves its own predecessor no root within half its separation
+        previous = np.array([a + 1j * b for a, b in lattice])
+        p = previous.size
+        gaps = np.abs(previous[:, None] - previous[None, :])
+        seps = np.min(gaps + np.diag(np.full(p, np.inf)), axis=1)
+        share = st.floats(0.0, 0.99)
+        turn = st.floats(0.0, 2 * np.pi)
+        moves = np.array([data.draw(share) * 0.5 * min(sep, 10.0)
+                          * np.exp(1j * data.draw(turn)) for sep in seps])
+        shuffle = np.array(data.draw(st.permutations(range(p))))
+        new = (previous + moves)[shuffle]
+        choice, unsafe = match_rows(previous[None], new[None])
+        assert np.array_equal(choice[0], np.argsort(shuffle))
+        assert not unsafe.any()
+        if p < 2:
+            return
+        moved, onto = data.draw(st.lists(st.integers(0, p - 1), min_size=2,
+                                         max_size=2, unique=True))
+        bad = new.copy()
+        bad[np.flatnonzero(shuffle == moved)] = previous[onto]
+        _, unsafe = match_rows(np.stack([previous, previous]),
+                               np.stack([new, bad]))
+        assert unsafe.tolist() == [False, True]
 
 
 class TestEngineRoots:
@@ -663,8 +702,8 @@ class Counting:
 
 
 def _track_path(engine, p, path, xi, roots, budget=6):
-    """Reference continuation of one path, one point at a time, halving a
-    step that collides recursively; raises on the first failure."""
+    """Reference continuation of one path, one point at a time, halving an
+    unsafe step recursively; raises on the first failure."""
     out = []
     for x in path:
         roots = _track_step(engine, p, xi, roots, x, budget)
@@ -678,9 +717,9 @@ def _track_step(engine, p, xi_from, roots_from, xi_to, budget):
     try:
         return recover_fibers(sums, p, previous=roots_from)
     except FiberError as exc:
-        # the sums at xi_to do not depend on the path: only a collision is
-        # worth a shorter step
-        if budget <= 0 or "collision" not in str(exc):
+        # the sums at xi_to do not depend on the path: only an unsafe
+        # match is worth a shorter step
+        if budget <= 0 or "half the root separation" not in str(exc):
             raise
     mid = 0.5 * (xi_from + xi_to)
     middle = _track_step(engine, p, xi_from, roots_from, mid, budget - 1)
@@ -738,10 +777,26 @@ class TestContinuation:
         # are nearest to 0.9, so the first step collides unless it is halved
         engine = PowerSumFamily([[0.0, 0.9, 0.0], [1.0, 1.0, 0.0]])
         start = np.array([[0.0, 1.0]], dtype=complex)
-        with pytest.raises(FiberError, match="collision"):
+        with pytest.raises(FiberError, match="half the root separation"):
             continue_fibers(engine, 2, [[1.0]], [0.0], start, max_halvings=0)
         got = continue_fibers(engine, 2, [[1.0]], [0.0], start)
         assert np.allclose(got[0, 0], [0.9, 2.0], atol=1e-12)
+
+    def test_swap_without_collision_halves(self):
+        # r = ((0.6 + 0.5j) xi, 1 - (0.6 + 0.5j) xi): from (0, 1) at xi = 0
+        # each root at xi = 1 is nearest to the other's start, and no two
+        # claim one root; the roots never come closer than 0.64, but each
+        # moves 0.64, past half their separation 1.  Two halvings keep the
+        # sheets
+        engine = Counting(PowerSumFamily([[0.0, 0.6 + 0.5j, 0.0],
+                                          [1.0, -0.6 - 0.5j, 0.0]]))
+        start = np.array([[0.0, 1.0]], dtype=complex)
+        with pytest.raises(FiberError, match="half the root separation"):
+            continue_fibers(engine, 2, [[1.0]], [0.0], start, max_halvings=0)
+        engine.calls.clear()
+        got = continue_fibers(engine, 2, [[1.0]], [0.0], start)
+        assert engine.calls == [1, 1, 1]
+        assert np.allclose(got[0, 0], [0.6 + 0.5j, 0.4 - 0.5j], atol=1e-12)
 
     def test_power_sum_failure_is_not_halved(self):
         # S_4 is off by 1e-3 where Re xi > 0.5, whatever the path there:
@@ -793,13 +848,16 @@ class TestContinuation:
                                 for k in range(blocks)]
         # about 1.3 MB with blocks of 512 points, 6.5 MB in one block
         assert peak < ROOT_BLOCK * 4096
-        # r = (0.9 xi, 1 + xi) from xi = 0: the step to 1 collides once,
-        # both halves of the step to 2 collide again; each halving level
-        # solves the midpoints of every path in one more call
+        # r = (0.9 xi, 1 + xi) from xi = 0: the steps to 1 and to 2 collide,
+        # and so do both halves of the step to 2.  The half step 0 -> 0.5
+        # moves the root at 1 by 0.5, exactly half its separation, which is
+        # not below the bound: it is halved once on the path to 1 and twice
+        # on the path to 2.  Each halving level solves the midpoints of
+        # every path in one more call
         family = Counting(PowerSumFamily([[0.0, 0.9, 0.0], [1.0, 1.0, 0.0]]))
         got = continue_fibers(family, 2, [[1.0], [2.0]], [0.0, 0.0],
                               family.engine.roots([0.0, 0.0]))
-        assert family.calls == [2, 2, 2]
+        assert family.calls == [2, 2, 3, 1]
         assert np.allclose(got[:, 0], [[0.9, 2.0], [1.8, 3.0]], atol=1e-12)
 
     def test_rays_follow_rational_oracle(self, charged_datum, charged_scenario):
@@ -875,6 +933,13 @@ class TestFormQuotient:
                                   np.array([[2.0, 2.0 + 1e-9, 1.0, 3.0]]))
 
 
+def _one_point_window(center, roots):
+    """A two-sheet window whose grid is its centre alone."""
+    return FiberWindow(center, 0.1, np.array([center]), (1, 1), 2,
+                       np.array([roots]), np.zeros((3, 1, 2), dtype=complex),
+                       0.1)
+
+
 class TestSweep:
     def test_graph_sweep_matches_square(self, graph_sweep):
         assert len(graph_sweep.windows) == 3
@@ -944,16 +1009,28 @@ class TestSweep:
     def test_stitch_collision_raises(self):
         # both sheets of the first window are nearest to one root of the
         # second at their closest grid points
-        def window(center, roots):
-            grid = np.array([center])
-            return FiberWindow(center, 0.1, grid, (1, 1), 2, np.array([roots]),
-                               np.zeros((3, 1, 2), dtype=complex), 0.1)
-
-        a = window(0.0 + 0.0j, [0.0, 0.1])
-        b = window(0.05 + 0.0j, [10.0, 10.0001])
-        with pytest.raises(FiberError, match="stitching collision between "
-                           "windows"):
+        a = _one_point_window(0.0 + 0.0j, [0.0, 0.1])
+        b = _one_point_window(0.05 + 0.0j, [10.0, 10.0001])
+        with pytest.raises(FiberError, match="stitching between windows "
+                           "exceeds half the root separation"):
             _stitch_pair(a, b)
+
+    def test_stitch_swap_raises(self):
+        # each sheet of the first window is nearest to a different root of
+        # the second, but 0.64 away, past half their separation 1
+        a = _one_point_window(0.0 + 0.0j, [0.0, 1.0])
+        b = _one_point_window(0.05 + 0.0j, [0.4 - 0.5j, 0.6 + 0.5j])
+        with pytest.raises(FiberError, match="stitching between windows "
+                           "exceeds half the root separation"):
+            _stitch_pair(a, b)
+
+    def test_ring_through_empty_fiber_has_no_monodromy(self, graph_datum):
+        # the window at 1.6 lies outside the image disc, where the fiber is
+        # empty; the other three hold one sheet each
+        plan = WindowPlan([0.3 + 0.0j, 1.6 + 0.0j, -0.3 + 0.0j, 0.3j], 0.2)
+        curve = sweep_windows(MomentEngine.from_datum(graph_datum), plan)
+        assert [w.p for w in curve.windows] == [1, 0, 1, 1]
+        assert not curve.failures and not curve.notes
 
     def test_window_on_curve_skipped(self, graph_datum):
         plan = WindowPlan([0.0 + 0.0j, 0.98 + 0.0j, 0.3 + 0.2j], 0.25)
