@@ -45,32 +45,30 @@ def _pencil_engine(datum: DNDatum, xi1: complex) -> MomentEngine:
     return MomentEngine(datum.curve, f1, xi1 * f1 + f2)
 
 
-def _pencil_sums(datum: DNDatum, xi0, xi1, p: int | None = None):
-    """Sheet count p and fiber power sums S_1..S_max(p, 1), S_1 = G, at the
-    points (xi0, xi1) broadcast together: one engine and one kernel call per
-    distinct xi1.  Without ``p`` it is M_0 at the first point."""
+def _pencil_sums(datum: DNDatum, xi0, xi1):
+    """Sheet count p (M_0 at the first point) and fiber power sums
+    S_1..S_max(p, 1), S_1 = G, at the points (xi0, xi1) broadcast together:
+    one engine and one kernel call per distinct xi1."""
     xi0, xi1 = np.broadcast_arrays(np.asarray(xi0, dtype=complex),
                                    np.asarray(xi1, dtype=complex))
     sums = None
     for line in dict.fromkeys(xi1.flat):
         engine = _pencil_engine(datum, line)
-        if p is None:
+        if sums is None:        # the first point's line comes first
             p = integral_sheet_count(engine.moments([0], [-xi0.flat[0]])[0])
             if p is None:
                 raise MomentError("pencil sheet count is not a clean integer")
-        if sums is None:
             sums = np.empty(xi0.shape + (max(p, 1),), dtype=complex)
         on = xi1 == line
         sums[on] = engine.moments(range(1, max(p, 1) + 1), -xi0[on]).T
     return p, sums
 
 
-def pencil_fibers(datum: DNDatum, xi0, xi1, p: int | None = None,
-                  previous: np.ndarray | None = None) -> np.ndarray:
+def pencil_fibers(datum: DNDatum, xi0, xi1) -> np.ndarray:
     """f1-values of the intersections of Y with {xi0 + xi1 w1 + w2 = 0},
     for one point or arrays of them; shape points + (p,)."""
-    p, sums = _pencil_sums(datum, xi0, xi1, p)
-    return recover_fibers(sums, p, previous=previous)
+    p, sums = _pencil_sums(datum, xi0, xi1)
+    return recover_fibers(sums, p)
 
 
 @dataclass
@@ -164,9 +162,6 @@ def green_identity_residual(datum: DNDatum, points, charges,
     probes = np.asarray(probes, dtype=complex)
     if np.any(curve.distance_to(probes) < 1e-9):
         raise CharacterizationError("probe point on the boundary curve")
-    charges = np.asarray(charges, dtype=complex)
-    if charges.ndim == 1:
-        charges = np.tile(charges, (3, 1))
     return np.abs(green_identity_defects(datum, enclosing_kernel(curve),
                                          points, charges, probes))
 

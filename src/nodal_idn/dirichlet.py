@@ -276,49 +276,38 @@ class DNDatum:
                        HypothesisAReport.from_json(doc["hypothesisA"]))
 
 
-def check_hypothesis_a(curve: BoundaryCurve, theta: np.ndarray,
-                       raise_on_failure: bool = True) -> tuple[np.ndarray, HypothesisAReport]:
-    """Derive f = (theta1/theta0, theta2/theta0) and test the embedding."""
+def check_hypothesis_a(curve: BoundaryCurve,
+                       theta: np.ndarray) -> tuple[np.ndarray, HypothesisAReport]:
+    """Derive f = (theta1/theta0, theta2/theta0) and test the embedding;
+    ModelError where it fails."""
     theta0 = theta[0]
     scale = np.max(np.abs(theta0), where=np.isfinite(theta0), initial=0.0)
     zero_idx = np.nonzero(np.abs(theta0) < 1e-12 * max(scale, 1e-300))[0]
     if zero_idx.size:
-        report = HypothesisAReport(False, 0.0, False, 0.0, [],
-                                   zero_idx.tolist())
-        if raise_on_failure:
-            raise ModelError(f"theta0 u0 vanishes at samples {zero_idx.tolist()}")
-        return np.zeros((2, curve.n), dtype=complex), report
+        raise ModelError(f"theta0 u0 vanishes at samples {zero_idx.tolist()}")
 
     with np.errstate(all="ignore"):
         f = np.vstack([theta[1] / theta0, theta[2] / theta0])
     bad = np.flatnonzero(~np.all(np.isfinite(np.vstack([theta, f])), axis=0))
     if bad.size:
-        if raise_on_failure:
-            raise ModelError(f"hypothesis A failed: theta or f is not finite "
-                             f"at samples {bad.tolist()}")
-        return f, HypothesisAReport(False, 0.0, False, 0.0, [], [])
+        raise ModelError(f"hypothesis A failed: theta or f is not finite "
+                         f"at samples {bad.tolist()}")
     for row in f:
         # a constant coordinate degenerates the embedding (and the moment
         # engine downstream), so it counts as an immersion failure
         if np.max(np.abs(row - np.mean(row))) < 1e-10 * max(1.0, abs(np.mean(row))):
-            report = HypothesisAReport(False, 0.0, False, 0.0, [], [])
-            if raise_on_failure:
-                raise ModelError("hypothesis A failed: constant component in f")
-            return f, report
+            raise ModelError("hypothesis A failed: constant component in f")
     min_gap, pair = _min_image_gap(f)
     injective = min_gap > INJECTIVITY_GAP
-    offending = [] if injective else [pair]
-
     speed = np.abs(fourier_derivative(f[0])) + np.abs(fourier_derivative(f[1]))
     min_speed = float(np.min(speed))
     immersive = min_speed > IMMERSION_FLOOR
-
-    report = HypothesisAReport(injective, min_gap, immersive, min_speed, offending, [])
-    if raise_on_failure and not report.passed:
+    if not (injective and immersive):
         raise ModelError(f"hypothesis A failed: injective={injective} "
                          f"(min gap {min_gap:.3e}), immersive={immersive} "
-                         f"(min speed {min_speed:.3e}), pairs={offending}")
-    return f, report
+                         f"(min speed {min_speed:.3e}), "
+                         f"pairs={[] if injective else [pair]}")
+    return f, HypothesisAReport(True, min_gap, True, min_speed)
 
 
 def _min_image_gap(f: np.ndarray) -> tuple[float, tuple[int, int]]:

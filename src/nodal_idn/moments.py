@@ -64,7 +64,9 @@ FIBER_ORDER_TOL = float(np.sqrt(DOUBLE_EPS))
 MAX_EXPANSION_ORDER = 64
 DISC_REACH = 0.25           # a new disc's radius is at least this share of d
 DIRECT_BLOCK = 1 << 17      # Cauchy factors per block of a direct sum (2 MB)
+NEAR_SPACINGS = 6.0         # grid spacings of |df2| that plain quadrature keeps
 ROOT_BLOCK = 512            # path points per kernel call and root recovery
+MAX_HALVINGS = 6            # halving levels of an unsafe continuation step
 ABERTH_STEPS = 20           # Aberth steps before a row falls back
 ABERTH_MIN_ROWS = 64        # smaller batches take the eigensolve at once
 ABERTH_TOL = 1e-10          # relative step at which an Aberth row stops
@@ -118,16 +120,15 @@ class MomentEngine:
     """Moment integrals for a fixed projection (f1, f2) and the theta rows."""
 
     def __init__(self, curve: BoundaryCurve, f1: np.ndarray, f2: np.ndarray,
-                 theta: np.ndarray | None = None, df2: np.ndarray | None = None,
-                 spacings: float = 6.0):
+                 theta: np.ndarray | None = None):
         self.curve = curve
         self.f1 = np.asarray(f1, dtype=complex)
         self.f2 = np.asarray(f2, dtype=complex)
-        self.df2 = fourier_derivative(self.f2) if df2 is None else np.asarray(df2)
+        self.df2 = fourier_derivative(self.f2)
         self.theta = theta
         # |xi - f2| below this, pointwise, puts the pole of (f2 - xi)^(-1)
-        # within ``spacings`` grid spacings of the parameter line
-        self._near = spacings * 2 * np.pi / curve.n * np.abs(self.df2)
+        # within NEAR_SPACINGS grid spacings of the parameter line
+        self._near = NEAR_SPACINGS * 2 * np.pi / curve.n * np.abs(self.df2)
         self._dgamma = curve.derivatives
         self._powers = np.empty((0, self.f1.size), dtype=complex)
         self._far_fits = {}
@@ -642,10 +643,8 @@ class FiberWindow:
         shape = tuple(doc["grid_shape"])
         g = int(np.prod(shape))
         p = int(doc["p"])
-        roots = jsonio.decode_complex_array(doc["roots"]).reshape(g, p) \
-            if p else np.zeros((g, 0), dtype=complex)
-        quot = jsonio.decode_complex_array(doc["quotients"]).reshape(3, g, p) \
-            if p else np.zeros((3, g, 0), dtype=complex)
+        roots = jsonio.decode_complex_array(doc["roots"]).reshape(g, p)
+        quot = jsonio.decode_complex_array(doc["quotients"]).reshape(3, g, p)
         reloc = doc.get("relocated_from")
         return FiberWindow(jsonio.decode_complex(doc["center"]), doc["radius"],
                            jsonio.decode_complex_array(doc["grid"]), shape, p,
@@ -656,17 +655,10 @@ class FiberWindow:
 def analyze_window(engine: MomentEngine, center: complex, radius: float,
                    grid_n: int = 9) -> FiberWindow:
     """Full per-window pipeline: grid, sheet count p from M_0, the moments
-    M_1..M_2p, fibers, quotients."""
+    M_1..M_2p, fibers, quotients.  A grid point in the engine's near-curve
+    band raises its MomentError."""
     grid, shape = window_grid(center, radius, grid_n)
     g = grid.size
-    # the grid lies in the window disc, so a curve 1.05 radii from its
-    # centre keeps 0.05 radii from every grid point (the slack covers the
-    # rounding of the grid corners); only a nearer curve needs the matrix
-    if np.min(np.abs(engine.f2 - center)) < 1.05 * radius * (1 + 1e-12):
-        dist = np.min(np.abs(grid[:, None] - engine.f2[None, :]), axis=1)
-        if np.any(dist < 0.05 * radius):
-            raise MomentError("window grid too close to the image curve "
-                              "f2(gamma)")
     p = integral_sheet_count(engine.moments([0], grid)[0])
     if p is None:
         raise MomentError("sheet count ambiguous: move window")
@@ -809,8 +801,7 @@ def _stitch_pair(a: FiberWindow, b: FiberWindow) -> np.ndarray:
 
 
 def continue_fibers(engine: MomentEngine, p: int, paths: np.ndarray,
-                    start_xi: np.ndarray, start_roots: np.ndarray,
-                    max_halvings: int = 6) -> np.ndarray:
+                    start_xi: np.ndarray, start_roots: np.ndarray) -> np.ndarray:
     """Track the p fiber roots along B paths of L points each, all at once.
 
     ``paths`` is (B, L); path b starts from the point ``start_xi[b]``,
@@ -819,9 +810,9 @@ def continue_fibers(engine: MomentEngine, p: int, paths: np.ndarray,
     Nearest-neighbour matching does not depend on the order of the
     previous roots, so every step is matched at once and the index maps
     compose along each path.  Unsafe steps (``match_rows``) are halved,
-    recursively, together; a step that ends where the roots fail the
-    power-sum check fails at once, since halving leaves the sums there as
-    they are.
+    recursively and together, up to MAX_HALVINGS times; a step that ends
+    where the roots fail the power-sum check fails at once, since halving
+    leaves the sums there as they are.
     Returns (B, L, p).  If paths fail for good (or leave the quadrature's
     reach), the first error of the first one is raised, with ``failed``
     marking them and ``partial`` the tracks, where a failed path repeats
@@ -838,7 +829,7 @@ def continue_fibers(engine: MomentEngine, p: int, paths: np.ndarray,
     choice, errors = _match_steps(
         engine, p, xi[:-1].ravel(), roots[:-1].reshape(-1, p), xi[1:].ravel(),
         roots[1:].reshape(-1, p),
-        _from_first(errors.reshape(length, count)).ravel(), max_halvings)
+        _from_first(errors.reshape(length, count)).ravel(), MAX_HALVINGS)
     choice = compose_steps(choice.reshape(length, count, p))
     roots[1:] = np.take_along_axis(roots[1:], choice, axis=2)
     errors = _from_first(errors.reshape(length, count))

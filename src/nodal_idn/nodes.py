@@ -317,35 +317,21 @@ class BranchReport:
     classification: str = "undetermined"
     energy_verdicts: list = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {"cycle": [int(s) for s in self.cycle],
-                "residues": jsonio.encode_complex_array(self.residues),
-                "classification": self.classification,
-                "energy_verdicts": list(self.energy_verdicts)}
-
 
 @dataclass
 class SingularPointReport:
     h: complex
     xi: complex
-    contour_radius: float
     branches: list
 
     @property
     def point(self) -> tuple:
         return (self.h, self.xi)
 
-    def to_json(self) -> dict:
-        return {"h": jsonio.encode_complex(self.h),
-                "xi": jsonio.encode_complex(self.xi),
-                "contour_radius": self.contour_radius,
-                "branches": [b.to_json() for b in self.branches]}
-
 
 def analyze_singular_point(engine: MomentEngine, curve: ReconstructedCurve,
                            candidates: list,
-                           contour_radius: float = DEFAULT_CONTOUR_RADIUS,
-                           with_energy: bool = True) -> list:
+                           contour_radius: float = DEFAULT_CONTOUR_RADIUS) -> list:
     """Track a contour around each candidate and measure branch residues.
 
     A contour must enclose exactly the candidate's discriminant zeros, or
@@ -373,11 +359,10 @@ def analyze_singular_point(engine: MomentEngine, curve: ReconstructedCurve,
         for i, contour in zip(members, tracked):
             contours[i] = contour
     return [report for contour in contours
-            for report in _point_reports(engine, contour, with_energy)]
+            for report in _point_reports(engine, contour)]
 
 
-def _point_reports(engine: MomentEngine, contour: BranchContour,
-                   with_energy: bool) -> list:
+def _point_reports(engine: MomentEngine, contour: BranchContour) -> list:
     """A SingularPointReport for each point of the center's fiber that two
     or more cycles of the contour pass through, at the mean of their
     centres, with the residues and energy verdicts of those cycles."""
@@ -397,15 +382,13 @@ def _point_reports(engine: MomentEngine, contour: BranchContour,
     for centres, cycles in groups:
         if len(cycles) < 2:
             continue
-        energy = energy_growth_reports(engine, contour, cycles) \
-            if with_energy else None
+        energy = energy_growth_reports(engine, contour, cycles)
         residues = branch_residues(engine, contour, cycles)
         branches = [BranchReport(cyc, residues[ci], energy_verdicts=[
-                        e.verdict for e in energy[ci]] if energy else [])
+                        e.verdict for e in energy[ci]])
                     for ci, cyc in enumerate(cycles)]
         reports.append(SingularPointReport(complex(np.mean(centres)),
-                                           contour.center, contour.radius,
-                                           branches))
+                                           contour.center, branches))
     return reports
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nodal_idn.characterize import _pencil_sums
+from nodal_idn.characterize import _pencil_engine
 from nodal_idn.errors import ModelError
 from nodal_idn.model import AdmissibleFamily, BoundaryCurve, _zero_sum_masks
 from nodal_idn.spectral import fourier_derivative, parameter_grid
@@ -27,7 +27,13 @@ def compute_G(datum, xi0, xi1):
     """G(xi0, xi1) = (1/2*pi*i) int f1 d(xi0 + xi1 f1 + f2)/(xi0 + xi1 f1 + f2),
     the pencil engine's M_1 at -xi0, for one point or arrays of them.
     Criterion (a) reads G as S_1 of the same pencil power sums."""
-    return _pencil_sums(datum, xi0, xi1, p=0)[1][..., 0][()]
+    xi0, xi1 = np.broadcast_arrays(np.asarray(xi0, dtype=complex),
+                                   np.asarray(xi1, dtype=complex))
+    g = np.empty(xi0.shape, dtype=complex)
+    for line in dict.fromkeys(xi1.flat):
+        on = xi1 == line
+        g[on] = _pencil_engine(datum, line).moments([1], -xi0[on])[0]
+    return g[()]
 
 
 def spectral_consistency(curve: BoundaryCurve) -> float:

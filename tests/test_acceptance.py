@@ -228,7 +228,7 @@ def test_criterion_08_node_classification(charged_datum, charged_sweep,
         sym = [BranchReport((j,), np.array([r, 2 * r, 3 * r]))
                for j, r in enumerate([1.0, -1.0, 1.0, -1.0])]
         sym_inv = classify_and_partition(
-            [SingularPointReport(0.0, 0.5, 0.05, sym)])
+            [SingularPointReport(0.0, 0.5, sym)])
         assert not sym_inv.partition_unique
         assert sym_inv.isomorphism_class == "rough"
 

@@ -100,8 +100,9 @@ class TestPencilFibers:
         assert base.shape == (STENCIL_XI0.size, 4)
         assert np.max(np.abs(base - expected)) < 1e-8
         lines = np.array([[0.15], [0.15 + DELTA]])
-        moved = pencil_fibers(charged_datum, STENCIL_XI0, lines, p=4,
-                              previous=np.broadcast_to(base, (2,) + base.shape))
+        p, sums = _pencil_sums(charged_datum, STENCIL_XI0, lines)
+        moved = recover_fibers(sums, p, previous=np.broadcast_to(
+            base, (2,) + base.shape))
         assert moved.shape == (2, STENCIL_XI0.size, 4)
         for row, xi1 in zip(moved, lines[:, 0]):
             shifted = [_oracle_fibers(x0, xi1) for x0 in STENCIL_XI0]

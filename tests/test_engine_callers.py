@@ -10,8 +10,10 @@ are called by the language and are not checked.
 
 Every defaulted parameter of those functions and methods must be passed,
 by keyword or by position, at some call of that name in ``src/``,
-``scripts/``, ``perfbench/`` or ``tests/``: a default that no call
-overrides is a constant.
+``scripts/`` or ``perfbench/``: a default that no call overrides is a
+constant, and one that only tests override is a constant that the tests
+should monkeypatch.  ``scenarios.py`` builds test and script inputs, so
+for its parameters the calls in ``tests/`` count too.
 """
 import ast
 import pathlib
@@ -19,7 +21,8 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nodal_idn"
 NOT_ENGINE = {"oracles.py", "__init__.py"}
-CALLERS = ("src", "scripts", "perfbench", "tests")
+CALLERS = ("src", "scripts", "perfbench")
+TEST_SUPPORT = {"scenarios.py"}     # whose options tests may set
 
 
 def _definitions(body, prefix=""):
@@ -129,13 +132,13 @@ def _defaulted(body, constructors, cls=None):
                     yield qualified, calls, arg.arg, None
 
 
-def _passed_arguments() -> dict:
-    """Call name -> the keywords and positions its calls pass.  A name
-    bound by ``from ... import name as alias`` is called as ``alias``.
-    Positions after a ``*args`` and keywords in a ``**kwargs`` are not
-    known, so they count for nothing."""
+def _passed_arguments(folders) -> dict:
+    """Call name -> the keywords and positions its calls in ``folders``
+    pass.  A name bound by ``from ... import name as alias`` is called as
+    ``alias``.  Positions after a ``*args`` and keywords in a ``**kwargs``
+    are not known, so they count for nothing."""
     passed: dict = {}
-    for folder in CALLERS:
+    for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
             tree = ast.parse(path.read_text())
             aliases = {alias.asname: alias.name for node in ast.walk(tree)
@@ -162,9 +165,11 @@ def _passed_arguments() -> dict:
 def unset_engine_options() -> list[str]:
     trees = _engine_trees()
     constructors = _constructors(trees)
-    passed = _passed_arguments()
+    engine = _passed_arguments(CALLERS)
+    support = _passed_arguments(CALLERS + ("tests",))
     missing = []
     for module, tree in trees.items():
+        passed = support if module in TEST_SUPPORT else engine
         for qualified, calls, param, pos in _defaulted(tree.body, constructors):
             if not any(param in passed.get(name, ()) or pos in passed.get(name, ())
                        for name in calls):

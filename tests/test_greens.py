@@ -10,7 +10,7 @@ from engine_checks import ellipse
 from nodal_idn.errors import ModelError
 from nodal_idn.greens import (AnnulusHarmonicSolver, AnnulusPrincipalGreen,
                               DiskHarmonicSolver, GreenKernel, disk_green,
-                              enclosing_kernel, near_boundary_threshold)
+                              near_boundary_threshold)
 from nodal_idn.model import AnnulusDomain, BoundaryCurve, DiskDomain
 from nodal_idn.oracles import fd_laplacian_check
 from nodal_idn.spectral import parameter_grid
@@ -238,8 +238,10 @@ class TestPrincipalGreen:
             assert abs(g(z, w) - g(w, z)) < 1e-7
 
     def test_enclosing_domain_independence(self, circle256):
-        sys_a = NystromSystem(circle256, enclosing_kernel(circle256, 1.25))
-        sys_b = NystromSystem(circle256, enclosing_kernel(circle256, 1.5))
+        sys_a = NystromSystem(circle256, GreenKernel("disk-principal",
+                                                     radius=1.25, center=0.0))
+        sys_b = NystromSystem(circle256, GreenKernel("disk-principal",
+                                                     radius=1.5, center=0.0))
         ga = PrincipalGreen(GreenKernel("mundane-log"), sys_a)
         gb = PrincipalGreen(GreenKernel("mundane-log"), sys_b)
         pairs = [(0.3 + 0.2j, -0.4 + 0.1j), (0.5, 0.2j)]
@@ -253,7 +255,8 @@ class TestPrincipalGreen:
         errs = {}
         for n in (128, 256):
             curve = BoundaryCurve.circle(1.0, n)
-            system = NystromSystem(curve, enclosing_kernel(curve, 1.05))
+            system = NystromSystem(curve, GreenKernel("disk-principal",
+                                                      radius=1.05, center=0.0))
             g = PrincipalGreen(GreenKernel("mundane-log"), system)
             z = 0.88 + 0.0j
             probes = np.array([0.2 + 0.1j, -0.3 + 0.2j, 0.1 - 0.35j])

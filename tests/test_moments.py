@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from engine_checks import cr_residual
 from nodal_idn.errors import FiberError, MomentError
 from nodal_idn.model import BoundaryCurve
-from nodal_idn.moments import (ABERTH_MIN_ROWS, DOUBLE_EPS, ROOT_BLOCK,
-                               FiberWindow, LocalExpansion, MomentEngine,
-                               ReconstructedCurve, WindowPlan,
+from nodal_idn.moments import (ABERTH_MIN_ROWS, DOUBLE_EPS, NEAR_SPACINGS,
+                               ROOT_BLOCK, FiberWindow, LocalExpansion,
+                               MomentEngine, ReconstructedCurve, WindowPlan,
                                _power_sum_defect, _stitch_pair,
                                analyze_window, companion_roots,
                                continue_fibers, integral_sheet_count,
@@ -76,17 +76,16 @@ class TestComputeMoment:
                 want = charged_scenario.oracle.moment(m, xi)
                 assert abs(got - want) < 1e-8
 
-    def test_quadrature_convergence(self):
-        # the default pole-distance guard pins plain quadrature to machine
+    def test_quadrature_convergence(self, monkeypatch):
+        # the pole-distance guard pins plain quadrature to machine
         # precision, so the decay is observable only inside its margin; a
         # lenient engine exposes it
+        from nodal_idn import moments
+        monkeypatch.setattr(moments, "NEAR_SPACINGS", 2.0)
         errs = {}
         xi = 0.55 + 0.05j
         for n in (32, 64):
-            scn = graph_scn(n)
-            datum = scn.datum()
-            engine = MomentEngine(datum.curve, datum.f[0], datum.f[1],
-                                  datum.theta, spacings=2.0)
+            engine = MomentEngine.from_datum(graph_scn(n).datum())
             errs[n] = abs(engine.moments([2], [xi])[0, 0] - xi**4)
         assert errs[32] / max(errs[64], 1e-16) > 1e2
 
@@ -129,14 +128,15 @@ class TestLocalExpansion:
         # f2 = e^(it) + 0.3-bounded harmonics -3..3, f1 a random
         # trigonometric polynomial; the disc takes ``share`` of the room
         # between its centre and the near-curve band
-        f2, df2 = _trig_curve(n, {1: 1.0, **dict(zip((-3, -2, -1, 0, 2, 3),
-                                                      f2_coeffs))})
+        f2, _ = _trig_curve(n, {1: 1.0, **dict(zip((-3, -2, -1, 0, 2, 3),
+                                                    f2_coeffs))})
         f1, _ = _trig_curve(n, dict(zip((-2, -1, 1, 2), f1_coeffs)))
         rng = np.random.default_rng(seed)
         theta = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         curve = BoundaryCurve.circle(1.0, n)
-        engine = MomentEngine(curve, f1, f2, theta, df2=df2)
-        near = 6.0 * 2 * np.pi / n * np.abs(df2)
+        engine = MomentEngine(curve, f1, f2, theta)
+        df2 = engine.df2
+        near = NEAR_SPACINGS * 2 * np.pi / n * np.abs(df2)
         room = float(np.min(np.abs(f2 - center) - near))
         assume(room > 1e-3)
         radius = share * room
@@ -168,12 +168,13 @@ class TestLocalExpansion:
             assert np.all(error <= bound[:, :, None]
                           + 1e-12 * np.maximum(1.0, np.abs(want)))
 
-    def test_disc_test_at_its_edge(self, charged_datum):
+    def test_disc_test_at_its_edge(self, charged_datum, monkeypatch):
         # with a near band of 12 grid spacings a disc about 3 may reach to
         # the band of no sample: radius below min_k |f2_k - 3| - near_k
+        from nodal_idn import moments
+        monkeypatch.setattr(moments, "NEAR_SPACINGS", 12.0)
         datum = charged_datum
-        engine = MomentEngine(datum.curve, datum.f[0], datum.f[1],
-                              datum.theta, spacings=12.0)
+        engine = _engine(datum)
         near = 12.0 * 2 * np.pi / datum.curve.n * np.abs(engine.df2)
         room = float(np.min(np.abs(engine.f2 - 3.0) - near))
         assert engine.local_expansion(None, 2, 3.0, room * (1 + 1e-9)) is None
@@ -249,7 +250,7 @@ class TestMomentTable:
     """The moments of a window grid, before any fiber is recovered."""
 
     def test_grid_avoids_curve(self, graph_datum):
-        with pytest.raises(MomentError, match="too close to the image curve"):
+        with pytest.raises(MomentError, match="on-curve"):
             analyze_window(_engine(graph_datum), 0.95 + 0.0j, 0.2)
 
     def test_holomorphy_residual(self, charged_datum):
@@ -727,9 +728,13 @@ def _track_step(engine, p, xi_from, roots_from, xi_to, budget):
 
 
 def _lockstep(engine, p, paths, start_xi, start_roots, budget=6):
-    """continue_fibers' tracks and its mask of failed paths."""
+    """continue_fibers' tracks, with ``budget`` halvings, and its mask of
+    failed paths."""
+    from nodal_idn import moments
     try:
-        out = continue_fibers(engine, p, paths, start_xi, start_roots, budget)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(moments, "MAX_HALVINGS", budget)
+            out = continue_fibers(engine, p, paths, start_xi, start_roots)
         return out, np.zeros(len(paths), dtype=bool)
     except (FiberError, MomentError) as exc:
         assert exc.failed is not None and exc.failed.any()
@@ -772,27 +777,33 @@ class TestContinuation:
             assert not failed[b]
             assert np.array_equal(got[b], want)
 
-    def test_first_step_halves(self):
+    def test_first_step_halves(self, monkeypatch):
         # r = (0.9 xi, 1 + xi): from (0, 1) at xi = 0 both roots at xi = 1
         # are nearest to 0.9, so the first step collides unless it is halved
+        from nodal_idn import moments
         engine = PowerSumFamily([[0.0, 0.9, 0.0], [1.0, 1.0, 0.0]])
         start = np.array([[0.0, 1.0]], dtype=complex)
-        with pytest.raises(FiberError, match="half the root separation"):
-            continue_fibers(engine, 2, [[1.0]], [0.0], start, max_halvings=0)
+        with monkeypatch.context() as patch, \
+                pytest.raises(FiberError, match="half the root separation"):
+            patch.setattr(moments, "MAX_HALVINGS", 0)
+            continue_fibers(engine, 2, [[1.0]], [0.0], start)
         got = continue_fibers(engine, 2, [[1.0]], [0.0], start)
         assert np.allclose(got[0, 0], [0.9, 2.0], atol=1e-12)
 
-    def test_swap_without_collision_halves(self):
+    def test_swap_without_collision_halves(self, monkeypatch):
         # r = ((0.6 + 0.5j) xi, 1 - (0.6 + 0.5j) xi): from (0, 1) at xi = 0
         # each root at xi = 1 is nearest to the other's start, and no two
         # claim one root; the roots never come closer than 0.64, but each
         # moves 0.64, past half their separation 1.  Two halvings keep the
         # sheets
+        from nodal_idn import moments
         engine = Counting(PowerSumFamily([[0.0, 0.6 + 0.5j, 0.0],
                                           [1.0, -0.6 - 0.5j, 0.0]]))
         start = np.array([[0.0, 1.0]], dtype=complex)
-        with pytest.raises(FiberError, match="half the root separation"):
-            continue_fibers(engine, 2, [[1.0]], [0.0], start, max_halvings=0)
+        with monkeypatch.context() as patch, \
+                pytest.raises(FiberError, match="half the root separation"):
+            patch.setattr(moments, "MAX_HALVINGS", 0)
+            continue_fibers(engine, 2, [[1.0]], [0.0], start)
         engine.calls.clear()
         got = continue_fibers(engine, 2, [[1.0]], [0.0], start)
         assert engine.calls == [1, 1, 1]
@@ -1043,12 +1054,20 @@ class TestSweep:
         with pytest.raises(FiberError):
             sweep_windows(MomentEngine.from_datum(graph_datum), plan)
 
-    def test_json_round_trip(self, charged_sweep, tmp_path):
+    def test_json_round_trip(self, charged_sweep, graph_datum, tmp_path):
+        # the charged sweep, and a ring whose window at 1.6 has an empty fiber
         from nodal_idn import jsonio
-        path = tmp_path / "curve.json"
-        jsonio.dump(charged_sweep.to_json(), path)
-        back = ReconstructedCurve.from_json(jsonio.load(path))
-        assert len(back.windows) == len(charged_sweep.windows)
-        assert np.allclose(back.windows[0].roots, charged_sweep.windows[0].roots)
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(back.permutations, charged_sweep.permutations))
+        ring = sweep_windows(MomentEngine.from_datum(graph_datum),
+                             WindowPlan([0.3, 1.6, -0.3, 0.3j], 0.2))
+        assert [w.p for w in ring.windows] == [1, 0, 1, 1]
+        for k, curve in enumerate((charged_sweep, ring)):
+            path = tmp_path / f"curve{k}.json"
+            jsonio.dump(curve.to_json(), path)
+            back = ReconstructedCurve.from_json(jsonio.load(path))
+            assert len(back.windows) == len(curve.windows)
+            for got, want in zip(back.windows, curve.windows):
+                assert got.roots.shape == want.roots.shape
+                assert got.quotients.shape == want.quotients.shape
+                assert np.allclose(got.roots, want.roots)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(back.permutations, curve.permutations))

@@ -69,8 +69,7 @@ class TestLocate:
                          for cyc in contour.cycles)
         assert np.allclose(centres, 2 + np.array([-1, 1]) * np.sqrt(2) / 4,
                            atol=1e-9)
-        assert analyze_singular_point(engine, charged_sweep, [c],
-                                      with_energy=False) == []
+        assert analyze_singular_point(engine, charged_sweep, [c]) == []
 
     def test_spurious_candidate_at_origin(self, spurious_candidates,
                                           spurious_report):
@@ -111,7 +110,7 @@ class TestLocate:
         with pytest.raises(MonodromyError, match="change contour_radius"):
             analyze_singular_point(MomentEngine.from_datum(charged_datum),
                                    charged_sweep, charged_candidates[:1],
-                                   contour_radius=0.3, with_energy=False)
+                                   contour_radius=0.3)
 
 
 class TestDiscriminantCensus:
@@ -203,17 +202,13 @@ class TestBranchResidues:
             assert np.max(np.abs(b.residues)) < 1e-6
 
     def test_contour_radius_stability(self, charged_datum, charged_sweep,
-                                      charged_candidates):
+                                      charged_candidates, charged_report):
         small = analyze_singular_point(MomentEngine.from_datum(charged_datum),
                                        charged_sweep, charged_candidates[:1],
-                                       contour_radius=0.025,
-                                       with_energy=False)[0]
+                                       contour_radius=0.025)[0]
         big_map = {b.cycle: b.residues for b in small.branches
                    if len(b.cycle) == 1}
-        ref = analyze_singular_point(MomentEngine.from_datum(charged_datum),
-                                     charged_sweep, charged_candidates[:1],
-                                     with_energy=False)[0]
-        for b in ref.branches:
+        for b in charged_report.branches:
             if len(b.cycle) != 1:
                 continue
             # match by residue sign rather than cycle labels
@@ -407,7 +402,7 @@ class TestClassification:
         residues = [1.0, -1.0, 1.0, -1.0]
         branches = [BranchReport((j,), np.array([r, 2 * r, 3 * r]))
                     for j, r in enumerate(residues)]
-        report = SingularPointReport(0.0, 0.5, 0.05, branches)
+        report = SingularPointReport(0.0, 0.5, branches)
         inv = classify_and_partition([report])
         assert not inv.partition_unique
         assert inv.isomorphism_class == "rough"
@@ -421,7 +416,7 @@ class TestClassification:
             np.array([-2.0, -2.0, -2.0], dtype=complex),
         ]
         branches = [BranchReport((j,), row) for j, row in enumerate(rows)]
-        report = SingularPointReport(0.0, 0.5, 0.05, branches)
+        report = SingularPointReport(0.0, 0.5, branches)
         with pytest.raises(PartitionError):
             classify_and_partition([report])
 
@@ -430,7 +425,7 @@ class TestClassification:
         # exhaustive genericity test's limit of 20
         branches = [BranchReport((0,), np.array([1.0, 2.0, 3.0])),
                     BranchReport((1,), np.array([-1.0, -2.0, -3.0]))]
-        reports = [SingularPointReport(0.0, complex(k), 0.05, branches)
+        reports = [SingularPointReport(0.0, complex(k), branches)
                    for k in range(11)]
         inv = classify_and_partition(reports)
         assert len(inv.nodes) == 11
