@@ -13,7 +13,9 @@ roots through Newton's identities and one batched Aberth iteration on the
 monic polynomial they give; only the rows where it does not converge, and
 batches too small for it to pay, take companion-matrix eigenvalues.  The
 form quotients dU_ell / dF2 at the fiber points come from a Vandermonde
-solve against theta-weighted moments.
+solve against theta-weighted moments.  A window sweep round makes one
+root recovery, snake match and quotient solve per sheet count; its kernel
+calls stay per window, so each window uses the disc it would use alone.
 
 The kernel is the periodic trapezoid rule (1/iN) sum_k w_k f1_k^m /
 (f2_k - xi), for the weight row w = df2 or w = theta_ell dgamma.  Summed
@@ -495,9 +497,11 @@ def match_rows(previous: np.ndarray, new: np.ndarray):
     choice = np.empty(previous.shape, dtype=int)
     unsafe = np.zeros(len(previous), dtype=bool)
     for j in range(previous.shape[1]):      # memory O(B p), not O(B p^2)
-        move = np.abs(previous[:, j, None] - new)
+        # inf - inf is NaN, which the rule below already counts unsafe
+        with np.errstate(invalid="ignore"):
+            move = np.abs(previous[:, j, None] - new)
+            gaps = np.abs(previous[:, j, None] - previous)
         choice[:, j] = np.argmin(move, axis=1)
-        gaps = np.abs(previous[:, j, None] - previous)
         gaps[:, j] = np.inf
         unsafe |= ~(np.min(move, axis=1) < 0.5 * np.min(gaps, axis=1))
     return choice, unsafe
@@ -604,10 +608,23 @@ def recover_form_quotient(engine: MomentEngine, xi, roots) -> np.ndarray:
     if np.min(min_separations(roots)) < 1e-6:
         raise FiberError("near branch point: move xi")
     a = engine.theta_moments(range(3), range(p), xi)        # (3, p, B)
-    v = roots[:, None, :] ** np.arange(p)[None, :, None]     # (B, p, p)
-    if np.max(np.linalg.cond(v)) > VANDERMONDE_CONDITION_LIMIT:
+    g, refused = _solve_quotients(roots[None], a[:, :, None])
+    if refused[0]:
         raise FiberError("near branch point: move xi")
-    return np.linalg.solve(v, a.transpose(2, 1, 0)).transpose(2, 0, 1)
+    return g[:, 0]
+
+
+def _solve_quotients(roots: np.ndarray, a: np.ndarray):
+    """Solve sum_j h_j^m g_j = a[ell, m, w, b], m < p, at the roots[w, b]
+    (W, B, p) of W groups in one call; returns g (3, W, B, p) and the mask
+    of the groups refused, where some system's condition number exceeds
+    VANDERMONDE_CONDITION_LIMIT and g is no solution."""
+    p = roots.shape[-1]
+    v = roots[..., None, :] ** np.arange(p)[:, None]         # (W, B, p, p)
+    refused = np.max(np.linalg.cond(v), axis=1) > VANDERMONDE_CONDITION_LIMIT
+    v[refused] = np.eye(p)      # keeps the one solve defined; g unused there
+    g = np.linalg.solve(v, np.moveaxis(a, (0, 1), (3, 2)))   # (W, B, p, 3)
+    return np.moveaxis(g, 3, 0), refused
 
 
 @dataclass
@@ -653,41 +670,86 @@ class FiberWindow:
 
 
 def analyze_window(engine: MomentEngine, center: complex, radius: float,
-                   grid_n: int = 9) -> FiberWindow:
+                   grid_n: int) -> FiberWindow:
     """Full per-window pipeline: grid, sheet count p from M_0, the moments
-    M_1..M_2p, fibers, quotients.  A grid point in the engine's near-curve
-    band raises its MomentError."""
-    grid, shape = window_grid(center, radius, grid_n)
-    g = grid.size
-    p = integral_sheet_count(engine.moments([0], grid)[0])
-    if p is None:
-        raise MomentError("sheet count ambiguous: move window")
-    if p == 0:
-        return FiberWindow(center, radius, grid, shape, 0,
-                           np.zeros((g, 0), complex), np.zeros((3, g, 0), complex),
-                           np.inf)
+    M_1..M_2p, fibers, quotients.  ``_analyze_windows`` for one window;
+    raises the error that rules the window out."""
+    outcome, = _analyze_windows(engine, [center], radius, grid_n)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    sums = engine.moments(range(1, 2 * p + 1), grid).T
-    engine.check_bounded_regime(sums)
+
+def _analyze_windows(engine: MomentEngine, centers, radius: float,
+                     grid_n: int) -> list:
+    """Per centre its FiberWindow, or the first error that rules it out: a
+    MomentError of its kernel calls or an ambiguous M_0; the power-sum
+    fault of its first row at fault in grid order; an unsafe snake step;
+    with theta rows, a branch point near (a separation below 1e-6 or an
+    ill-conditioned Vandermonde system).  The kernel calls stay per window,
+    so that each window uses the disc it would use alone; root recovery,
+    the snake match and the quotient solve run once per sheet count."""
+    outcomes, sums = [], {}
+    for center in centers:
+        grid, shape = window_grid(center, radius, grid_n)
+        try:
+            p = integral_sheet_count(engine.moments([0], grid)[0])
+            if p is None:
+                raise MomentError("sheet count ambiguous: move window")
+            if p:
+                rows = engine.moments(range(1, 2 * p + 1), grid).T
+                engine.check_bounded_regime(rows)
+                sums.setdefault(p, []).append((len(outcomes), rows))
+        except MomentError as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append(FiberWindow(
+            center, radius, grid, shape, p, np.zeros((grid.size, p), complex),
+            np.zeros((3, grid.size, p), complex), np.inf))
     # a row-major snake through the grid, by adjacent steps only
-    snake = np.arange(g).reshape(shape)
+    snake = np.arange(grid_n ** 2).reshape(grid_n, grid_n)
     snake[1::2] = snake[1::2, ::-1]
     snake = snake.ravel()
-    unordered = recover_fibers(sums, p)[snake]
-    # nearest-neighbour matching does not depend on how the previous row
-    # is ordered, so every step is matched at once and the maps composed
-    choice, unsafe = match_rows(unordered[:-1], unordered[1:])
-    # not halved: sweep_windows re-centres a window its grid cannot match
-    if unsafe.any():
-        raise FiberError(UNSAFE_STEP)
-    roots = np.empty_like(unordered)
-    orders = compose_steps(np.vstack([np.arange(p), choice]))
-    roots[snake] = np.take_along_axis(unordered, orders, axis=1)
-    min_sep = float(np.min(min_separations(unordered)))
-
-    quot = recover_form_quotient(engine, grid, roots) \
-        if engine.theta is not None else np.zeros((3, g, p), dtype=complex)
-    return FiberWindow(center, radius, grid, shape, p, roots, quot, min_sep)
+    for p, group in sums.items():
+        at, rows = zip(*group)
+        roots, faults = _fiber_roots(np.concatenate(rows), p)
+        for k, fault in zip(at, faults.reshape(len(at), -1)):
+            if any(fault):
+                outcomes[k] = FiberError(next(filter(None, fault)))
+        live = [isinstance(outcomes[k], FiberWindow) for k in at]
+        at = [k for k in at if isinstance(outcomes[k], FiberWindow)]
+        unordered = sort_fibers(roots.reshape(len(live), -1, p)[live][:, snake])
+        # nearest-neighbour matching does not depend on how the previous
+        # row is ordered, so every step is matched at once and maps composed
+        choice, unsafe = match_rows(unordered[:, :-1].reshape(-1, p),
+                                    unordered[:, 1:].reshape(-1, p))
+        steps = choice.reshape(len(at), snake.size - 1, p).swapaxes(0, 1)
+        start = np.broadcast_to(np.arange(p), (1, len(at), p))
+        orders = compose_steps(np.concatenate([start, steps])).swapaxes(0, 1)
+        ordered = np.empty_like(unordered)
+        ordered[:, snake] = np.take_along_axis(unordered, orders, axis=2)
+        seps = np.min(min_separations(unordered), axis=(1, 2))
+        # not halved: sweep_windows re-centres a window its grid cannot match
+        unsafe = unsafe.reshape(len(at), snake.size - 1).any(axis=1)
+        for k, window_roots, sep, bad in zip(at, ordered, seps, unsafe):
+            outcomes[k].roots = window_roots
+            outcomes[k].min_root_separation = float(sep)
+            if bad:
+                outcomes[k] = FiberError(UNSAFE_STEP)
+            elif engine.theta is not None and sep < 1e-6:
+                outcomes[k] = FiberError("near branch point: move xi")
+        at = [k for k in at if isinstance(outcomes[k], FiberWindow)]
+        if engine.theta is None or not at:
+            continue
+        a = np.stack([engine.theta_moments(range(3), range(p), outcomes[k].grid)
+                      for k in at], axis=2)                  # (3, p, W, grid)
+        quotients, refused = _solve_quotients(
+            np.stack([outcomes[k].roots for k in at]), a)
+        for k, window, bad in zip(at, quotients.swapaxes(0, 1), refused):
+            outcomes[k].quotients = window
+            if bad:
+                outcomes[k] = FiberError("near branch point: move xi")
+    return outcomes
 
 
 @dataclass
@@ -738,66 +800,80 @@ class ReconstructedCurve:
 
 
 def sweep_windows(engine: MomentEngine, plan: WindowPlan) -> ReconstructedCurve:
-    """Run the window pipeline over the plan, re-centering near branch points."""
-    windows: list[FiberWindow] = []
-    failures = []
-    notes = []
-    for center in plan.centers:
-        center = attempt_center = complex(center)
-        for attempt in range(3):
-            if attempt > 0:
-                attempt_center = attempt_center + plan.radius * 0.5 * (0.6 + 0.8j)
-            try:
-                outcome = analyze_window(engine, attempt_center, plan.radius,
-                                         plan.grid_n)
-            except MomentError as exc:
+    """Run the window pipeline over the plan, re-centering near branch
+    points: up to three rounds, each over every window still pending."""
+    centers = [complex(c) for c in plan.centers]
+    attempts, outcomes = list(centers), [None] * len(centers)
+    pending = list(range(len(centers)))
+    for attempt in range(3):
+        if attempt > 0:
+            for k in pending:
+                attempts[k] = attempts[k] + plan.radius * 0.5 * (0.6 + 0.8j)
+        results = _analyze_windows(engine, [attempts[k] for k in pending],
+                                   plan.radius, plan.grid_n)
+        retry = []
+        for k, outcome in zip(pending, results):
+            if isinstance(outcome, MomentError):
                 # off the valid region entirely: re-centering will not help
-                failures.append((attempt_center, str(exc)))
-                break
-            except FiberError as exc:
+                outcomes[k] = (attempts[k], str(outcome))
+            elif isinstance(outcome, FiberError):
                 # continuation collapse: typical branch-point straddle
-                last_error = str(exc)
-                continue
-            if outcome.min_root_separation >= BRANCH_SEPARATION_FLOOR:
-                if attempt_center != center:
-                    outcome.relocated_from = center
-                    notes.append(f"window at {center} re-centered to "
-                                 f"{attempt_center} (branch-point straddle)")
-                windows.append(outcome)
-                break
-            last_error = "root separation collapsed"
-        else:   # every attempt ended in a continue or a collapse
-            failures.append((center, last_error))
+                outcomes[k] = (centers[k], str(outcome))
+                retry.append(k)
+            elif outcome.min_root_separation >= BRANCH_SEPARATION_FLOOR:
+                if attempts[k] != centers[k]:
+                    outcome.relocated_from = centers[k]
+                outcomes[k] = outcome
+            else:
+                outcomes[k] = (centers[k], "root separation collapsed")
+                retry.append(k)
+        pending = retry
+    windows = [w for w in outcomes if isinstance(w, FiberWindow)]
+    failures = [f for f in outcomes if isinstance(f, tuple)]
+    notes = [f"window at {w.relocated_from} re-centered to {w.center} "
+             "(branch-point straddle)" for w in windows
+             if w.relocated_from is not None]
     if len(failures) > len(plan.centers) // 2:
         raise FiberError(f"more than half of the windows failed: {failures}")
 
-    permutations = []
-    for a, b in zip(windows[:-1], windows[1:]):
-        permutations.append(_stitch_pair(a, b))
+    pairs = list(zip(windows[:-1], windows[1:]))
     # a ring through an empty fiber has no monodromy to report
-    if len(windows) > 2 and all(w.p == windows[0].p > 0 for w in windows):
-        closing = _stitch_pair(windows[-1], windows[0])
-        comp = compose_steps(np.array(permutations + [closing]))[-1]
+    ring = len(windows) > 2 and all(w.p == windows[0].p > 0 for w in windows)
+    closing = [(windows[-1], windows[0])] if ring else []
+    permutations = _stitch_pairs(pairs + closing)
+    if ring:
+        comp = compose_steps(np.array(permutations))[-1]
+        permutations.pop()
         if not np.array_equal(comp, np.arange(windows[0].p)):
             notes.append("ring monodromy: closing the window chain permutes "
                          f"sheets as {comp.tolist()}")
     return ReconstructedCurve(windows, permutations, failures, notes)
 
 
-def _stitch_pair(a: FiberWindow, b: FiberWindow) -> np.ndarray:
-    """Sheet correspondence between overlapping windows by proximity."""
-    if a.p == 0 or b.p == 0:
-        return np.arange(min(a.p, b.p))
-    if a.p != b.p:
-        raise FiberError(f"sheet count changes between windows at {a.center} "
-                         f"({a.p}) and {b.center} ({b.p})")
-    dist = np.abs(a.grid[:, None] - b.grid[None, :])
-    ia, ib = np.unravel_index(int(np.argmin(dist)), dist.shape)
-    sigma, unsafe = match_rows(a.roots[ia][None], b.roots[ib][None])
-    if unsafe[0]:
-        raise FiberError("stitching between windows exceeds half the root "
-                         "separation: refine plan")
-    return sigma[0]
+def _stitch_pairs(pairs: list) -> list:
+    """Sheet correspondences between overlapping windows (a, b) by
+    proximity at their closest grid points, one match per sheet count;
+    the first pair at fault raises its FiberError."""
+    maps, errors, ends = [], [], {}
+    for k, (a, b) in enumerate(pairs):
+        maps.append(np.arange(min(a.p, b.p)))
+        errors.append(a.p and b.p and a.p != b.p and (
+            f"sheet count changes between windows at {a.center} ({a.p}) "
+            f"and {b.center} ({b.p})"))
+        if a.p == b.p > 0:
+            dist = np.abs(a.grid[:, None] - b.grid[None, :])
+            ia, ib = np.unravel_index(int(np.argmin(dist)), dist.shape)
+            ends.setdefault(a.p, []).append((k, a.roots[ia], b.roots[ib]))
+    for group in ends.values():
+        at, previous, new = zip(*group)
+        sigma, unsafe = match_rows(np.array(previous), np.array(new))
+        for k, row, bad in zip(at, sigma, unsafe):
+            maps[k] = row
+            errors[k] = bad and ("stitching between windows exceeds half "
+                                 "the root separation: refine plan")
+    for error in filter(None, errors):
+        raise FiberError(error)
+    return maps
 
 
 def continue_fibers(engine: MomentEngine, p: int, paths: np.ndarray,

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from engine_checks import cr_residual
 from nodal_idn.errors import FiberError, MomentError
 from nodal_idn.model import BoundaryCurve
-from nodal_idn.moments import (ABERTH_MIN_ROWS, DOUBLE_EPS, NEAR_SPACINGS,
+from nodal_idn.moments import (ABERTH_MIN_ROWS, BRANCH_SEPARATION_FLOOR,
+                               DOUBLE_EPS, NEAR_SPACINGS,
                                ROOT_BLOCK, FiberWindow, LocalExpansion,
                                MomentEngine, ReconstructedCurve, WindowPlan,
-                               _power_sum_defect, _stitch_pair,
+                               _power_sum_defect, _stitch_pairs,
                                analyze_window, companion_roots,
                                continue_fibers, integral_sheet_count,
                                match_rows, recover_fibers,
@@ -251,7 +253,7 @@ class TestMomentTable:
 
     def test_grid_avoids_curve(self, graph_datum):
         with pytest.raises(MomentError, match="on-curve"):
-            analyze_window(_engine(graph_datum), 0.95 + 0.0j, 0.2)
+            analyze_window(_engine(graph_datum), 0.95 + 0.0j, 0.2, 9)
 
     def test_holomorphy_residual(self, charged_datum):
         grid, shape = window_grid(3.0 + 0.45j, 0.1, 9)
@@ -265,15 +267,15 @@ class TestSheetCount:
     """p = M_0 where M_0 is an integer over the whole window grid."""
 
     def test_graph_single_sheet(self, graph_datum):
-        assert analyze_window(_engine(graph_datum), 0.2 + 0.1j, 0.3).p == 1
+        assert analyze_window(_engine(graph_datum), 0.2 + 0.1j, 0.3, 9).p == 1
 
     def test_four_sheets_vs_winding_oracle(self, charged_datum):
-        window = analyze_window(_engine(charged_datum), 3.1 + 0.0j, 0.1)
+        window = analyze_window(_engine(charged_datum), 3.1 + 0.0j, 0.1, 9)
         winding = argument_principle_count(charged_datum.f[1], 3.1)
         assert window.p == winding == 4
 
     def test_empty_fiber(self, graph_datum):
-        window = analyze_window(_engine(graph_datum), 5.0 + 0.0j, 0.3)
+        window = analyze_window(_engine(graph_datum), 5.0 + 0.0j, 0.3, 9)
         assert window.p == 0 and window.roots.shape == (81, 0)
 
     def test_integrality_over_window(self, charged_datum):
@@ -322,7 +324,7 @@ class TestSheetCount:
                 return np.full((1, len(xi)), 2.3, dtype=complex)
 
         with pytest.raises(MomentError, match="sheet count ambiguous"):
-            analyze_window(FractionalM0(), 0.0, 1.0)
+            analyze_window(FractionalM0(), 0.0, 1.0, 9)
 
 
 class TestEliminatePolynomialPart:
@@ -597,6 +599,14 @@ class TestMatchRows:
         rows = [0, 1, 3, 4]
         assert np.array_equal(choice_again[rows], choice[rows])
         assert np.array_equal(matched_again[rows], matched[rows])
+
+    def test_infinite_root_is_unsafe_without_warning(self):
+        # inf - inf is NaN, which the half-separation rule counts unsafe
+        previous = np.array([[np.inf, 1.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, unsafe = match_rows(previous, np.array([[0.0, 1.0 + 0j]]))
+        assert unsafe.tolist() == [True]
 
     @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
                     min_size=1, max_size=6, unique=True),
@@ -944,6 +954,127 @@ class TestFormQuotient:
                                   np.array([[2.0, 2.0 + 1e-9, 1.0, 3.0]]))
 
 
+def _replayed_sweep(engine, plan):
+    """sweep_windows' kept windows, failures and notes from one
+    analyze_window call per centre and attempt: round by round, every
+    pending centre in plan order.  A MomentError fails the window at once;
+    a FiberError or a separation below BRANCH_SEPARATION_FLOOR tries again
+    half a radius along 0.6 + 0.8i, three attempts in all."""
+    centers = [complex(c) for c in plan.centers]
+    attempts, outcomes = list(centers), {}
+    pending = list(range(len(centers)))
+    for attempt in range(3):
+        retry = []
+        for k in pending:
+            if attempt:
+                attempts[k] = attempts[k] + plan.radius * 0.5 * (0.6 + 0.8j)
+            try:
+                window = analyze_window(engine, attempts[k], plan.radius,
+                                        plan.grid_n)
+            except MomentError as exc:
+                outcomes[k] = (attempts[k], str(exc))
+                continue
+            except FiberError as exc:
+                outcomes[k] = (centers[k], str(exc))
+            else:
+                if window.min_root_separation >= BRANCH_SEPARATION_FLOOR:
+                    outcomes[k] = window
+                    continue
+                outcomes[k] = (centers[k], "root separation collapsed")
+            retry.append(k)
+        pending = retry
+    windows, failures, notes = [], [], []
+    for k in range(len(centers)):
+        if isinstance(outcomes[k], tuple):
+            failures.append(outcomes[k])
+            continue
+        if attempts[k] != centers[k]:
+            outcomes[k].relocated_from = centers[k]
+            notes.append(f"window at {centers[k]} re-centered to "
+                         f"{attempts[k]} (branch-point straddle)")
+        windows.append(outcomes[k])
+    return windows, failures, notes
+
+
+# windows with p = 1 and p = 0 and one on the curve (graph, one sheet
+# everywhere); on charged4 also a window straddling the branch point 2.75
+MIXED_PLANS = {
+    "graph": WindowPlan([0.3, 1.6, 0.98, -0.3, 0.3j], 0.2),
+    "charged4": WindowPlan([3.16, 20.0, 2.75, 5.0, 3.0 + 0.16j, 2.84], 0.09),
+}
+
+
+class TestBatchedSweep:
+    """sweep_windows runs each round over all pending windows at once."""
+
+    @pytest.mark.parametrize("name", sorted(MIXED_PLANS))
+    def test_matches_window_by_window(self, name, request):
+        fixture = "graph" if name == "graph" else "charged"
+        scenario = request.getfixturevalue(f"{fixture}_scenario")
+        datum = request.getfixturevalue(f"{fixture}_datum")
+        plan = MIXED_PLANS[name]
+        curve = sweep_windows(MomentEngine.from_datum(datum), plan)
+        windows, failures, notes = _replayed_sweep(
+            MomentEngine.from_datum(datum), plan)
+        assert curve.failures == failures and len(failures) == 1
+        assert curve.notes == notes
+        assert [w.p for w in curve.windows] == [w.p for w in windows]
+        assert {w.p for w in windows} >= {0, 1 if name == "graph" else 4}
+        for got, want in zip(curve.windows, windows):
+            assert got.center == want.center
+            assert got.relocated_from == want.relocated_from
+            assert got.min_root_separation == want.min_root_separation
+            assert np.array_equal(got.roots, want.roots)
+            assert np.array_equal(got.quotients, want.quotients)
+            for xi, roots in zip(got.grid, got.roots):
+                fiber = scenario.oracle.f1(scenario.oracle.fibers(complex(xi)))
+                assert len(fiber) == got.p
+                for h in fiber:
+                    assert np.min(np.abs(roots - h)) < 1e-9
+        if name == "charged4":
+            assert [w.relocated_from for w in windows].count(2.75) == 1
+
+    def test_power_sum_fault_names_first_row_of_its_window(
+            self, charged_datum, monkeypatch):
+        # faults planted in rows 7 and 3 of the second of two windows
+        # recovered together: that window alone fails, with row 3's message
+        from nodal_idn import moments
+        recover = moments._fiber_roots
+
+        def faulty(sums, p):
+            roots, faults = recover(sums, p)
+            faults[81 + 7], faults[81 + 3] = "fault at 7", "fault at 3"
+            return roots, faults
+
+        monkeypatch.setattr(moments, "_fiber_roots", faulty)
+        first, second = moments._analyze_windows(
+            MomentEngine.from_datum(charged_datum), [3.16, 3.0 + 0.16j],
+            0.09, 9)
+        assert isinstance(first, FiberWindow) and first.p == 4
+        assert isinstance(second, FiberError) and str(second) == "fault at 3"
+
+    @pytest.mark.parametrize("plan, calls", [
+        ("ring", [(4, 8 * 81)]),
+        ("mixed", [(4, 4 * 81), (4, 81), (4, 81)]),
+    ])
+    def test_one_root_recovery_per_round_and_sheet_count(
+            self, charged_scenario, charged_datum, monkeypatch, plan, calls):
+        # the mixed plan takes three rounds to re-centre its window at 2.75
+        from nodal_idn import moments
+        seen = []
+        recover = moments._fiber_roots
+
+        def counted(sums, p):
+            seen.append((p, len(sums)))
+            return recover(sums, p)
+
+        monkeypatch.setattr(moments, "_fiber_roots", counted)
+        plan = charged_scenario.plan if plan == "ring" \
+            else MIXED_PLANS["charged4"]
+        sweep_windows(MomentEngine.from_datum(charged_datum), plan)
+        assert seen == calls
+
+
 def _one_point_window(center, roots):
     """A two-sheet window whose grid is its centre alone."""
     return FiberWindow(center, 0.1, np.array([center]), (1, 1), 2,
@@ -972,7 +1103,7 @@ class TestSweep:
         assert any("monodromy" in note for note in charged_sweep.notes)
 
     def test_sheet_holomorphy(self, charged_datum):
-        window = analyze_window(_engine(charged_datum), 3.0 + 0.45j, 0.1)
+        window = analyze_window(_engine(charged_datum), 3.0 + 0.45j, 0.1, 9)
         assert window.p == 4
         spacing = float(np.abs(window.grid[1] - window.grid[0]))
         sheets = window.roots.reshape(window.grid_shape + (4,))
@@ -998,7 +1129,7 @@ class TestSweep:
         # the reference walks the snake one grid point at a time, matching
         # each root of the point before to its nearest root at this one
         engine = _engine(charged_datum)
-        window = analyze_window(engine, 3.0 + 0.45j, 0.1)
+        window = analyze_window(engine, 3.0 + 0.45j, 0.1, 9)
         unordered = recover_fibers(engine.moments(range(1, 9), window.grid).T, 4)
         rows, cols = window.grid_shape
         before = None
@@ -1015,7 +1146,7 @@ class TestSweep:
         # grid of a window of radius 0.05 about it steps past half their gap
         with pytest.raises(FiberError, match="continuation step exceeds "
                            "half the root separation"):
-            analyze_window(_engine(charged_datum), 2.75 + 0.0j, 0.05)
+            analyze_window(_engine(charged_datum), 2.75 + 0.0j, 0.05, 9)
 
     def test_stitch_collision_raises(self):
         # both sheets of the first window are nearest to one root of the
@@ -1024,7 +1155,7 @@ class TestSweep:
         b = _one_point_window(0.05 + 0.0j, [10.0, 10.0001])
         with pytest.raises(FiberError, match="stitching between windows "
                            "exceeds half the root separation"):
-            _stitch_pair(a, b)
+            _stitch_pairs([(a, b)])
 
     def test_stitch_swap_raises(self):
         # each sheet of the first window is nearest to a different root of
@@ -1033,7 +1164,7 @@ class TestSweep:
         b = _one_point_window(0.05 + 0.0j, [0.4 - 0.5j, 0.6 + 0.5j])
         with pytest.raises(FiberError, match="stitching between windows "
                            "exceeds half the root separation"):
-            _stitch_pair(a, b)
+            _stitch_pairs([(a, b)])
 
     def test_ring_through_empty_fiber_has_no_monodromy(self, graph_datum):
         # the window at 1.6 lies outside the image disc, where the fiber is
