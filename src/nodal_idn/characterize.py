@@ -33,10 +33,14 @@ from .greens import GreenKernel, enclosing_kernel, near_boundary_threshold
 from .model import BoundaryCurve
 from .moments import MomentEngine, integral_sheet_count, recover_fibers
 
-CARACT_SCHEMA = "nodal-idn/caract/3"
+CARACT_SCHEMA = "nodal-idn/caract/4"
 GREEN_IDENTITY_CONSTANT = -4.0 * np.pi
 FLATNESS_FLOOR = 1e-8
 SHOCK_GRID = 3                  # window grid points per axis
+# pass limits of the max shock residual and the max Green-identity defect
+DEFAULT_THRESHOLDS = {"shock": 1e-5, "green": 1e-6}
+PROBE_COUNT = 20
+PROBE_SEED = 7
 
 
 def _pencil_engine(datum: DNDatum, xi1: complex) -> MomentEngine:
@@ -208,7 +212,8 @@ class OrientationReport:
 
 
 def orientation_probe(datum: DNDatum, center: tuple, extent: float,
-                      pass_shock: float = 1e-5) -> OrientationReport:
+                      pass_shock: float = DEFAULT_THRESHOLDS["shock"]
+                      ) -> OrientationReport:
     """Which orientation of gamma satisfies the shock criterion.
 
     When G is affine in xi0 over the window for both orientations the
@@ -245,21 +250,19 @@ def orientation_probe(datum: DNDatum, center: tuple, extent: float,
 
 @dataclass
 class CharacterizationReport:
-    hypothesis_a: dict
+    hypothesis_a: dict          # the datum's margins, echoed
     shock: ShockReport
     orientation: OrientationReport
     green_residuals: np.ndarray | None
     green_probes: np.ndarray | None
-    thresholds: dict = field(default_factory=dict)
+    thresholds: dict
 
     @property
     def passed(self) -> bool:
-        ok = self.hypothesis_a.get("injective", False) \
-            and self.hypothesis_a.get("immersive", False)
-        ok = ok and self.shock.max_shock < self.thresholds.get("shock", 1e-5)
+        ok = self.shock.max_shock < self.thresholds["shock"]
         if self.green_residuals is not None:
             ok = ok and float(np.max(self.green_residuals)) \
-                < self.thresholds.get("green", 1e-6)
+                < self.thresholds["green"]
         return bool(ok)
 
     def to_json(self) -> dict:
@@ -280,7 +283,7 @@ class CharacterizationReport:
 
 def characterize(datum: DNDatum, center: tuple, extent: float,
                  candidate_points=None, candidate_charges=None,
-                 probe_count: int = 20, seed: int = 7,
+                 probe_count: int = PROBE_COUNT, seed: int = PROBE_SEED,
                  thresholds: dict | None = None) -> CharacterizationReport:
     """Run all characterization criteria and assemble the report.
 
@@ -288,9 +291,7 @@ def characterize(datum: DNDatum, center: tuple, extent: float,
     passing orientation's residuals enter the verdict and the report keeps
     the flag, so a relabeled curve is still accepted.
     """
-    thresholds = dict(thresholds or {})
-    thresholds.setdefault("shock", 1e-5)
-    thresholds.setdefault("green", 1e-6)
+    thresholds = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     limit = thresholds["shock"]
     orient = orientation_probe(datum, center, extent, pass_shock=limit)
     if orient.verdict != "-gamma" and _passes(orient.forward, limit):
@@ -303,7 +304,7 @@ def characterize(datum: DNDatum, center: tuple, extent: float,
         probes = exterior_probes(oriented.curve, probe_count, seed)
         green = green_identity_residual(oriented, candidate_points,
                                         candidate_charges, probes)
-    return CharacterizationReport(datum.hypothesis_a.to_json(), shock, orient,
+    return CharacterizationReport(datum.hypothesis_a, shock, orient,
                                   green, probes, thresholds)
 
 

@@ -1,9 +1,9 @@
 """Command-line pipelines: forward, invert, residues, characterize, compact.
 
-All inputs and outputs are UTF-8 JSON with schema-version fields.  Exit
-codes: 2 bad datum or config, 3 inversion failure, 4 cross-potential
-inconsistency, 5 characterization failure.  Outputs are byte-deterministic
-for identical configs (fixed summation order, fixed seeds).
+All inputs and outputs are UTF-8 JSON with schema-version fields.  Each
+command runs straight through; ``main`` maps the engine error that ends it
+to an exit code by FAILURES.  Outputs are byte-deterministic for identical
+configs (fixed summation order, fixed seeds).
 """
 from __future__ import annotations
 
@@ -16,30 +16,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .characterize import CharacterizationError, characterize
+from .characterize import (DEFAULT_THRESHOLDS, PROBE_COUNT, PROBE_SEED,
+                           CharacterizationError, characterize)
 from .dirichlet import DNDatum, Prescription, build_dn_datum
 from .errors import (ConfigError, FiberError, ModelError, MomentError,
-                     PartitionError, SolveError)
+                     NodalIdnError, PartitionError, SolveError)
 from .model import AdmissibleFamily, BoundaryCurve, DiskDomain, NodalDomainModel
-from .moments import MomentEngine, ReconstructedCurve, WindowPlan, sweep_windows
-from .nodes import (analyze_singular_point, classify_and_partition,
-                    locate_singularities)
+from .moments import (WINDOW_GRID_N, MomentEngine, ReconstructedCurve,
+                      WindowPlan, sweep_windows)
+from .nodes import (DEFAULT_CONTOUR_RADIUS, analyze_singular_point,
+                    classify_and_partition, locate_singularities)
 
 log = logging.getLogger("nodal_idn.cli")
 
-EXIT_BAD_DATUM = 2
-EXIT_INVERSION = 3
-EXIT_INCONSISTENT = 4
 EXIT_CHARACTERIZATION = 5
-THRESHOLD_KEYS = ("shock", "green")
+# (error kinds, exit code, stderr label), first match wins: ConfigError is
+# a ModelError, MonodromyError a FiberError
+FAILURES = (
+    (ConfigError, 2, "bad config: "),
+    ((ModelError, SolveError), 2, "bad datum: "),
+    ((FiberError, MomentError), 3, ""),
+    (PartitionError, 4, ""),
+    (CharacterizationError, EXIT_CHARACTERIZATION, ""),
+)
 
 
 @dataclass
 class PipelineConfig:
-    command: str
     doc: dict
     out: str | None
-    base_dir: str = "."
+    base_dir: str
 
     def path(self, key: str, default=None) -> str:
         """A file name of the config, resolved against the config dir."""
@@ -81,8 +87,8 @@ def _complex_list(value, key: str, count: int | None = None) -> np.ndarray:
 
 def _decode_plan(value) -> WindowPlan:
     """The window plan: an object with a list of complex ``centers``, a
-    finite positive ``radius`` and an integer ``grid_n`` of at least 2 (9
-    if absent).  ``max_order`` is gone and read only as null."""
+    finite positive ``radius`` and an integer ``grid_n`` of at least 2
+    (WINDOW_GRID_N if absent).  ``max_order`` is gone and read only as null."""
     if not isinstance(value, dict):
         raise ConfigError("windows must be an object with centers and radius")
     if value.get("max_order") is not None:
@@ -90,7 +96,8 @@ def _decode_plan(value) -> WindowPlan:
     centers = _complex_list(value.get("centers"), "windows centers")
     return WindowPlan(list(centers),
                       _positive(value.get("radius"), "windows radius"),
-                      _integer(value.get("grid_n", 9), "windows grid_n", 2))
+                      _integer(value.get("grid_n", WINDOW_GRID_N), "windows grid_n",
+                               2))
 
 
 def _decode_prescription(doc: dict) -> Prescription:
@@ -120,12 +127,7 @@ def cmd_forward(cfg: PipelineConfig) -> int:
     if cfg.doc.get("prescriptions"):
         prescriptions = tuple(_decode_prescription(p)
                               for p in cfg.doc["prescriptions"])
-    try:
-        datum = build_dn_datum(model, families, boundary_values=boundary,
-                               prescriptions=prescriptions)
-    except SolveError as exc:
-        print(f"forward: bad datum: {exc}", file=sys.stderr)
-        return EXIT_BAD_DATUM
+    datum = build_dn_datum(model, families, boundary, prescriptions)
     jsonio.dump(datum.to_json(), cfg.out or "datum.json")
     log.info("forward: wrote %s", cfg.out or "datum.json")
     return 0
@@ -135,11 +137,7 @@ def cmd_invert(cfg: PipelineConfig) -> int:
     datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
     plan = _decode_plan(cfg.doc.get("windows"))
     engine = MomentEngine.from_datum(datum)
-    try:
-        curve = sweep_windows(engine, plan)
-    except (FiberError, MomentError) as exc:
-        print(f"invert: {exc}", file=sys.stderr)
-        return EXIT_INVERSION
+    curve = sweep_windows(engine, plan)
     out = cfg.out or "curve.json"
     jsonio.dump(curve.to_json(), out)
     report_lines = [f"windows analyzed: {len(curve.windows)}"]
@@ -181,16 +179,9 @@ def _self_consistency(engine: MomentEngine, curve: ReconstructedCurve) -> float:
 def cmd_residues(cfg: PipelineConfig) -> int:
     datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
     curve = ReconstructedCurve.from_json(jsonio.load(cfg.path("curve")))
-    radius = _positive(cfg.doc.get("contour_radius", 0.05), "contour_radius")
-    try:
-        inventory = _node_inventory(curve, MomentEngine.from_datum(datum),
-                                    radius)
-    except (FiberError, MomentError) as exc:
-        print(f"residues: contour tracking failed: {exc}", file=sys.stderr)
-        return EXIT_INVERSION
-    except PartitionError as exc:
-        print(f"residues: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    radius = _positive(cfg.doc.get("contour_radius", DEFAULT_CONTOUR_RADIUS),
+                       "contour_radius")
+    inventory = _node_inventory(curve, MomentEngine.from_datum(datum), radius)
     jsonio.dump(inventory.to_json(), cfg.out or "nodes.json")
     return 0
 
@@ -206,14 +197,14 @@ def _node_inventory(curve: ReconstructedCurve, engine: MomentEngine,
 
 def _decode_thresholds(value) -> dict | None:
     """The characterize thresholds: absent, or an object whose keys are
-    among THRESHOLD_KEYS, each a finite positive number."""
+    among DEFAULT_THRESHOLDS, each a finite positive number."""
     if value is None:
         return None
     if not isinstance(value, dict):
         raise ConfigError("thresholds must be an object with keys among "
                           "shock, green")
     for key, limit in value.items():
-        if key not in THRESHOLD_KEYS:
+        if key not in DEFAULT_THRESHOLDS:
             raise ConfigError(f"unknown threshold {key!r}: expected shock "
                               "or green")
         _positive(limit, f"threshold {key!r}")
@@ -261,16 +252,11 @@ def cmd_characterize(cfg: PipelineConfig) -> int:
     datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
     center, extent = _decode_window(cfg.doc.get("window"))
     thresholds = _decode_thresholds(cfg.doc.get("thresholds"))
-    probes = _integer(cfg.doc.get("probes", 20), "probes", 1)
-    seed = _integer(cfg.doc.get("seed", 7), "seed", 0)
+    probes = _integer(cfg.doc.get("probes", PROBE_COUNT), "probes", 1)
+    seed = _integer(cfg.doc.get("seed", PROBE_SEED), "seed", 0)
     points, charges = _decode_candidates(cfg.doc.get("candidates"))
-    try:
-        report = characterize(datum, center, extent, points, charges,
-                              probe_count=probes, seed=seed,
-                              thresholds=thresholds)
-    except CharacterizationError as exc:
-        print(f"characterize: {exc}", file=sys.stderr)
-        return EXIT_CHARACTERIZATION
+    report = characterize(datum, center, extent, points, charges,
+                          probe_count=probes, seed=seed, thresholds=thresholds)
     jsonio.dump(report.to_json(), cfg.out or "caract.json")
     return 0 if report.passed else EXIT_CHARACTERIZATION
 
@@ -338,30 +324,15 @@ def cmd_compact(cfg: PipelineConfig) -> int:
     doc = cfg.doc
     prefix = cfg.out or cfg.path("out_prefix", "compact")
     plan = _decode_plan(doc.get("windows"))
-    radius = _positive(doc.get("contour_radius", 0.05), "contour_radius")
-    try:
-        model, us, prescriptions = _compact_potentials(doc)
-        datum = build_dn_datum(model, None, boundary_values=us,
-                               prescriptions=prescriptions)
-    except SolveError as exc:
-        print(f"compact: bad scenario: {exc}", file=sys.stderr)
-        return EXIT_BAD_DATUM
+    radius = _positive(doc.get("contour_radius", DEFAULT_CONTOUR_RADIUS),
+                       "contour_radius")
+    model, us, prescriptions = _compact_potentials(doc)
+    datum = build_dn_datum(model, None, us, prescriptions)
     jsonio.dump(datum.to_json(), f"{prefix}.datum.json")
     engine = MomentEngine.from_datum(datum)
-    try:
-        curve = sweep_windows(engine, plan)
-    except (FiberError, MomentError) as exc:
-        print(f"compact: inversion failed: {exc}", file=sys.stderr)
-        return EXIT_INVERSION
+    curve = sweep_windows(engine, plan)
     jsonio.dump(curve.to_json(), f"{prefix}.curve.json")
-    try:
-        inventory = _node_inventory(curve, engine, radius)
-    except (FiberError, MomentError) as exc:
-        print(f"compact: contour tracking failed: {exc}", file=sys.stderr)
-        return EXIT_INVERSION
-    except PartitionError as exc:
-        print(f"compact: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    inventory = _node_inventory(curve, engine, radius)
     jsonio.dump(inventory.to_json(), f"{prefix}.nodes.json")
     summary = {
         "schema": "nodal-idn/compact/1",
@@ -402,25 +373,21 @@ def main(argv=None) -> int:
         print(f"nodal-idn: cannot read config {args.config}: {exc}",
               file=sys.stderr)
         return 1
-    if not isinstance(doc, dict):
-        print(f"{args.command}: bad config: the top level is not a JSON "
-              "object", file=sys.stderr)
-        return EXIT_BAD_DATUM
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    out = args.out
-    if out is None and isinstance(doc.get("out"), str):
-        out = doc["out"] if os.path.isabs(doc["out"]) \
-            else os.path.join(base_dir, doc["out"])
-    cfg = PipelineConfig(args.command, doc, out, base_dir)
     try:
-        return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"{args.command}: bad config: {exc}", file=sys.stderr)
-        return EXIT_BAD_DATUM
-    except ModelError as exc:
-        # malformed curve, model, family or prescription, in any command
-        print(f"{args.command}: bad datum: {exc}", file=sys.stderr)
-        return EXIT_BAD_DATUM
+        if not isinstance(doc, dict):
+            raise ConfigError("the top level is not a JSON object")
+        out = args.out
+        if out is None and isinstance(doc.get("out"), str):
+            out = doc["out"] if os.path.isabs(doc["out"]) \
+                else os.path.join(base_dir, doc["out"])
+        return COMMANDS[args.command](PipelineConfig(doc, out, base_dir))
+    except NodalIdnError as exc:
+        for kinds, code, label in FAILURES:
+            if isinstance(exc, kinds):
+                print(f"{args.command}: {label}{exc}", file=sys.stderr)
+                return code
+        raise
     except (OSError, ValueError, KeyError) as exc:
         print(f"nodal-idn: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ residue c, so contour residues of dU recover the charges directly.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,45 +199,18 @@ def compute_theta(dist: HarmonicDistribution) -> np.ndarray:
 
 
 @dataclass
-class HypothesisAReport:
-    injective: bool
-    min_image_gap: float
-    immersive: bool
-    min_speed: float
-    offending_pairs: list = field(default_factory=list)
-    zero_theta0_samples: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.injective and self.immersive and not self.zero_theta0_samples
-
-    def to_json(self) -> dict:
-        return {
-            "injective": self.injective,
-            "min_image_gap": self.min_image_gap,
-            "immersive": self.immersive,
-            "min_speed": self.min_speed,
-            "offending_pairs": [[int(i), int(j)] for i, j in self.offending_pairs],
-            "zero_theta0_samples": [int(i) for i in self.zero_theta0_samples],
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "HypothesisAReport":
-        return HypothesisAReport(doc["injective"], doc["min_image_gap"],
-                                 doc["immersive"], doc["min_speed"],
-                                 [tuple(p) for p in doc["offending_pairs"]],
-                                 list(doc["zero_theta0_samples"]))
-
-
-@dataclass
 class DNDatum:
-    """Boundary triple (gamma, u, theta u) with the derived embedding f."""
+    """Boundary triple (gamma, u, theta u) with the derived embedding f.
+
+    ``hypothesis_a`` holds the margins that ``check_hypothesis_a`` measured
+    on f when the datum was built; it raises where f fails.
+    """
 
     curve: BoundaryCurve
     u: np.ndarray          # shape (3, n)
     theta: np.ndarray      # shape (3, n), dz coefficients
     f: np.ndarray          # shape (2, n)
-    hypothesis_a: HypothesisAReport
+    hypothesis_a: dict
 
     @property
     def n(self) -> int:
@@ -255,13 +228,14 @@ class DNDatum:
             "u": [jsonio.encode_complex_array(row) for row in self.u],
             "theta": [jsonio.encode_complex_array(row) for row in self.theta],
             "f": [jsonio.encode_complex_array(row) for row in self.f],
-            "hypothesisA": self.hypothesis_a.to_json(),
+            "hypothesisA": self.hypothesis_a,
         }
 
     @staticmethod
     def from_json(doc: dict) -> "DNDatum":
         """The datum of a file; ModelError where u, theta or f has a sample
-        that is not finite."""
+        that is not finite.  Of ``hypothesisA`` only the margins are read,
+        so files that also carry the former pass flags load alike."""
         jsonio.require_schema(doc, DATUM_SCHEMA)
         curve = BoundaryCurve.from_json(doc["curve"])
         rows = {}
@@ -272,14 +246,16 @@ class DNDatum:
             if bad.size:
                 raise ModelError(f"datum {key} is not finite at samples "
                                  f"{bad.tolist()}")
-        return DNDatum(curve, rows["u"], rows["theta"], rows["f"],
-                       HypothesisAReport.from_json(doc["hypothesisA"]))
+        margins = {key: doc["hypothesisA"][key]
+                   for key in ("min_image_gap", "min_speed")}
+        return DNDatum(curve, rows["u"], rows["theta"], rows["f"], margins)
 
 
 def check_hypothesis_a(curve: BoundaryCurve,
-                       theta: np.ndarray) -> tuple[np.ndarray, HypothesisAReport]:
+                       theta: np.ndarray) -> tuple[np.ndarray, dict]:
     """Derive f = (theta1/theta0, theta2/theta0) and test the embedding;
-    ModelError where it fails."""
+    ModelError where it fails.  Returns f and its margins: the smallest
+    image gap and the smallest speed |df0| + |df1|."""
     theta0 = theta[0]
     scale = np.max(np.abs(theta0), where=np.isfinite(theta0), initial=0.0)
     zero_idx = np.nonzero(np.abs(theta0) < 1e-12 * max(scale, 1e-300))[0]
@@ -307,7 +283,7 @@ def check_hypothesis_a(curve: BoundaryCurve,
                          f"(min gap {min_gap:.3e}), immersive={immersive} "
                          f"(min speed {min_speed:.3e}), "
                          f"pairs={[] if injective else [pair]}")
-    return f, HypothesisAReport(True, min_gap, True, min_speed)
+    return f, {"min_image_gap": min_gap, "min_speed": min_speed}
 
 
 def _min_image_gap(f: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -347,7 +323,7 @@ def _min_image_gap(f: np.ndarray) -> tuple[float, tuple[int, int]]:
 
 def build_dn_datum(model: NodalDomainModel,
                    families: tuple,
-                   boundary_values: tuple | None = None,
+                   boundary_values: tuple,
                    prescriptions: tuple | None = None) -> DNDatum:
     """Assemble a DN datum from three boundary potentials or prescribed forms.
 
@@ -361,8 +337,7 @@ def build_dn_datum(model: NodalDomainModel,
     if families and len(families) != 3:
         raise ModelError(f"expected one admissible family per potential, "
                          f"got {len(families)} for 3 potentials")
-    if boundary_values is None or \
-            [np.size(v) for v in boundary_values] != [curve.n] * 3:
+    if [np.size(v) for v in boundary_values] != [curve.n] * 3:
         raise ModelError(f"expected 3 boundary_values rows of {curve.n} "
                          "samples each")
     if prescriptions is not None:
@@ -383,8 +358,8 @@ def build_dn_datum(model: NodalDomainModel,
         u = np.vstack(rows_u)
         theta = np.vstack(rows_t)
 
-    f, report = check_hypothesis_a(curve, theta)
-    return DNDatum(curve, u, theta, f, report)
+    f, margins = check_hypothesis_a(curve, theta)
+    return DNDatum(curve, u, theta, f, margins)
 
 
 def _check_prescription(model: NodalDomainModel, family: AdmissibleFamily | None,

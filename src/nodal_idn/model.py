@@ -32,7 +32,6 @@ class BoundaryCurve:
 
     positions: np.ndarray
     derivatives: np.ndarray
-    orientation: int = 1
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=complex)
@@ -51,8 +50,6 @@ class BoundaryCurve:
         ordered = pos[np.lexsort((pos.imag, pos.real))]
         if np.any(ordered[1:] == ordered[:-1]):
             raise ModelError("curve samples are not pairwise distinct")
-        if self.orientation not in (1, -1):
-            raise ModelError("orientation must be +1 or -1")
         if _polygon_self_intersects(pos):
             raise ModelError("polygonal closure of the samples self-intersects")
 
@@ -73,8 +70,7 @@ class BoundaryCurve:
     def reversed(self) -> "BoundaryCurve":
         """Same geometric curve with the opposite orientation."""
         idx = (-np.arange(self.n)) % self.n
-        return BoundaryCurve(self.positions[idx], -self.derivatives[idx],
-                             -self.orientation)
+        return BoundaryCurve(self.positions[idx], -self.derivatives[idx])
 
     def distance_to(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -90,21 +86,20 @@ class BoundaryCurve:
         else:
             pos = center + radius * np.exp(-1j * t)
             der = -1j * radius * np.exp(-1j * t)
-        return BoundaryCurve(pos, der, orientation)
+        return BoundaryCurve(pos, der)
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "positions": jsonio.encode_complex_array(self.positions),
             "derivatives": jsonio.encode_complex_array(self.derivatives),
-            "orientation": self.orientation,
         }
 
     @staticmethod
     def from_json(doc: dict) -> "BoundaryCurve":
+        """The curve of a file; a former ``orientation`` key is ignored."""
         return BoundaryCurve(jsonio.decode_complex_array(doc["positions"]),
-                             jsonio.decode_complex_array(doc["derivatives"]),
-                             int(doc.get("orientation", 1)))
+                             jsonio.decode_complex_array(doc["derivatives"]))
 
 
 def grid_pairs(x0, x1, y0, y1):

@@ -54,6 +54,7 @@ from .model import BoundaryCurve
 from .spectral import fourier_derivative
 
 CURVE_SCHEMA = "nodal-idn/curve/1"
+WINDOW_GRID_N = 9               # window grid points per axis
 MAX_MOMENT_ORDER = 32
 SHEET_INTEGRALITY_TOL = 1e-4
 BRANCH_SEPARATION_FLOOR = 1e-4
@@ -756,7 +757,7 @@ def _analyze_windows(engine: MomentEngine, centers, radius: float,
 class WindowPlan:
     centers: list
     radius: float
-    grid_n: int = 9
+    grid_n: int = WINDOW_GRID_N
 
     @staticmethod
     def ring(center: complex, ring_radius: float, count: int,

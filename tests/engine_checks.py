@@ -20,7 +20,7 @@ def ellipse(a: float, b: float, n: int) -> BoundaryCurve:
     t = parameter_grid(n)
     pos = a * np.cos(t) + 1j * b * np.sin(t)
     der = -a * np.sin(t) + 1j * b * np.cos(t)
-    return BoundaryCurve(pos, der, 1)
+    return BoundaryCurve(pos, der)
 
 
 def compute_G(datum, xi0, xi1):

@@ -268,7 +268,7 @@ def test_criterion_09_characterization(charged_datum, charged_scenario,
                               candidate_charges=TRUE_CHARGES)
         assert report.passed
         doc = report.to_json()
-        assert doc["schema"] == "nodal-idn/caract/3"
+        assert doc["schema"] == "nodal-idn/caract/4"
         assert set(doc["thresholds"]) == {"shock", "green"}
 
 

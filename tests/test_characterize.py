@@ -268,7 +268,7 @@ class TestReport:
                            candidate_charges=TRUE_CHARGES)
         assert rep.passed
         doc = rep.to_json()
-        assert doc["schema"] == "nodal-idn/caract/3"
+        assert doc["schema"] == "nodal-idn/caract/4"
         assert doc["passed"] is True
 
     def test_reversed_charged_still_passes(self, charged_datum):

@@ -177,6 +177,30 @@ class TestExitCodes:
         proc = run_cli(tmp_path, "invert", "graph_bad.invert.json")
         assert proc.returncode == 3, proc.stderr
 
+    @pytest.mark.parametrize("kind, code, label", [
+        ("ConfigError", 2, "bad config: "),
+        ("ModelError", 2, "bad datum: "),
+        ("SolveError", 2, "bad datum: "),
+        ("MomentError", 3, ""),
+        ("FiberError", 3, ""),
+        ("MonodromyError", 3, ""),
+        ("PartitionError", 4, ""),
+        ("CharacterizationError", 5, "")])
+    def test_failure_table(self, monkeypatch, tmp_path, capsys, kind, code,
+                           label):
+        # each engine error a command raises ends main with its documented
+        # exit code and one stderr line, whichever command raised it
+        from nodal_idn import cli, errors
+
+        def fail(cfg):
+            raise getattr(errors, kind)("forced failure")
+
+        monkeypatch.setitem(cli.COMMANDS, "forward", fail)
+        (tmp_path / "f.json").write_text("{}")
+        assert cli.main(["forward", "--config", str(tmp_path / "f.json")]) \
+            == code
+        assert capsys.readouterr().err == f"forward: {label}forced failure\n"
+
     def test_residues_exit_4_on_partition_error(self, monkeypatch, tmp_path,
                                                 charged_outputs):
         from nodal_idn import cli
@@ -186,11 +210,12 @@ class TestExitCodes:
             raise PartitionError("forced inconsistency")
 
         monkeypatch.setattr(cli, "classify_and_partition", boom)
-        cfg = cli.PipelineConfig("residues", {
+        (tmp_path / "r.json").write_text(json.dumps({
             "datum": str(charged_outputs / "charged4.datum.json"),
             "curve": str(charged_outputs / "charged4.curve.json"),
-        }, str(tmp_path / "n.json"))
-        assert cli.cmd_residues(cfg) == 4
+        }))
+        assert cli.main(["residues", "--config", str(tmp_path / "r.json"),
+                         "--out", str(tmp_path / "n.json")]) == 4
 
     def test_residues_exits_3_when_contour_tracking_fails(self, tmp_path,
                                                            charged_outputs):
@@ -544,7 +569,8 @@ class TestCompact:
         # reconstruction still matches the augmented rational oracle
         import numpy as np
         from nodal_idn.cli import _compact_potentials
-        from nodal_idn.dirichlet import build_dn_datum
+        from nodal_idn.dirichlet import (IMMERSION_FLOOR, INJECTIVITY_GAP,
+                                         build_dn_datum)
         from nodal_idn.moments import MomentEngine, WindowPlan, sweep_windows
         cfg = {
             "rho": 1.0, "n": 512,
@@ -559,7 +585,8 @@ class TestCompact:
         model, us, prescriptions = _compact_potentials(cfg)
         datum = build_dn_datum(model, None, boundary_values=us,
                                prescriptions=prescriptions)
-        assert datum.hypothesis_a.passed
+        assert datum.hypothesis_a["min_image_gap"] > INJECTIVITY_GAP
+        assert datum.hypothesis_a["min_speed"] > IMMERSION_FLOOR
         forms = _oracle_forms(cfg)
         plan = WindowPlan.ring(0.5146 - 0.3672j, 0.03, 4, 0.02)
         rec = sweep_windows(MomentEngine.from_datum(datum), plan)

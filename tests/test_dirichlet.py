@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from annulus_fredholm import FredholmAnnulus
 from engine_checks import residue_at, verify_weak_holomorphy
-from nodal_idn import oracles
-from nodal_idn.dirichlet import (INJECTIVITY_GAP, DNDatum, Prescription,
-                                 _min_image_gap, apply_dn, build_dn_datum,
-                                 check_hypothesis_a, compute_theta,
-                                 solve_nodal_dirichlet)
+from nodal_idn import jsonio, oracles
+from nodal_idn.dirichlet import (IMMERSION_FLOOR, INJECTIVITY_GAP, DNDatum,
+                                 Prescription, _min_image_gap, apply_dn,
+                                 build_dn_datum, check_hypothesis_a,
+                                 compute_theta, solve_nodal_dirichlet)
 from nodal_idn.errors import ModelError
 from nodal_idn.greens import disk_green
 from nodal_idn.model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve,
@@ -211,7 +211,7 @@ class TestBuildDatum:
               2 * (z**4 / 4 - z**2 / 2).real)
         datum = build_dn_datum(model, None, boundary_values=us,
                                prescriptions=(w0, w1, w2))
-        assert datum.hypothesis_a.passed
+        _assert_margins_pass(datum)
         assert np.max(np.abs(datum.f[0] - (z**2 - 1))) < 1e-12
         assert np.max(np.abs(datum.f[1] - (z**3 - z))) < 1e-12
 
@@ -229,7 +229,7 @@ class TestBuildDatum:
 
     def test_charged_node_image(self, charged_datum):
         # both node preimages map to (2, 3); verified at 200 extra samples
-        assert charged_datum.hypothesis_a.passed
+        _assert_margins_pass(charged_datum)
         f1 = 2 + np.array([1.0, -1.0]) ** 3 - np.array([1.0, -1.0])
         f2 = 3 + np.array([1.0, -1.0]) ** 4 - np.array([1.0, -1.0]) ** 2
         assert np.allclose(f1, [2.0, 2.0]) and np.allclose(f2, [3.0, 3.0])
@@ -257,13 +257,41 @@ class TestBuildDatum:
                            prescriptions=(w0, stray, w0))
 
     def test_json_round_trip(self, charged_datum, tmp_path):
-        from nodal_idn import jsonio
         path = tmp_path / "datum.json"
         jsonio.dump(charged_datum.to_json(), path)
         back = DNDatum.from_json(jsonio.load(path))
         assert np.allclose(back.theta, charged_datum.theta)
         assert np.allclose(back.f, charged_datum.f)
-        assert back.hypothesis_a.passed
+        assert back.hypothesis_a == charged_datum.hypothesis_a
+        _assert_margins_pass(back)
+
+    def test_former_layout_decodes_alike(self, charged_datum, tmp_path):
+        # the former layout: a curve orientation label and a hypothesisA
+        # block with pass flags and index lists beside the two margins
+        doc = charged_datum.to_json()
+        assert set(doc["hypothesisA"]) == {"min_image_gap", "min_speed"}
+        assert "orientation" not in doc["curve"]
+        former = dict(doc, curve=dict(doc["curve"], orientation=1),
+                      hypothesisA=dict(doc["hypothesisA"], injective=True,
+                                       immersive=True, offending_pairs=[],
+                                       zero_theta0_samples=[]))
+        backs = []
+        for name, layout in (("new", doc), ("former", former)):
+            jsonio.dump(layout, tmp_path / f"{name}.json")
+            backs.append(DNDatum.from_json(jsonio.load(tmp_path / f"{name}.json")))
+        new, old = backs
+        for a, b in ((new.curve.positions, old.curve.positions),
+                     (new.curve.derivatives, old.curve.derivatives),
+                     (new.u, old.u), (new.theta, old.theta), (new.f, old.f),
+                     (new.f, charged_datum.f)):
+            assert a.tobytes() == b.tobytes()
+        assert new.hypothesis_a == old.hypothesis_a == charged_datum.hypothesis_a
+
+
+def _assert_margins_pass(datum):
+    """The margins that check_hypothesis_a measured clear its limits."""
+    assert datum.hypothesis_a["min_image_gap"] > INJECTIVITY_GAP
+    assert datum.hypothesis_a["min_speed"] > IMMERSION_FLOOR
 
 
 def _image(n, f0, f1):
@@ -300,9 +328,9 @@ class TestHypothesisAOracle:
         assert 0.0 < gap < INJECTIVITY_GAP
 
     def test_charged4_image(self, charged_datum):
-        report = charged_datum.hypothesis_a
         gap, _ = oracles.min_image_gap(charged_datum.f)
-        assert report.injective and report.min_image_gap == gap
+        assert _min_image_gap(charged_datum.f)[0] == gap > INJECTIVITY_GAP
+        assert charged_datum.hypothesis_a["min_image_gap"] == gap
 
     @given(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
                                        allow_infinity=False),

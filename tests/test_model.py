@@ -46,7 +46,6 @@ class TestBoundaryCurve:
         back = curve.reversed().reversed()
         assert np.allclose(back.positions, curve.positions)
         assert np.allclose(back.derivatives, curve.derivatives)
-        assert back.orientation == curve.orientation
 
     def test_outward_normal_circle(self):
         curve = BoundaryCurve.circle(2.0, 32)
