@@ -8,7 +8,6 @@ configs (fixed summation order, fixed seeds).
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ from .moments import (WINDOW_GRID_N, MomentEngine, ReconstructedCurve,
 from .nodes import (DEFAULT_CONTOUR_RADIUS, analyze_singular_point,
                     classify_and_partition, locate_singularities)
 
-log = logging.getLogger("nodal_idn.cli")
 
 EXIT_CHARACTERIZATION = 5
 # (error kinds, exit code, stderr label), first match wins: ConfigError is
@@ -129,7 +127,6 @@ def cmd_forward(cfg: PipelineConfig) -> int:
                               for p in cfg.doc["prescriptions"])
     datum = build_dn_datum(model, families, boundary, prescriptions)
     jsonio.dump(datum.to_json(), cfg.out or "datum.json")
-    log.info("forward: wrote %s", cfg.out or "datum.json")
     return 0
 
 
@@ -364,9 +361,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
-    level = os.environ.get("NODAL_IDN_LOG", "error").lower()
-    logging.basicConfig(level={"error": logging.ERROR, "info": logging.INFO,
-                               "debug": logging.DEBUG}.get(level, logging.ERROR))
     try:
         doc = jsonio.load(args.config)
     except (OSError, ValueError) as exc:

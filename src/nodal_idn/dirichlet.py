@@ -251,8 +251,7 @@ class DNDatum:
         return DNDatum(curve, rows["u"], rows["theta"], rows["f"], margins)
 
 
-def check_hypothesis_a(curve: BoundaryCurve,
-                       theta: np.ndarray) -> tuple[np.ndarray, dict]:
+def check_hypothesis_a(theta: np.ndarray) -> tuple[np.ndarray, dict]:
     """Derive f = (theta1/theta0, theta2/theta0) and test the embedding;
     ModelError where it fails.  Returns f and its margins: the smallest
     image gap and the smallest speed |df0| + |df1|."""
@@ -358,7 +357,7 @@ def build_dn_datum(model: NodalDomainModel,
         u = np.vstack(rows_u)
         theta = np.vstack(rows_t)
 
-    f, margins = check_hypothesis_a(curve, theta)
+    f, margins = check_hypothesis_a(theta)
     return DNDatum(curve, u, theta, f, margins)
 
 

@@ -281,24 +281,16 @@ class NodalDomainModel:
         aux = tuple((complex(p), complex(r)) for p, r in self.auxiliary_poles)
         object.__setattr__(self, "auxiliary_poles", aux)
         margin = INTERIOR_MARGIN * _domain_scale(self.domain)
-        seen = []
         for g in groups:
             if g.size < 2:
                 raise ModelError("a node group must identify at least 2 points")
             if not np.all(self.domain.contains(g, margin=margin)):
                 raise ModelError("node-group point too close to the boundary "
                                  "or outside the domain")
-            pair = np.abs(g[:, None] - g[None, :])
-            np.fill_diagonal(pair, np.inf)
-            if np.min(pair) == 0.0:
-                raise ModelError("points within a node group must be distinct")
-            seen.extend(g.tolist())
-        if seen:
-            arr = np.array(seen)
-            pair = np.abs(arr[:, None] - arr[None, :])
-            np.fill_diagonal(pair, np.inf)
-            if np.min(pair) == 0.0:
-                raise ModelError("node groups must be pairwise disjoint")
+        points = np.sort(self.all_points())     # equal points are adjacent
+        if np.any(points[1:] == points[:-1]):
+            raise ModelError("node points must be distinct, within a group "
+                             "and across groups")
         if aux:
             pts = np.array([p for p, _ in aux])
             res = np.array([r for _, r in aux])

@@ -10,12 +10,13 @@ test curves live in the bounded regime where the polynomial part vanishes.
 a polynomial fit to the moments at far-field probes where the fiber is
 empty (Delves & Lyness, Math. Comp. 1967).  Power sums are converted to
 roots through Newton's identities and one batched Aberth iteration on the
-monic polynomial they give; only the rows where it does not converge, and
-batches too small for it to pay, take companion-matrix eigenvalues.  The
-form quotients dU_ell / dF2 at the fiber points come from a Vandermonde
-solve against theta-weighted moments.  A window sweep round makes one
-root recovery, snake match and quotient solve per sheet count; its kernel
-calls stay per window, so each window uses the disc it would use alone.
+monic polynomial they give; only the rows where it does not converge take
+companion-matrix eigenvalues, so each row's roots depend on its own power
+sums alone, whatever batch it comes in.  The form quotients dU_ell / dF2
+at the fiber points come from a Vandermonde solve against theta-weighted
+moments.  A window sweep round makes one root recovery, snake match and
+quotient solve per sheet count; its kernel calls stay per window, so each
+window uses the disc it would use alone.
 
 The kernel is the periodic trapezoid rule (1/iN) sum_k w_k f1_k^m /
 (f2_k - xi), for the weight row w = df2 or w = theta_ell dgamma.  Summed
@@ -71,7 +72,6 @@ NEAR_SPACINGS = 6.0         # grid spacings of |df2| that plain quadrature keeps
 ROOT_BLOCK = 512            # path points per kernel call and root recovery
 MAX_HALVINGS = 6            # halving levels of an unsafe continuation step
 ABERTH_STEPS = 20           # Aberth steps before a row falls back
-ABERTH_MIN_ROWS = 64        # smaller batches take the eigensolve at once
 ABERTH_TOL = 1e-10          # relative step at which an Aberth row stops
 ABERTH_START_ANGLE = 0.4    # turns the start circle off symmetric fibers
 UNSAFE_STEP = ("continuation step exceeds half the root separation: "
@@ -327,26 +327,30 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.roots(np.asarray(coeffs, dtype=complex)[::-1]).astype(complex)
 
 
-def roots_from_power_sums(power_sums: np.ndarray) -> np.ndarray:
+def roots_from_power_sums(power_sums: np.ndarray,
+                          clustered: bool = False) -> np.ndarray:
     """Monic-polynomial roots whose power sums are the given S_1..S_p.
 
-    Batched over leading axes.  A batch of at least ABERTH_MIN_ROWS rows
-    runs the Aberth iteration on the monic polynomial of Newton's
-    identities (``_aberth``).  The stacked eigenvalue solve on companion
-    matrices built as ``np.roots`` builds them takes the rows where the
-    iteration did not converge or left a value that is not finite, and
-    every row of a smaller batch, where it is the faster: a step of the
-    iteration costs some 40 array operations whatever the batch, the
-    eigensolve about 20 us a 4 x 4 row.  A row whose constant coefficient
-    is exactly zero goes through ``np.roots``, which deflates the zero
-    roots.
+    Batched over leading axes, and each row of a batch is recovered from
+    its own power sums alone: no other row, and no batch size, changes a
+    bit of its roots.  (A single vector of power sums takes numpy's scalar
+    arithmetic in Newton's identities, which can round apart from a
+    one-row batch.)  The Aberth iteration runs on the monic polynomial of
+    Newton's identities (``_aberth``), and the stacked eigenvalue solve on
+    companion matrices built as ``np.roots`` builds them takes the rows
+    where it did not converge or left a value that is not finite.
+    ``clustered`` sends every row to the eigensolve at once, for callers
+    whose roots cluster by construction (a discriminant census, a
+    monodromy cycle), where the iteration converges slowly.  A row whose
+    constant coefficient is exactly zero goes through ``np.roots``, which
+    deflates the zero roots.
     """
     s = np.asarray(power_sums, dtype=complex)
     e = newton_power_sums_to_coefficients(s)
     p = e.shape[-1]
     # z^p - e1 z^(p-1) + e2 z^(p-2) - ... ; descending coefficients after 1
     desc = ((-1) ** np.arange(1, p + 1) * e).reshape(-1, p)
-    if len(desc) < ABERTH_MIN_ROWS:
+    if clustered:
         roots, converged = np.empty_like(desc), np.zeros(len(desc), bool)
     else:
         roots, converged = _aberth(desc, s.reshape(-1, p))
@@ -606,8 +610,6 @@ def recover_form_quotient(engine: MomentEngine, xi, roots) -> np.ndarray:
     p = roots.shape[1]
     if p == 0:
         return np.zeros((3, xi.size, 0), dtype=complex)
-    if np.min(min_separations(roots)) < 1e-6:
-        raise FiberError("near branch point: move xi")
     a = engine.theta_moments(range(3), range(p), xi)        # (3, p, B)
     g, refused = _solve_quotients(roots[None], a[:, :, None])
     if refused[0]:
@@ -618,11 +620,13 @@ def recover_form_quotient(engine: MomentEngine, xi, roots) -> np.ndarray:
 def _solve_quotients(roots: np.ndarray, a: np.ndarray):
     """Solve sum_j h_j^m g_j = a[ell, m, w, b], m < p, at the roots[w, b]
     (W, B, p) of W groups in one call; returns g (3, W, B, p) and the mask
-    of the groups refused, where some system's condition number exceeds
-    VANDERMONDE_CONDITION_LIMIT and g is no solution."""
+    of the groups refused as near a branch point, where g is no solution:
+    some root separation is below 1e-6, or some system's condition number
+    exceeds VANDERMONDE_CONDITION_LIMIT."""
     p = roots.shape[-1]
     v = roots[..., None, :] ** np.arange(p)[:, None]         # (W, B, p, p)
-    refused = np.max(np.linalg.cond(v), axis=1) > VANDERMONDE_CONDITION_LIMIT
+    refused = np.min(min_separations(roots), axis=(1, 2)) < 1e-6
+    refused |= np.max(np.linalg.cond(v), axis=1) > VANDERMONDE_CONDITION_LIMIT
     v[refused] = np.eye(p)      # keeps the one solve defined; g unused there
     g = np.linalg.solve(v, np.moveaxis(a, (0, 1), (3, 2)))   # (W, B, p, 3)
     return np.moveaxis(g, 3, 0), refused
@@ -686,10 +690,10 @@ def _analyze_windows(engine: MomentEngine, centers, radius: float,
     """Per centre its FiberWindow, or the first error that rules it out: a
     MomentError of its kernel calls or an ambiguous M_0; the power-sum
     fault of its first row at fault in grid order; an unsafe snake step;
-    with theta rows, a branch point near (a separation below 1e-6 or an
-    ill-conditioned Vandermonde system).  The kernel calls stay per window,
-    so that each window uses the disc it would use alone; root recovery,
-    the snake match and the quotient solve run once per sheet count."""
+    with theta rows, a quotient solve that ``_solve_quotients`` refuses.
+    The kernel calls stay per window, so that each window uses the disc it
+    would use alone; root recovery, the snake match and the quotient solve
+    run once per sheet count."""
     outcomes, sums = [], {}
     for center in centers:
         grid, shape = window_grid(center, radius, grid_n)
@@ -737,8 +741,6 @@ def _analyze_windows(engine: MomentEngine, centers, radius: float,
             outcomes[k].min_root_separation = float(sep)
             if bad:
                 outcomes[k] = FiberError(UNSAFE_STEP)
-            elif engine.theta is not None and sep < 1e-6:
-                outcomes[k] = FiberError("near branch point: move xi")
         at = [k for k in at if isinstance(outcomes[k], FiberWindow)]
         if engine.theta is None or not at:
             continue

@@ -126,7 +126,8 @@ def _certified_zeros(engine: MomentEngine, p: int, center: complex,
         return None
     if census[0] == 0:
         return []
-    zeros = center + radius * roots_from_power_sums(census[1])
+    zeros = center + radius * roots_from_power_sums(census[1],
+                                                    clustered=True)
     clusters = _single_linkage(zeros, CLUSTER_LINK * radius)
     centroids = np.array([np.mean(zeros[members]) for members in clusters])
     found = []
@@ -232,7 +233,7 @@ def cycle_centre(contour: BranchContour, cycle: tuple) -> complex | None:
     mean_sums = np.array([np.mean(np.sum(vals ** m, axis=1))
                           for m in range(1, len(cycle) + 1)])
     centre = mean_sums[0] / len(cycle)
-    roots = roots_from_power_sums(mean_sums)
+    roots = roots_from_power_sums(mean_sums, clustered=True)
     if np.all(np.abs(roots - centre) < BRANCH_MEET * max(1.0, abs(centre))):
         return complex(centre)
     return None

@@ -1,12 +1,8 @@
-import logging
-
 import numpy as np
 import pytest
 
 from nodal_idn import scenarios
 from nodal_idn.moments import MomentEngine, sweep_windows
-
-logging.getLogger("nodal_idn").setLevel(logging.ERROR)
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,10 @@ criterion.  Shared scenario data is prepared in fixtures; each criterion
 times its own computation against the stated budget.
 """
 import json
+import os
 import pathlib
 import shutil
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -39,23 +39,33 @@ TRUE_CHARGES = np.array([[1, -1], [2, -2], [3, -3]], dtype=complex)
 SHOCK_WINDOW = ((-3.6, 0.15), 0.02)
 
 
+def _cpu_seconds():
+    """CPU seconds of this process (all its threads) and of the children
+    it has waited for, such as the CLI runs of criterion 10."""
+    t = os.times()
+    return t.user + t.system + t.children_user + t.children_system
+
+
 class _Budget:
+    """A criterion's limit in CPU seconds, so that other processes on the
+    host do not count against it."""
+
     def __init__(self, label, seconds):
         self.label = label
         self.seconds = seconds
 
     def __enter__(self):
-        self.start = time.perf_counter()
+        self.start = _cpu_seconds()
         return self
 
     def __exit__(self, exc_type, *exc):
-        elapsed = time.perf_counter() - self.start
+        used = _cpu_seconds() - self.start
         status = "PASS" if exc_type is None else "FAIL"
-        print(f"ACCEPTANCE {self.label}: {status} ({elapsed:.2f} s, "
+        print(f"ACCEPTANCE {self.label}: {status} ({used:.2f} CPU s, "
               f"budget {self.seconds:.0f} s)", flush=True)
         if exc_type is None:
-            assert elapsed < self.seconds, \
-                f"{self.label} exceeded its {self.seconds}s budget: {elapsed:.2f}s"
+            assert used < self.seconds, \
+                f"{self.label} exceeded its {self.seconds}s budget: {used:.2f}s"
 
 
 def test_criterion_01_jump_identity(rng):

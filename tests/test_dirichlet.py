@@ -356,7 +356,7 @@ class TestHypothesisANonFinite:
                            curve.positions ** 3]).astype(complex)
         theta[1, 3] = np.inf
         with pytest.raises(ModelError, match=r"not finite at samples \[3\]"):
-            check_hypothesis_a(curve, theta)
+            check_hypothesis_a(theta)
 
     def test_infinite_theta0(self):
         # the zero test of theta0 takes its scale from the finite samples
@@ -365,7 +365,7 @@ class TestHypothesisANonFinite:
                            curve.positions ** 3]).astype(complex)
         theta[0, 5] = np.inf
         with pytest.raises(ModelError, match=r"not finite at samples \[5\]"):
-            check_hypothesis_a(curve, theta)
+            check_hypothesis_a(theta)
 
 
 class TestReversal:

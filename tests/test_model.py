@@ -172,9 +172,15 @@ class TestFamiliesAndModels:
 
     def test_disjoint_groups(self):
         dom = DiskDomain(1.0)
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="node points must be distinct"):
             NodalDomainModel(dom, dom.boundary(64),
                              (np.array([0.5, -0.5]), np.array([0.5, 0.3j])))
+
+    def test_distinct_points_within_a_group(self):
+        dom = DiskDomain(1.0)
+        with pytest.raises(ModelError, match="node points must be distinct"):
+            NodalDomainModel(dom, dom.boundary(64),
+                             (np.array([0.5, -0.5, 0.5]),))
 
     def test_auxiliary_zero_sum(self):
         dom = DiskDomain(1.0)

@@ -8,10 +8,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from engine_checks import cr_residual
 from nodal_idn.errors import FiberError, MomentError
 from nodal_idn.model import BoundaryCurve
-from nodal_idn.moments import (ABERTH_MIN_ROWS, BRANCH_SEPARATION_FLOOR,
-                               DOUBLE_EPS, NEAR_SPACINGS,
-                               ROOT_BLOCK, FiberWindow, LocalExpansion,
-                               MomentEngine, ReconstructedCurve, WindowPlan,
+from nodal_idn.moments import (BRANCH_SEPARATION_FLOOR, DOUBLE_EPS,
+                               NEAR_SPACINGS, ROOT_BLOCK,
+                               VANDERMONDE_CONDITION_LIMIT, FiberWindow,
+                               LocalExpansion, MomentEngine,
+                               ReconstructedCurve, WindowPlan,
                                _power_sum_defect, _stitch_pairs,
                                analyze_window, companion_roots,
                                continue_fibers, integral_sheet_count,
@@ -449,15 +450,14 @@ class TestRecoverFibers:
     @settings(max_examples=40, deadline=None)
     def test_mixed_batches_cover_exact_roots(self, data):
         # one batch of rows of one size p: separated lattice rows, clusters
-        # of 2-4 roots, exact double roots and exact zero roots, repeated
-        # to ABERTH_MIN_ROWS rows so that the batch takes the iteration;
-        # each row must cover the exact roots of its rounded sums to within
-        # what double precision resolves of them (``_resolution``)
+        # of 2-4 roots, exact double roots and exact zero roots; each row
+        # must cover the exact roots of its rounded sums to within what
+        # double precision resolves of them (``_resolution``)
         p = data.draw(st.integers(1, 16))
         rows, groups = zip(*[data.draw(_root_row(p))
                              for _ in range(data.draw(st.integers(1, 4)))])
         sums = np.array([_power_sums(roots, 2 * p) for roots in rows])
-        got = recover_fibers(np.resize(sums, (ABERTH_MIN_ROWS, 2 * p)), p)
+        got = recover_fibers(sums, p)
         for row, roots, size, s in zip(got, rows, groups, sums):
             bound = np.maximum(1e-9, 4 * _resolution(roots, size))
             for val in _exact_roots(s[:p]):
@@ -479,20 +479,52 @@ class TestRecoverFibers:
         separated = [np.array([0.3 * g + 0.18j * abs(g) for g in row])
                      for row in lattices]
         sums = np.resize([_power_sums(roots, 14) for roots in separated],
-                         (ABERTH_MIN_ROWS, 14))
+                         (64, 14))
         recover_fibers(sums, 7)
         assert solved == []
-        # a batch too small for the iteration takes the eigensolve whole
+        # a 4-row batch iterates and needs no eigensolve
         recover_fibers(sums[:4], 7)
-        assert solved == [4]
+        assert solved == []
         fourfold = np.r_[[1.5] * 4, separated[0][4:]]
         sums[-1] = _power_sums(fourfold, 14)
         got = recover_fibers(sums, 7)
-        assert solved == [4, 1]
+        assert solved == [1]
         bound = np.maximum(1e-9, 4 * _resolution(fourfold, 4))
         for val in _exact_roots(sums[-1, :7]):
             nearest = int(np.argmin(np.abs(fourfold - val)))
             assert np.min(np.abs(got[-1] - val)) <= bound[nearest]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_each_row_recovered_alone(self, data):
+        # a batch of 1-100 rows of one size p, each one of up to six rows of
+        # the kinds of ``_root_row``: every row's roots, and its fibers and
+        # verdict, are those of the row recovered alone, bit for bit
+        p = data.draw(st.integers(1, 16))
+        kinds = [_power_sums(data.draw(_root_row(p))[0], 2 * p)
+                 for _ in range(data.draw(st.integers(1, 6)))]
+        picks = data.draw(st.lists(st.integers(0, len(kinds) - 1),
+                                   min_size=1, max_size=100))
+        sums = np.array([kinds[k] for k in picks])
+        roots = roots_from_power_sums(sums[:, :p])
+        fibers, failed = _fibers_and_faults(sums, p)
+        alone = [(roots_from_power_sums(s[None, :p])[0],
+                  *_fibers_and_faults(s[None], p)) for s in kinds]
+        for k, row_roots, row_fibers, row_failed in zip(picks, roots, fibers,
+                                                        failed):
+            assert row_roots.tobytes() == alone[k][0].tobytes()
+            assert row_fibers.tobytes() == alone[k][1][0].tobytes()
+            assert row_failed == alone[k][2][0]
+
+
+def _fibers_and_faults(sums, p):
+    """``recover_fibers`` of the rows of power sums, unordered by a fault:
+    the fibers of every row (the error's ``partial`` if some row fails)
+    and the mask of the rows at fault."""
+    try:
+        return recover_fibers(sums, p), np.zeros(sums.shape[:-1], dtype=bool)
+    except FiberError as exc:
+        return exc.partial, exc.failed
 
 
 @st.composite
@@ -948,6 +980,17 @@ class TestFormQuotient:
         g = recover_form_quotient(engine, [xi], roots[None, :])[1, 0]
         assert np.max(np.abs(g)) < 1e-12
 
+    def test_refused_by_separation_alone(self):
+        # roots 1e-7 apart: the Vandermonde system is well within the
+        # condition limit, yet the group is refused as near a branch point
+        from nodal_idn.moments import _solve_quotients
+        roots = np.array([[[0.5, 0.5 + 1e-7]], [[0.5, 1.5]]])   # (2, 1, 2)
+        v = roots[..., None, :] ** np.arange(2)[:, None]
+        assert np.max(np.linalg.cond(v)) < VANDERMONDE_CONDITION_LIMIT
+        g, refused = _solve_quotients(roots, np.ones((3, 2, 2, 1), complex))
+        assert refused.tolist() == [True, False]
+        assert np.allclose(g[:, 1], [[[0.5, 0.5]]] * 3)
+
     def test_near_collision_rejected(self, charged_datum):
         with pytest.raises(FiberError):
             recover_form_quotient(_engine(charged_datum), [3.1],
@@ -1033,6 +1076,26 @@ class TestBatchedSweep:
                     assert np.min(np.abs(roots - h)) < 1e-9
         if name == "charged4":
             assert [w.relocated_from for w in windows].count(2.75) == 1
+
+    @pytest.mark.parametrize("grid_n", [5, 6, 7, 9])
+    def test_ring_windows_match_alone_at_every_grid_size(
+            self, charged_scenario, charged_datum, grid_n):
+        # the rows of a round hold every pending window's grid, so at any
+        # grid size a window's roots must not depend on its round-mates
+        plan = WindowPlan(charged_scenario.plan.centers,
+                          charged_scenario.plan.radius, grid_n)
+        curve = sweep_windows(MomentEngine.from_datum(charged_datum), plan)
+        windows, failures, notes = _replayed_sweep(
+            MomentEngine.from_datum(charged_datum), plan)
+        assert curve.failures == failures
+        # the replay stitches nothing, so it has no ring monodromy note
+        assert curve.notes[:len(notes)] == notes
+        assert len(curve.windows) == len(windows) > 0
+        for got, want in zip(curve.windows, windows):
+            assert got.center == want.center
+            assert got.min_root_separation == want.min_root_separation
+            assert got.roots.tobytes() == want.roots.tobytes()
+            assert got.quotients.tobytes() == want.quotients.tobytes()
 
     def test_power_sum_fault_names_first_row_of_its_window(
             self, charged_datum, monkeypatch):

@@ -71,6 +71,40 @@ class TestLocate:
                            atol=1e-9)
         assert analyze_singular_point(engine, charged_sweep, [c]) == []
 
+    def test_census_and_cycle_centre_never_iterate(
+            self, charged_datum, charged_sweep, monkeypatch):
+        # both recover roots that cluster by construction and ask for the
+        # eigensolve by name; the same rows would otherwise iterate
+        from nodal_idn import moments
+        engine = MomentEngine.from_datum(charged_datum)
+        contours = []
+        for c in locate_singularities(charged_sweep, engine):
+            window = charged_sweep.windows[c.window_index]
+            start = _sheet_values_at(engine, [window], [c.xi + 0.05])
+            contours += track_branch_contour(engine, window.p, [c.xi], 0.05,
+                                             start)
+        iterated, rows = [], []
+        aberth, recover = moments._aberth, nodes.roots_from_power_sums
+
+        def counting(desc, sums):
+            iterated.append(len(desc))
+            return aberth(desc, sums)
+
+        def recording(sums, **kwargs):
+            rows.append(sums)
+            return recover(sums, **kwargs)
+
+        monkeypatch.setattr(moments, "_aberth", counting)
+        monkeypatch.setattr(nodes, "roots_from_power_sums", recording)
+        locate_singularities(charged_sweep, engine)
+        for contour in contours:
+            for cycle in contour.cycles:
+                cycle_centre(contour, cycle)
+        assert len(rows) > len(contours) and iterated == []
+        for sums in rows:
+            recover(sums)
+        assert len(iterated) == len(rows)
+
     def test_spurious_candidate_at_origin(self, spurious_candidates,
                                           spurious_report):
         (c,) = spurious_candidates
