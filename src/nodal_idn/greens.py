@@ -87,11 +87,9 @@ class GreenKernel:
         return disk_green_dz(z, zeta, self.radius, self.center)
 
 
-def enclosing_kernel(curves) -> GreenKernel:
-    """Principal kernel of a concentric disk enclosing the given curves."""
-    if isinstance(curves, BoundaryCurve):
-        curves = (curves,)
-    pts = np.concatenate([c.positions for c in curves])
+def enclosing_kernel(curve: BoundaryCurve) -> GreenKernel:
+    """Principal kernel of a concentric disk enclosing the curve."""
+    pts = curve.positions
     center = complex(np.mean(pts))
     radius = ENCLOSING_FACTOR * float(np.max(np.abs(pts - center)))
     return GreenKernel("disk-principal", radius=radius, center=center)

@@ -12,9 +12,11 @@ empty (Delves & Lyness, Math. Comp. 1967).  Power sums are converted to
 roots through Newton's identities and one batched Aberth iteration on the
 monic polynomial they give; only the rows where it does not converge take
 companion-matrix eigenvalues, so each row's roots depend on its own power
-sums alone, whatever batch it comes in.  The form quotients dU_ell / dF2
-at the fiber points come from a Vandermonde solve against theta-weighted
-moments.  A window sweep round makes one root recovery, snake match and
+sums alone, whatever batch it comes in.  Newton steps, whose Jacobian is
+diag(1..p) V(h), fit the roots to the power sums, and the form quotients
+dU_ell / dF2 at the fiber points h solve V(h) g = theta-weighted moments,
+both by the O(p^2) Vandermonde solve of Bjorck & Pereyra (Math. Comp. 24,
+1970).  A window sweep round makes one root recovery, snake match and
 quotient solve per sheet count; its kernel calls stay per window, so each
 window uses the disc it would use alone.
 
@@ -333,9 +335,7 @@ def roots_from_power_sums(power_sums: np.ndarray,
 
     Batched over leading axes, and each row of a batch is recovered from
     its own power sums alone: no other row, and no batch size, changes a
-    bit of its roots.  (A single vector of power sums takes numpy's scalar
-    arithmetic in Newton's identities, which can round apart from a
-    one-row batch.)  The Aberth iteration runs on the monic polynomial of
+    bit of its roots.  The Aberth iteration runs on the monic polynomial of
     Newton's identities (``_aberth``), and the stacked eigenvalue solve on
     companion matrices built as ``np.roots`` builds them takes the rows
     where it did not converge or left a value that is not finite.
@@ -345,15 +345,15 @@ def roots_from_power_sums(power_sums: np.ndarray,
     constant coefficient is exactly zero goes through ``np.roots``, which
     deflates the zero roots.
     """
-    s = np.asarray(power_sums, dtype=complex)
-    e = newton_power_sums_to_coefficients(s)
-    p = e.shape[-1]
+    shape = np.shape(power_sums)
+    s = np.asarray(power_sums, dtype=complex).reshape(-1, shape[-1])
+    p = s.shape[-1]
     # z^p - e1 z^(p-1) + e2 z^(p-2) - ... ; descending coefficients after 1
-    desc = ((-1) ** np.arange(1, p + 1) * e).reshape(-1, p)
+    desc = (-1) ** np.arange(1, p + 1) * newton_power_sums_to_coefficients(s)
     if clustered:
         roots, converged = np.empty_like(desc), np.zeros(len(desc), bool)
     else:
-        roots, converged = _aberth(desc, s.reshape(-1, p))
+        roots, converged = _aberth(desc, s)
     zero = desc[:, -1] == 0
     rows = np.flatnonzero(~converged & ~zero)
     if rows.size:
@@ -363,7 +363,7 @@ def roots_from_power_sums(power_sums: np.ndarray,
         roots[rows] = np.linalg.eigvals(companion)
     for row in np.flatnonzero(zero):
         roots[row] = companion_roots(np.r_[desc[row, ::-1], 1.0])
-    return roots.reshape(e.shape)
+    return roots.reshape(shape)
 
 
 def _aberth(desc: np.ndarray, power_sums: np.ndarray):
@@ -438,8 +438,8 @@ def _refine_roots(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
     double-precision rounding of the clustered high powers.  A row stops
     once its step falls below the double resolution of every root, when a
     step would not lower its defect (a near-singular Jacobian, roots about
-    to collide, cannot throw the roots off), or when its Jacobian is
-    singular; the other rows go on.
+    to collide, cannot throw the roots off), or when two of its roots
+    coincide; the other rows go on.
 
     This needs a long double wider than double (``np.finfo(np.longdouble)
     .nmant > 52``): the 80-bit x87 format on x86-64, IEEE quad on aarch64
@@ -453,8 +453,10 @@ def _refine_roots(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
     live = np.ones(len(roots), dtype=bool)
     for _ in range(2):
         h = roots.astype(complex)
-        jac = orders[:, None] * h[:, None, :] ** (orders[:, None] - 1)
-        step, solved = _solve_rows(jac, defect.astype(complex))
+        # the Jacobian is diag(orders) V(h), V the Vandermonde matrix of h
+        step = _vandermonde_solve(h, defect.astype(complex) / orders)
+        solved = np.all(np.isfinite(step), axis=1)
+        step[~solved] = 0
         live &= solved & ~np.all(np.abs(step) <= DOUBLE_EPS * np.abs(h), axis=1)
         if not live.any():
             break
@@ -466,24 +468,22 @@ def _refine_roots(roots: np.ndarray, power_sums: np.ndarray) -> np.ndarray:
     return roots.astype(complex)
 
 
-def _solve_rows(matrices: np.ndarray, rhs: np.ndarray):
-    """Solve each system of the stack (B, p, p) x = (B, p); returns the
-    solutions and the mask of the systems that are not singular (their
-    solution rows are zero)."""
-    try:
-        return (np.linalg.solve(matrices, rhs[..., None])[..., 0],
-                np.ones(rhs.shape[0], dtype=bool))
-    except np.linalg.LinAlgError:
-        pass
-    out = np.zeros_like(rhs)
-    solved = np.zeros(rhs.shape[0], dtype=bool)
-    for row in range(rhs.shape[0]):
-        try:
-            out[row] = np.linalg.solve(matrices[row], rhs[row])
-            solved[row] = True
-        except np.linalg.LinAlgError:
-            pass
-    return out, solved
+def _vandermonde_solve(roots: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The x with sum_j h_j^m x_j = rhs[..., m], m < p, for the roots h of
+    shape (..., p); ``rhs`` may carry extra leading axes.  The primal
+    algorithm of Bjorck & Pereyra (Math. Comp. 24, 1970; Golub & Van Loan,
+    Matrix Computations, Alg. 4.6.2) applies V^-1 as 2(p - 1) bidiagonal
+    factors, each one array operation over the batch: O(p^2) per system.
+    A system with two equal roots gets non-finite values, without warning."""
+    h, x = np.asarray(roots), np.array(rhs, dtype=complex)
+    p = h.shape[-1]
+    with np.errstate(all="ignore"):
+        for k in range(p - 1):
+            x[..., k + 1:] -= h[..., k, None] * x[..., k:-1]
+        for k in range(p - 2, -1, -1):
+            x[..., k + 1:] /= h[..., k + 1:] - h[..., :p - k - 1]
+            x[..., k:-1] -= x[..., k + 1:]
+    return x
 
 
 def match_rows(previous: np.ndarray, new: np.ndarray):
@@ -621,15 +621,25 @@ def _solve_quotients(roots: np.ndarray, a: np.ndarray):
     """Solve sum_j h_j^m g_j = a[ell, m, w, b], m < p, at the roots[w, b]
     (W, B, p) of W groups in one call; returns g (3, W, B, p) and the mask
     of the groups refused as near a branch point, where g is no solution:
-    some root separation is below 1e-6, or some system's condition number
-    exceeds VANDERMONDE_CONDITION_LIMIT."""
-    p = roots.shape[-1]
-    v = roots[..., None, :] ** np.arange(p)[:, None]         # (W, B, p, p)
+    some root separation is below 1e-6, or some system's
+    ``_condition_bound`` exceeds VANDERMONDE_CONDITION_LIMIT."""
     refused = np.min(min_separations(roots), axis=(1, 2)) < 1e-6
-    refused |= np.max(np.linalg.cond(v), axis=1) > VANDERMONDE_CONDITION_LIMIT
-    v[refused] = np.eye(p)      # keeps the one solve defined; g unused there
-    g = np.linalg.solve(v, np.moveaxis(a, (0, 1), (3, 2)))   # (W, B, p, 3)
-    return np.moveaxis(g, 3, 0), refused
+    refused |= (np.max(_condition_bound(roots), axis=1)
+                > VANDERMONDE_CONDITION_LIMIT)
+    return _vandermonde_solve(roots, np.moveaxis(a, 1, -1)), refused
+
+
+def _condition_bound(roots: np.ndarray) -> np.ndarray:
+    """p ||V||_inf ||V^-1||_inf >= cond_2(V), V[m, j] = h_j^m, per row of
+    roots (..., p), by Gautschi's bound (Numer. Math. 4, 1962) ||V^-1||_inf
+    <= max_j prod_(k != j) (1 + |h_k|) / |h_j - h_k|; inf for equal roots.
+    ||V||_inf is at m = 0 or p - 1, as sum_j |h_j|^m is convex in m."""
+    p, size = roots.shape[-1], np.abs(roots)
+    gaps = np.abs(roots[..., :, None] - roots[..., None, :])
+    gaps[..., np.arange(p), np.arange(p)] = 1 + size    # the k = j factor 1
+    with np.errstate(divide="ignore", over="ignore"):
+        inverse = np.max(np.prod((1 + size[..., None, :]) / gaps, -1), -1)
+        return p * np.maximum(p, np.sum(size ** (p - 1), -1)) * inverse
 
 
 @dataclass

@@ -30,7 +30,7 @@ class FredholmAnnulus:
         self.domain = domain
         self.n = n
         self.outer, self.inner = domain.boundaries(n)
-        self.kernel = enclosing_kernel((self.outer,))
+        self.kernel = enclosing_kernel(self.outer)
         curves = (self.outer, self.inner)
         blocks = []
         for target in curves:

@@ -13,7 +13,9 @@ from nodal_idn.moments import (BRANCH_SEPARATION_FLOOR, DOUBLE_EPS,
                                VANDERMONDE_CONDITION_LIMIT, FiberWindow,
                                LocalExpansion, MomentEngine,
                                ReconstructedCurve, WindowPlan,
-                               _power_sum_defect, _stitch_pairs,
+                               _condition_bound, _power_sum_defect,
+                               _refine_roots, _solve_quotients,
+                               _stitch_pairs, _vandermonde_solve,
                                analyze_window, companion_roots,
                                continue_fibers, integral_sheet_count,
                                match_rows, recover_fibers,
@@ -516,6 +518,35 @@ class TestRecoverFibers:
             assert row_fibers.tobytes() == alone[k][1][0].tobytes()
             assert row_failed == alone[k][2][0]
 
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_one_vector_is_a_one_row_batch(self, clustered):
+        # a vector of power sums takes the array arithmetic of a batch in
+        # Newton's identities, not numpy's scalar one, and rounds alike
+        sums = _power_sums(np.array([0, 0.3 + 0.18j, 0.6 + 0.36j]))
+        one = roots_from_power_sums(sums, clustered=clustered)
+        batch = roots_from_power_sums(sums[None], clustered=clustered)
+        assert one.tobytes() == batch[0].tobytes()
+
+    def test_repeated_root_is_kept_and_refused(self):
+        # a row with an exactly repeated root has a singular Jacobian and
+        # Vandermonde matrix: the Newton steps leave it as it is, the
+        # quotient solve refuses its group, and neither warns
+        repeated = np.array([0.5, 0.5, 1.5 + 0.2j])
+        near = np.array([0.2, 0.9, 1.7 - 0.3j])
+        sums = np.array([_power_sums(repeated + [0, 1e-3, 0]),
+                         _power_sums(near)])
+        start = np.array([repeated, near + 1e-7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refined = _refine_roots(start, sums)
+            assert not np.isfinite(_vandermonde_solve(repeated, sums[0])).all()
+            g, refused = _solve_quotients(start[:, None],
+                                          np.ones((3, 3, 2, 1), complex))
+        assert refined[0].tobytes() == repeated.tobytes()
+        assert np.max(np.abs(refined[1] - near)) < 1e-12
+        assert refused.tolist() == [True, False]
+        assert np.isfinite(g[:, 1]).all()
+
 
 def _fibers_and_faults(sums, p):
     """``recover_fibers`` of the rows of power sums, unordered by a fault:
@@ -995,6 +1026,84 @@ class TestFormQuotient:
         with pytest.raises(FiberError):
             recover_form_quotient(_engine(charged_datum), [3.1],
                                   np.array([[2.0, 2.0 + 1e-9, 1.0, 3.0]]))
+
+    def test_no_lapack_solve_or_svd(self, charged_datum, charged_scenario,
+                                    monkeypatch):
+        # the fiber path solves its Vandermonde systems in closed form:
+        # with np.linalg.solve and np.linalg.cond raising, fibers,
+        # quotients and a charged4 sweep still match the rational map at
+        # the tolerances of the tests above
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve or cond on the fiber path")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        oracle, engine = charged_scenario.oracle, _engine(charged_datum)
+        xi = 3.1 + 0.08 * np.exp(2j * np.pi * np.arange(10) / 10)
+        exact = np.array([oracle.f1(oracle.fibers(x)) for x in xi])
+        fibers = recover_fibers(np.array([_power_sums(h) for h in exact]), 4)
+        for got, want in zip(fibers, exact):
+            _assert_covers(got, want)
+        quotients = recover_form_quotient(engine, xi, exact)
+        curve = sweep_windows(engine, charged_scenario.plan)
+        assert len(curve.windows) == 8
+        checks = [(x, exact[b], quotients[:, b]) for b, x in enumerate(xi)]
+        checks += [(w.grid[idx], w.roots[idx], w.quotients[:, idx])
+                   for w in curve.windows for idx in range(0, w.grid.size, 17)]
+        for x, roots, g in checks:
+            for ell in range(3):
+                h, g_exact = oracle.quotients(ell, complex(x))
+                for val, want in zip(h, g_exact):
+                    j = int(np.argmin(np.abs(roots - val)))
+                    assert abs(roots[j] - val) < 1e-6
+                    assert abs(g[ell, j] - want) < 1e-6
+
+
+def _mp_condition(roots):
+    """The 2-norm condition number of V[m, j] = h_j^m from the singular
+    values in 60-digit arithmetic (mpmath)."""
+    import mpmath
+    with mpmath.workdps(60):
+        h = [mpmath.mpc(complex(r)) for r in roots]
+        v = mpmath.matrix([[x ** m for x in h] for m in range(len(h))])
+        sigma = mpmath.svd_c(v, compute_uv=False)
+        return float(max(sigma) / min(sigma))
+
+
+class TestVandermondeSolve:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_solve(self, data):
+        # 1-3 rows of p nodes on the lattice 0.3 (a + ib), at least 0.3
+        # apart, and three right sides per row, against LU on the matrix
+        # written out here
+        p = data.draw(st.integers(1, 8))
+        cell = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+        rows = [data.draw(st.lists(cell, min_size=p, max_size=p, unique=True))
+                for _ in range(data.draw(st.integers(1, 3)))]
+        roots = 0.3 * np.array(rows) @ [1, 1j]                  # (B, p)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        rhs = rng.standard_normal((3, len(rows), p, 2)) @ [1, 1j]
+        got = _vandermonde_solve(roots, rhs)
+        for b, h in enumerate(roots):
+            v = h[None, :] ** np.arange(p)[:, None]
+            want = np.linalg.solve(v, rhs[:, b].T).T
+            assert (np.max(np.abs(got[:, b] - want))
+                    <= 1e-11 * np.max(np.abs(want)))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_condition_bound_above_condition_number(self, data):
+        # the rows of ``_root_row`` but exact double roots, clusters 1e-6 to
+        # 1e-3 apart included.  The reference is the condition number in
+        # 60 digits: past about 1e16 np.linalg.cond in double reads up to
+        # 1.6 times above it, from the round-off of the smallest singular
+        # value.
+        p = data.draw(st.integers(1, 8))
+        roots, _ = data.draw(_root_row(p))
+        assume(np.min(np.abs(np.diff(np.sort_complex(roots)))) > 0
+               if p > 1 else True)
+        assert _condition_bound(roots) >= _mp_condition(roots)
 
 
 def _replayed_sweep(engine, plan):
