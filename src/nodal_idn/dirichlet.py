@@ -233,21 +233,27 @@ class DNDatum:
 
     @staticmethod
     def from_json(doc: dict) -> "DNDatum":
-        """The datum of a file; ModelError where u, theta or f has a sample
-        that is not finite.  Of ``hypothesisA`` only the margins are read,
-        so files that also carry the former pass flags load alike."""
+        """The datum of a file; ModelError unless u, theta and f are 3, 3 and
+        2 rows of finite samples, one per curve sample, and ``hypothesisA``
+        holds the two margins (former pass flags beside them are not read)."""
         jsonio.require_schema(doc, DATUM_SCHEMA)
         curve = BoundaryCurve.from_json(doc["curve"])
         rows = {}
-        for key in ("u", "theta", "f"):
-            rows[key] = np.array([jsonio.decode_complex_array(r)
-                                  for r in doc[key]])
+        for key, count in (("u", 3), ("theta", 3), ("f", 2)):
+            items = doc.get(key) if isinstance(doc.get(key), list) else []
+            items = [jsonio.decode_complex_array(r) for r in items]
+            if len(items) != count or any(r.shape != (curve.n,) for r in items):
+                raise ModelError(f"datum {key} is not {count} rows of "
+                                 f"{curve.n} samples")
+            rows[key] = np.array(items)
             bad = np.flatnonzero(~np.all(np.isfinite(rows[key]), axis=0))
             if bad.size:
                 raise ModelError(f"datum {key} is not finite at samples "
                                  f"{bad.tolist()}")
-        margins = {key: doc["hypothesisA"][key]
-                   for key in ("min_image_gap", "min_speed")}
+        held, keys = doc.get("hypothesisA"), ("min_image_gap", "min_speed")
+        margins = {k: held.get(k) for k in keys} if isinstance(held, dict) else {}
+        if not all(isinstance(margins.get(k), (int, float)) for k in keys):
+            raise ModelError(f"datum hypothesisA does not hold the margins {keys}")
         return DNDatum(curve, rows["u"], rows["theta"], rows["f"], margins)
 
 

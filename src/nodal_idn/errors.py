@@ -2,17 +2,7 @@
 
 
 class NodalIdnError(Exception):
-    """Base class for all engine errors.
-
-    A batched computation that fails on some of its rows only says which:
-    ``failed`` is the boolean mask of those rows and ``partial`` the output,
-    whose other rows are valid.  Both are None for an error of the whole call.
-    """
-
-    def __init__(self, message: str = "", failed=None, partial=None):
-        super().__init__(message)
-        self.failed = failed
-        self.partial = partial
+    """Base class for all engine errors; each carries its message only."""
 
 
 class ModelError(NodalIdnError):

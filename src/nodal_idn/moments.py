@@ -52,7 +52,7 @@ import numpy as np
 
 from . import jsonio
 from .dirichlet import DNDatum
-from .errors import FiberError, MomentError
+from .errors import FiberError, ModelError, MomentError
 from .model import BoundaryCurve
 from .spectral import fourier_derivative
 
@@ -175,20 +175,17 @@ class MomentEngine:
         DIRECT_BLOCK Cauchy factors so that memory stays O(N) per call.
         Plain quadrature is trusted only when the pole of (f2 - xi)^(-1)
         stays several grid spacings away from the parameter line; the
-        error's ``failed`` marks the points that do not."""
+        first block with a point that does not raises."""
         rows = self._rows(ells, orders)
         out = np.empty((len(rows), xi.size), dtype=complex)
-        near = np.zeros(xi.size, dtype=bool)
         step = max(1, DIRECT_BLOCK // self.curve.n)
         for start in range(0, xi.size, step):
             block = slice(start, start + step)
             shift = self.f2[:, None] - xi[None, block]
-            near[block] = np.any(np.abs(shift) < self._near[:, None], axis=0)
-            if not near[block].any():
-                out[:, block] = rows @ np.divide(1.0, shift, out=shift)
-        if np.any(near):
-            raise MomentError("on-curve evaluation: xi too close to f2(gamma)",
-                              failed=near)
+            if np.any(np.abs(shift) < self._near[:, None]):
+                raise MomentError("on-curve evaluation: xi too close to "
+                                  "f2(gamma)")
+            out[:, block] = rows @ np.divide(1.0, shift, out=shift)
         out /= 1j * self.curve.n
         return out.reshape(-1, orders.size, xi.size)
 
@@ -574,9 +571,9 @@ def recover_fibers(power_sums: np.ndarray, p: int,
     leading batch axes; the roots come from S_1..S_p and are checked
     against S_1..S_2p, and an empty fiber (p = 0) has none.  Without
     ``previous`` the roots of a row are ordered by ``sort_fibers``, with it
-    they follow its same row.  A FiberError names the first row at fault,
-    a failed check or else an unsafe match; its ``failed`` marks every
-    such row and ``partial`` holds the roots of all rows.
+    they follow its same row.  A FiberError names the first row at fault:
+    the message of its failed check, or else UNSAFE_STEP for its unsafe
+    match.
     """
     s = np.asarray(power_sums, dtype=complex)
     shape = s.shape[:-1] + (p,)
@@ -592,10 +589,7 @@ def recover_fibers(power_sums: np.ndarray, p: int,
         matched = np.take_along_axis(roots, choice, axis=1)
     failed = unsafe | faults.astype(bool)
     if failed.any():
-        row = int(np.argmax(failed))
-        message = faults[row] or UNSAFE_STEP
-        raise FiberError(message, failed=failed.reshape(shape[:-1]),
-                         partial=matched.reshape(shape))
+        raise FiberError(faults[np.argmax(failed)] or UNSAFE_STEP)
     return matched.reshape(shape)
 
 
@@ -672,16 +666,23 @@ class FiberWindow:
 
     @staticmethod
     def from_json(doc: dict) -> "FiberWindow":
-        shape = tuple(doc["grid_shape"])
-        g = int(np.prod(shape))
-        p = int(doc["p"])
-        roots = jsonio.decode_complex_array(doc["roots"]).reshape(g, p)
-        quot = jsonio.decode_complex_array(doc["quotients"]).reshape(3, g, p)
-        reloc = doc.get("relocated_from")
-        return FiberWindow(jsonio.decode_complex(doc["center"]), doc["radius"],
-                           jsonio.decode_complex_array(doc["grid"]), shape, p,
-                           roots, quot, doc["min_root_separation"],
-                           jsonio.decode_complex(reloc) if reloc else None)
+        """The window of a curve file; ModelError where a key is missing
+        or mistyped, or an array does not fit grid_shape and p."""
+        try:
+            shape, p = tuple(doc["grid_shape"]), int(doc["p"])
+            if p < 0 or min(shape) < 1:
+                raise ValueError(f"bad sizes grid_shape {list(shape)}, p {p}")
+            g = int(np.prod(shape))
+            grid = jsonio.decode_complex_array(doc["grid"]).reshape(g)
+            roots = jsonio.decode_complex_array(doc["roots"]).reshape(g, p)
+            quot = jsonio.decode_complex_array(doc["quotients"]).reshape(3, g, p)
+            reloc = doc.get("relocated_from")
+            return FiberWindow(
+                jsonio.decode_complex(doc["center"]), float(doc["radius"]), grid,
+                shape, p, roots, quot, float(doc["min_root_separation"]),
+                jsonio.decode_complex(reloc) if reloc else None)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelError(f"malformed fiber window: {exc}") from None
 
 
 def analyze_window(engine: MomentEngine, center: complex, radius: float,
@@ -803,13 +804,16 @@ class ReconstructedCurve:
 
     @staticmethod
     def from_json(doc: dict) -> "ReconstructedCurve":
+        """The curve of a file; ModelError where its layout is at fault."""
         jsonio.require_schema(doc, CURVE_SCHEMA)
-        return ReconstructedCurve(
-            [FiberWindow.from_json(w) for w in doc["windows"]],
-            [np.array(s, dtype=int) for s in doc["permutations"]],
-            [(jsonio.decode_complex(c), msg) for c, msg in doc["failures"]],
-            list(doc.get("notes", [])),
-        )
+        try:
+            return ReconstructedCurve(
+                [FiberWindow.from_json(w) for w in doc["windows"]],
+                [np.array(s, dtype=int) for s in doc["permutations"]],
+                [(jsonio.decode_complex(c), msg) for c, msg in doc["failures"]],
+                list(doc.get("notes", [])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelError(f"malformed curve file: {exc}") from None
 
 
 def sweep_windows(engine: MomentEngine, plan: WindowPlan) -> ReconstructedCurve:
@@ -899,99 +903,60 @@ def continue_fibers(engine: MomentEngine, p: int, paths: np.ndarray,
     Nearest-neighbour matching does not depend on the order of the
     previous roots, so every step is matched at once and the index maps
     compose along each path.  Unsafe steps (``match_rows``) are halved,
-    recursively and together, up to MAX_HALVINGS times; a step that ends
-    where the roots fail the power-sum check fails at once, since halving
-    leaves the sums there as they are.
-    Returns (B, L, p).  If paths fail for good (or leave the quadrature's
-    reach), the first error of the first one is raised, with ``failed``
-    marking them and ``partial`` the tracks, where a failed path repeats
-    its last arrived roots.
+    recursively and together, up to MAX_HALVINGS times.
+    Returns (B, L, p).  The first failure raises: the kernel's refusal or
+    the power-sum fault of the first block at fault, in point-major order,
+    or else a step still unsafe after the last halving.
     """
     # point-major, so that the two ends of every step are views
     paths = np.asarray(paths, dtype=complex).T
     length, count = paths.shape
-    xi = np.concatenate([np.reshape(start_xi, (1, count)), paths])
-    roots = np.empty((length + 1, count, p), dtype=complex)
-    roots[0] = np.reshape(start_roots, (count, p))
-    errors = _fibers_at(engine, p, xi[1:].ravel(), roots[1:].reshape(-1, p))
-    # no step past a path's first failed point is tried
-    choice, errors = _match_steps(
-        engine, p, xi[:-1].ravel(), roots[:-1].reshape(-1, p), xi[1:].ravel(),
-        roots[1:].reshape(-1, p),
-        _from_first(errors.reshape(length, count)).ravel(), MAX_HALVINGS)
+    xi = np.concatenate([np.reshape(start_xi, (1, count)), paths]).ravel()
+    found = _fibers_at(engine, p, xi[count:])
+    roots = np.concatenate([np.reshape(start_roots, (count, p)), found])
+    choice = _match_steps(engine, p, xi[:-count], roots[:-count], xi[count:],
+                          found, MAX_HALVINGS)
     choice = compose_steps(choice.reshape(length, count, p))
-    roots[1:] = np.take_along_axis(roots[1:], choice, axis=2)
-    errors = _from_first(errors.reshape(length, count))
-    stopped = errors.astype(bool)
-    if not stopped.any():
-        return roots[1:].transpose(1, 0, 2).copy()
-    # a failed path stays at the last point it arrived at
-    arrived = np.where(stopped, np.argmax(stopped, axis=0),
-                       np.arange(1, length + 1)[:, None])
-    error = errors[-1, np.argmax(stopped[-1])]
-    partial = np.take_along_axis(roots, arrived[..., None], axis=0)
-    raise type(error)(str(error), failed=stopped[-1],
-                      partial=partial.transpose(1, 0, 2))
+    tracks = np.take_along_axis(found.reshape(length, count, p), choice, axis=2)
+    return tracks.transpose(1, 0, 2).copy()
 
 
-def _from_first(errors: np.ndarray) -> np.ndarray:
-    """Errors (L, B) with each column's first error repeated onwards."""
-    stopped = np.cumsum(errors.astype(bool), axis=0) > 0
-    return np.where(stopped, errors[np.argmax(stopped, axis=0),
-                                    np.arange(errors.shape[1])], None)
-
-
-def _fibers_at(engine: MomentEngine, p: int, xi: np.ndarray,
-               roots: np.ndarray) -> np.ndarray:
-    """Write the roots at every point xi (K,), unordered, to ``roots``
-    (K, p), ROOT_BLOCK points per kernel call and root recovery.  Returns
-    per point the error that rules its roots out (None where they hold):
-    the kernel's refusal of the point, or the power-sum check of its own
-    roots."""
-    errors = np.full(xi.size, None, dtype=object)
+def _fibers_at(engine: MomentEngine, p: int, xi: np.ndarray) -> np.ndarray:
+    """The roots at every point xi (K,), unordered, shape (K, p), from
+    ROOT_BLOCK points per kernel call and root recovery.  The kernel's
+    refusal of a block raises, and so does the power-sum fault of the
+    first row at fault in a block."""
+    roots = np.empty((xi.size, p), dtype=complex)
     for start in range(0, xi.size, ROOT_BLOCK):
-        rows = np.arange(start, min(start + ROOT_BLOCK, xi.size))
-        try:
-            sums = engine.moments(range(1, 2 * p + 1), xi[rows])
-        except MomentError as exc:
-            if exc.failed is None:
-                raise
-            errors[rows[exc.failed]] = exc
-            rows = rows[~exc.failed]
-            sums = engine.moments(range(1, 2 * p + 1), xi[rows])
-        roots[rows], faults = _fiber_roots(sums.T, p)
-        for row, fault in zip(rows, faults):
-            if fault is not None:
-                errors[row] = FiberError(fault)
-    return errors
+        block = slice(start, start + ROOT_BLOCK)
+        sums = engine.moments(range(1, 2 * p + 1), xi[block])
+        roots[block], faults = _fiber_roots(sums.T, p)
+        if any(faults):
+            raise FiberError(next(filter(None, faults)))
+    return roots
 
 
 def _match_steps(engine: MomentEngine, p: int, xi_from: np.ndarray,
                  roots_from: np.ndarray, xi_to: np.ndarray,
-                 roots_to: np.ndarray, errors: np.ndarray, budget: int):
+                 roots_to: np.ndarray, budget: int) -> np.ndarray:
     """The index map of each step (K, p): ``roots_to[k, choice[k, j]]``
-    continues ``roots_from[k, j]``, and the error that stops the step (None
-    where it arrives); ``errors`` holds those of the end points and is
-    updated in place.  The midpoints of all unsafe steps are solved in one
-    batch, both halves of every such step recurse in one call with
-    budget - 1, and the maps of the halves compose."""
+    continues ``roots_from[k, j]``.  The midpoints of all unsafe steps are
+    solved in one batch, both halves of every such step recurse in one
+    call with budget - 1, and the maps of the halves compose.  An unsafe
+    step with no budget left raises UNSAFE_STEP."""
     choice, unsafe = match_rows(roots_from, roots_to)
-    halved = np.flatnonzero(unsafe & ~errors.astype(bool))
-    if budget <= 0 or not halved.size:
-        errors[halved] = FiberError(UNSAFE_STEP)
-        return choice, errors
+    halved = np.flatnonzero(unsafe)
+    if not halved.size:
+        return choice
+    if budget <= 0:
+        raise FiberError(UNSAFE_STEP)
     mid = 0.5 * (xi_from[halved] + xi_to[halved])
-    mid_roots = np.zeros((mid.size, p), dtype=complex)
-    mid_errors = _fibers_at(engine, p, mid, mid_roots)
-    # a second half that starts where the roots fail is not tried
-    halves, half_errors = _match_steps(
+    mid_roots = _fibers_at(engine, p, mid)
+    halves = _match_steps(
         engine, p, np.concatenate([xi_from[halved], mid]),
         np.concatenate([roots_from[halved], mid_roots]),
         np.concatenate([mid, xi_to[halved]]),
-        np.concatenate([mid_roots, roots_to[halved]]),
-        np.concatenate([mid_errors, mid_errors]), budget - 1)
+        np.concatenate([mid_roots, roots_to[halved]]), budget - 1)
     first, second = np.split(halves, 2)
     choice[halved] = np.take_along_axis(second, first, axis=1)
-    first, second = np.split(half_errors, 2)
-    errors[halved] = np.where(first.astype(bool), first, second)
-    return choice, errors
+    return choice

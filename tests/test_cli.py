@@ -15,6 +15,20 @@ def run_ok(workdir, command, config, **kwargs):
     assert proc.returncode == 0, proc.stderr
 
 
+def _run_on_edited(outputs, tmp_path, command, key, doc):
+    """Run the charged4 config of ``command`` from ``outputs`` with its
+    input ``key`` replaced by the document ``doc``."""
+    (tmp_path / f"edited.{key}.json").write_text(json.dumps(doc))
+    cfg = json.loads((outputs / f"charged4.{command}.json").read_text())
+    for name in ("datum", "curve"):
+        if name in cfg:
+            cfg[name] = str(outputs / cfg[name])
+    cfg[key] = f"edited.{key}.json"
+    cfg["out"] = str(tmp_path / "out.json")
+    (tmp_path / "cmd.json").write_text(json.dumps(cfg))
+    return run_cli(tmp_path, command, "cmd.json")
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli")
@@ -239,18 +253,62 @@ class TestExitCodes:
                                       command, key):
         doc = json.loads((charged_outputs / "charged4.datum.json").read_text())
         doc[key][1][5] = [float("nan"), 0.0]
-        (tmp_path / "nan.datum.json").write_text(json.dumps(doc))
-        cfg = json.loads(
-            (charged_outputs / f"charged4.{command}.json").read_text())
-        cfg["datum"] = "nan.datum.json"
-        if "curve" in cfg:
-            cfg["curve"] = str(charged_outputs / cfg["curve"])
-        cfg["out"] = str(tmp_path / "out.json")
-        (tmp_path / "nan.json").write_text(json.dumps(cfg))
-        proc = run_cli(tmp_path, command, "nan.json")
+        proc = _run_on_edited(charged_outputs, tmp_path, command, "datum", doc)
         assert proc.returncode == 2, proc.stderr
         assert f"bad datum: datum {key} is not finite at samples [5]" \
             in proc.stderr
+
+    @pytest.mark.parametrize("command", ["invert", "residues",
+                                         "characterize"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(u=5), "datum u is not 3 rows of 512 samples"),
+        (lambda doc: doc.update(theta=doc["theta"][:2]),
+         "datum theta is not 3 rows of 512 samples"),
+        (lambda doc: doc.pop("u"), "datum u is not 3 rows of 512 samples"),
+        (lambda doc: doc["f"][1].pop(), "datum f is not 2 rows of 512 samples"),
+        (lambda doc: doc.update(hypothesisA=[]),
+         "datum hypothesisA does not hold the margins"),
+        (lambda doc: doc["hypothesisA"].update(min_speed="x"),
+         "datum hypothesisA does not hold the margins")],
+        ids=["u-int", "theta-2-rows", "no-u", "f-short-row", "margins-list",
+             "margin-string"])
+    def test_malformed_datum_exits_2(self, charged_outputs, tmp_path,
+                                     command, edit, message):
+        # each of these ended in a traceback (exit 1) before the layout check
+        doc = json.loads((charged_outputs / "charged4.datum.json").read_text())
+        edit(doc)
+        proc = _run_on_edited(charged_outputs, tmp_path, command, "datum", doc)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"{command}: bad datum: {message}")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(windows=5), "malformed curve file: "),
+        (lambda doc: doc.update(permutations=5), "malformed curve file: "),
+        (lambda doc: doc["windows"][0].update(p=3),
+         "malformed fiber window: cannot reshape"),
+        (lambda doc: doc["windows"][0].update(grid_shape=5),
+         "malformed fiber window: "),
+        (lambda doc: doc["windows"][0]["grid"].pop(),
+         "malformed fiber window: cannot reshape"),
+        (lambda doc: doc["windows"][0].pop("roots"),
+         "malformed fiber window: 'roots'"),
+        (lambda doc: doc["windows"][0].update(p=-1),
+         "malformed fiber window: bad sizes grid_shape [9, 9], p -1"),
+        (lambda doc: doc["windows"][0].update(radius="abc"),
+         "malformed fiber window: could not convert")],
+        ids=["windows-int", "permutations-int", "p-misfit", "grid-shape-int",
+             "grid-short", "no-roots", "p-negative", "radius-string"])
+    def test_malformed_curve_file_exits_2(self, charged_outputs, tmp_path,
+                                          edit, message):
+        # the fiber windows that invert writes and residues reads
+        doc = json.loads((charged_outputs / "charged4.curve.json").read_text())
+        edit(doc)
+        proc = _run_on_edited(charged_outputs, tmp_path, "residues", "curve",
+                              doc)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"residues: bad datum: {message}")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("text", ["[]", "3", '"x"', "null"])
     def test_config_not_an_object_exits_2(self, tmp_path, text):

@@ -13,7 +13,8 @@ from nodal_idn.moments import (BRANCH_SEPARATION_FLOOR, DOUBLE_EPS,
                                VANDERMONDE_CONDITION_LIMIT, FiberWindow,
                                LocalExpansion, MomentEngine,
                                ReconstructedCurve, WindowPlan,
-                               _condition_bound, _power_sum_defect,
+                               _condition_bound, _fiber_roots,
+                               _power_sum_defect,
                                _refine_roots, _solve_quotients,
                                _stitch_pairs, _vandermonde_solve,
                                analyze_window, companion_roots,
@@ -55,7 +56,8 @@ class TestComputeMoment:
     def test_direct_blocks_match_cauchy_sums(self, charged_datum,
                                              monkeypatch):
         # in blocks of 3 points, 10 points take 4 products; a point next to
-        # f2(gamma) in the second block is marked alone
+        # f2(gamma) in the second block fails the batch, which evaluates
+        # without it
         from nodal_idn import moments
         engine = _engine(charged_datum)
         monkeypatch.setattr(moments, "DIRECT_BLOCK", 3 * engine.f2.size)
@@ -68,10 +70,15 @@ class TestComputeMoment:
             want = _cauchy_sums(weights, engine.f1, engine.f2, orders, xi)
             assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) \
                 < 1e-12
-        xi[4] = engine.f2[17] + 1e-3
-        with pytest.raises(MomentError, match="on-curve") as info:
-            engine._direct(None, orders, xi)
-        assert info.value.failed.tolist() == [k == 4 for k in range(10)]
+        near = xi.copy()
+        near[4] = engine.f2[17] + 1e-3
+        with pytest.raises(MomentError, match="on-curve"):
+            engine._direct(None, orders, near)
+        rest = np.delete(near, 4)
+        got = engine._direct(None, orders, rest)
+        want = _cauchy_sums(engine.df2[None, :], engine.f1, engine.f2, orders,
+                            rest)
+        assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) < 1e-12
 
     def test_moment_equals_fiber_sum(self, charged_datum, charged_scenario):
         engine = _engine(charged_datum)
@@ -238,6 +245,7 @@ class TestLocalExpansion:
     @pytest.mark.parametrize("count", [2, 40])
     def test_near_point_fails_alone(self, charged_datum, count):
         # a batch of points in a cached disc plus one next to f2(gamma)
+        # fails; the batch without that point evaluates
         engine = _engine(charged_datum)
         grid, _ = window_grid(3.1, 0.09, 9)
         engine.moments(range(1, 9), grid)
@@ -246,9 +254,10 @@ class TestLocalExpansion:
         want = np.any(np.abs(xi[:, None] - engine.f2[None, :]) < threshold,
                       axis=1)
         assert want.tolist() == [False] * (count - 1) + [True]
-        with pytest.raises(MomentError, match="on-curve") as info:
+        with pytest.raises(MomentError, match="on-curve"):
             engine.moments(range(1, 9), xi)
-        assert np.array_equal(info.value.failed, want)
+        got = engine.moments(range(1, 9), xi[~want])
+        assert got.shape == (8, count - 1) and np.isfinite(got).all()
 
 
 class TestMomentTable:
@@ -500,23 +509,42 @@ class TestRecoverFibers:
     @settings(max_examples=40, deadline=None)
     def test_each_row_recovered_alone(self, data):
         # a batch of 1-100 rows of one size p, each one of up to six rows of
-        # the kinds of ``_root_row``: every row's roots, and its fibers and
-        # verdict, are those of the row recovered alone, bit for bit
+        # the kinds of ``_root_row``, some with S_(p+1..2p) off by 1e-3 of
+        # their size: every row's roots, refined roots and fault are those
+        # of the row recovered alone, bit for bit, and exactly the perturbed
+        # rows are at fault.  The batch raises the first faulted row's
+        # message, else its fibers are those of each row alone
         p = data.draw(st.integers(1, 16))
-        kinds = [_power_sums(data.draw(_root_row(p))[0], 2 * p)
-                 for _ in range(data.draw(st.integers(1, 6)))]
+        kinds, perturbed = [], []
+        for _ in range(data.draw(st.integers(1, 6))):
+            sums = _power_sums(data.draw(_root_row(p))[0], 2 * p)
+            perturbed.append(data.draw(st.booleans()))
+            if perturbed[-1]:
+                sums[p:] += 1e-3 * np.maximum(1.0, np.abs(sums[p:]))
+            kinds.append(sums)
         picks = data.draw(st.lists(st.integers(0, len(kinds) - 1),
                                    min_size=1, max_size=100))
         sums = np.array([kinds[k] for k in picks])
         roots = roots_from_power_sums(sums[:, :p])
-        fibers, failed = _fibers_and_faults(sums, p)
+        refined, faults = _fiber_roots(sums, p)
         alone = [(roots_from_power_sums(s[None, :p])[0],
-                  *_fibers_and_faults(s[None], p)) for s in kinds]
-        for k, row_roots, row_fibers, row_failed in zip(picks, roots, fibers,
-                                                        failed):
+                  *(part[0] for part in _fiber_roots(s[None], p)))
+                 for s in kinds]
+        for k, row_roots, row_refined, fault in zip(picks, roots, refined,
+                                                    faults):
             assert row_roots.tobytes() == alone[k][0].tobytes()
-            assert row_fibers.tobytes() == alone[k][1][0].tobytes()
-            assert row_failed == alone[k][2][0]
+            assert row_refined.tobytes() == alone[k][1].tobytes()
+            assert fault == alone[k][2]
+            assert (fault is not None) == perturbed[k]
+        if any(faults):
+            with pytest.raises(FiberError) as info:
+                recover_fibers(sums, p)
+            assert str(info.value) == next(filter(None, faults))
+        else:
+            fibers = recover_fibers(sums, p)
+            for k, row in zip(picks, fibers):
+                assert row.tobytes() == \
+                    recover_fibers(kinds[k][None], p)[0].tobytes()
 
     @pytest.mark.parametrize("clustered", [False, True])
     def test_one_vector_is_a_one_row_batch(self, clustered):
@@ -546,16 +574,6 @@ class TestRecoverFibers:
         assert np.max(np.abs(refined[1] - near)) < 1e-12
         assert refused.tolist() == [True, False]
         assert np.isfinite(g[:, 1]).all()
-
-
-def _fibers_and_faults(sums, p):
-    """``recover_fibers`` of the rows of power sums, unordered by a fault:
-    the fibers of every row (the error's ``partial`` if some row fails)
-    and the mask of the rows at fault."""
-    try:
-        return recover_fibers(sums, p), np.zeros(sums.shape[:-1], dtype=bool)
-    except FiberError as exc:
-        return exc.partial, exc.failed
 
 
 @st.composite
@@ -724,7 +742,7 @@ class TestEngineRoots:
 class PowerSumFamily:
     """Stand-in for ``MomentEngine.moments``: the power sums of the roots
     r_j(xi) = a_j + b_j xi + c_j xi^2 of a monic family.  Points with
-    |xi| > reach are refused as on-curve points are, one by one."""
+    |xi| > reach are refused as on-curve points are, with their batch."""
 
     def __init__(self, coeffs, reach=np.inf):
         self.coeffs = np.asarray(coeffs, dtype=complex)     # (p, 3)
@@ -737,9 +755,8 @@ class PowerSumFamily:
 
     def moments(self, orders, xi):
         xi = np.atleast_1d(xi)
-        far = np.abs(xi) > self.reach
-        if far.any():
-            raise MomentError("beyond the family's reach", failed=far)
+        if np.any(np.abs(xi) > self.reach):
+            raise MomentError("beyond the family's reach")
         # point by point, so that a value does not depend on its batch
         h = [self.roots(x)[0] for x in xi]
         return np.array([[np.sum(r ** m) for r in h] for m in orders])
@@ -801,17 +818,15 @@ def _track_step(engine, p, xi_from, roots_from, xi_to, budget):
 
 
 def _lockstep(engine, p, paths, start_xi, start_roots, budget=6):
-    """continue_fibers' tracks, with ``budget`` halvings, and its mask of
-    failed paths."""
+    """continue_fibers' tracks, with ``budget`` halvings, or None where it
+    raises."""
     from nodal_idn import moments
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(moments, "MAX_HALVINGS", budget)
-            out = continue_fibers(engine, p, paths, start_xi, start_roots)
-        return out, np.zeros(len(paths), dtype=bool)
-    except (FiberError, MomentError) as exc:
-        assert exc.failed is not None and exc.failed.any()
-        return exc.partial, exc.failed
+            return continue_fibers(engine, p, paths, start_xi, start_roots)
+    except (FiberError, MomentError):
+        return None
 
 
 _lattice = st.integers(-6, 6)
@@ -830,7 +845,8 @@ class TestContinuation:
                                             budget):
         # roots 0.25 apart at xi = 0, moving at random speeds; the walks run
         # from |xi| <= 0.85 to |xi| <= 1.7, some past the reach 1.2, some
-        # with steps long enough to collide, to be halved or to fail
+        # with steps long enough to collide, to be halved or to fail.  The
+        # batch arrives iff every path arrives alone, and then bit for bit
         p = len(origins)
         coeffs = [[0.25 * (x + 1j * y), 0.15 * (u + 1j * v), 0.05 * w]
                   for (x, y), (u, v, w) in zip(origins, slopes)]
@@ -839,16 +855,17 @@ class TestContinuation:
         end = np.array([0.2 * (c + 1j * d) for _, _, c, d in walks])
         paths = start[:, None] + (end - start)[:, None] * (np.arange(1, 6) / 5)
         start_roots = engine.roots(start)
-        got, failed = _lockstep(engine, p, paths, start, start_roots, budget)
+        got = _lockstep(engine, p, paths, start, start_roots, budget)
+        want = []
         for b in range(len(walks)):
             try:
-                want = _track_path(engine, p, paths[b], start[b], start_roots[b],
-                                   budget)
+                want.append(_track_path(engine, p, paths[b], start[b],
+                                        start_roots[b], budget))
             except (FiberError, MomentError):
-                assert failed[b]
-                continue
-            assert not failed[b]
-            assert np.array_equal(got[b], want)
+                assert got is None
+                return
+        assert got is not None
+        assert np.array_equal(got, np.array(want))
 
     def test_first_step_halves(self, monkeypatch):
         # r = (0.9 xi, 1 + xi): from (0, 1) at xi = 0 both roots at xi = 1
@@ -884,27 +901,30 @@ class TestContinuation:
 
     def test_power_sum_failure_is_not_halved(self):
         # S_4 is off by 1e-3 where Re xi > 0.5, whatever the path there:
-        # the failing path costs no halvings, the other one arrives
+        # the failing point costs no halvings, and the other path alone
+        # arrives
         engine = Counting(Inconsistent([[0.0, 0.5, 0.0], [1.0, 1.0, 0.0]],
                                        lambda xi: np.real(xi) > 0.5))
         start = engine.engine.roots([0.0, 0.0])
-        with pytest.raises(FiberError, match="power-sum") as info:
+        with pytest.raises(FiberError, match="power-sum"):
             continue_fibers(engine, 2, [[1.0], [0.4]], [0.0, 0.0], start)
         assert engine.calls == [2]
-        assert info.value.failed.tolist() == [True, False]
-        assert np.allclose(info.value.partial[1, 0], [0.2, 1.4], atol=1e-12)
+        got = continue_fibers(engine, 2, [[0.4]], [0.0], start[1:])
+        assert np.allclose(got[0, 0], [0.2, 1.4], atol=1e-12)
 
     def test_failed_path_keeps_its_own_error(self):
-        # path 0 collides at its first step and arrives once halved; path 1
-        # fails the power-sum check where Im xi > 0.5, and that is its error
-        engine = Inconsistent([[0.0, 0.9, 0.0], [1.0, 1.0, 0.0]],
-                              lambda xi: np.imag(xi) > 0.5)
-        start = engine.roots([0.0, 0.0])
+        # path 0 collides at its first step and would arrive once halved;
+        # path 1 fails the power-sum check where Im xi > 0.5.  Its error is
+        # raised from the first kernel call, before any halving
+        engine = Counting(Inconsistent([[0.0, 0.9, 0.0], [1.0, 1.0, 0.0]],
+                                       lambda xi: np.imag(xi) > 0.5))
+        start = engine.engine.roots([0.0, 0.0])
         with pytest.raises(FiberError, match="power-sum consistency failed "
-                                             "at order 4") as info:
+                                             "at order 4"):
             continue_fibers(engine, 2, [[1.0], [1j]], [0.0, 0.0], start)
-        assert info.value.failed.tolist() == [False, True]
-        assert np.allclose(info.value.partial[0, 0], [0.9, 2.0], atol=1e-12)
+        assert engine.calls == [2]
+        got = continue_fibers(engine, 2, [[1.0]], [0.0], start[:1])
+        assert np.allclose(got[0, 0], [0.9, 2.0], atol=1e-12)
 
     def test_one_batch_per_block_and_halving_level(self, charged_datum,
                                                    charged_scenario):
