@@ -16,11 +16,13 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the engine from src, the scenario builders from the tests' reference code
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from nodal_idn import jsonio                       # noqa: E402
 from nodal_idn.dirichlet import Prescription       # noqa: E402
-from nodal_idn import scenarios as sc              # noqa: E402
+from reference import scenarios as sc              # noqa: E402
 
 
 def encode_prescription(r: Prescription) -> dict:

@@ -106,25 +106,28 @@ def _decode_prescription(doc: dict) -> Prescription:
     )
 
 
+def _entries(value, key: str, kind: type) -> list:
+    """A forward config value that must be a list of lists or of objects
+    (``kind``); empty if absent."""
+    value = value or []
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise ConfigError(f"{key} must be a list of "
+                          f"{'objects' if kind is dict else 'lists'}")
+    return value
+
+
 def _decode_families(items) -> tuple | None:
-    if not items:
-        return None
     return tuple(AdmissibleFamily.from_json(f) if f else AdmissibleFamily(())
-                 for f in items)
-
-
-def _decode_samples(rows) -> tuple:
-    return tuple(jsonio.decode_complex_array(r) for r in rows)
+                 for f in _entries(items, "families", list)) or None
 
 
 def cmd_forward(cfg: PipelineConfig) -> int:
     model = NodalDomainModel.from_json(jsonio.load(cfg.path("model")))
     families = _decode_families(cfg.doc.get("families"))
-    boundary = _decode_samples(cfg.doc.get("boundary_values") or [])
-    prescriptions = None
-    if cfg.doc.get("prescriptions"):
-        prescriptions = tuple(_decode_prescription(p)
-                              for p in cfg.doc["prescriptions"])
+    boundary = tuple(jsonio.decode_complex_array(r) for r in _entries(
+        cfg.doc.get("boundary_values"), "boundary_values", list))
+    prescriptions = tuple(_decode_prescription(p) for p in _entries(
+        cfg.doc.get("prescriptions"), "prescriptions", dict)) or None
     datum = build_dn_datum(model, families, boundary, prescriptions)
     jsonio.dump(datum.to_json(), cfg.out or "datum.json")
     return 0

@@ -237,7 +237,7 @@ class DNDatum:
         2 rows of finite samples, one per curve sample, and ``hypothesisA``
         holds the two margins (former pass flags beside them are not read)."""
         jsonio.require_schema(doc, DATUM_SCHEMA)
-        curve = BoundaryCurve.from_json(doc["curve"])
+        curve = BoundaryCurve.from_json(doc.get("curve"))
         rows = {}
         for key, count in (("u", 3), ("theta", 3), ("f", 2)):
             items = doc.get(key) if isinstance(doc.get(key), list) else []

@@ -96,8 +96,12 @@ class BoundaryCurve:
         }
 
     @staticmethod
-    def from_json(doc: dict) -> "BoundaryCurve":
+    def from_json(doc) -> "BoundaryCurve":
         """The curve of a file; a former ``orientation`` key is ignored."""
+        if not (isinstance(doc, dict) and "positions" in doc
+                and "derivatives" in doc):
+            raise ModelError("a curve must be an object with positions and "
+                             "derivatives")
         return BoundaryCurve(jsonio.decode_complex_array(doc["positions"]),
                              jsonio.decode_complex_array(doc["derivatives"]))
 
@@ -219,13 +223,19 @@ class AnnulusDomain:
                 "center": jsonio.encode_complex(self.center)}
 
 
-def domain_from_json(doc: dict):
-    if doc["kind"] == "disk":
-        return DiskDomain(float(doc["radius"]), jsonio.decode_complex(doc["center"]))
-    if doc["kind"] == "annulus":
-        return AnnulusDomain(float(doc["inner_radius"]), float(doc["outer_radius"]),
-                             jsonio.decode_complex(doc["center"]))
-    raise ModelError(f"unknown domain kind {doc['kind']!r}")
+def domain_from_json(doc):
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    try:
+        if kind == "disk":
+            return DiskDomain(float(doc["radius"]),
+                              jsonio.decode_complex(doc["center"]))
+        if kind == "annulus":
+            return AnnulusDomain(float(doc["inner_radius"]),
+                                 float(doc["outer_radius"]),
+                                 jsonio.decode_complex(doc["center"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"malformed {kind} domain: {exc}") from None
+    raise ModelError(f"unknown domain kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -321,11 +331,15 @@ class NodalDomainModel:
     @staticmethod
     def from_json(doc: dict) -> "NodalDomainModel":
         jsonio.require_schema(doc, MODEL_SCHEMA)
-        groups = tuple(jsonio.decode_complex_array(g) for g in doc["node_groups"])
-        aux = tuple((jsonio.decode_complex(p), jsonio.decode_complex(r))
-                    for p, r in doc.get("auxiliary_poles", []))
-        return NodalDomainModel(domain_from_json(doc["domain"]),
-                                BoundaryCurve.from_json(doc["boundary"]),
+        try:
+            groups = tuple(jsonio.decode_complex_array(g)
+                           for g in doc["node_groups"])
+            aux = tuple((jsonio.decode_complex(p), jsonio.decode_complex(r))
+                        for p, r in doc.get("auxiliary_poles", []))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelError(f"malformed model: {exc}") from None
+        return NodalDomainModel(domain_from_json(doc.get("domain")),
+                                BoundaryCurve.from_json(doc.get("boundary")),
                                 groups, aux)
 
 

@@ -10,10 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import DNDatum, Prescription, build_dn_datum
-from .model import AdmissibleFamily, DiskDomain, NodalDomainModel
-from .moments import WindowPlan
-from .oracles import (DiskDomainSpec, RationalFunction, RationalMapOracle)
+from nodal_idn.dirichlet import DNDatum, Prescription, build_dn_datum
+from nodal_idn.model import AdmissibleFamily, DiskDomain, NodalDomainModel
+from nodal_idn.moments import WindowPlan
+
+from .oracles import DiskDomainSpec, RationalFunction, RationalMapOracle
+
+
+def ring_plan(center: complex, ring_radius: float, count: int,
+              window_radius: float) -> WindowPlan:
+    """``count`` windows of ``window_radius`` evenly spaced on a circle."""
+    ang = 2 * np.pi * np.arange(count) / count
+    centers = (center + ring_radius * np.exp(1j * ang)).tolist()
+    return WindowPlan(centers, window_radius)
 
 
 @dataclass
@@ -75,7 +84,7 @@ def charged4(n: int = 512) -> Scenario:
     f1 = RationalFunction(poly=(2.0, -1.0, 0.0, 1.0))
     f2 = RationalFunction(poly=(3.0, 0.0, -1.0, 0.0, 1.0))
     oracle = RationalMapOracle(f1, f2, (w0, w1, w2), DiskDomainSpec(1.5))
-    plan = WindowPlan.ring(3.0 + 0.0j, 0.16, 8, 0.09)
+    plan = ring_plan(3.0 + 0.0j, 0.16, 8, 0.09)
     return Scenario("charged4", model, families, us, oracle, plan,
                     (-3.6, 0.15), 0.02)
 
@@ -94,7 +103,7 @@ def spurious() -> Scenario:
           2 * (z**4 / 4 - z**2 / 2).real)
     model = NodalDomainModel(dom, curve)
     oracle = RationalMapOracle(w1, w2, (w0, w1, w2), DiskDomainSpec(1.5))
-    plan = WindowPlan.ring(0.0 + 0.0j, 0.14, 6, 0.08)
+    plan = ring_plan(0.0 + 0.0j, 0.14, 6, 0.08)
     return Scenario("spurious", model, None, us, oracle, plan, (-0.05, 0.1),
                     0.02)
 
@@ -139,7 +148,7 @@ def compact_config(degree_one: bool = False) -> dict:
     if degree_one:
         windows = WindowPlan([0.64 - 0.15j], 0.04)
     else:
-        windows = WindowPlan.ring(0.47 - 0.43j, 0.04, 6, 0.025)
+        windows = ring_plan(0.47 - 0.43j, 0.04, 6, 0.025)
     return {
         "command": "compact",
         "rho": 1.0,

@@ -27,10 +27,10 @@ from nodal_idn.moments import MomentEngine, window_grid
 from nodal_idn.nodes import (BranchReport, SingularPointReport,
                              analyze_singular_point, classify_and_partition,
                              locate_singularities)
-from nodal_idn.scenarios import corrupted_datum
 from nodal_idn.spectral import parameter_grid
 from nystrom import (NystromSystem, PrincipalGreen, solve_dirichlet_fredholm,
                      trace_T_minus, trace_T_plus)
+from reference.scenarios import corrupted_datum
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 

@@ -14,7 +14,7 @@ from nodal_idn.errors import CharacterizationError, MomentError
 from nodal_idn.greens import enclosing_kernel
 from nodal_idn.moments import MomentEngine, recover_fibers
 from nodal_idn.oracles import polynomial_roots
-from nodal_idn.scenarios import corrupted_datum, flat_line
+from reference.scenarios import corrupted_datum, flat_line
 
 CHARACTERIZE = importlib.import_module("nodal_idn.characterize")
 TRUE_POINTS = [1.0, -1.0]

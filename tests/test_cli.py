@@ -8,6 +8,7 @@ from cli_runner import run_cli
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
+CURVE_LAYOUT = "a curve must be an object with positions and derivatives"
 
 
 def run_ok(workdir, command, config, **kwargs):
@@ -269,18 +270,64 @@ class TestExitCodes:
         (lambda doc: doc.update(hypothesisA=[]),
          "datum hypothesisA does not hold the margins"),
         (lambda doc: doc["hypothesisA"].update(min_speed="x"),
-         "datum hypothesisA does not hold the margins")],
+         "datum hypothesisA does not hold the margins"),
+        (lambda doc: doc.pop("curve"), CURVE_LAYOUT),
+        (lambda doc: doc.update(curve=5), CURVE_LAYOUT),
+        (lambda doc: doc["curve"].pop("positions"), CURVE_LAYOUT)],
         ids=["u-int", "theta-2-rows", "no-u", "f-short-row", "margins-list",
-             "margin-string"])
+             "margin-string", "no-curve", "curve-int", "no-curve-positions"])
     def test_malformed_datum_exits_2(self, charged_outputs, tmp_path,
                                      command, edit, message):
-        # each of these ended in a traceback (exit 1) before the layout check
+        # each of these ended in a traceback or a KeyError (exit 1) before
+        # the layout check
         doc = json.loads((charged_outputs / "charged4.datum.json").read_text())
         edit(doc)
         proc = _run_on_edited(charged_outputs, tmp_path, command, "datum", doc)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(f"{command}: bad datum: {message}")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("node_groups"), "malformed model: 'node_groups'"),
+        (lambda doc: doc["boundary"].pop("positions"), CURVE_LAYOUT),
+        (lambda doc: doc.update(boundary=5), CURVE_LAYOUT),
+        (lambda doc: doc["domain"].pop("kind"), "unknown domain kind None"),
+        (lambda doc: doc.update(domain=5), "unknown domain kind None"),
+        (lambda doc: doc["domain"].update(radius="x"),
+         "malformed disk domain: could not convert")],
+        ids=["no-node-groups", "no-boundary-positions", "boundary-int",
+             "no-domain-kind", "domain-int", "radius-string"])
+    def test_malformed_model_exits_2(self, workdir, tmp_path, edit, message):
+        # a KeyError, TypeError or ValueError (exit 1) before the layout check
+        doc = json.loads((workdir / "charged4.model.json").read_text())
+        edit(doc)
+        proc = _run_on_edited(workdir, tmp_path, "forward", "model", doc)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"forward: bad datum: {message}")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("families", 5, "families must be a list of lists"),
+        ("families", [5], "families must be a list of lists"),
+        ("prescriptions", 5, "prescriptions must be a list of objects"),
+        ("prescriptions", [5], "prescriptions must be a list of objects"),
+        ("boundary_values", 5, "boundary_values must be a list of lists")],
+        ids=["families-int", "family-int", "prescriptions-int",
+             "prescription-int", "boundary-values-int"])
+    def test_malformed_forward_config_exits_2(self, workdir, tmp_path, key,
+                                              value, message):
+        # each of these ended in a traceback (exit 1) before the layout check
+        cfg = json.loads((workdir / "charged4.forward.json").read_text())
+        cfg["model"] = str(workdir / cfg["model"])
+        cfg["out"] = str(tmp_path / "datum.json")
+        cfg[key] = value
+        (tmp_path / "bad.forward.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "forward", "bad.forward.json")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"forward: bad config: {message}")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "datum.json").exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(windows=5), "malformed curve file: "),
@@ -560,7 +607,7 @@ def _oracle_forms(cfg):
     """The compact scenario's forms w_0, w_1, w_2 as oracle functions, read
     off the config: charge c at the second pole of each pair, -c at the
     first, and the auxiliary poles after them."""
-    from nodal_idn.oracles import RationalFunction
+    from reference.oracles import RationalFunction
     forms = []
     for ell, (c, pair) in enumerate(zip(cfg["charges"], cfg["poles"])):
         c = complex(*c)
@@ -575,7 +622,8 @@ def _oracle_forms(cfg):
 def _oracle_fiber(forms, xi):
     """h = w_1/w_0 at the points of the unit disk where w_2 = xi w_0."""
     import numpy as np
-    from nodal_idn.oracles import RationalFunction, polynomial_roots
+    from nodal_idn.oracles import polynomial_roots
+    from reference.oracles import RationalFunction
     w0, w1, w2 = forms
     comb = RationalFunction(
         poles=w2.poles + w0.poles,
@@ -629,7 +677,8 @@ class TestCompact:
         from nodal_idn.cli import _compact_potentials
         from nodal_idn.dirichlet import (IMMERSION_FLOOR, INJECTIVITY_GAP,
                                          build_dn_datum)
-        from nodal_idn.moments import MomentEngine, WindowPlan, sweep_windows
+        from nodal_idn.moments import MomentEngine, sweep_windows
+        from reference.scenarios import ring_plan
         cfg = {
             "rho": 1.0, "n": 512,
             "charges": [[1.0, 0.0], [1.3, 0.0], [0.8, 0.0]],
@@ -646,7 +695,7 @@ class TestCompact:
         assert datum.hypothesis_a["min_image_gap"] > INJECTIVITY_GAP
         assert datum.hypothesis_a["min_speed"] > IMMERSION_FLOOR
         forms = _oracle_forms(cfg)
-        plan = WindowPlan.ring(0.5146 - 0.3672j, 0.03, 4, 0.02)
+        plan = ring_plan(0.5146 - 0.3672j, 0.03, 4, 0.02)
         rec = sweep_windows(MomentEngine.from_datum(datum), plan)
         assert [w.p for w in rec.windows] == [2, 2, 2, 2]
         errs = []

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from annulus_fredholm import FredholmAnnulus
 from engine_checks import residue_at, verify_weak_holomorphy
-from nodal_idn import jsonio, oracles
+from nodal_idn import jsonio
 from nodal_idn.dirichlet import (IMMERSION_FLOOR, INJECTIVITY_GAP, DNDatum,
                                  Prescription, _min_image_gap, apply_dn,
                                  build_dn_datum, check_hypothesis_a,
@@ -14,6 +14,7 @@ from nodal_idn.greens import disk_green
 from nodal_idn.model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve,
                              DiskDomain, NodalDomainModel)
 from nodal_idn.spectral import parameter_grid
+from reference import oracles
 
 
 @pytest.fixture(scope="module")

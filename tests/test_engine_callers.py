@@ -1,43 +1,45 @@
 """Engine code is code that a pipeline runs, with options that some caller sets.
 
 Every function, class and method defined in ``src/nodal_idn`` (apart from
-``oracles.py``, the test oracles, and ``__init__.py``, the re-exports) must
-be referenced somewhere other than its own definition: elsewhere in the
-package, in ``scripts/``, or among the span targets of
-``perfbench/spans.py``.  A name that only tests use belongs in ``tests/``,
-as ``tests/engine_checks.py`` and ``tests/nystrom.py`` do.  Dunder methods
-are called by the language and are not checked.
+``__init__.py``, the re-exports) must be referenced somewhere other than
+its own definition: elsewhere in the package, in ``scripts/``, or among
+the span targets of ``perfbench/spans.py``.  A method counts as referenced
+only as an attribute (``x.name``), since a bare name of the same spelling
+is some other variable.  A name that only tests use belongs in ``tests/``,
+as ``tests/engine_checks.py``, ``tests/nystrom.py`` and the scenarios and
+oracles of ``tests/reference/`` do.  Dunder methods are called by the
+language and are not checked.
 
 Every defaulted parameter of those functions and methods must be passed,
 by keyword or by position, at some call of that name in ``src/``,
 ``scripts/`` or ``perfbench/``: a default that no call overrides is a
 constant, and one that only tests override is a constant that the tests
-should monkeypatch.  ``scenarios.py`` builds test and script inputs, so
-for its parameters the calls in ``tests/`` count too.
+should monkeypatch.
 """
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nodal_idn"
-NOT_ENGINE = {"oracles.py", "__init__.py"}
+NOT_ENGINE = {"__init__.py"}
 CALLERS = ("src", "scripts", "perfbench")
-TEST_SUPPORT = {"scenarios.py"}     # whose options tests may set
 
 
-def _definitions(body, prefix=""):
-    """(qualified name, node) of every function, class and method."""
+def _definitions(body, prefix="", in_class=False):
+    """(qualified name, node, whether it is a method) of every function,
+    class and method."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in body:
         if isinstance(node, kinds):
-            yield prefix + node.name, node
-            yield from _definitions(node.body, f"{prefix}{node.name}.")
+            yield prefix + node.name, node, in_class
+            yield from _definitions(node.body, f"{prefix}{node.name}.",
+                                    isinstance(node, ast.ClassDef))
 
 
 def _references(node, enclosing=()):
-    """Names and attributes used under ``node``, each kept unless one of
-    the definitions around the use, ``enclosing`` included, has its name:
-    a definition's reference to itself is not a caller."""
+    """Names used under ``node``, and attributes as ``.name``, each kept
+    unless one of the definitions around the use, ``enclosing`` included,
+    has its name: a definition's reference to itself is not a caller."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     if isinstance(node, kinds):
         enclosing = enclosing + (node.name,)
@@ -45,8 +47,8 @@ def _references(node, enclosing=()):
     if isinstance(node, ast.Name):
         found.add(node.id)
     elif isinstance(node, ast.Attribute):
-        found.add(node.attr)
-    found -= set(enclosing)
+        found.add("." + node.attr)
+    found -= set(enclosing) | {"." + name for name in enclosing}
     for child in ast.iter_child_nodes(node):
         found |= _references(child, enclosing)
     return found
@@ -72,16 +74,17 @@ def _engine_trees():
 
 def uncalled_engine_names() -> list[str]:
     trees = _engine_trees()
-    outside = _span_targets()
+    # the tracer sets each target as an attribute of its module or class
+    used = {"." + name for name in _span_targets()}
     for path in sorted((ROOT / "scripts").glob("*.py")):
-        outside |= _references(ast.parse(path.read_text()))
-    inside = set().union(*map(_references, trees.values()))
+        used |= _references(ast.parse(path.read_text()))
+    used = used.union(*map(_references, trees.values()))
     missing = []
     for module, tree in trees.items():
-        for qualified, node in _definitions(tree.body):
+        for qualified, node, method in _definitions(tree.body):
             name = node.name
             if (name.startswith("__") and name.endswith("__")
-                    or name in outside or name in inside):
+                    or "." + name in used or not method and name in used):
                 continue
             missing.append(f"{module}:{node.lineno} {qualified}")
     return missing
@@ -165,11 +168,9 @@ def _passed_arguments(folders) -> dict:
 def unset_engine_options() -> list[str]:
     trees = _engine_trees()
     constructors = _constructors(trees)
-    engine = _passed_arguments(CALLERS)
-    support = _passed_arguments(CALLERS + ("tests",))
+    passed = _passed_arguments(CALLERS)
     missing = []
     for module, tree in trees.items():
-        passed = support if module in TEST_SUPPORT else engine
         for qualified, calls, param, pos in _defaulted(tree.body, constructors):
             if not any(param in passed.get(name, ()) or pos in passed.get(name, ())
                        for name in calls):

@@ -12,11 +12,11 @@ from nodal_idn.greens import (AnnulusHarmonicSolver, AnnulusPrincipalGreen,
                               DiskHarmonicSolver, GreenKernel, disk_green,
                               near_boundary_threshold)
 from nodal_idn.model import AnnulusDomain, BoundaryCurve, DiskDomain
-from nodal_idn.oracles import fd_laplacian_check
 from nodal_idn.spectral import parameter_grid
 from nystrom import (NystromSystem, PrincipalGreen, QuadratureError,
                      layer_potential_T, solve_dirichlet_fredholm,
                      trace_T_minus, trace_T_plus)
+from reference.oracles import fd_laplacian_check
 
 
 @pytest.fixture(scope="module")

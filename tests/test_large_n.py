@@ -13,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from nodal_idn import jsonio, scenarios
+from nodal_idn import jsonio
+from reference import scenarios
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 N = 16384

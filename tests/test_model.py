@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from engine_checks import (ellipse, has_distinct_pair_magnitudes, scaled,
                            spectral_consistency, zero_sum_subsets)
-from nodal_idn import oracles
 from nodal_idn.errors import ModelError, PartitionError
 from nodal_idn.model import (AdmissibleFamily, AnnulusDomain, BoundaryCurve,
                              DiskDomain, NodalDomainModel,
                              _polygon_self_intersects,
                              finest_zero_sum_partition, is_generic_family)
+from reference import oracles
 
 
 class TestBoundaryCurve:

@@ -22,8 +22,9 @@ from nodal_idn.moments import (BRANCH_SEPARATION_FLOOR, DOUBLE_EPS,
                                match_rows, recover_fibers,
                                recover_form_quotient, roots_from_power_sums,
                                sweep_windows, truncation_order, window_grid)
-from nodal_idn.oracles import argument_principle_count, polynomial_roots
-from nodal_idn.scenarios import graph as graph_scn
+from nodal_idn.oracles import polynomial_roots
+from reference.oracles import argument_principle_count
+from reference.scenarios import graph as graph_scn
 
 
 def _engine(datum):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodal_idn import nodes, scenarios
+from nodal_idn import nodes
 from nodal_idn.dirichlet import DNDatum
 from nodal_idn.errors import MomentError, MonodromyError, PartitionError
 from nodal_idn.moments import (MomentEngine, continue_fibers,
@@ -14,6 +14,7 @@ from nodal_idn.nodes import (BranchReport, SingularPointReport,
                              discriminant, energy_growth_reports,
                              locate_singularities, track_branch_contour,
                              zero_census, _sheet_values_at)
+from reference import scenarios
 from test_moments import Counting, PowerSumFamily
 
 _lattice = st.integers(-6, 6)

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import re
 
 import numpy as np
@@ -6,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodal_idn.errors import ModelError, NodalIdnError
-from nodal_idn.oracles import (DiskDomainSpec, RationalFunction,
+from nodal_idn.oracles import polynomial_roots
+from reference import oracles as reference_oracles
+from reference.oracles import (DiskDomainSpec, RationalFunction,
                                argument_principle_count, fd_laplacian_check,
-                               fiber_oracle, polynomial_roots)
+                               fiber_oracle)
 
 
 class TestPolynomialRoots:
@@ -89,8 +93,19 @@ class TestFdLaplacian:
         assert abs(res - 4.0) < 1e-6
 
 
+def _absolute_imports(source: str) -> set:
+    """Top-level names of the modules that ``source`` imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 def test_oracles_are_engine_independent():
-    # the oracle module must not import engine code (dependency direction)
+    # neither oracle module may import engine code (dependency direction)
     # in any import form, so the brute-force curve and hypothesis-A checks
     # here stay independent of the grid checks in model and dirichlet
     import nodal_idn.oracles as oracles
@@ -99,10 +114,19 @@ def test_oracles_are_engine_independent():
         rf"^\s*(from\s+(\.|nodal_idn\.){engine}\s+import"
         rf"|import\s+nodal_idn\.{engine}\b"
         rf"|from\s+(\.|nodal_idn)\s+import\s+.*\b{engine}\b)", re.M)
-    assert engine_import.search(open(oracles.__file__).read()) is None
+    for module in (oracles, reference_oracles):
+        source = open(module.__file__).read()
+        assert engine_import.search(source) is None, module.__name__
     for probe in ("from .model import BoundaryCurve", "from . import jsonio, model",
                   "import nodal_idn.dirichlet as d"):
         assert engine_import.search(probe) is not None, probe
+    # the package keeps only the root finder that perfbench/spans.py names
+    tree = ast.parse(open(oracles.__file__).read())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets}
+    assert defined == {"polynomial_roots", "MAX_POLY_DEGREE"}
     # and neither the forward side, the inverse engine, the CLI nor the
     # package root may borrow oracle code, or the oracle tests would compare
     # the engine with itself
@@ -116,6 +140,12 @@ def test_oracles_are_engine_independent():
                                          else "nodal_idn")
         source = open(engine.__file__).read()
         assert oracle_import.search(source) is None, name
+    # nor may any module of the package, the root included, reach the
+    # reference code of the tests
+    for path in sorted(pathlib.Path(oracles.__file__).parent.glob("*.py")):
+        assert "reference" not in _absolute_imports(path.read_text()), path.name
+    for probe in ("from reference import scenarios", "import reference.oracles"):
+        assert "reference" in _absolute_imports(probe), probe
 
 
 class TestArgumentPrinciple:
