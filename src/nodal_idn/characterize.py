@@ -202,6 +202,8 @@ class OrientationReport:
     reversed: ShockReport | None
     forward_error: str = ""
     reversed_error: str = ""
+    # the datum with gamma reversed that the probe ran on; not written
+    reversed_datum: DNDatum | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {"verdict": self.verdict,
@@ -222,7 +224,8 @@ def orientation_probe(datum: DNDatum, center: tuple, extent: float,
     """
     reports = {}
     errors = {"gamma": "", "-gamma": ""}
-    for name, d in (("gamma", datum), ("-gamma", datum.reversed())):
+    flipped = datum.reversed()
+    for name, d in (("gamma", datum), ("-gamma", flipped)):
         try:
             reports[name] = shock_residual(d, center, extent)
         except (MomentError, FiberError, CharacterizationError) as exc:
@@ -245,7 +248,7 @@ def orientation_probe(datum: DNDatum, center: tuple, extent: float,
     else:
         verdict = "algebraic-ambiguous"
     return OrientationReport(verdict, fwd, rev, errors["gamma"],
-                             errors["-gamma"])
+                             errors["-gamma"], flipped)
 
 
 @dataclass
@@ -297,7 +300,7 @@ def characterize(datum: DNDatum, center: tuple, extent: float,
     if orient.verdict != "-gamma" and _passes(orient.forward, limit):
         shock, oriented = orient.forward, datum
     else:   # the probe raised unless one orientation passes
-        shock, oriented = orient.reversed, datum.reversed()
+        shock, oriented = orient.reversed, orient.reversed_datum
     green = None
     probes = None
     if candidate_points is not None:

@@ -54,9 +54,10 @@ class PipelineConfig:
 
 
 def _positive(value, key: str) -> float:
-    """A config value that must be a finite positive number."""
+    """A config value that must be a finite positive number (an integer
+    too large for a float is not)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not 0 < value < np.inf:
+            or not 0 < value <= sys.float_info.max:
         raise ConfigError(f"{key} must be a finite positive number, "
                           f"not {value!r}")
     return float(value)
@@ -122,24 +123,24 @@ def _decode_families(items) -> tuple | None:
 
 
 def cmd_forward(cfg: PipelineConfig) -> int:
-    model = NodalDomainModel.from_json(jsonio.load(cfg.path("model")))
+    model = jsonio.load(cfg.path("model"), NodalDomainModel.from_json)
     families = _decode_families(cfg.doc.get("families"))
     boundary = tuple(jsonio.decode_complex_array(r) for r in _entries(
         cfg.doc.get("boundary_values"), "boundary_values", list))
     prescriptions = tuple(_decode_prescription(p) for p in _entries(
         cfg.doc.get("prescriptions"), "prescriptions", dict)) or None
     datum = build_dn_datum(model, families, boundary, prescriptions)
-    jsonio.dump(datum.to_json(), cfg.out or "datum.json")
+    jsonio.dump(datum, cfg.out or "datum.json")
     return 0
 
 
 def cmd_invert(cfg: PipelineConfig) -> int:
-    datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
+    datum = jsonio.load(cfg.path("datum"), DNDatum.from_json)
     plan = _decode_plan(cfg.doc.get("windows"))
     engine = MomentEngine.from_datum(datum)
     curve = sweep_windows(engine, plan)
     out = cfg.out or "curve.json"
-    jsonio.dump(curve.to_json(), out)
+    jsonio.dump(curve, out)
     report_lines = [f"windows analyzed: {len(curve.windows)}"]
     for w in curve.windows:
         line = (f"window center {w.center:.6g} radius {w.radius:.6g}: "
@@ -177,12 +178,12 @@ def _self_consistency(engine: MomentEngine, curve: ReconstructedCurve) -> float:
 
 
 def cmd_residues(cfg: PipelineConfig) -> int:
-    datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
-    curve = ReconstructedCurve.from_json(jsonio.load(cfg.path("curve")))
+    datum = jsonio.load(cfg.path("datum"), DNDatum.from_json)
+    curve = jsonio.load(cfg.path("curve"), ReconstructedCurve.from_json)
     radius = _positive(cfg.doc.get("contour_radius", DEFAULT_CONTOUR_RADIUS),
                        "contour_radius")
     inventory = _node_inventory(curve, MomentEngine.from_datum(datum), radius)
-    jsonio.dump(inventory.to_json(), cfg.out or "nodes.json")
+    jsonio.dump(inventory, cfg.out or "nodes.json")
     return 0
 
 
@@ -249,7 +250,7 @@ def _decode_candidates(value) -> tuple:
 
 
 def cmd_characterize(cfg: PipelineConfig) -> int:
-    datum = DNDatum.from_json(jsonio.load(cfg.path("datum")))
+    datum = jsonio.load(cfg.path("datum"), DNDatum.from_json)
     center, extent = _decode_window(cfg.doc.get("window"))
     thresholds = _decode_thresholds(cfg.doc.get("thresholds"))
     probes = _integer(cfg.doc.get("probes", PROBE_COUNT), "probes", 1)
@@ -257,7 +258,7 @@ def cmd_characterize(cfg: PipelineConfig) -> int:
     points, charges = _decode_candidates(cfg.doc.get("candidates"))
     report = characterize(datum, center, extent, points, charges,
                           probe_count=probes, seed=seed, thresholds=thresholds)
-    jsonio.dump(report.to_json(), cfg.out or "caract.json")
+    jsonio.dump(report, cfg.out or "caract.json")
     return 0 if report.passed else EXIT_CHARACTERIZATION
 
 
@@ -328,12 +329,12 @@ def cmd_compact(cfg: PipelineConfig) -> int:
                        "contour_radius")
     model, us, prescriptions = _compact_potentials(doc)
     datum = build_dn_datum(model, None, us, prescriptions)
-    jsonio.dump(datum.to_json(), f"{prefix}.datum.json")
+    jsonio.dump(datum, f"{prefix}.datum.json")
     engine = MomentEngine.from_datum(datum)
     curve = sweep_windows(engine, plan)
-    jsonio.dump(curve.to_json(), f"{prefix}.curve.json")
+    jsonio.dump(curve, f"{prefix}.curve.json")
     inventory = _node_inventory(curve, engine, radius)
-    jsonio.dump(inventory.to_json(), f"{prefix}.nodes.json")
+    jsonio.dump(inventory, f"{prefix}.nodes.json")
     summary = {
         "schema": "nodal-idn/compact/1",
         "windows": len(curve.windows),

@@ -1,6 +1,15 @@
-"""JSON helpers: complex values as [re, im] pairs, deterministic output."""
+"""JSON helpers: complex values as [re, im] pairs, deterministic output.
+
+``load`` and ``dump`` own the file boundary of every stage.  Both run with
+CPython's cyclic garbage collector paused: a datum of N samples holds about
+10 N two-float lists, and each automatic collection in that span would
+rescan all of them for cycles that a JSON tree cannot hold.  No other
+module touches the collector.
+"""
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import numbers
 import os
@@ -21,12 +30,16 @@ def encode_complex_array(a) -> list:
 
 
 def decode_complex(pair) -> complex:
-    """A real number or an [re, im] pair; anything else is a ModelError."""
-    if isinstance(pair, numbers.Real):
-        return complex(pair)
-    if isinstance(pair, (list, tuple)) and len(pair) == 2 \
-            and all(isinstance(x, numbers.Real) for x in pair):
-        return complex(pair[0], pair[1])
+    """A real number or an [re, im] pair; anything else, or a number too
+    large for a float, is a ModelError."""
+    try:
+        if isinstance(pair, numbers.Real):
+            return complex(pair)
+        if isinstance(pair, (list, tuple)) and len(pair) == 2 \
+                and all(isinstance(x, numbers.Real) for x in pair):
+            return complex(pair[0], pair[1])
+    except OverflowError:       # an integer literal beyond the float range
+        raise ModelError(f"number too large for a float in {pair!r}") from None
     raise ModelError(f"not a complex number: {pair!r}")
 
 
@@ -61,26 +74,64 @@ def _encode_default(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dump(obj: dict, path) -> None:
-    """Write a document deterministically: one line, sorted keys, round-trip
-    floats, through the C encoder (which ``indent`` would turn off).
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector; restore its previous state on
+    every exit, an exception included.
+
+    Safe over the spans of ``load`` and ``dump``: the documents there are
+    trees (``json`` parses only trees, and every ``to_json`` builds one),
+    so reference counting alone frees them, and a pause leaves no cyclic
+    garbage behind.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def dump(obj, path) -> None:
+    """Write a document, or the ``to_json()`` document of an engine object,
+    deterministically: one line, sorted keys, round-trip floats, through the
+    C encoder (which ``indent`` would turn off).
+
+    The collector stays paused from ``to_json`` to the write.  The document
+    is a tree, so the encoder's circular-reference map is skipped; a cyclic
+    document would end in a RecursionError instead of a ValueError.
 
     An existing regular file is unlinked first: truncating a file that was
     just written forces a flush of its old blocks on ext4 (about 50 ms per
     MB), while a new file costs nothing extra.
     """
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=_encode_default)
-    if os.path.isfile(path) and not os.path.islink(path):
-        os.unlink(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    with _collector_paused():
+        doc = obj if isinstance(obj, dict) else obj.to_json()
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                          check_circular=False, default=_encode_default)
+        del doc                 # a built tree is freed inside the pause
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.unlink(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
 
 
-def load(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def load(path, decode=None):
+    """The document of a JSON file, or ``decode(document)``.
+
+    The collector stays paused from the parse through ``decode`` until the
+    raw tree is released, so its two-float lists are never scanned.
+    """
+    with _collector_paused():
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if decode is None:
+            return doc
+        value = decode(doc)
+        del doc
+    return value
 
 
 def require_schema(doc: dict, schema: str) -> None:

@@ -183,6 +183,10 @@ class DiskDomain:
 
     kind = "disk"
 
+    def __post_init__(self):
+        if not 0 < self.radius < np.inf:
+            raise ModelError("disk radius must be finite and positive")
+
     def contains(self, z, margin: float = 0.0) -> np.ndarray:
         r = np.abs(np.asarray(z, dtype=complex) - self.center)
         return r < self.radius - margin
@@ -204,8 +208,8 @@ class AnnulusDomain:
     kind = "annulus"
 
     def __post_init__(self):
-        if not 0 < self.inner_radius < self.outer_radius:
-            raise ModelError("annulus radii must satisfy 0 < r < R")
+        if not 0 < self.inner_radius < self.outer_radius < np.inf:
+            raise ModelError("annulus radii must satisfy 0 < r < R < inf")
 
     def contains(self, z, margin: float = 0.0) -> np.ndarray:
         r = np.abs(np.asarray(z, dtype=complex) - self.center)
@@ -233,7 +237,7 @@ def domain_from_json(doc):
             return AnnulusDomain(float(doc["inner_radius"]),
                                  float(doc["outer_radius"]),
                                  jsonio.decode_complex(doc["center"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed {kind} domain: {exc}") from None
     raise ModelError(f"unknown domain kind {kind!r}")
 

@@ -681,7 +681,7 @@ class FiberWindow:
                 jsonio.decode_complex(doc["center"]), float(doc["radius"]), grid,
                 shape, p, roots, quot, float(doc["min_root_separation"]),
                 jsonio.decode_complex(reloc) if reloc else None)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"malformed fiber window: {exc}") from None
 
 

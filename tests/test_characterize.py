@@ -278,3 +278,24 @@ class TestReport:
     def test_corrupted_report_raises(self, corrupted):
         with pytest.raises(CharacterizationError):
             characterize(corrupted, *WINDOW)
+
+    def test_reversed_verdict_reuses_the_probe_datum(self, graph_datum,
+                                                     monkeypatch):
+        # the reversed datum the orientation probe ran on is the one the
+        # report orients by: one reversal per characterize call
+        flipped = graph_datum.reversed()
+        calls = []
+        reverse = DNDatum.reversed
+
+        def counting(datum):
+            calls.append(datum)
+            return reverse(datum)
+
+        monkeypatch.setattr(DNDatum, "reversed", counting)
+        rep = characterize(flipped, (-0.1, 0.05), 0.02)
+        assert rep.orientation.verdict == "-gamma" and rep.passed
+        assert calls == [flipped]
+        back = rep.orientation.reversed_datum
+        assert np.array_equal(back.u, graph_datum.u)
+        assert np.array_equal(back.curve.positions,
+                              graph_datum.curve.positions)

@@ -9,6 +9,7 @@ from cli_runner import run_cli
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
 CURVE_LAYOUT = "a curve must be an object with positions and derivatives"
+BIG = 10 ** 400     # a JSON integer literal beyond the float range
 
 
 def run_ok(workdir, command, config, **kwargs):
@@ -307,6 +308,63 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("command, key, edit, message", [
+        ("forward", "model",
+         lambda doc: doc["boundary"]["positions"].__setitem__(3, [BIG, 0.0]),
+         "number too large for a float"),
+        ("forward", "model", lambda doc: doc["domain"].update(radius=BIG),
+         "malformed disk domain: int too large to convert to float"),
+        ("invert", "datum", lambda doc: doc["u"][1].__setitem__(5, [0.0, BIG]),
+         "number too large for a float"),
+        ("residues", "curve",
+         lambda doc: doc["windows"][0].update(radius=BIG),
+         "malformed fiber window: int too large to convert to float"),
+        ("residues", "curve",
+         lambda doc: doc["windows"][0].update(p=float("inf")),
+         "malformed fiber window: cannot convert float infinity")],
+        ids=["model-position", "model-radius", "datum-u", "window-radius",
+             "window-p-inf"])
+    def test_number_beyond_float_exits_2(self, charged_outputs, tmp_path,
+                                         command, key, edit, message):
+        # each of these ended in an OverflowError traceback (exit 1)
+        doc = json.loads((charged_outputs / f"charged4.{key}.json").read_text())
+        edit(doc)
+        proc = _run_on_edited(charged_outputs, tmp_path, command, key, doc)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"{command}: bad datum: {message}")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.json").exists()
+
+    def test_boundary_value_beyond_float_exits_2(self, workdir, tmp_path):
+        cfg = json.loads((workdir / "graph.forward.json").read_text())
+        cfg["model"] = str(workdir / cfg["model"])
+        cfg["out"] = str(tmp_path / "datum.json")
+        cfg["boundary_values"][0][3] = [BIG, 0.0]
+        (tmp_path / "big.forward.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "forward", "big.forward.json")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(
+            "forward: bad datum: number too large for a float")
+        assert not (tmp_path / "datum.json").exists()
+
+    @pytest.mark.parametrize("radius", ["-1.5", "0", '"nan"', "1e400"])
+    def test_bad_disk_radius_exits_2(self, workdir, tmp_path, radius):
+        # graph's forward takes prescriptions and solves no Dirichlet
+        # problem, so only the domain itself can refuse the radius
+        model = json.loads((workdir / "graph.model.json").read_text())
+        model["domain"]["radius"] = "@radius@"
+        (tmp_path / "bad.model.json").write_text(
+            json.dumps(model).replace('"@radius@"', radius))
+        cfg = json.loads((workdir / "graph.forward.json").read_text())
+        cfg["model"] = "bad.model.json"
+        cfg["out"] = str(tmp_path / "datum.json")
+        (tmp_path / "bad.forward.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "forward", "bad.forward.json")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(
+            "forward: bad datum: disk radius must be finite and positive")
+        assert not (tmp_path / "datum.json").exists()
+
     @pytest.mark.parametrize("key, value, message", [
         ("families", 5, "families must be a list of lists"),
         ("families", [5], "families must be a list of lists"),
@@ -470,6 +528,8 @@ class TestExitCodes:
          lambda cfg: cfg["windows"].pop("radius"), "windows radius"),
         ("charged4.invert.json",
          lambda cfg: cfg["windows"].update(radius=-0.1), "windows radius"),
+        ("charged4.invert.json",
+         lambda cfg: cfg["windows"].update(radius=BIG), "windows radius"),
         ("charged4.invert.json",
          lambda cfg: cfg["windows"].update(grid_n=2.5), "windows grid_n"),
         ("charged4.invert.json",

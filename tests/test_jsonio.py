@@ -1,10 +1,19 @@
+import ast
+import gc
+import json
 import os
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
 
-from nodal_idn import jsonio
+from nodal_idn import cli, jsonio
+from nodal_idn.dirichlet import DNDatum
 from nodal_idn.errors import ModelError
+from nodal_idn.model import BoundaryCurve
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 DOC = {"schema": "x/1", "values": np.arange(5) * 0.1, "z": 1.0 - 2.0j}
 
@@ -102,3 +111,128 @@ def test_decode_complex_array_round_trips():
 def test_decode_complex_array_rejects_malformed_entries(items):
     with pytest.raises(ModelError):
         jsonio.decode_complex_array(items)
+
+
+@pytest.mark.parametrize("pair", [10 ** 400, [10 ** 400, 0], [0.5, -10 ** 400]],
+                         ids=["real", "re", "im"])
+def test_integer_beyond_float_range_is_a_model_error(pair):
+    with pytest.raises(ModelError, match="too large for a float"):
+        jsonio.decode_complex(pair)
+    with pytest.raises(ModelError, match="too large for a float"):
+        jsonio.decode_complex_array([[1.0, 2.0], pair])
+
+
+def test_dump_bytes_match_the_checked_encoder(tmp_path, monkeypatch):
+    # dump skips the circular-reference map and builds each document itself;
+    # the bytes of every document a charged4 run writes stay those of the
+    # default encoder on the same document
+    for f in (REPO / "scenarios").glob("charged4.*.json"):
+        shutil.copy(f, tmp_path)
+    written = []
+    real_dump = jsonio.dump
+
+    def record(obj, path):
+        real_dump(obj, path)
+        written.append((obj, path))
+
+    monkeypatch.setattr(jsonio, "dump", record)
+    monkeypatch.chdir(tmp_path)
+    for command in ("forward", "invert", "residues", "characterize"):
+        assert cli.main([command, "--config", f"charged4.{command}.json"]) == 0
+    assert [os.path.basename(path) for _, path in written] == [
+        "charged4.datum.json", "charged4.curve.json", "charged4.nodes.json",
+        "charged4.caract.json"]
+    for obj, path in written:
+        want = json.dumps(obj.to_json(), sort_keys=True,
+                          separators=(",", ":")) + "\n"
+        assert pathlib.Path(path).read_text(encoding="utf-8") == want, path
+
+
+class _Doc:
+    """An engine object whose document is built inside dump."""
+
+    def __init__(self, fail=False):
+        self.fail = fail
+
+    def to_json(self):
+        assert not gc.isenabled(), "to_json ran with the collector on"
+        if self.fail:
+            raise ModelError("forced failure")
+        return {"schema": "x/1", "z": [[1.0, 2.0]]}
+
+
+def _decode(doc):
+    assert not gc.isenabled(), "decode ran with the collector on"
+    return doc["z"]
+
+
+def _fail(doc):
+    raise ModelError("forced failure")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("fail", [False, True], ids=["ok", "error"])
+def test_collector_state_is_restored(tmp_path, enabled, fail):
+    path = tmp_path / "doc.json"
+    jsonio.dump({"schema": "x/1", "z": [[1.0, 2.0]]}, path)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if fail:
+            with pytest.raises(ModelError, match="forced failure"):
+                jsonio.load(path, _fail)
+        else:
+            assert jsonio.load(path, _decode) == [[1.0, 2.0]]
+        assert gc.isenabled() is enabled
+        if fail:
+            with pytest.raises(ModelError, match="forced failure"):
+                jsonio.dump(_Doc(fail=True), path)
+        else:
+            jsonio.dump(_Doc(), path)
+            assert jsonio.load(path) == {"schema": "x/1", "z": [[1.0, 2.0]]}
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_no_collection_while_a_large_datum_crosses_the_file(tmp_path):
+    # about 20 N two-float lists go through each side; with the collector
+    # running they trigger dozens of scans, a full one among them
+    n = 2048
+    rng = np.random.default_rng(5)
+
+    def rows(k):
+        return rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+
+    datum = DNDatum(BoundaryCurve.circle(1.5, n), rows(3), rows(3), rows(2),
+                    {"min_image_gap": 0.1, "min_speed": 0.2})
+    path = tmp_path / "datum.json"
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        jsonio.dump(datum, path)
+        written = starts[:]
+        back = jsonio.load(path, DNDatum.from_json)
+    finally:
+        gc.callbacks.remove(count)
+    assert written == [] and starts == []
+    assert np.array_equal(back.theta, datum.theta)
+    assert np.array_equal(back.curve.positions, datum.curve.positions)
+
+
+def test_only_jsonio_touches_the_collector():
+    for source in sorted((REPO / "src" / "nodal_idn").glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+        modules = {node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)}
+        touches = "gc" in names or "gc" in modules
+        assert touches == (source.name == "jsonio.py"), source.name

@@ -196,6 +196,16 @@ class TestFamiliesAndModels:
                                  (np.array([0.7, -0.7]),))
         assert model.node_groups[0].size == 2
 
+    @pytest.mark.parametrize("make", [
+        lambda: DiskDomain(-1.5), lambda: DiskDomain(0.0),
+        lambda: DiskDomain(np.nan), lambda: DiskDomain(np.inf),
+        lambda: AnnulusDomain(0.3, np.inf)],
+        ids=["disk-negative", "disk-zero", "disk-nan", "disk-inf",
+             "annulus-inf"])
+    def test_domain_radii_finite_and_positive(self, make):
+        with pytest.raises(ModelError, match="radi"):
+            make()
+
     def test_model_json_round_trip(self):
         dom = DiskDomain(1.5)
         model = NodalDomainModel(dom, dom.boundary(64),
