@@ -8,6 +8,7 @@ configs (fixed summation order, fixed seeds).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .characterize import (DEFAULT_THRESHOLDS, PROBE_COUNT, PROBE_SEED,
 from .dirichlet import DNDatum, Prescription, build_dn_datum
 from .errors import (ConfigError, FiberError, ModelError, MomentError,
                      NodalIdnError, PartitionError, SolveError)
+from .jsonio import decode_complex_list, decode_integer, decode_positive
 from .model import AdmissibleFamily, BoundaryCurve, DiskDomain, NodalDomainModel
 from .moments import (WINDOW_GRID_N, MomentEngine, ReconstructedCurve,
                       WindowPlan, sweep_windows)
@@ -39,64 +41,118 @@ FAILURES = (
 )
 
 
+def _file(value, name: str, _) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must name a file, not {value!r}")
+    return value
+
+
+def _lists(value, name: str, bounds: tuple | None) -> list:
+    """A list of lists, with bounds (count, kind, its bounds): ``count`` of
+    them unless None, each decoded by ``kind`` unless None."""
+    count, kind, inner = bounds or (None, None, None)
+    if not (isinstance(value, list) and all(isinstance(v, list) for v in value)
+            and count in (None, len(value))):
+        raise ConfigError(f"{name} must be a list of "
+                          f"{f'{count} ' if count else ''}lists")
+    return value if kind is None else [kind(v, name, inner) for v in value]
+
+
+def _objects(value, name: str, _) -> list:
+    if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
+        raise ConfigError(f"{name} must be a list of objects")
+    return value
+
+
+def _thresholds(value, name: str, keys: tuple) -> dict:
+    """An object whose keys are among ``keys``, each a finite positive number."""
+    if not (isinstance(value, dict) and set(value) <= set(keys)):
+        raise ConfigError(f"{name} must be an object with keys among "
+                          f"{', '.join(keys)}, not {value!r}")
+    for key, limit in value.items():
+        decode_positive(limit, f"{name} {key!r}", None)
+    return value
+
+
+def _gone(value, name: str, _):
+    raise ConfigError(f"{name} is no longer supported")
+
+
+REQUIRED = object()     # the default of a field that must be given
+# Every config field, named once: key path: (commands, kind, bounds,
+# default).  The default stands for an absent key; a field whose default is
+# None may also be null.  Each integer bound keeps the arrays that the field
+# sizes allocatable.  A window always takes max(2p, 1) moment orders, so
+# windows.max_order is gone and read only as null.
+FIELDS = {
+    "out": ("forward invert residues characterize compact", _file, None, None),
+    "model": ("forward", _file, None, REQUIRED),
+    "families": ("forward", _lists, None, None),
+    "boundary_values": ("forward", _lists, None, None),
+    "prescriptions": ("forward", _objects, None, None),
+    "datum": ("invert residues characterize", _file, None, REQUIRED),
+    "curve": ("residues", _file, None, REQUIRED),
+    "windows.centers": ("invert compact", decode_complex_list, None, REQUIRED),
+    "windows.radius": ("invert compact", decode_positive, None, REQUIRED),
+    "windows.grid_n": ("invert compact", decode_integer, (2, 100), WINDOW_GRID_N),
+    "windows.max_order": ("invert compact", _gone, None, None),
+    "contour_radius": ("residues compact", decode_positive, None, DEFAULT_CONTOUR_RADIUS),
+    "window.center": ("characterize", decode_complex_list, 2, REQUIRED),
+    "window.extent": ("characterize", decode_positive, None, REQUIRED),
+    "thresholds": ("characterize", _thresholds, tuple(DEFAULT_THRESHOLDS), None),
+    "probes": ("characterize", decode_integer, (1, 1000), PROBE_COUNT),
+    "seed": ("characterize", decode_integer, (0, math.inf), PROBE_SEED),
+    "candidates.points": ("characterize", decode_complex_list, None, None),
+    "candidates.charges": ("characterize", _lists,
+                           (None, decode_complex_list, None), None),
+    "out_prefix": ("compact", _file, None, "compact"),
+    "rho": ("compact", decode_positive, None, REQUIRED),
+    "n": ("compact", decode_integer, (4, 65536), 512),
+    "charges": ("compact", decode_complex_list, 3, REQUIRED),
+    "poles": ("compact", _lists, (3, decode_complex_list, 2), REQUIRED),
+    "aux": ("compact", _lists, (3, _lists, (None, decode_complex_list, 2)), None),
+}
+
+
 @dataclass
 class PipelineConfig:
     doc: dict
     out: str | None
     base_dir: str
 
-    def path(self, key: str, default=None) -> str:
+    def __getitem__(self, path: str):
+        """The FIELDS row ``path`` of the config decoded by its kind; a null
+        or empty object on the path counts as absent."""
+        _, kind, bounds, default = FIELDS[path]
+        *parents, key = path.split(".")
+        doc = self.doc
+        for parent in parents:
+            doc = doc.get(parent) or {}
+            if not isinstance(doc, dict):
+                raise ConfigError(f"{parent} must be an object")
+        value = doc.get(key, default)
+        if value is None and default is None:
+            return None
+        try:
+            return kind(None if value is REQUIRED else value,
+                        path.replace(".", " "), bounds)
+        except ModelError as exc:       # of a value kind: a bad config
+            raise ConfigError(str(exc)) from None
+
+    def path(self, key: str) -> str:
         """A file name of the config, resolved against the config dir."""
-        value = self.doc.get(key, default)
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} must name a file, not {value!r}")
-        return value if os.path.isabs(value) else os.path.join(self.base_dir, value)
+        return os.path.join(self.base_dir, self[key])
+
+    def output(self, default: str) -> str:
+        """--out, else the config's out, else ``default``."""
+        return self.out or (self.path("out") if self["out"] else default)
 
 
-def _positive(value, key: str) -> float:
-    """A config value that must be a finite positive number (an integer
-    too large for a float is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not 0 < value <= sys.float_info.max:
-        raise ConfigError(f"{key} must be a finite positive number, "
-                          f"not {value!r}")
-    return float(value)
-
-
-def _integer(value, key: str, least: int) -> int:
-    """A config value that must be an integer of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{key} must be an integer of at least {least}, "
-                          f"not {value!r}")
-    return value
-
-
-def _complex_list(value, key: str, count: int | None = None) -> np.ndarray:
-    """A config value that must be a list of ``count`` complex numbers, or
-    of one or more without ``count``."""
-    try:
-        values = jsonio.decode_complex_array(value)
-    except ModelError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-    if values.size == 0 or count is not None and values.size != count:
-        raise ConfigError(f"{key} must be a list of {count or 'one or more'} "
-                          f"complex numbers, not {value!r}")
-    return values
-
-
-def _decode_plan(value) -> WindowPlan:
-    """The window plan: an object with a list of complex ``centers``, a
-    finite positive ``radius`` and an integer ``grid_n`` of at least 2
-    (WINDOW_GRID_N if absent).  ``max_order`` is gone and read only as null."""
-    if not isinstance(value, dict):
-        raise ConfigError("windows must be an object with centers and radius")
-    if value.get("max_order") is not None:
-        raise ConfigError("windows.max_order is no longer supported")
-    centers = _complex_list(value.get("centers"), "windows centers")
-    return WindowPlan(list(centers),
-                      _positive(value.get("radius"), "windows radius"),
-                      _integer(value.get("grid_n", WINDOW_GRID_N), "windows grid_n",
-                               2))
+def _plan(cfg: PipelineConfig) -> WindowPlan:
+    """The window plan; windows.max_order is decoded only to refuse it."""
+    centers, radius, grid_n, _ = (cfg[f"windows.{key}"] for key in
+                                  ("centers", "radius", "grid_n", "max_order"))
+    return WindowPlan(list(centers), radius, grid_n)
 
 
 def _decode_prescription(doc: dict) -> Prescription:
@@ -107,39 +163,25 @@ def _decode_prescription(doc: dict) -> Prescription:
     )
 
 
-def _entries(value, key: str, kind: type) -> list:
-    """A forward config value that must be a list of lists or of objects
-    (``kind``); empty if absent."""
-    value = value or []
-    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
-        raise ConfigError(f"{key} must be a list of "
-                          f"{'objects' if kind is dict else 'lists'}")
-    return value
-
-
-def _decode_families(items) -> tuple | None:
-    return tuple(AdmissibleFamily.from_json(f) if f else AdmissibleFamily(())
-                 for f in _entries(items, "families", list)) or None
-
-
 def cmd_forward(cfg: PipelineConfig) -> int:
     model = jsonio.load(cfg.path("model"), NodalDomainModel.from_json)
-    families = _decode_families(cfg.doc.get("families"))
-    boundary = tuple(jsonio.decode_complex_array(r) for r in _entries(
-        cfg.doc.get("boundary_values"), "boundary_values", list))
-    prescriptions = tuple(_decode_prescription(p) for p in _entries(
-        cfg.doc.get("prescriptions"), "prescriptions", dict)) or None
+    families = tuple(AdmissibleFamily.from_json(f) if f else AdmissibleFamily(())
+                     for f in cfg["families"] or ()) or None
+    boundary = tuple(jsonio.decode_complex_array(r)
+                     for r in cfg["boundary_values"] or ())
+    prescriptions = tuple(_decode_prescription(p)
+                          for p in cfg["prescriptions"] or ()) or None
     datum = build_dn_datum(model, families, boundary, prescriptions)
-    jsonio.dump(datum, cfg.out or "datum.json")
+    jsonio.dump(datum, cfg.output("datum.json"))
     return 0
 
 
 def cmd_invert(cfg: PipelineConfig) -> int:
     datum = jsonio.load(cfg.path("datum"), DNDatum.from_json)
-    plan = _decode_plan(cfg.doc.get("windows"))
+    plan = _plan(cfg)
     engine = MomentEngine.from_datum(datum)
     curve = sweep_windows(engine, plan)
-    out = cfg.out or "curve.json"
+    out = cfg.output("curve.json")
     jsonio.dump(curve, out)
     report_lines = [f"windows analyzed: {len(curve.windows)}"]
     for w in curve.windows:
@@ -149,12 +191,11 @@ def cmd_invert(cfg: PipelineConfig) -> int:
         if w.relocated_from is not None:
             line += f" [re-centered from {w.relocated_from:.6g}]"
         report_lines.append(line)
-    for center, msg in curve.failures:
-        report_lines.append(f"window at {center:.6g} failed: {msg}")
-    for k, sigma in enumerate(curve.permutations):
-        report_lines.append(f"stitch {k}->{k + 1}: sheet map "
-                            f"{list(map(int, sigma))}")
-    report_lines.extend(curve.notes)
+    report_lines += [f"window at {center:.6g} failed: {msg}"
+                     for center, msg in curve.failures]
+    report_lines += [f"stitch {k}->{k + 1}: sheet map {list(map(int, sigma))}"
+                     for k, sigma in enumerate(curve.permutations)]
+    report_lines += curve.notes
     report_lines.append(f"self-consistency residual: "
                         f"{_self_consistency(engine, curve):.3e}")
     with open(out + ".report.txt", "w", encoding="utf-8") as fh:
@@ -180,10 +221,9 @@ def _self_consistency(engine: MomentEngine, curve: ReconstructedCurve) -> float:
 def cmd_residues(cfg: PipelineConfig) -> int:
     datum = jsonio.load(cfg.path("datum"), DNDatum.from_json)
     curve = jsonio.load(cfg.path("curve"), ReconstructedCurve.from_json)
-    radius = _positive(cfg.doc.get("contour_radius", DEFAULT_CONTOUR_RADIUS),
-                       "contour_radius")
-    inventory = _node_inventory(curve, MomentEngine.from_datum(datum), radius)
-    jsonio.dump(inventory, cfg.out or "nodes.json")
+    inventory = _node_inventory(curve, MomentEngine.from_datum(datum),
+                                cfg["contour_radius"])
+    jsonio.dump(inventory, cfg.output("nodes.json"))
     return 0
 
 
@@ -196,53 +236,13 @@ def _node_inventory(curve: ReconstructedCurve, engine: MomentEngine,
     return classify_and_partition(reports)
 
 
-def _decode_thresholds(value) -> dict | None:
-    """The characterize thresholds: absent, or an object whose keys are
-    among DEFAULT_THRESHOLDS, each a finite positive number."""
-    if value is None:
-        return None
-    if not isinstance(value, dict):
-        raise ConfigError("thresholds must be an object with keys among "
-                          "shock, green")
-    for key, limit in value.items():
-        if key not in DEFAULT_THRESHOLDS:
-            raise ConfigError(f"unknown threshold {key!r}: expected shock "
-                              "or green")
-        _positive(limit, f"threshold {key!r}")
-    return value
-
-
-def _decode_window(value) -> tuple:
-    """The characterize window: an object whose center is a list of two
-    complex numbers and whose extent is a finite positive number."""
-    if not isinstance(value, dict):
-        raise ConfigError("window must be an object with keys center and "
-                          "extent")
-    center = value.get("center")
-    if not isinstance(center, list) or len(center) != 2:
-        raise ConfigError("window center must be a list of two complex "
-                          f"numbers, not {center!r}")
-    try:
-        center = tuple(jsonio.decode_complex(c) for c in center)
-    except ModelError as exc:
-        raise ConfigError(f"window center: {exc}") from None
-    return center, _positive(value.get("extent"), "window extent")
-
-
-def _decode_candidates(value) -> tuple:
-    """The characterize candidates: absent, or an object with the candidate
-    points and their charges, one row per potential and one charge per
-    point.  Returns (points, charges), both None when absent."""
-    if not value:
-        return None, None
-    if not isinstance(value, dict) or not isinstance(value.get("charges"), list):
-        raise ConfigError("candidates must be an object with points and "
-                          "charges")
-    try:
-        points = jsonio.decode_complex_array(value.get("points"))
-        rows = [jsonio.decode_complex_array(r) for r in value["charges"]]
-    except ModelError as exc:
-        raise ConfigError(f"candidates: {exc}") from None
+def _candidates(cfg: PipelineConfig) -> tuple:
+    """Candidate points and charges (a row per potential), or None, None."""
+    points, rows = cfg["candidates.points"], cfg["candidates.charges"]
+    if points is None or rows is None:
+        if points is rows:
+            return None, None
+        raise ConfigError("candidates must be an object with points and charges")
     if len(rows) != 3 or any(r.shape != points.shape for r in rows):
         raise ConfigError(f"candidates need 3 rows of {points.size} charges, "
                           "one per potential")
@@ -251,39 +251,25 @@ def _decode_candidates(value) -> tuple:
 
 def cmd_characterize(cfg: PipelineConfig) -> int:
     datum = jsonio.load(cfg.path("datum"), DNDatum.from_json)
-    center, extent = _decode_window(cfg.doc.get("window"))
-    thresholds = _decode_thresholds(cfg.doc.get("thresholds"))
-    probes = _integer(cfg.doc.get("probes", PROBE_COUNT), "probes", 1)
-    seed = _integer(cfg.doc.get("seed", PROBE_SEED), "seed", 0)
-    points, charges = _decode_candidates(cfg.doc.get("candidates"))
-    report = characterize(datum, center, extent, points, charges,
-                          probe_count=probes, seed=seed, thresholds=thresholds)
-    jsonio.dump(report, cfg.out or "caract.json")
+    center = tuple(map(complex, cfg["window.center"]))
+    points, charges = _candidates(cfg)
+    report = characterize(datum, center, cfg["window.extent"], points, charges,
+                          probe_count=cfg["probes"], seed=cfg["seed"],
+                          thresholds=cfg["thresholds"])
+    jsonio.dump(report, cfg.output("caract.json"))
     return 0 if report.passed else EXIT_CHARACTERIZATION
 
 
-def _compact_potentials(cfg_doc: dict):
-    """Closed-form boundary data of the compact scenario on gamma = bS: a
-    disk of finite positive radius ``rho`` sampled at an integer ``n`` >= 4
-    points (512 if absent), with one charge, one pair of poles and a list
-    of auxiliary [pole, residue] pairs per potential."""
-    rho = _positive(cfg_doc.get("rho"), "rho")
-    n = _integer(cfg_doc.get("n", 512), "n", 4)
+def _compact_potentials(cfg: PipelineConfig):
+    """Closed-form boundary data of the compact scenario on gamma = bS: the
+    disk of radius rho at n samples, with one charge, one pair of poles and
+    a list of auxiliary [pole, residue] pairs per potential."""
+    rho, n, charges, poles, aux = (cfg[key] for key in
+                                   ("rho", "n", "charges", "poles", "aux"))
     margin = 0.05 * rho
-    charges = _complex_list(cfg_doc.get("charges"), "charges", 3)
-    poles = cfg_doc.get("poles")
-    if not isinstance(poles, list) or len(poles) != 3:
-        raise ConfigError("poles must be a list of 3 pairs of complex "
-                          f"numbers, one per potential, not {poles!r}")
-    poles = [_complex_list(pair, "poles", 2) for pair in poles]
-    aux = cfg_doc.get("aux") or [[], [], []]
-    if not (isinstance(aux, list) and len(aux) == 3
-            and all(isinstance(row, list) for row in aux)):
-        raise ConfigError("aux must be a list of 3 lists of [pole, residue] "
-                          f"pairs, one per potential, not {aux!r}")
     # as Python complex numbers, whose division rounds unlike numpy's
-    aux = [[tuple(map(complex, _complex_list(item, "aux", 2))) for item in row]
-           for row in aux]
+    aux = [[tuple(map(complex, item)) for item in row]
+           for row in aux or [[], [], []]]
     curve = BoundaryCurve.circle(rho, n)
     z = curve.positions
 
@@ -297,37 +283,25 @@ def _compact_potentials(cfg_doc: dict):
         return 2 * (residue * log_branch).real
 
     us, prescriptions = [], []
-    for ell in range(3):
-        aminus, aplus = poles[ell]
-        for a in (aminus, aplus):
+    for (aminus, aplus), c, extra in zip(poles, charges, aux):
+        pairs = [(aplus, c), (aminus, -c), *extra]      # (pole, residue)
+        for k, (a, _) in enumerate(pairs):
             if abs(a) <= rho + margin:
-                raise ModelError(f"charge point {a} is not inside the "
-                                 "measurement subdomain")
-        c = charges[ell]
-        u = log_pole_potential(aplus, c) + log_pole_potential(aminus, -c)
-        w_poles = [aplus, aminus]
-        w_res = [c, -c]
-        for p, kappa in aux[ell]:
-            if abs(p) <= rho + margin:
-                raise ModelError(f"auxiliary pole {p} is not inside the "
-                                 "measurement subdomain")
-            u = u + log_pole_potential(p, kappa)
-            w_poles.append(p)
-            w_res.append(kappa)
+                raise ModelError(f"{'auxiliary pole' if k > 1 else 'charge point'} "
+                                 f"{a} is not inside the measurement subdomain")
+        u = log_pole_potential(*pairs[0])
+        for a, residue in pairs[1:]:
+            u = u + log_pole_potential(a, residue)
         us.append(u.astype(complex))
-        prescriptions.append(Prescription(poles=tuple(w_poles),
-                                          residues=tuple(w_res)))
+        prescriptions.append(Prescription(*zip(*pairs)))
     model = NodalDomainModel(DiskDomain(rho), curve)
     return model, tuple(us), tuple(prescriptions)
 
 
 def cmd_compact(cfg: PipelineConfig) -> int:
-    doc = cfg.doc
-    prefix = cfg.out or cfg.path("out_prefix", "compact")
-    plan = _decode_plan(doc.get("windows"))
-    radius = _positive(doc.get("contour_radius", DEFAULT_CONTOUR_RADIUS),
-                       "contour_radius")
-    model, us, prescriptions = _compact_potentials(doc)
+    prefix = cfg.output(cfg.path("out_prefix"))
+    plan, radius = _plan(cfg), cfg["contour_radius"]
+    model, us, prescriptions = _compact_potentials(cfg)
     datum = build_dn_datum(model, None, us, prescriptions)
     jsonio.dump(datum, f"{prefix}.datum.json")
     engine = MomentEngine.from_datum(datum)
@@ -335,15 +309,11 @@ def cmd_compact(cfg: PipelineConfig) -> int:
     jsonio.dump(curve, f"{prefix}.curve.json")
     inventory = _node_inventory(curve, engine, radius)
     jsonio.dump(inventory, f"{prefix}.nodes.json")
-    summary = {
-        "schema": "nodal-idn/compact/1",
-        "windows": len(curve.windows),
-        "sheet_counts": [w.p for w in curve.windows],
-        "singular_points": len(inventory.points),
-        "recovered_nodes": len(inventory.nodes),
-        "spurious_points": len(inventory.spurious),
-    }
-    jsonio.dump(summary, f"{prefix}.report.json")
+    jsonio.dump({"schema": "nodal-idn/compact/1", "windows": len(curve.windows),
+                 "sheet_counts": [w.p for w in curve.windows],
+                 "singular_points": len(inventory.points),
+                 "recovered_nodes": len(inventory.nodes),
+                 "spurious_points": len(inventory.spurious)}, f"{prefix}.report.json")
     return 0
 
 
@@ -375,11 +345,7 @@ def main(argv=None) -> int:
     try:
         if not isinstance(doc, dict):
             raise ConfigError("the top level is not a JSON object")
-        out = args.out
-        if out is None and isinstance(doc.get("out"), str):
-            out = doc["out"] if os.path.isabs(doc["out"]) \
-                else os.path.join(base_dir, doc["out"])
-        return COMMANDS[args.command](PipelineConfig(doc, out, base_dir))
+        return COMMANDS[args.command](PipelineConfig(doc, args.out, base_dir))
     except NodalIdnError as exc:
         for kinds, code, label in FAILURES:
             if isinstance(exc, kinds):

@@ -46,6 +46,8 @@ class Prescription:
     def __post_init__(self):
         if len(self.poles) != len(self.residues):
             raise ModelError("prescription poles and residues must pair up")
+        if not np.all(np.isfinite(np.r_[self.poles, self.residues, self.poly])):
+            raise ModelError("prescription coefficients must be finite")
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -349,6 +351,7 @@ def build_dn_datum(model: NodalDomainModel,
         if len(prescriptions) != 3:
             raise ModelError(f"expected 3 prescriptions, got "
                              f"{len(prescriptions)}")
+        check_fft_circle(model.domain, curve)
         theta = np.vstack([p(curve.positions) for p in prescriptions])
         for ell, p in enumerate(prescriptions):
             _check_prescription(model, families[ell] if families else None, p)

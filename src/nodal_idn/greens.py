@@ -153,10 +153,9 @@ def check_fft_circle(domain, curve: BoundaryCurve) -> None:
     """Raise ModelError unless ``curve`` samples the domain's (outer) circle
     ccw at t_k = 2*pi*k/N, to GRID_TOL times its radius: the grid that the
     circle solvers below take their data and traces on."""
-    radius = domain.radius if isinstance(domain, DiskDomain) else domain.outer_radius
     gap = float(np.max(np.abs(curve.positions - domain.center
-                              - _circle_grid(radius, curve.n))))
-    if not gap <= GRID_TOL * radius:
+                              - _circle_grid(domain.outer_radius, curve.n))))
+    if not gap <= GRID_TOL * domain.outer_radius:
         raise ModelError(f"boundary is not the {domain.kind}'s FFT circle "
                          f"(t_k = 2*pi*k/N, ccw): gap {gap:.3e}")
 

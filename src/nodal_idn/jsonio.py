@@ -13,6 +13,7 @@ import gc
 import json
 import numbers
 import os
+import sys
 
 import numpy as np
 
@@ -61,6 +62,36 @@ def decode_complex_array(items) -> np.ndarray:
     if values is not None and values.ndim == 0:
         raise ModelError(f"not a list of complex numbers: {items!r}")
     return np.array([decode_complex(p) for p in items], dtype=complex)
+
+
+# Value kinds: kind(value, name, bounds) decodes a JSON value or raises a
+# ModelError that names it.
+
+def decode_positive(value, name: str, _) -> float:
+    """A finite positive number (an integer too large for a float is not)."""
+    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+        raise ModelError(f"{name} must be a finite positive number, not {value!r}")
+    return float(value)
+
+
+def decode_integer(value, name: str, bounds: tuple) -> int:
+    """An integer in [least, most] = ``bounds``."""
+    if type(value) is not int or not bounds[0] <= value <= bounds[1]:
+        raise ModelError(f"{name} must be an integer in {list(bounds)}, not {value!r}")
+    return value
+
+
+def decode_complex_list(value, name: str, count: int | None) -> np.ndarray:
+    """A list of ``count`` finite complex numbers, or of one or more."""
+    try:
+        values = decode_complex_array(value)
+    except ModelError as exc:
+        raise ModelError(f"{name}: {exc}") from None
+    if values.size == 0 or count not in (None, values.size) \
+            or not np.all(np.isfinite(values)):
+        raise ModelError(f"{name} must be a list of {count or 'one or more'} "
+                         f"finite complex numbers, not {value!r}")
+    return values
 
 
 def _encode_default(obj):

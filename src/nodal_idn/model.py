@@ -187,6 +187,8 @@ class DiskDomain:
         if not 0 < self.radius < np.inf:
             raise ModelError("disk radius must be finite and positive")
 
+    outer_radius = property(lambda self: self.radius)   # its only circle
+
     def contains(self, z, margin: float = 0.0) -> np.ndarray:
         r = np.abs(np.asarray(z, dtype=complex) - self.center)
         return r < self.radius - margin
@@ -294,7 +296,7 @@ class NodalDomainModel:
         object.__setattr__(self, "node_groups", groups)
         aux = tuple((complex(p), complex(r)) for p, r in self.auxiliary_poles)
         object.__setattr__(self, "auxiliary_poles", aux)
-        margin = INTERIOR_MARGIN * _domain_scale(self.domain)
+        margin = INTERIOR_MARGIN * self.domain.outer_radius
         for g in groups:
             if g.size < 2:
                 raise ModelError("a node group must identify at least 2 points")
@@ -345,14 +347,6 @@ class NodalDomainModel:
         return NodalDomainModel(domain_from_json(doc.get("domain")),
                                 BoundaryCurve.from_json(doc.get("boundary")),
                                 groups, aux)
-
-
-def _domain_scale(domain) -> float:
-    if isinstance(domain, DiskDomain):
-        return domain.radius
-    if isinstance(domain, AnnulusDomain):
-        return domain.outer_radius
-    return 1.0
 
 
 def is_generic_family(family: AdmissibleFamily,

@@ -83,11 +83,10 @@ UNSAFE_STEP = ("continuation step exceeds half the root separation: "
 def truncation_order(rho: float) -> int | None:
     """The smallest J <= MAX_EXPANSION_ORDER with rho^J <= eps (1 - rho),
     where rho = radius / d: past J the Taylor tail of the Cauchy factor is
-    below the round-off of the direct sum.  None if no such J exists."""
-    for order in range(1, MAX_EXPANSION_ORDER + 1):
-        if rho ** order <= DOUBLE_EPS * (1.0 - rho):
-            return order
-    return None
+    below the round-off of the direct sum.  None if no such J exists, as
+    for every rho >= 1, where the series has no tail bound."""
+    orders = range(1, MAX_EXPANSION_ORDER + 1) if rho < 1 else ()
+    return next((j for j in orders if rho ** j <= DOUBLE_EPS * (1.0 - rho)), None)
 
 
 MIN_EXPANSION_ORDER = truncation_order(DISC_REACH)
@@ -797,12 +796,17 @@ class ReconstructedCurve:
 
     @staticmethod
     def from_json(doc: dict) -> "ReconstructedCurve":
-        """The curve of a file; ModelError where its layout is at fault."""
+        """The curve of a file; ModelError where its layout is at fault or a
+        sheet map is not a permutation of range(p), p its length."""
         jsonio.require_schema(doc, CURVE_SCHEMA)
         try:
+            maps = [[jsonio.decode_integer(k, "permutations entry", (0, len(s) - 1))
+                     for k in s] for s in doc["permutations"]]
+            if any(sorted(s) != list(range(len(s))) for s in maps):
+                raise ValueError("a permutations entry repeats a sheet")
             return ReconstructedCurve(
                 [FiberWindow.from_json(w) for w in doc["windows"]],
-                [np.array(s, dtype=int) for s in doc["permutations"]],
+                [np.array(s, dtype=int) for s in maps],
                 [(jsonio.decode_complex(c), msg) for c, msg in doc["failures"]],
                 list(doc.get("notes", [])))
         except (KeyError, TypeError, ValueError) as exc:

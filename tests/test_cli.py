@@ -662,6 +662,115 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "not inside the measurement subdomain" in proc.stderr
 
+    @staticmethod
+    def _run_windows(outputs, tmp_path, config, edit):
+        cfg = json.loads((outputs / config).read_text())
+        if "datum" in cfg:
+            cfg["datum"] = str(outputs / cfg["datum"])
+        cfg["out"] = str(tmp_path / "out")
+        edit(cfg["windows"])
+        (tmp_path / config).write_text(json.dumps(cfg))
+        return run_cli(tmp_path, cfg["command"], config)
+
+    def test_window_centred_on_the_curve_fails_alone(self, graph_outputs,
+                                                     tmp_path):
+        # f2(gamma) is the unit circle: the batch falls back to the direct
+        # sum, which refuses the window; this ended in an OverflowError
+        # traceback from truncation_order (exit 1)
+        proc = self._run_windows(graph_outputs, tmp_path, "graph.invert.json",
+                                 lambda w: w["centers"].__setitem__(0, [-1.0, 0.0]))
+        assert proc.returncode == 0, proc.stderr
+        report = (tmp_path / "out.report.txt").read_text()
+        assert "window at -1+0j failed: on-curve evaluation" in report
+
+    @pytest.mark.parametrize("config", ["graph.invert.json", "compact.json"])
+    def test_window_radius_beyond_the_curve_exits_3(self, graph_outputs,
+                                                    tmp_path, config):
+        # an OverflowError traceback from truncation_order (exit 1) before
+        proc = self._run_windows(graph_outputs, tmp_path, config,
+                                 lambda w: w.update(radius=2 ** 62))
+        assert proc.returncode == 3, proc.stderr
+        assert "more than half of the windows failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("config, edit, named", [
+        ("charged4.invert.json",
+         lambda cfg: cfg["windows"].update(grid_n=10 ** 19), "windows grid_n"),
+        ("compact.json", lambda cfg: cfg.update(n=10 ** 19), "n must"),
+        ("charged4.characterize.json", lambda cfg: cfg.update(probes=2 ** 62),
+         "probes"),
+        ("charged4.invert.json",
+         lambda cfg: cfg["windows"]["centers"][0].__setitem__(0, float("nan")),
+         "windows centers must be a list of one or more finite"),
+        ("charged4.characterize.json",
+         lambda cfg: cfg["window"]["center"][1].__setitem__(1, float("inf")),
+         "window center must be a list of 2 finite"),
+        ("compact.json",
+         lambda cfg: cfg["charges"][2].__setitem__(0, float("inf")),
+         "charges must be a list of 3 finite")],
+        ids=["grid_n", "compact-n", "probes", "centre-nan", "window-inf",
+             "charge-inf"])
+    def test_config_value_beyond_its_bound_exits_2(self, charged_outputs,
+                                                   tmp_path, config, edit,
+                                                   named):
+        # integers that size arrays exited 1 with "Maximum allowed size
+        # exceeded"; non-finite centres and charges ran the engine
+        cfg = json.loads((charged_outputs / config).read_text())
+        if "datum" in cfg:
+            cfg["datum"] = str(charged_outputs / cfg["datum"])
+        cfg["out"] = str(tmp_path / "out")
+        edit(cfg)
+        (tmp_path / config).write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, cfg["command"], config)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"{cfg['command']}: bad config: {named}")
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("entry, message", [
+        (10 ** 19, "permutations entry must be an integer in [0, 3]"),
+        (float("inf"), "permutations entry must be an integer in [0, 3]"),
+        (4, "permutations entry must be an integer in [0, 3]"),
+        (None, "malformed curve file: a permutations entry repeats a sheet")],
+        ids=["beyond-int64", "infinity", "beyond-p", "repeat"])
+    def test_bad_permutations_entry_exits_2(self, charged_outputs, tmp_path,
+                                            entry, message):
+        # 10**19 and Infinity ended in an OverflowError traceback (exit 1)
+        doc = json.loads((charged_outputs / "charged4.curve.json").read_text())
+        sigma = doc["permutations"][0]
+        sigma[1] = sigma[0] if entry is None else entry
+        proc = _run_on_edited(charged_outputs, tmp_path, "residues", "curve",
+                              doc)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"residues: bad datum: {message}")
+
+    def test_prescribed_forms_off_the_fft_circle_exit_2(self, workdir,
+                                                        tmp_path):
+        # the prescriptions path checked the circle only on its physical twin
+        model = json.loads((workdir / "graph.model.json").read_text())
+        model["domain"]["radius"] = 2.0
+        (tmp_path / "wide.model.json").write_text(json.dumps(model))
+        cfg = json.loads((workdir / "graph.forward.json").read_text())
+        cfg["model"] = "wide.model.json"
+        cfg["out"] = str(tmp_path / "datum.json")
+        (tmp_path / "wide.forward.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "forward", "wide.forward.json")
+        assert proc.returncode == 2, proc.stderr
+        assert "FFT circle" in proc.stderr
+        assert not (tmp_path / "datum.json").exists()
+
+    def test_prescribed_form_not_finite_exits_2(self, workdir, tmp_path):
+        # its theta samples warned "invalid value" before hypothesis A
+        # refused them
+        cfg = json.loads((workdir / "graph.forward.json").read_text())
+        cfg["model"] = str(workdir / cfg["model"])
+        cfg["out"] = str(tmp_path / "datum.json")
+        cfg["prescriptions"][1]["poly"][1] = [float("inf"), 0.0]
+        (tmp_path / "inf.forward.json").write_text(json.dumps(cfg))
+        proc = run_cli(tmp_path, "forward", "inf.forward.json")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("forward: bad datum: prescription coefficients "
+                               "must be finite\n")
+
 
 def _oracle_forms(cfg):
     """The compact scenario's forms w_0, w_1, w_2 as oracle functions, read
@@ -734,7 +843,7 @@ class TestCompact:
         # zero-sum (p, kappa) perturbations flow through the datum and the
         # reconstruction still matches the augmented rational oracle
         import numpy as np
-        from nodal_idn.cli import _compact_potentials
+        from nodal_idn.cli import PipelineConfig, _compact_potentials
         from nodal_idn.dirichlet import (IMMERSION_FLOOR, INJECTIVITY_GAP,
                                          build_dn_datum)
         from nodal_idn.moments import MomentEngine, sweep_windows
@@ -749,7 +858,8 @@ class TestCompact:
                     [[[1.9, -1.5], [0.0, 0.08]], [[-1.7, 1.8], [0.0, -0.08]]],
                     []],
         }
-        model, us, prescriptions = _compact_potentials(cfg)
+        model, us, prescriptions = _compact_potentials(
+            PipelineConfig(cfg, None, ""))
         datum = build_dn_datum(model, None, boundary_values=us,
                                prescriptions=prescriptions)
         assert datum.hypothesis_a["min_image_gap"] > INJECTIVITY_GAP
@@ -771,7 +881,7 @@ class TestCompact:
         # complex auxiliary residues (branch cuts point away from the disk)
         import numpy as np
         from nodal_idn import jsonio
-        from nodal_idn.cli import _compact_potentials
+        from nodal_idn.cli import PipelineConfig, _compact_potentials
         from nodal_idn.greens import DiskHarmonicSolver
         from nodal_idn.model import DiskDomain
         cfg = {
@@ -787,7 +897,8 @@ class TestCompact:
                      [jsonio.encode_complex(-2.2 + 1.0j),
                       jsonio.encode_complex(-0.3j)]], [], []],
         }
-        model, us, prescriptions = _compact_potentials(cfg)
+        model, us, prescriptions = _compact_potentials(
+            PipelineConfig(cfg, None, ""))
         solver = DiskHarmonicSolver(DiskDomain(1.0), 512)
         for ell in range(3):
             ext = solver.extend(np.asarray(us[ell], dtype=complex))
